@@ -59,9 +59,6 @@ void PrintUsage(std::FILE* out) {
       "  --json                emit one machine-readable JSON document instead of\n"
       "                        the text report (outcome, replication, transport,\n"
       "                        resyncs, N'/N + consistency)\n"
-      "  --fail-at=PHASE       legacy single-failure flags (see --list-phases);\n"
-      "  --fail-epoch=N        they form the first schedule entry\n"
-      "  --fail-time-ms=X --fail-target=T --crash-io=C\n"
       "  --num-blocks=N --seed=N\n"
       "\n"
       "drill  Failover drill with a per-takeover promotion-latency report.\n"
@@ -76,14 +73,13 @@ void PrintUsage(std::FILE* out) {
       "  --refail-delay-ms=X   re-kill X ms after the resync completes (10)\n"
       "\n"
       "bench  Regenerate the paper's Table 1 / Fig 2-4 numbers plus this\n"
-      "       reproduction's fig5-7 extensions as JSON artifacts.\n"
+      "       reproduction's fig5-8 extensions as JSON artifacts.\n"
       "  --out-dir=DIR         artifact directory (bench)\n"
       "  --quick               small workloads + short sweep (same artifact shape)\n"
       "  --only=ARTIFACT       regenerate one artifact: table1, fig2_cpu,\n"
       "                        fig3_io, fig4_faster_comm, fig4_lossy_link,\n"
       "                        fig5_resync, fig6_throughput, fig7_fleet,\n"
       "                        fig8_parallel (prefixes like fig8 work too)\n"
-      "  --cpu-iterations=N --io-operations=N --backups=N\n"
       "\n"
       "fleet  Co-simulate many protected chains across simulated hosts.\n"
       "  --chains=N            protected chains (8); each is 1 primary + backups\n"
@@ -133,7 +129,7 @@ void PrintUsage(std::FILE* out) {
       "\n"
       "examples:\n"
       "  hbft_cli run --workload=txnlog --iterations=8 --variant=new\n"
-      "  hbft_cli run --workload=net-echo --iterations=4 --fail-at=after-io-issue\n"
+      "  hbft_cli run --workload=net-echo --iterations=4 --fail=phase=after-io-issue\n"
       "  hbft_cli run --workload=txnlog --disk-uncertain=0.3 --console-uncertain=0.3\n"
       "  hbft_cli drill --variant=new --epoch-length=4096\n"
       "  hbft_cli drill --backups=2 --fail=time-ms=6 --fail=phase=after-io-issue\n"

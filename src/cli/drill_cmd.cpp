@@ -116,7 +116,7 @@ int DrillCommand(FlagSet& flags) {
   if (!ft.promoted) {
     std::fprintf(stderr,
                  "hbft_cli: the workload finished before the kill point was reached; "
-                 "try an earlier --fail-epoch or --fail-time-ms\n");
+                 "try an earlier --fail=phase=P,epoch=N or --fail=time-ms=X\n");
     return 1;
   }
 

@@ -572,66 +572,6 @@ bool ParseScenarioFlags(FlagSet& flags, ScenarioFlags* out) {
     out->packets = *v;
   }
 
-  // Legacy single-failure flags: --fail-at=<phase> (with --fail-epoch) or
-  // --fail-time-ms=<ms>; --fail-target picks the victim. They produce the
-  // first schedule entry; repeatable --fail=SPEC entries append after it.
-  std::string fail_at = flags.GetString("fail-at", "none");
-  auto fail_time_ms = flags.GetDouble("fail-time-ms");
-  if (fail_at != "none" && fail_time_ms) {
-    std::fprintf(stderr, "hbft_cli: --fail-at and --fail-time-ms are mutually exclusive\n");
-    return false;
-  }
-  FailurePlan legacy;
-  if (fail_at != "none") {
-    auto phase = ParseFailPhase(fail_at);
-    if (!phase) {
-      std::fprintf(stderr,
-                   "hbft_cli: unknown --fail-at phase '%s' (see hbft_cli --list-phases)\n",
-                   fail_at.c_str());
-      return false;
-    }
-    legacy.kind = FailurePlan::Kind::kAtPhase;
-    legacy.phase = *phase;
-    legacy.phase_epoch = flags.GetU64("fail-epoch").value_or(0);
-    out->failure_description =
-        "at-phase " + fail_at + " epoch " + std::to_string(legacy.phase_epoch);
-  } else if (fail_time_ms) {
-    legacy.kind = FailurePlan::Kind::kAtTime;
-    legacy.time = SimTime::Picos(static_cast<int64_t>(*fail_time_ms * 1e9));
-    out->failure_description = "at-time " + std::to_string(*fail_time_ms) + " ms";
-  } else {
-    flags.GetU64("fail-epoch");  // Consume so a stray flag reports cleanly below.
-  }
-
-  std::string target = flags.GetString("fail-target", "primary");
-  if (target == "backup") {
-    if (legacy.kind == FailurePlan::Kind::kAtPhase) {
-      std::fprintf(stderr,
-                   "hbft_cli: --fail-target=backup supports only --fail-time-ms (standing "
-                   "backups run no device phases)\n");
-      return false;
-    }
-    legacy.target = FailurePlan::Target::kBackup;
-    legacy.backup_index = 0;
-  } else if (target != "primary" && target != "active") {
-    std::fprintf(stderr, "hbft_cli: unknown --fail-target '%s' (primary/active, backup)\n",
-                 target.c_str());
-    return false;
-  }
-
-  std::string crash_io = flags.GetString("crash-io", "random");
-  if (!ParseCrashIo(crash_io, &legacy.crash_io)) {
-    std::fprintf(stderr, "hbft_cli: unknown --crash-io '%s' (random, performed, not-performed)\n",
-                 crash_io.c_str());
-    return false;
-  }
-
-  if (legacy.kind != FailurePlan::Kind::kNone) {
-    out->failure_description += std::string(", target ") + target;
-    out->failures.push_back(legacy);
-    out->has_failure = true;
-  }
-
   for (const std::string& spec : flags.GetList("fail")) {
     FailurePlan plan;
     std::string desc;

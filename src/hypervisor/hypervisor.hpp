@@ -139,7 +139,6 @@ class Hypervisor {
     uint64_t traps_reflected = 0;
     uint64_t tlb_fills = 0;
     uint64_t interrupts_delivered = 0;
-    uint64_t epochs_completed = 0;
     uint64_t io_commands = 0;
   };
   const Stats& stats() const { return stats_; }

@@ -1,7 +1,7 @@
-// Plain-text table/series rendering for the benchmark harnesses: every bench
-// binary prints the rows of the paper table/figure it regenerates. Also the
-// shared renderer for per-channel transport counters (retransmits, queue
-// pressure, goodput) used by the lossy-link bench and the CLI reports.
+// Report building blocks for the CLI: aligned plain-text tables, the shared
+// renderer for per-channel transport counters (retransmits, queue pressure,
+// goodput), and the latency-percentile and availability arithmetic behind
+// the fleet reports.
 #ifndef HBFT_PERF_REPORT_HPP_
 #define HBFT_PERF_REPORT_HPP_
 
@@ -20,7 +20,6 @@ class TableReporter {
   void AddRow(std::vector<std::string> cells);
   // Renders with aligned columns.
   std::string Render() const;
-  void Print() const;
 
   static std::string Num(double value, int precision = 2);
 

@@ -32,8 +32,8 @@ expect_field("${run_out}" "guest_checksum")
 run_cli(bare_out run --workload=cpu --iterations=2000 --mode=bare)
 expect_field("${bare_out}" "completed[ =:]+yes")
 
-# --- run --fail-at: failure injection through the run subcommand ------------
-run_cli(fail_out run --workload=txnlog --iterations=6 --fail-at=after-send-tme --fail-epoch=2)
+# --- run --fail: failure injection through the run subcommand ---------------
+run_cli(fail_out run --workload=txnlog --iterations=6 --fail=phase=after-send-tme,epoch=2)
 expect_field("${fail_out}" "promoted[ =:]+yes")
 
 # --- drill: primary-kill failover with promotion-latency report -------------

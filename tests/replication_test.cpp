@@ -197,6 +197,40 @@ TEST(Replication, RevisedProtocolCommitsOutputBeforeIo) {
   EXPECT_EQ(ft.primary_stats().messages_sent, ft.primary_stats().acks_received);
 }
 
+// Paper section 3.2: with nondeterministic ("hardware random") TLB
+// replacement, guest-handled misses land at different instruction-stream
+// points on the two replicas and lockstep breaks. The hypervisor's TLB
+// takeover fixes it, and a deterministic policy never needed it.
+TEST(Replication, TlbTakeoverKeepsRandomReplacementInLockstep) {
+  WorkloadSpec spec;
+  spec.kind = WorkloadKind::kHeap;  // Touches many pages: maximal TLB traffic.
+  spec.iterations = 48;
+  for (TlbPolicy policy : {TlbPolicy::kHardwareRandom, TlbPolicy::kRoundRobin}) {
+    for (bool takeover : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "random=" << (policy == TlbPolicy::kHardwareRandom)
+                                      << " takeover=" << takeover);
+      ScenarioResult ft = Scenario::Replicated(spec)
+                              .Epoch(1024)
+                              .TlbTakeover(takeover)
+                              .AuditLockstep()
+                              .Tlb(16, policy)  // Small TLB: pressure + evictions.
+                              .MaxTime(SimTime::Seconds(30))
+                              .Run();
+      EXPECT_TRUE(ft.completed) << "timed_out=" << ft.timed_out;
+      EXPECT_EQ(ft.exited_flag, 1u) << "panic " << ft.panic_code;
+      size_t compared = std::min(ft.primary_boundary_fingerprints().size(),
+                                 ft.backup_boundary_fingerprints().size());
+      size_t prefix = MatchingBoundaryPrefix(ft);
+      ASSERT_GT(compared, 0u);
+      if (policy == TlbPolicy::kHardwareRandom && !takeover) {
+        EXPECT_LT(prefix, compared) << "lockstep held without the takeover";
+      } else {
+        EXPECT_EQ(prefix, compared) << "state diverged at epoch boundary " << prefix;
+      }
+    }
+  }
+}
+
 TEST(Replication, ConsoleEchoThroughReplicatedPair) {
   WorkloadSpec spec;
   spec.kind = WorkloadKind::kEcho;
