@@ -1,18 +1,29 @@
 // `hbft_cli fleet`: many protected chains across simulated hosts — placement,
 // host failure storms, bounded repair, and open-loop traffic measurement.
+#include <cctype>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli/commands.hpp"
 #include "cli/json.hpp"
 #include "cli/options.hpp"
 #include "fleet/fleet.hpp"
+#include "isa/isa.hpp"
 
 namespace hbft {
 namespace cli {
 
 namespace {
+
+// A decimal count that spans the whole text: no sign, space or suffix.
+bool ParseWholeCount(const std::string& text, uint64_t* out) {
+  char* end = nullptr;
+  *out = std::strtoull(text.c_str(), &end, 10);
+  return !text.empty() && std::isdigit(static_cast<unsigned char>(text[0])) && *end == '\0';
+}
 
 // Parses one `--fail=SPEC` for the fleet:
 //   host-K,time-ms=X                 one host fails at X
@@ -37,16 +48,14 @@ bool ParseHostFailSpec(const std::string& spec, size_t fleet_hosts,
   }
 
   bool storm = false;
-  size_t host = 0;
-  size_t storm_hosts = 1;
+  uint64_t host = 0;
+  uint64_t storm_hosts = 1;
   double time_ms = -1.0;
   const std::string& head = parts[0];
   if (head == "host-storm") {
     storm = true;
   } else if (head.rfind("host-", 0) == 0) {
-    char* end = nullptr;
-    host = static_cast<size_t>(std::strtoull(head.c_str() + 5, &end, 10));
-    if (end == nullptr || *end != '\0') {
+    if (!ParseWholeCount(head.substr(5), &host)) {
       std::fprintf(stderr, "hbft_cli: bad host in --fail=%s\n", spec.c_str());
       return false;
     }
@@ -65,9 +74,19 @@ bool ParseHostFailSpec(const std::string& spec, size_t fleet_hosts,
     const std::string key = part.substr(0, eq);
     const std::string value = part.substr(eq + 1);
     if (key == "time-ms") {
-      time_ms = std::atof(value.c_str());
+      char* end = nullptr;
+      time_ms = std::strtod(value.c_str(), &end);
+      if (end == value.c_str() || *end != '\0' || !(time_ms >= 0.0)) {
+        std::fprintf(stderr, "hbft_cli: --fail time-ms expects a time >= 0, got '%s'\n",
+                     value.c_str());
+        return false;
+      }
     } else if (key == "hosts" && storm) {
-      storm_hosts = static_cast<size_t>(std::strtoull(value.c_str(), nullptr, 10));
+      if (!ParseWholeCount(value, &storm_hosts) || storm_hosts == 0) {
+        std::fprintf(stderr, "hbft_cli: --fail hosts expects a count >= 1, got '%s'\n",
+                     value.c_str());
+        return false;
+      }
     } else {
       std::fprintf(stderr, "hbft_cli: bad --fail part '%s'\n", part.c_str());
       return false;
@@ -84,8 +103,8 @@ bool ParseHostFailSpec(const std::string& spec, size_t fleet_hosts,
     }
   } else {
     if (host >= fleet_hosts) {
-      std::fprintf(stderr, "hbft_cli: --fail host %zu out of range (hosts=%zu)\n", host,
-                   fleet_hosts);
+      std::fprintf(stderr, "hbft_cli: --fail host %llu out of range (hosts=%zu)\n",
+                   static_cast<unsigned long long>(host), fleet_hosts);
       return false;
     }
     out->push_back(HostFailure{host, t});
@@ -140,8 +159,26 @@ int FleetCommand(FlagSet& flags) {
   }
   config.verify = !flags.Has("no-verify");
   config.threads = flags.GetU64("threads").value_or(1);
-  if (config.threads == 0) {
-    std::fprintf(stderr, "hbft_cli: --threads must be >= 1\n");
+  // Reject what Fleet would otherwise abort on.
+  const std::pair<const char*, bool> at_least_one[] = {
+      {"chains", config.chains >= 1},
+      {"hosts", config.hosts >= 1},
+      {"backups", config.backups >= 1},
+      {"repair-concurrency", config.repair_concurrency >= 1},
+      {"threads", config.threads >= 1},
+  };
+  for (const auto& [flag, ok] : at_least_one) {
+    if (!ok) {
+      std::fprintf(stderr, "hbft_cli: --%s must be >= 1\n", flag);
+      return 2;
+    }
+  }
+  if (!(config.quantum > SimTime::Zero())) {
+    std::fprintf(stderr, "hbft_cli: --quantum-ms must be positive\n");
+    return 2;
+  }
+  if (config.traffic.payload_bytes > kNicMaxPacketBytes) {
+    std::fprintf(stderr, "hbft_cli: --payload-bytes must be <= %u\n", kNicMaxPacketBytes);
     return 2;
   }
 

@@ -116,8 +116,17 @@ int ServeCommand(FlagSet& flags) {
     return 2;
   }
 
-  config.port = static_cast<uint16_t>(flags.GetU64("port").value_or(7070));
-  config.repl_port = static_cast<uint16_t>(flags.GetU64("repl-port").value_or(7071));
+  const uint64_t port = flags.GetU64("port").value_or(7070);
+  const uint64_t repl_port = flags.GetU64("repl-port").value_or(7071);
+  for (const auto& [flag, value] : {std::pair{"port", port}, std::pair{"repl-port", repl_port}}) {
+    if (value > 65535) {
+      std::fprintf(stderr, "hbft_cli: --%s must be a TCP port (0-65535), got %llu\n", flag,
+                   static_cast<unsigned long long>(value));
+      return 2;
+    }
+  }
+  config.port = static_cast<uint16_t>(port);
+  config.repl_port = static_cast<uint16_t>(repl_port);
   config.peer_host = flags.GetString("peer", "127.0.0.1");
   config.seed = flags.GetU64("seed").value_or(42);
   config.epoch_length = flags.GetU64("epoch-length").value_or(4096);

@@ -189,7 +189,7 @@ void Fleet::KillChainReplica(size_t chain_id, size_t world_pos, SimTime t) {
   if (world->finished()) {
     return;  // The guest already ran to completion; nothing left to kill.
   }
-  ReplicaNodeBase* node = world->replica(world_pos);
+  ReplicaNode* node = world->replica(world_pos);
   if (node->dead() || node->halted()) {
     return;
   }

@@ -17,10 +17,9 @@
 #define HBFT_HBFT_HPP_
 
 #include "common/snapshot.hpp"
-#include "core/backup.hpp"
 #include "core/failure_detector.hpp"
-#include "core/primary.hpp"
 #include "core/protocol.hpp"
+#include "core/replica.hpp"
 #include "core/state_transfer.hpp"
 #include "devices/console.hpp"
 #include "devices/device_set.hpp"

@@ -26,6 +26,7 @@ NodeHost::NodeHost(const NodeHostConfig& config) : config_(config) {
   const uint64_t stream_seed = config.seed ^ (0x11F0D1CEULL * 1);
   const uint64_t ack_seed = config.seed ^ (0x11F0D1CEULL * 2);
 
+  // The primary's links have no upstream, so its replica starts active.
   NodeLinks links;
   if (config.role == HostRole::kPrimary) {
     wire_out_ = std::make_unique<Channel>(config.costs.link, ChannelMode::kOrdered,
@@ -34,8 +35,6 @@ NodeHost::NodeHost(const NodeHostConfig& config) : config_(config) {
                                          config.link_faults, ack_seed);
     links.down_out = wire_out_.get();
     links.down_in = wire_in_.get();
-    node_ = std::make_unique<PrimaryNode>(1, bundle_->program, machine, config.replication,
-                                          config.costs, devices_->BuildRegistry(), links, this);
   } else {
     wire_in_ = std::make_unique<Channel>(config.costs.link, ChannelMode::kOrdered,
                                          config.link_faults, stream_seed);
@@ -43,9 +42,10 @@ NodeHost::NodeHost(const NodeHostConfig& config) : config_(config) {
                                           config.link_faults, ack_seed);
     links.up_in = wire_in_.get();
     links.up_out = wire_out_.get();
-    node_ = std::make_unique<BackupNode>(2, bundle_->program, machine, config.replication,
-                                         config.costs, devices_->BuildRegistry(), links, this);
   }
+  const int id = config.role == HostRole::kPrimary ? 1 : 2;
+  node_ = std::make_unique<ReplicaNode>(id, bundle_->program, machine, config.replication,
+                                        config.costs, devices_->BuildRegistry(), links, this);
   // Identical parameter block on both processes: the backup boots the same
   // guest state the primary does and diverges only through the protocol
   // stream — the multi-process restatement of "every replica boots from
@@ -57,14 +57,6 @@ void NodeHost::ScheduleAt(SimTime t, std::function<void()> fn) { queue_.Push(t, 
 
 SimTime NodeHost::NextEventTime() const {
   return queue_.empty() ? SimTime::Max() : queue_.PeekTime();
-}
-
-PrimaryNode* NodeHost::primary() {
-  return config_.role == HostRole::kPrimary ? static_cast<PrimaryNode*>(node_.get()) : nullptr;
-}
-
-BackupNode* NodeHost::backup() {
-  return config_.role == HostRole::kBackup ? static_cast<BackupNode*>(node_.get()) : nullptr;
 }
 
 void NodeHost::BindWireSink(Channel::WireSink sink) { wire_out_->BindWireSink(std::move(sink)); }
@@ -87,11 +79,10 @@ void NodeHost::OnPeerDead(SimTime now) {
   wire_in_->Break(now);
   SimTime detect =
       FailureDetector::DetectionTime(*wire_in_, now, config_.costs.failure_detect_timeout);
+  ReplicaNode* n = node_.get();
   if (config_.role == HostRole::kBackup) {
-    auto* b = static_cast<BackupNode*>(node_.get());
-    ScheduleAt(detect, [b, detect] { b->OnFailureDetected(detect); });
+    ScheduleAt(detect, [n, detect] { n->OnFailureDetected(detect); });
   } else {
-    ReplicaNodeBase* n = node_.get();
     ScheduleAt(detect, [n, detect] { n->OnDownstreamFailureDetected(detect); });
   }
 }

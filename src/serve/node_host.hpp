@@ -6,7 +6,7 @@
 // each process owns only its own replica and its local channel endpoints:
 //
 //   primary process                      backup process
-//   PrimaryNode                          BackupNode
+//   ReplicaNode (no upstream: active)    ReplicaNode (standing)
 //     down_out (ordered, wire-bound) --TCP-->  up_in (ordered, injected)
 //     down_in (datagram, injected) <--TCP--  up_out (datagram, wire-bound)
 //
@@ -34,8 +34,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/backup.hpp"
-#include "core/primary.hpp"
+#include "core/replica.hpp"
 #include "devices/device_set.hpp"
 #include "guest/image.hpp"
 #include "guest/workloads.hpp"
@@ -104,9 +103,7 @@ class NodeHost : public EventScheduler {
   void Advance(SimTime now);
 
   // --- Introspection --------------------------------------------------------
-  ReplicaNodeBase& node() { return *node_; }
-  PrimaryNode* primary();  // Null for a backup host.
-  BackupNode* backup();    // Null for a primary host.
+  ReplicaNode& node() { return *node_; }
   DeviceSet& devices() { return *devices_; }
   Nic* nic() { return devices_->nic(); }
   Channel& wire_out() { return *wire_out_; }
@@ -126,7 +123,7 @@ class NodeHost : public EventScheduler {
   std::unique_ptr<DeviceSet> devices_;
   std::unique_ptr<Channel> wire_out_;
   std::unique_ptr<Channel> wire_in_;
-  std::unique_ptr<ReplicaNodeBase> node_;
+  std::unique_ptr<ReplicaNode> node_;
   bool peer_lost_ = false;
 };
 

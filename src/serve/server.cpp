@@ -155,8 +155,8 @@ void FillFrontendReport(const Frontend& frontend, ServeReport* report) {
   report->client_bytes_out = fs.bytes_out;
 }
 
-void FillNodeReport(const ReplicaNodeBase& node, ServeReport* report) {
-  const ReplicaNodeBase::Stats& stats = node.stats();
+void FillNodeReport(const ReplicaNode& node, ServeReport* report) {
+  const ReplicaNode::Stats& stats = node.stats();
   report->epochs = stats.epochs;
   report->messages_sent = stats.messages_sent;
   report->acks_received = stats.acks_received;
@@ -289,14 +289,14 @@ void HostServeLoop(const ServeConfig& config, NodeHost* host, Frontend* frontend
     // A backup that just promoted takes over the client port. Retried every
     // loop until the bind lands (the dead primary's socket may take an
     // instant to evaporate even with SO_REUSEADDR).
-    BackupNode* backup = host->backup();
-    if (backup != nullptr && backup->promoted()) {
+    const ReplicaNode& node = host->node();
+    if (node.promoted()) {
       if (!promotion_noted) {
         promotion_noted = true;
         report->promoted = true;
-        report->promotion_latency_ms = (backup->promotion_time() - peer_died).seconds() * 1e3;
+        report->promotion_latency_ms = (node.promotion_time() - peer_died).seconds() * 1e3;
         Note("promoted at t=%.3f ms (%.3f ms after peer loss)",
-             backup->promotion_time().seconds() * 1e3, report->promotion_latency_ms);
+             node.promotion_time().seconds() * 1e3, report->promotion_latency_ms);
       }
       if (!frontend->listening()) {
         std::string error;
@@ -399,7 +399,7 @@ int RunPrimary(const ServeConfig& config, ServeReport* report) {
   uint64_t released = 0;
   AttachLatchRelease(host.nic(), &frontend, &released);
   HostServeLoop(config, &host, &frontend, repl.get(), &pump, &released, report);
-  report->solo = host.primary()->solo();
+  report->solo = host.node().solo();
   return report->ok ? 0 : 1;
 }
 

@@ -20,13 +20,13 @@ void ReadBackGuestState(Machine& machine, ScenarioResult* result) {
 
 }  // namespace
 
-const ReplicaNodeBase::Stats& ScenarioResult::primary_stats() const {
-  static const ReplicaNodeBase::Stats kEmpty;
+const ReplicaNode::Stats& ScenarioResult::primary_stats() const {
+  static const ReplicaNode::Stats kEmpty;
   return nodes.empty() ? kEmpty : nodes.front().stats;
 }
 
-const ReplicaNodeBase::Stats& ScenarioResult::backup_stats(size_t backup_index) const {
-  static const ReplicaNodeBase::Stats kEmpty;
+const ReplicaNode::Stats& ScenarioResult::backup_stats(size_t backup_index) const {
+  static const ReplicaNode::Stats kEmpty;
   return backup_index + 1 < nodes.size() ? nodes[backup_index + 1].stats : kEmpty;
 }
 
@@ -416,14 +416,11 @@ void Scenario::CollectResult(World& world, ScenarioResult* out) const {
   }
 
   for (size_t i = 0; i < world.replica_count(); ++i) {
-    ReplicaNodeBase* replica = world.replica(i);
+    ReplicaNode* replica = world.replica(i);
     ScenarioResult::NodeReport report;
     report.id = replica->id();
-    if (i > 0) {
-      auto* b = static_cast<BackupNode*>(replica);
-      report.promoted = b->promoted();
-      report.promotion_time = b->promotion_time();
-    }
+    report.promoted = replica->promoted();
+    report.promotion_time = replica->promotion_time();
     report.joined = replica->joined();
     report.join_time = replica->join_time();
     report.join_epoch = replica->join_epoch();

@@ -99,7 +99,7 @@ struct ScenarioResult {
     SimTime join_time = SimTime::Zero();
     uint64_t join_epoch = 0;
     Hypervisor::Stats hv_stats;
-    ReplicaNodeBase::Stats stats;
+    ReplicaNode::Stats stats;
     std::vector<uint64_t> boundary_fingerprints;
   };
   std::vector<NodeReport> nodes;
@@ -109,8 +109,8 @@ struct ScenarioResult {
   uint64_t TotalResyncBytes() const;
 
   // Pair conveniences over `nodes` (safe empty defaults for bare runs).
-  const ReplicaNodeBase::Stats& primary_stats() const;
-  const ReplicaNodeBase::Stats& backup_stats(size_t backup_index = 0) const;
+  const ReplicaNode::Stats& primary_stats() const;
+  const ReplicaNode::Stats& backup_stats(size_t backup_index = 0) const;
   const Hypervisor::Stats& primary_hv_stats() const;
   const Hypervisor::Stats& backup_hv_stats(size_t backup_index = 0) const;
   const std::vector<uint64_t>& primary_boundary_fingerprints() const;

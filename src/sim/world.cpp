@@ -61,15 +61,9 @@ World::World(const GuestProgram& guest, const WorldConfig& config, bool replicat
       links.down_in = channel(i + 1, i);
     }
     const int id = kPrimaryId + static_cast<int>(i);
-    if (i == 0) {
-      replicas_.push_back(std::make_unique<PrimaryNode>(id, guest, config.machine,
-                                                        config.replication, config.costs,
-                                                        devices_->BuildRegistry(), links, this));
-    } else {
-      replicas_.push_back(std::make_unique<BackupNode>(id, guest, config.machine,
-                                                       config.replication, config.costs,
-                                                       devices_->BuildRegistry(), links, this));
-    }
+    replicas_.push_back(std::make_unique<ReplicaNode>(id, guest, config.machine,
+                                                      config.replication, config.costs,
+                                                      devices_->BuildRegistry(), links, this));
   }
 
   // Poll wiring: a send wakes the receiving neighbour at the arrival time.
@@ -87,8 +81,8 @@ World::World(const GuestProgram& guest, const WorldConfig& config, bool replicat
 }
 
 void World::WireAdjacentPolls(size_t up_index, size_t down_index) {
-  ReplicaNodeBase* up = replicas_[up_index].get();
-  ReplicaNodeBase* down = replicas_[down_index].get();
+  ReplicaNode* up = replicas_[up_index].get();
+  ReplicaNode* down = replicas_[down_index].get();
   up->set_schedule_down_poll([this, down](SimTime arrival) {
     ScheduleAt(arrival, [down, arrival] { down->PollIncoming(arrival); });
   });
@@ -102,17 +96,6 @@ Channel* World::channel(size_t from, size_t to) {
   HBFT_CHECK(it != channels_.end())
       << "no channel " << from << " -> " << to << " in the mesh";
   return it->second.get();
-}
-
-PrimaryNode* World::primary() {
-  HBFT_CHECK(!replicas_.empty());
-  return static_cast<PrimaryNode*>(replicas_[0].get());
-}
-
-BackupNode* World::backup(size_t backup_index) {
-  HBFT_CHECK(backup_index + 1 < replicas_.size())
-      << "backup index " << backup_index << " out of range";
-  return static_cast<BackupNode*>(replicas_[backup_index + 1].get());
 }
 
 void World::ScheduleAt(SimTime t, std::function<void()> fn) { queue_.Push(t, std::move(fn)); }
@@ -220,7 +203,7 @@ void World::FireTimedFailure(size_t schedule_index, SimTime when) {
                       ? 1 + static_cast<size_t>(plan.backup_index)
                       : active_index_;
   ++next_failure_;
-  ReplicaNodeBase* node = replicas_[victim].get();
+  ReplicaNode* node = replicas_[victim].get();
   if (!node->dead() && !node->halted()) {
     SimTime t = node->clock() > when ? node->clock() : when;
     last_event_time_ = t;
@@ -255,7 +238,7 @@ size_t World::RejoinReplica(SimTime t) {
       tail = j;
     }
   }
-  ReplicaNodeBase* source = replicas_[tail].get();
+  ReplicaNode* source = replicas_[tail].get();
   if (source->dead() || source->halted() || source->joining() || source->transfer_active() ||
       !source->CanAdoptJoiner()) {
     // CanAdoptJoiner also covers the window between a downstream's death and
@@ -279,9 +262,9 @@ size_t World::RejoinReplica(SimTime t) {
   links.up_in = channel(tail, pos);
   links.up_out = channel(pos, tail);
   const int id = kPrimaryId + static_cast<int>(pos);
-  auto joiner = std::make_unique<BackupNode>(id, guest_, config_.machine, config_.replication,
-                                             config_.costs, devices_->BuildRegistry(), links,
-                                             this);
+  auto joiner = std::make_unique<ReplicaNode>(id, guest_, config_.machine, config_.replication,
+                                              config_.costs, devices_->BuildRegistry(), links,
+                                              this);
   joiner->StartAsJoiner();
 
   const size_t resync_index = resyncs_.size();
@@ -349,7 +332,7 @@ void World::OnJoined(size_t resync_index, SimTime t, uint64_t join_epoch) {
 }
 
 void World::KillReplica(size_t index, SimTime t, FailurePlan::CrashIo crash_io) {
-  ReplicaNodeBase* node = replicas_[index].get();
+  ReplicaNode* node = replicas_[index].get();
   HBFT_CHECK(!node->dead());
   crash_times_.push_back(t);
   std::vector<PendingRealOp> in_flight = node->PendingRealOps();
@@ -390,7 +373,7 @@ void World::KillReplica(size_t index, SimTime t, FailurePlan::CrashIo crash_io) 
       SimTime detect = FailureDetector::DetectionTime(*channel(index, successor), t,
                                                       config_.costs.failure_detect_timeout,
                                                       config_.link_faults);
-      auto* next_node = static_cast<BackupNode*>(replicas_[successor].get());
+      ReplicaNode* next_node = replicas_[successor].get();
       ScheduleAt(detect, [next_node, detect] { next_node->OnFailureDetected(detect); });
       active_index_ = successor;
     } else {
@@ -414,7 +397,7 @@ void World::KillReplica(size_t index, SimTime t, FailurePlan::CrashIo crash_io) 
   SimTime detect = FailureDetector::DetectionTime(*channel(index, upstream), t,
                                                   config_.costs.failure_detect_timeout,
                                                   config_.link_faults);
-  ReplicaNodeBase* up_node = replicas_[upstream].get();
+  ReplicaNode* up_node = replicas_[upstream].get();
   ScheduleAt(detect, [up_node, detect] { up_node->OnDownstreamFailureDetected(detect); });
   for (size_t j = chain_next_[index]; j != kNoChain; j = chain_next_[j]) {
     if (!replicas_[j]->dead()) {
@@ -433,7 +416,7 @@ void World::RouteInput(DeviceId device, const std::vector<uint8_t>& payload, Sim
   // input until it takes over. A joiner never serves: it holds no usable
   // state yet.
   for (size_t j = active_index_; j != kNoChain; j = chain_next_[j]) {
-    ReplicaNodeBase* node = replicas_[j].get();
+    ReplicaNode* node = replicas_[j].get();
     if (node->dead() || node->halted() || node->joining()) {
       continue;
     }
@@ -567,11 +550,10 @@ void World::Finish(ScenarioResult* result) {
   result->crash_time = crash_times_.empty() ? SimTime::Zero() : crash_times_.front();
   result->promoted = false;
   result->promotion_time = SimTime::Zero();
-  for (size_t i = 1; i < replicas_.size(); ++i) {
-    auto* b = static_cast<BackupNode*>(replicas_[i].get());
-    if (b->promoted() && !result->promoted) {
+  for (const auto& replica : replicas_) {
+    if (replica->promoted() && !result->promoted) {
       result->promoted = true;
-      result->promotion_time = b->promotion_time();
+      result->promotion_time = replica->promotion_time();
     }
   }
   result->resyncs = resyncs_;

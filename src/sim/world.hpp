@@ -30,9 +30,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/backup.hpp"
 #include "core/failure_detector.hpp"
-#include "core/primary.hpp"
+#include "core/replica.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/node.hpp"
 
@@ -159,9 +158,7 @@ class World : public EventScheduler {
   // Node registry.
   BareNode* bare() { return bare_.get(); }
   size_t replica_count() const { return replicas_.size(); }
-  ReplicaNodeBase* replica(size_t index) { return replicas_[index].get(); }
-  PrimaryNode* primary();
-  BackupNode* backup(size_t backup_index = 0);
+  ReplicaNode* replica(size_t index) { return replicas_[index].get(); }
 
   // The channel mesh, keyed (from, to) by chain position. Rejoins add pairs
   // that need not be index-adjacent (the chain may have dead nodes between
@@ -223,7 +220,7 @@ class World : public EventScheduler {
   DeterministicRng crash_rng_;
   std::unique_ptr<DeviceSet> devices_;
   std::map<std::pair<size_t, size_t>, std::unique_ptr<Channel>> channels_;
-  std::vector<std::unique_ptr<ReplicaNodeBase>> replicas_;
+  std::vector<std::unique_ptr<ReplicaNode>> replicas_;
   std::unique_ptr<BareNode> bare_;
   FailureSchedule schedule_;
   size_t next_failure_ = 0;

@@ -15,6 +15,20 @@ function(run_cli out_var)
   set(${out_var} "${output}" PARENT_SCOPE)
 endfunction()
 
+# Malformed input is a usage error: exit 2 with a message matching
+# `pattern`. Exactly 2, because an abort (134) is non-zero too.
+function(expect_usage_error pattern)
+  execute_process(COMMAND ${HBFT_CLI} ${ARGN}
+                  WORKING_DIRECTORY ${WORK_DIR}
+                  OUTPUT_QUIET
+                  ERROR_VARIABLE err
+                  RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 2 OR NOT err MATCHES "${pattern}")
+    message(FATAL_ERROR
+            "hbft_cli ${ARGN}: expected exit 2 with '${pattern}', got ${rc}:\n${err}")
+  endif()
+endfunction()
+
 function(expect_field output field)
   if(NOT output MATCHES "${field}")
     message(FATAL_ERROR "expected field '${field}' missing from report:\n${output}")
@@ -134,6 +148,24 @@ if(NOT threads_err MATCHES "--threads must be >= 1")
   message(FATAL_ERROR "fleet --threads=0 missing validation message:\n${threads_err}")
 endif()
 
+# Sizes the fleet cannot run with, and --fail specs that used to run a
+# different failure (or none) than asked: all usage errors.
+expect_usage_error("--hosts must be >= 1" fleet --requests=2 --hosts=0)
+expect_usage_error("--chains must be >= 1" fleet --requests=2 --chains=0)
+expect_usage_error("--backups must be >= 1" fleet --requests=2 --backups=0)
+expect_usage_error("--quantum-ms must be positive" fleet --requests=2 --quantum-ms=0)
+expect_usage_error("--repair-concurrency must be >= 1" fleet --requests=2
+                   --repair-concurrency=0)
+expect_usage_error("--payload-bytes must be <= 256" fleet --requests=2 --payload-bytes=5000)
+expect_usage_error("bad host in --fail" fleet --chains=2 --hosts=2 --requests=2
+                   --fail=host-,time-ms=50)
+expect_usage_error("time-ms expects" fleet --chains=2 --hosts=2 --requests=2
+                   --fail=host-1,time-ms=abc)
+expect_usage_error("hosts expects" fleet --chains=2 --hosts=2 --requests=2
+                   --fail=host-storm,hosts=abc,time-ms=50)
+expect_usage_error("hosts expects" fleet --chains=2 --hosts=2 --requests=2
+                   --fail=host-storm,hosts=0,time-ms=50)
+
 # --- bench: JSON artifacts under bench/ -------------------------------------
 run_cli(bench_out bench --quick --out-dir=${WORK_DIR}/bench)
 foreach(artifact table1.json fig2_cpu.json fig3_io.json fig4_faster_comm.json
@@ -164,6 +196,10 @@ endif()
 if(NOT variant_err MATCHES "output commit")
   message(FATAL_ERROR "serve --variant=old missing contract message:\n${variant_err}")
 endif()
+
+# Ports beyond 16 bits are rejected, not wrapped onto another port.
+expect_usage_error("--port must be a TCP port" serve --port=70000 --duration-ms=100)
+expect_usage_error("--repl-port must be a TCP port" serve --repl-port=70001 --duration-ms=100)
 
 # A short clientless session exits cleanly with a complete JSON report.
 run_cli(serve_out serve --port=28471 --duration-ms=400 --json)

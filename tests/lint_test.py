@@ -143,17 +143,20 @@ class FullTree(unittest.TestCase):
 
 
 class MutationOnRealTree(unittest.TestCase):
-    """Deleting one field write from a real Snapshotable::CaptureState makes
-    the lint fail (via codec-symmetry when only the writer side is edited,
-    via snapshot-field when both sides drop the member)."""
+    """Deleting one field write from a real Capture* method makes the lint
+    fail (via codec-symmetry when only the writer side is edited, via
+    snapshot-field when both sides drop the member). The replica entry is the
+    resync control snapshot's protocol half, paired with its Restore* in the
+    same class."""
 
-    # (file, one full line inside CaptureState to delete)
+    # (file, one full line inside a Capture* method to delete)
     WRITER_MUTATIONS = [
         ("src/machine/tlb.cpp", "  w.U64(lookups_);"),
         ("src/machine/machine.cpp", None),  # auto-pick below
         ("src/hypervisor/hypervisor.cpp", None),
         ("src/devices/disk.cpp", None),
         ("src/devices/nic.cpp", None),
+        ("src/core/replica.cpp", "  w.U64(next_env_seq_);"),
     ]
 
     @staticmethod

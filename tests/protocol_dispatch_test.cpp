@@ -1,30 +1,17 @@
-// Regression tests for the role dispatch of real-device completions.
+// Regression tests for the dispatch of real-device completions.
 //
-// ReplicaNodeBase used to provide HandleDiskCompletion / HandleConsoleTxDone
-// bodies that were HBFT_CHECK(false) "not implemented for this role" traps: a
-// completion event landing on a role without an override aborted the run.
-// The handlers are now pure virtual — a role without a handler cannot be
-// instantiated at all — and these tests pin down that every path that can
-// receive a real completion (primary, solo primary, promoted backup) handles
-// it and finishes the workload.
+// A completion event that lands on a replica unable to handle it aborts the
+// run. Every replica that can receive a real completion — the primary, a
+// solo primary whose backup died, and a promoted backup — is the active
+// ReplicaNode at that moment; these tests pin down that each one handles
+// its completions and finishes the workload.
 #include <gtest/gtest.h>
 
-#include <type_traits>
-
-#include "core/backup.hpp"
-#include "core/primary.hpp"
 #include "core/protocol.hpp"
 #include "sim/scenario.hpp"
 
 namespace hbft {
 namespace {
-
-// The dispatch is unreachable-by-construction: no concrete replica role can
-// exist without its own completion handlers.
-static_assert(std::is_abstract_v<ReplicaNodeBase>,
-              "ReplicaNodeBase must stay abstract: completion handlers are per-role");
-static_assert(!std::is_abstract_v<PrimaryNode>, "PrimaryNode must implement both handlers");
-static_assert(!std::is_abstract_v<BackupNode>, "BackupNode must implement both handlers");
 
 WorkloadSpec DiskAndConsoleSpec() {
   // TxnLog issues disk writes and per-record console progress: both real

@@ -204,6 +204,44 @@ TEST(Rejoin, RejoinBeforeDownstreamDetectionIsSkipped) {
   EXPECT_TRUE(late.nodes[2].joined);
 }
 
+// The one path where the original primary's own environment-value numbering
+// seeds a joiner: the backup dies, the solo primary streams to a fresh
+// joiner, and the joiner later takes over from it. The time workload keeps
+// forwarding TOD values across the cut, so a numbering mismatch between the
+// snapshot and the post-cut stream would trip the joiner's in-order check.
+TEST(Rejoin, SoloPrimaryStreamsToAJoinerThatLaterTakesOver) {
+  WorkloadSpec spec;
+  spec.kind = WorkloadKind::kTime;
+  spec.iterations = 400;
+  Scenario scenario = Scenario::Replicated(spec)
+                          .AuditLockstep()
+                          .FailAtTime(SimTime::Millis(8), FailurePlan::Target::kBackup)
+                          .RejoinAfterFail(SimTime::Millis(10))
+                          .FailAfterResync(SimTime::Millis(5));
+  ScenarioResult ft = scenario.Run();
+  ASSERT_TRUE(ft.completed) << "timed_out=" << ft.timed_out << " deadlocked=" << ft.deadlocked;
+  ASSERT_EQ(ft.resyncs.size(), 1u);
+  EXPECT_EQ(ft.resyncs[0].source, 0u);  // The solo primary streamed the snapshot.
+  EXPECT_TRUE(ft.resyncs[0].completed);
+  ASSERT_EQ(ft.nodes.size(), 3u);
+  EXPECT_TRUE(ft.nodes[2].joined);
+  EXPECT_TRUE(ft.nodes[2].promoted);
+  EXPECT_EQ(ft.crash_times.size(), 2u);  // The backup's, then the primary's.
+  // The joiner ran in lockstep with the primary from the join epoch until
+  // the primary died.
+  size_t compared = ExpectLockstepFromJoin(ft, 0, 2);
+  EXPECT_GT(compared, 0u);
+
+  // TOD values differ from the bare run by design, so only the exit code and
+  // the environment's view are compared, not the checksum.
+  ScenarioResult bare = scenario.AsBare().Run();
+  ASSERT_TRUE(bare.completed);
+  ASSERT_EQ(ft.exited_flag, 1u) << "guest panic " << ft.panic_code;
+  EXPECT_EQ(ft.exit_code, bare.exit_code);
+  ConsistencyResult env = CheckEnvConsistency(bare.env_trace, ft.env_trace, ft.issuer_chain());
+  EXPECT_TRUE(env.ok) << env.detail;
+}
+
 // Killing the transfer source before the cut: the joiner holds an
 // incomplete snapshot and cannot take over — the service is (correctly)
 // lost, and the run ends without wedging or deadlocking.

@@ -415,13 +415,13 @@ TEST(NodeHostLockstep, EchoThenFailover) {
   to_primary.clear();
   backup.OnPeerDead(now);
   deadline = now + SimTime::Millis(400);
-  while ((backup.backup() == nullptr || !backup.backup()->promoted()) && now < deadline) {
+  while (!backup.node().promoted() && now < deadline) {
     now = now + step;
     backup.Advance(now);
   }
-  ASSERT_TRUE(backup.backup()->promoted());
+  ASSERT_TRUE(backup.node().promoted());
   EXPECT_TRUE(backup.ActiveForEnvironment());
-  EXPECT_GE(backup.backup()->promotion_time(), SimTime::Zero());
+  EXPECT_GE(backup.node().promotion_time(), SimTime::Zero());
 
   // The promoted backup serves request 2 end to end by itself.
   NicRequest second{77, 2, {'m', 'o', 'r', 'e'}};
