@@ -13,6 +13,7 @@
 // active replica is killed too — proving the rejoined backup can take over.
 // The report adds the resync latency and transferred-byte breakdown.
 #include <cstdio>
+#include <optional>
 #include <string>
 
 #include "cli/commands.hpp"
@@ -24,64 +25,41 @@ namespace hbft {
 namespace cli {
 
 int DrillCommand(FlagSet& flags) {
-  ScenarioFlags scenario;
   const bool repair = flags.Has("repair");
-  const bool user_iterations = flags.Has("iterations");
-  double repair_delay_ms = 20.0;
-  double refail_delay_ms = 10.0;
-  if (auto v = flags.GetDouble("repair-delay-ms")) {
-    repair_delay_ms = *v;
-  }
-  if (auto v = flags.GetDouble("refail-delay-ms")) {
-    refail_delay_ms = *v;
-  }
-  if (!ParseScenarioFlags(flags, &scenario) || !flags.Finish()) {
+  const double repair_delay_ms = flags.GetMillis("repair-delay-ms").value_or(20.0);
+  const double refail_delay_ms = flags.GetMillis("refail-delay-ms").value_or(10.0);
+  // Under --repair the default workload must outlive the resync (the
+  // transfer streams at link speed while the guest keeps running).
+  std::optional<ScenarioFlags> parsed = ParseScenarioFlags(flags, repair ? 40 : 10);
+  if (!parsed || !flags.Finish()) {
     return 2;
   }
-  if (repair && !user_iterations && scenario.workload.kind == WorkloadKind::kTxnLog) {
-    // The default workload must outlive the resync (the transfer streams at
-    // link speed while the guest keeps running).
-    scenario.workload.iterations = 40;
-  }
-  if (!scenario.has_failure) {
+  Scenario& scenario = parsed->scenario;
+  std::string& kill_description = parsed->failure_description;
+  const WorldConfig config = scenario.world_config();
+  if (scenario.failures().empty()) {
     // The drill's whole point is killing the serving replica; default to a
     // boundary-phase crash a few epochs in, then (cascading mode) one more
     // kill per extra backup, each at an I/O phase of the promoted node.
-    FailurePlan first;
-    first.kind = FailurePlan::Kind::kAtPhase;
-    first.phase = FailPhase::kAfterSendTme;
-    first.phase_epoch = 3;
-    scenario.failures.push_back(first);
-    scenario.failure_description = "at-phase after-send-tme epoch 3";
-    for (int i = 1; i < scenario.backups; ++i) {
-      FailurePlan next;
-      next.kind = FailurePlan::Kind::kAtPhase;
-      next.phase = FailPhase::kAfterIoIssue;
-      scenario.failures.push_back(next);
-      scenario.failure_description += "; then at-phase after-io-issue";
+    scenario.FailAtPhase(FailPhase::kAfterSendTme, 3);
+    kill_description = "at-phase after-send-tme epoch 3";
+    for (int i = 1; i < config.backups; ++i) {
+      scenario.FailAtPhase(FailPhase::kAfterIoIssue);
+      kill_description += "; then at-phase after-io-issue";
     }
-    scenario.has_failure = true;
   }
   if (repair) {
     // Restore redundancy after the last kill, then prove it: kill the active
     // replica again once the rejoined backup is online.
-    FailurePlan rejoin;
-    rejoin.kind = FailurePlan::Kind::kRejoin;
-    rejoin.relative = true;
-    rejoin.time = SimTime::Picos(static_cast<int64_t>(repair_delay_ms * 1e9));
-    scenario.failures.push_back(rejoin);
-    FailurePlan refail;
-    refail.kind = FailurePlan::Kind::kAtTime;
-    refail.after_resync = true;
-    refail.time = SimTime::Picos(static_cast<int64_t>(refail_delay_ms * 1e9));
-    scenario.failures.push_back(refail);
+    scenario.RejoinAfterFail(MillisToSimTime(repair_delay_ms))
+        .FailAfterResync(MillisToSimTime(refail_delay_ms));
     char repair_desc[96];
     std::snprintf(repair_desc, sizeof(repair_desc),
                   "; then rejoin +%g ms; then kill +%g ms after resync", repair_delay_ms,
                   refail_delay_ms);
-    scenario.failure_description += repair_desc;
+    kill_description += repair_desc;
   }
-  for (const FailurePlan& plan : scenario.failures) {
+  for (const FailurePlan& plan : scenario.failures()) {
     if (plan.kind != FailurePlan::Kind::kRejoin &&
         plan.target != FailurePlan::Target::kActive) {
       std::fprintf(stderr,
@@ -92,18 +70,18 @@ int DrillCommand(FlagSet& flags) {
   }
 
   std::printf("== hbft failover drill ==\n");
-  ReportLine("workload", WorkloadKindName(scenario.workload.kind));
-  ReportLine("variant", VariantName(scenario.variant));
-  ReportLine("epoch_length", std::to_string(scenario.epoch_length));
-  ReportLine("backups", std::to_string(scenario.backups));
-  ReportLine("kill", scenario.failure_description);
+  ReportLine("workload", WorkloadKindName(scenario.workload().kind));
+  ReportLine("variant", VariantName(config.replication.variant));
+  ReportLine("epoch_length", std::to_string(config.replication.epoch_length));
+  ReportLine("backups", std::to_string(config.backups));
+  ReportLine("kill", kill_description);
 
-  ScenarioResult bare = scenario.Bare().Run();
+  ScenarioResult bare = scenario.AsBare().Run();
   if (!bare.completed || bare.exited_flag != 1) {
     std::fprintf(stderr, "hbft_cli: bare reference run failed\n");
     return 1;
   }
-  ScenarioResult ft = scenario.Replicated().Run();
+  ScenarioResult ft = scenario.Run();
 
   ReportYesNo("completed", ft.completed);
   if (!ft.completed) {

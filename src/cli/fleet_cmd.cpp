@@ -1,8 +1,8 @@
 // `hbft_cli fleet`: many protected chains across simulated hosts — placement,
 // host failure storms, bounded repair, and open-loop traffic measurement.
-#include <cctype>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,13 +17,6 @@ namespace hbft {
 namespace cli {
 
 namespace {
-
-// A decimal count that spans the whole text: no sign, space or suffix.
-bool ParseWholeCount(const std::string& text, uint64_t* out) {
-  char* end = nullptr;
-  *out = std::strtoull(text.c_str(), &end, 10);
-  return !text.empty() && std::isdigit(static_cast<unsigned char>(text[0])) && *end == '\0';
-}
 
 // Parses one `--fail=SPEC` for the fleet:
 //   host-K,time-ms=X                 one host fails at X
@@ -48,14 +41,15 @@ bool ParseHostFailSpec(const std::string& spec, size_t fleet_hosts,
   }
 
   bool storm = false;
-  uint64_t host = 0;
-  uint64_t storm_hosts = 1;
-  double time_ms = -1.0;
+  std::optional<uint64_t> host;
+  std::optional<uint64_t> storm_hosts = 1;
+  std::optional<double> time_ms;
   const std::string& head = parts[0];
   if (head == "host-storm") {
     storm = true;
   } else if (head.rfind("host-", 0) == 0) {
-    if (!ParseWholeCount(head.substr(5), &host)) {
+    host = ParseCount(head.substr(5));
+    if (!host) {
       std::fprintf(stderr, "hbft_cli: bad host in --fail=%s\n", spec.c_str());
       return false;
     }
@@ -74,15 +68,13 @@ bool ParseHostFailSpec(const std::string& spec, size_t fleet_hosts,
     const std::string key = part.substr(0, eq);
     const std::string value = part.substr(eq + 1);
     if (key == "time-ms") {
-      char* end = nullptr;
-      time_ms = std::strtod(value.c_str(), &end);
-      if (end == value.c_str() || *end != '\0' || !(time_ms >= 0.0)) {
-        std::fprintf(stderr, "hbft_cli: --fail time-ms expects a time >= 0, got '%s'\n",
-                     value.c_str());
+      time_ms = ParseFailMillis(key, value);
+      if (!time_ms) {
         return false;
       }
     } else if (key == "hosts" && storm) {
-      if (!ParseWholeCount(value, &storm_hosts) || storm_hosts == 0) {
+      storm_hosts = ParseCount(value);
+      if (!storm_hosts || *storm_hosts == 0) {
         std::fprintf(stderr, "hbft_cli: --fail hosts expects a count >= 1, got '%s'\n",
                      value.c_str());
         return false;
@@ -92,22 +84,22 @@ bool ParseHostFailSpec(const std::string& spec, size_t fleet_hosts,
       return false;
     }
   }
-  if (time_ms < 0.0) {
+  if (!time_ms) {
     std::fprintf(stderr, "hbft_cli: --fail=%s needs time-ms\n", spec.c_str());
     return false;
   }
-  const SimTime t = SimTime::MicrosF(time_ms * 1e3);
+  const SimTime t = SimTime::MicrosF(*time_ms * 1e3);
   if (storm) {
-    for (size_t h : StormHosts(fleet_hosts, storm_hosts)) {
+    for (size_t h : StormHosts(fleet_hosts, *storm_hosts)) {
       out->push_back(HostFailure{h, t});
     }
   } else {
-    if (host >= fleet_hosts) {
+    if (*host >= fleet_hosts) {
       std::fprintf(stderr, "hbft_cli: --fail host %llu out of range (hosts=%zu)\n",
-                   static_cast<unsigned long long>(host), fleet_hosts);
+                   static_cast<unsigned long long>(*host), fleet_hosts);
       return false;
     }
-    out->push_back(HostFailure{host, t});
+    out->push_back(HostFailure{*host, t});
   }
   return true;
 }
@@ -128,34 +120,37 @@ JsonValue LatencyJson(const LatencySummary& s) {
 
 int FleetCommand(FlagSet& flags) {
   FleetConfig config;
+  // Millisecond flags keep fleet's rounding: to the nearest picosecond.
+  auto millis = [&flags](const char* key, double default_ms) {
+    return SimTime::MicrosF(flags.GetMillis(key).value_or(default_ms) * 1e3);
+  };
   config.chains = flags.GetU64("chains").value_or(8);
   config.hosts = flags.GetU64("hosts").value_or(4);
-  config.backups = static_cast<int>(flags.GetU64("backups").value_or(1));
+  config.backups = static_cast<int>(flags.GetU64("backups", INT_MAX).value_or(1));
   config.seed = flags.GetU64("seed").value_or(42);
   config.epoch_length = flags.GetU64("epoch-length").value_or(0);
   config.traffic.requests_per_chain = flags.GetU64("requests").value_or(8);
   config.traffic.payload_bytes =
-      static_cast<uint32_t>(flags.GetU64("payload-bytes").value_or(32));
-  config.traffic.start = SimTime::MicrosF(flags.GetDouble("start-ms").value_or(100.0) * 1e3);
+      static_cast<uint32_t>(flags.GetU64("payload-bytes", UINT32_MAX).value_or(32));
+  config.traffic.start = millis("start-ms", 100.0);
   if (auto rate = flags.GetDouble("rate")) {
-    if (*rate <= 0.0) {
-      std::fprintf(stderr, "hbft_cli: --rate must be positive\n");
+    // The request interval, 1000/rate ms, must fit a SimTime too.
+    if (!(*rate > 0.0) || 1e3 / *rate > static_cast<double>(kMaxMillis)) {
+      std::fprintf(stderr, "hbft_cli: --rate must be positive, at least %g per second\n",
+                   1e3 / static_cast<double>(kMaxMillis));
       return 2;
     }
     config.traffic.interval = SimTime::MicrosF(1e6 / *rate);
   } else {
-    config.traffic.interval =
-        SimTime::MicrosF(flags.GetDouble("interval-ms").value_or(20.0) * 1e3);
+    config.traffic.interval = millis("interval-ms", 20.0);
   }
-  config.slo = SimTime::MicrosF(flags.GetDouble("slo-ms").value_or(50.0) * 1e3);
-  config.repair_delay =
-      SimTime::MicrosF(flags.GetDouble("repair-delay-ms").value_or(20.0) * 1e3);
-  config.repair_retry =
-      SimTime::MicrosF(flags.GetDouble("repair-retry-ms").value_or(10.0) * 1e3);
+  config.slo = millis("slo-ms", 50.0);
+  config.repair_delay = millis("repair-delay-ms", 20.0);
+  config.repair_retry = millis("repair-retry-ms", 10.0);
   config.repair_concurrency = flags.GetU64("repair-concurrency").value_or(1);
-  config.quantum = SimTime::MicrosF(flags.GetDouble("quantum-ms").value_or(10.0) * 1e3);
-  if (auto max_ms = flags.GetDouble("max-time-ms")) {
-    config.max_time = SimTime::MicrosF(*max_ms * 1e3);
+  config.quantum = millis("quantum-ms", 10.0);
+  if (flags.Has("max-time-ms")) {
+    config.max_time = millis("max-time-ms", 0.0);
   }
   config.verify = !flags.Has("no-verify");
   config.threads = flags.GetU64("threads").value_or(1);

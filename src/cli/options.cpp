@@ -1,5 +1,7 @@
 #include "cli/options.hpp"
 
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -24,7 +26,47 @@ constexpr FailPhase kAllFailPhases[] = {
     FailPhase::kAfterIoIssue,
 };
 
+// The one millisecond validator behind every *-ms flag and --fail time key.
+std::optional<double> ParseMillis(const std::string& text) {
+  char* end = nullptr;
+  double ms = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0' || !(ms >= 0.0) ||
+      !(ms <= static_cast<double>(kMaxMillis))) {
+    return std::nullopt;
+  }
+  return ms;
+}
+
 }  // namespace
+
+std::optional<uint64_t> ParseCount(const std::string& text, uint64_t max) {
+  if (text.empty()) {
+    return std::nullopt;
+  }
+  uint64_t value = 0;
+  for (char c : text) {
+    if (c < '0' || c > '9') {
+      return std::nullopt;
+    }
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (digit > max || value > (max - digit) / 10) {
+      return std::nullopt;
+    }
+    value = value * 10 + digit;
+  }
+  return value;
+}
+
+std::optional<double> ParseFailMillis(const std::string& key, const std::string& value) {
+  std::optional<double> ms = ParseMillis(value);
+  if (!ms) {
+    std::fprintf(stderr, "hbft_cli: --fail %s expects milliseconds in [0, %llu], got '%s'\n",
+                 key.c_str(), static_cast<unsigned long long>(kMaxMillis), value.c_str());
+  }
+  return ms;
+}
+
+SimTime MillisToSimTime(double ms) { return SimTime::Picos(static_cast<int64_t>(ms * 1e9)); }
 
 bool FlagSet::Parse(int argc, char** argv, int first) {
   for (int i = first; i < argc; ++i) {
@@ -58,18 +100,17 @@ std::string FlagSet::GetString(const std::string& key, const std::string& defaul
   return it == values_.end() ? default_value : it->second.back();
 }
 
-std::optional<uint64_t> FlagSet::GetU64(const std::string& key) {
+std::optional<uint64_t> FlagSet::GetU64(const std::string& key, uint64_t max) {
   consumed_.insert(key);
   auto it = values_.find(key);
   if (it == values_.end()) {
     return std::nullopt;
   }
   const std::string& raw = it->second.back();
-  char* end = nullptr;
-  uint64_t value = std::strtoull(raw.c_str(), &end, 10);
-  if (end == raw.c_str() || *end != '\0') {
-    std::fprintf(stderr, "hbft_cli: --%s expects an integer, got '%s'\n", key.c_str(),
-                 raw.c_str());
+  std::optional<uint64_t> value = ParseCount(raw, max);
+  if (!value) {
+    std::fprintf(stderr, "hbft_cli: --%s expects an integer in [0, %llu], got '%s'\n",
+                 key.c_str(), static_cast<unsigned long long>(max), raw.c_str());
     std::exit(2);
   }
   return value;
@@ -84,11 +125,28 @@ std::optional<double> FlagSet::GetDouble(const std::string& key) {
   const std::string& raw = it->second.back();
   char* end = nullptr;
   double value = std::strtod(raw.c_str(), &end);
-  if (end == raw.c_str() || *end != '\0') {
-    std::fprintf(stderr, "hbft_cli: --%s expects a number, got '%s'\n", key.c_str(), raw.c_str());
+  if (end == raw.c_str() || *end != '\0' || !std::isfinite(value)) {
+    std::fprintf(stderr, "hbft_cli: --%s expects a finite number, got '%s'\n", key.c_str(),
+                 raw.c_str());
     std::exit(2);
   }
   return value;
+}
+
+std::optional<double> FlagSet::GetMillis(const std::string& key) {
+  consumed_.insert(key);
+  auto it = values_.find(key);
+  if (it == values_.end()) {
+    return std::nullopt;
+  }
+  const std::string& raw = it->second.back();
+  std::optional<double> ms = ParseMillis(raw);
+  if (!ms) {
+    std::fprintf(stderr, "hbft_cli: --%s expects milliseconds in [0, %llu], got '%s'\n",
+                 key.c_str(), static_cast<unsigned long long>(kMaxMillis), raw.c_str());
+    std::exit(2);
+  }
+  return ms;
 }
 
 std::vector<std::string> FlagSet::GetList(const std::string& key) {
@@ -204,13 +262,11 @@ bool ParseFailTarget(const std::string& value, FailurePlan* plan) {
       if (value[6] != ':') {
         return false;
       }
-      std::string idx = value.substr(7);
-      char* end = nullptr;
-      long parsed = std::strtol(idx.c_str(), &end, 10);
-      if (end == idx.c_str() || *end != '\0' || parsed < 0) {
+      std::optional<uint64_t> index = ParseCount(value.substr(7), INT_MAX);
+      if (!index) {
         return false;
       }
-      plan->backup_index = static_cast<int>(parsed);
+      plan->backup_index = static_cast<int>(*index);
     }
     return true;
   }
@@ -227,15 +283,21 @@ bool ParseFailSpec(const std::string& spec, FailurePlan* out, std::string* descr
   bool has_phase_only_key = false;  // epoch= / io-seq= constrain phase kills.
   std::string desc;
 
-  auto parse_ms = [](const std::string& value, const char* key, SimTime* t) {
-    char* end = nullptr;
-    double ms = std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || *end != '\0') {
-      std::fprintf(stderr, "hbft_cli: --fail %s expects a number, got '%s'\n", key,
+  auto parse_ms = [](const std::string& value, const std::string& key, SimTime* t) {
+    std::optional<double> ms = ParseFailMillis(key, value);
+    if (ms) {
+      *t = MillisToSimTime(*ms);
+    }
+    return ms.has_value();
+  };
+  auto parse_count = [](const std::string& value, const std::string& key, uint64_t* out) {
+    std::optional<uint64_t> count = ParseCount(value);
+    if (!count) {
+      std::fprintf(stderr, "hbft_cli: --fail %s expects an integer, got '%s'\n", key.c_str(),
                    value.c_str());
       return false;
     }
-    *t = SimTime::Picos(static_cast<int64_t>(ms * 1e9));
+    *out = *count;
     return true;
   };
 
@@ -253,7 +315,7 @@ bool ParseFailSpec(const std::string& spec, FailurePlan* out, std::string* descr
     std::string value = eq == std::string::npos ? "" : part.substr(eq + 1);
 
     if (key == "time-ms") {
-      if (!parse_ms(value, "time-ms", &plan.time)) {
+      if (!parse_ms(value, key, &plan.time)) {
         return false;
       }
       plan.kind = FailurePlan::Kind::kAtTime;
@@ -263,7 +325,7 @@ bool ParseFailSpec(const std::string& spec, FailurePlan* out, std::string* descr
       // Repair events: spawn a fresh replica below the chain's tail and
       // stream it the live state transfer — at an absolute time, or a delay
       // after the previous schedule event fired.
-      if (!parse_ms(value, key.c_str(), &plan.time)) {
+      if (!parse_ms(value, key, &plan.time)) {
         return false;
       }
       plan.kind = FailurePlan::Kind::kRejoin;
@@ -274,7 +336,7 @@ bool ParseFailSpec(const std::string& spec, FailurePlan* out, std::string* descr
       // Kill the active replica `value` ms after the pending rejoin's state
       // transfer completes — the fail -> rejoin -> fail drill without
       // guessing transfer durations.
-      if (!parse_ms(value, "after-resync-ms", &plan.time)) {
+      if (!parse_ms(value, key, &plan.time)) {
         return false;
       }
       plan.kind = FailurePlan::Kind::kAtTime;
@@ -294,21 +356,13 @@ bool ParseFailSpec(const std::string& spec, FailurePlan* out, std::string* descr
       ++phase_keys;
       desc = "at-phase " + value + desc;
     } else if (key == "epoch") {
-      char* end = nullptr;
-      plan.phase_epoch = std::strtoull(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0') {
-        std::fprintf(stderr, "hbft_cli: --fail epoch expects an integer, got '%s'\n",
-                     value.c_str());
+      if (!parse_count(value, key, &plan.phase_epoch)) {
         return false;
       }
       has_phase_only_key = true;
       desc += " epoch " + value;
     } else if (key == "io-seq") {
-      char* end = nullptr;
-      plan.io_seq = std::strtoull(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0') {
-        std::fprintf(stderr, "hbft_cli: --fail io-seq expects an integer, got '%s'\n",
-                     value.c_str());
+      if (!parse_count(value, key, &plan.io_seq)) {
         return false;
       }
       has_phase_only_key = true;
@@ -371,112 +425,74 @@ bool ParseFailSpec(const std::string& spec, FailurePlan* out, std::string* descr
   return true;
 }
 
-namespace {
-
-// Shared scenario shaping for the knobs that must match between a replicated
-// run and its bare reference (devices, fault plans, injected input).
-void ApplyEnvironment(const ScenarioFlags& flags, Scenario* scenario) {
-  scenario->Interp(flags.interp)
-      .DiskFaults(flags.disk_faults)
-      .ConsoleFaults(flags.console_faults)
-      .NicFaults(flags.nic_faults);
-  if (flags.workload.kind == WorkloadKind::kNetEcho) {
-    uint64_t packets = flags.packets != 0 ? flags.packets : flags.workload.iterations;
-    for (uint64_t i = 0; i < packets; ++i) {
-      // Deterministic 12-byte payloads: "pkt-NNNN...." stamped per index.
-      std::vector<uint8_t> payload;
-      char text[16];
-      std::snprintf(text, sizeof(text), "pkt-%04u....", static_cast<unsigned>(i));
-      payload.assign(text, text + 12);
-      scenario->InjectPacket(std::move(payload));
-    }
-  }
-}
-
-}  // namespace
-
-Scenario ScenarioFlags::Replicated() const {
-  Scenario scenario = Scenario::Replicated(workload)
-                          .Backups(backups)
-                          .Epoch(epoch_length)
-                          .Variant(variant)
-                          .Seed(seed)
-                          .LinkFaults(link_faults)
-                          .PipelineDepth(pipeline_depth)
-                          .AckBatch(ack_batch);
-  ApplyEnvironment(*this, &scenario);
-  for (const FailurePlan& plan : failures) {
-    scenario.FailAt(plan);
-  }
-  return scenario;
-}
-
-Scenario ScenarioFlags::Bare() const {
-  Scenario scenario = Scenario::Bare(workload).Seed(seed);
-  ApplyEnvironment(*this, &scenario);
-  return scenario;
-}
-
-bool ParseScenarioFlags(FlagSet& flags, ScenarioFlags* out) {
+std::optional<ScenarioFlags> ParseScenarioFlags(FlagSet& flags, uint32_t txnlog_iterations) {
   std::string workload_name = flags.GetString("workload", "txnlog");
   auto kind = ParseWorkloadKind(workload_name);
   if (!kind) {
     std::fprintf(stderr,
                  "hbft_cli: unknown workload '%s' (see hbft_cli --list-workloads)\n",
                  workload_name.c_str());
-    return false;
+    return std::nullopt;
   }
-  out->workload.kind = *kind;
-  if (auto v = flags.GetU64("iterations")) {
-    out->workload.iterations = static_cast<uint32_t>(*v);
+  WorkloadSpec workload;
+  workload.kind = *kind;
+  if (auto v = flags.GetU64("iterations", UINT32_MAX)) {
+    workload.iterations = static_cast<uint32_t>(*v);
   } else if (*kind == WorkloadKind::kTxnLog) {
-    out->workload.iterations = 10;
+    workload.iterations = txnlog_iterations;
   } else if (*kind == WorkloadKind::kNetEcho) {
-    out->workload.iterations = 4;
+    workload.iterations = 4;
   }
-  if (auto v = flags.GetU64("num-blocks")) {
-    out->workload.num_blocks = static_cast<uint32_t>(*v);
+  if (auto v = flags.GetU64("num-blocks", UINT32_MAX)) {
+    workload.num_blocks = static_cast<uint32_t>(*v);
   } else if (*kind == WorkloadKind::kTxnLog) {
-    out->workload.num_blocks = 16;
+    workload.num_blocks = 16;
   }
+  ScenarioFlags out{Scenario::Replicated(workload)};
+  Scenario& scenario = out.scenario;
 
   if (auto v = flags.GetU64("epoch-length")) {
-    out->epoch_length = *v;
+    scenario.Epoch(*v);
   }
   std::string variant_name = flags.GetString("variant", "old");
   auto variant = ParseVariant(variant_name);
   if (!variant) {
     std::fprintf(stderr, "hbft_cli: unknown variant '%s' (old, new)\n", variant_name.c_str());
-    return false;
+    return std::nullopt;
   }
-  out->variant = *variant;
+  scenario.Variant(*variant);
   if (auto v = flags.GetU64("seed")) {
-    out->seed = *v;
+    scenario.Seed(*v);
   }
-  if (auto v = flags.GetU64("backups")) {
+  int backups = 1;
+  if (auto v = flags.GetU64("backups", INT_MAX)) {
     if (*v < 1) {
       std::fprintf(stderr, "hbft_cli: --backups must be >= 1\n");
-      return false;
+      return std::nullopt;
     }
-    out->backups = static_cast<int>(*v);
+    backups = static_cast<int>(*v);
   }
+  scenario.Backups(backups);
 
   // Per-device transient-fault knobs: uncertain-completion probabilities,
   // plus one shared performed-when-uncertain probability.
+  FaultPlan disk_faults;
+  FaultPlan console_faults;
+  FaultPlan nic_faults;
   struct FaultFlag {
     const char* flag;
     FaultPlan* plan;
   };
   const FaultFlag fault_flags[] = {
-      {"disk-uncertain", &out->disk_faults},
-      {"console-uncertain", &out->console_faults},
-      {"nic-uncertain", &out->nic_faults},
+      {"disk-uncertain", &disk_faults},
+      {"console-uncertain", &console_faults},
+      {"nic-uncertain", &nic_faults},
   };
   for (const FaultFlag& f : fault_flags) {
     if (auto v = flags.GetDouble(f.flag)) {
       if (*v < 0.0 || *v > 1.0) {
         std::fprintf(stderr, "hbft_cli: --%s expects a probability in [0,1]\n", f.flag);
-        return false;
+        return std::nullopt;
       }
       f.plan->uncertain_probability = *v;
     }
@@ -484,127 +500,131 @@ bool ParseScenarioFlags(FlagSet& flags, ScenarioFlags* out) {
   if (auto v = flags.GetDouble("uncertain-performed")) {
     if (*v < 0.0 || *v > 1.0) {
       std::fprintf(stderr, "hbft_cli: --uncertain-performed expects a probability in [0,1]\n");
-      return false;
+      return std::nullopt;
     }
-    out->disk_faults.performed_when_uncertain = *v;
-    out->console_faults.performed_when_uncertain = *v;
-    out->nic_faults.performed_when_uncertain = *v;
+    disk_faults.performed_when_uncertain = *v;
+    console_faults.performed_when_uncertain = *v;
+    nic_faults.performed_when_uncertain = *v;
   }
+  scenario.DiskFaults(disk_faults).ConsoleFaults(console_faults).NicFaults(nic_faults);
+
   // Interconnect fault knobs: lossy-wire probabilities, bounded sender
   // queue, retransmission timeout, and an optional burst window.
+  LinkFaults link_faults;
   struct LinkProbFlag {
     const char* flag;
     double* field;
   };
   const LinkProbFlag link_prob_flags[] = {
-      {"loss", &out->link_faults.drop_probability},
-      {"reorder", &out->link_faults.reorder_probability},
-      {"dup", &out->link_faults.duplicate_probability},
+      {"loss", &link_faults.drop_probability},
+      {"reorder", &link_faults.reorder_probability},
+      {"dup", &link_faults.duplicate_probability},
   };
   for (const LinkProbFlag& f : link_prob_flags) {
     if (auto v = flags.GetDouble(f.flag)) {
       if (*v < 0.0 || *v > 1.0) {
         std::fprintf(stderr, "hbft_cli: --%s expects a probability in [0,1]\n", f.flag);
-        return false;
+        return std::nullopt;
       }
       *f.field = *v;
     }
   }
-  if (auto v = flags.GetU64("link-queue")) {
-    if (*v > UINT32_MAX) {
-      std::fprintf(stderr, "hbft_cli: --link-queue is out of range\n");
-      return false;
-    }
-    out->link_faults.sender_queue_limit = static_cast<uint32_t>(*v);
+  if (auto v = flags.GetU64("link-queue", UINT32_MAX)) {
+    link_faults.sender_queue_limit = static_cast<uint32_t>(*v);
   }
-  if (auto v = flags.GetDouble("rto-ms")) {
+  if (auto v = flags.GetMillis("rto-ms")) {
     if (*v <= 0.0) {
       std::fprintf(stderr, "hbft_cli: --rto-ms expects a positive duration\n");
-      return false;
+      return std::nullopt;
     }
-    out->link_faults.retransmit_timeout = SimTime::Picos(static_cast<int64_t>(*v * 1e9));
+    link_faults.retransmit_timeout = MillisToSimTime(*v);
   }
-  if (auto v = flags.GetDouble("loss-until-ms")) {
-    if (*v < 0.0) {
-      std::fprintf(stderr, "hbft_cli: --loss-until-ms expects a non-negative time\n");
-      return false;
-    }
-    out->link_faults.active_until = SimTime::Picos(static_cast<int64_t>(*v * 1e9));
+  if (auto v = flags.GetMillis("loss-until-ms")) {
+    link_faults.active_until = MillisToSimTime(*v);
   }
-  if (auto v = flags.GetU64("pipeline-depth")) {
-    out->pipeline_depth = static_cast<uint32_t>(*v);
+  scenario.LinkFaults(link_faults);
+  if (auto v = flags.GetU64("pipeline-depth", UINT32_MAX)) {
+    scenario.PipelineDepth(static_cast<uint32_t>(*v));
   }
-  if (auto v = flags.GetU64("ack-batch")) {
+  if (auto v = flags.GetU64("ack-batch", UINT32_MAX)) {
     if (*v < 1) {
       std::fprintf(stderr, "hbft_cli: --ack-batch must be >= 1\n");
-      return false;
+      return std::nullopt;
     }
-    out->ack_batch = static_cast<uint32_t>(*v);
+    scenario.AckBatch(static_cast<uint32_t>(*v));
   }
 
+  // Interpreter selection (--interp=slow|cached); results are dispatch-mode
+  // invariant, so this only changes host-side speed. Absent, the machine
+  // default applies (the HBFT_INTERP environment override or the slow path).
   std::string interp_name = flags.GetString("interp", "");
-  if (!interp_name.empty()) {
-    if (interp_name == "slow") {
-      out->interp = InterpMode::kSlow;
-    } else if (interp_name == "cached") {
-      out->interp = InterpMode::kCached;
-    } else {
-      std::fprintf(stderr, "hbft_cli: unknown --interp '%s' (slow, cached)\n",
-                   interp_name.c_str());
-      return false;
-    }
+  if (interp_name == "slow") {
+    scenario.Interp(InterpMode::kSlow);
+  } else if (interp_name == "cached") {
+    scenario.Interp(InterpMode::kCached);
+  } else if (!interp_name.empty()) {
+    std::fprintf(stderr, "hbft_cli: unknown --interp '%s' (slow, cached)\n",
+                 interp_name.c_str());
+    return std::nullopt;
   }
 
+  // net-echo: the packets injected into the run (default: one per
+  // iteration).
+  uint64_t packets = workload.iterations;
   if (auto v = flags.GetU64("packets")) {
-    if (out->workload.kind != WorkloadKind::kNetEcho) {
+    if (workload.kind != WorkloadKind::kNetEcho) {
       std::fprintf(stderr, "hbft_cli: --packets applies only to --workload=net-echo\n");
-      return false;
+      return std::nullopt;
     }
-    if (*v < out->workload.iterations) {
+    if (*v < workload.iterations) {
       // The guest consumes exactly `iterations` packets; fewer would leave it
       // blocked in net_recv until max_time.
       std::fprintf(stderr,
                    "hbft_cli: --packets=%llu is less than the %u packets the workload "
                    "consumes (see --iterations)\n",
-                   static_cast<unsigned long long>(*v), out->workload.iterations);
-      return false;
+                   static_cast<unsigned long long>(*v), workload.iterations);
+      return std::nullopt;
     }
-    out->packets = *v;
+    packets = *v;
+  }
+  if (workload.kind == WorkloadKind::kNetEcho) {
+    for (uint64_t i = 0; i < packets; ++i) {
+      // Deterministic 12-byte payloads: "pkt-NNNN...." stamped per index.
+      char text[16];
+      std::snprintf(text, sizeof(text), "pkt-%04u....", static_cast<unsigned>(i));
+      scenario.InjectPacket(std::vector<uint8_t>(text, text + 12));
+    }
   }
 
   for (const std::string& spec : flags.GetList("fail")) {
     FailurePlan plan;
     std::string desc;
     if (!ParseFailSpec(spec, &plan, &desc)) {
-      return false;
+      return std::nullopt;
     }
-    if (out->has_failure) {
-      out->failure_description += "; then " + desc;
-    } else {
-      out->failure_description = desc;
-    }
-    out->failures.push_back(plan);
-    out->has_failure = true;
+    out.failure_description =
+        scenario.failures().empty() ? desc : out.failure_description + "; then " + desc;
+    scenario.FailAt(plan);
   }
 
   bool seen_rejoin = false;
-  for (const FailurePlan& plan : out->failures) {
-    if (plan.target == FailurePlan::Target::kBackup && plan.backup_index >= out->backups) {
+  for (const FailurePlan& plan : scenario.failures()) {
+    if (plan.target == FailurePlan::Target::kBackup && plan.backup_index >= backups) {
       std::fprintf(stderr,
                    "hbft_cli: failure targets backup %d but the chain has only %d backup(s) "
                    "(see --backups)\n",
-                   plan.backup_index, out->backups);
-      return false;
+                   plan.backup_index, backups);
+      return std::nullopt;
     }
     seen_rejoin = seen_rejoin || plan.kind == FailurePlan::Kind::kRejoin;
     if (plan.after_resync && !seen_rejoin) {
       std::fprintf(stderr,
                    "hbft_cli: --fail=after-resync-ms needs an earlier rejoin event "
                    "(rejoin-time-ms / rejoin-after-ms) to wait for\n");
-      return false;
+      return std::nullopt;
     }
   }
-  return true;
+  return out;
 }
 
 }  // namespace cli

@@ -22,15 +22,32 @@
 namespace hbft {
 namespace cli {
 
+// Every millisecond value a flag or --fail key takes becomes a SimTime, so
+// it must fit one: int64 picoseconds, about 106 days.
+constexpr uint64_t kMaxMillis = static_cast<uint64_t>(SimTime::Max().millis());
+
+// A decimal count spanning the whole text: digits only (no sign, space or
+// suffix) and at most `max`. Nullopt otherwise.
+std::optional<uint64_t> ParseCount(const std::string& text, uint64_t max = UINT64_MAX);
+// The value of a time key in either --fail grammar (run's and fleet's):
+// milliseconds, finite and in [0, kMaxMillis]. Prints the error itself.
+std::optional<double> ParseFailMillis(const std::string& key, const std::string& value);
+// The truncating millisecond-to-SimTime rounding of run, drill and serve.
+SimTime MillisToSimTime(double ms);
+
 class FlagSet {
  public:
   // Returns false (with a message on stderr) on malformed arguments.
   bool Parse(int argc, char** argv, int first);
 
+  // The typed getters exit 2 with a message on a malformed value.
   bool Has(const std::string& key);
   std::string GetString(const std::string& key, const std::string& default_value);
-  std::optional<uint64_t> GetU64(const std::string& key);
-  std::optional<double> GetDouble(const std::string& key);
+  // ParseCount: pass the limit of the field the value narrows into.
+  std::optional<uint64_t> GetU64(const std::string& key, uint64_t max = UINT64_MAX);
+  std::optional<double> GetDouble(const std::string& key);  // Finite only.
+  // Milliseconds: finite and in [0, kMaxMillis].
+  std::optional<double> GetMillis(const std::string& key);
   // Every occurrence of a repeatable flag, in command-line order.
   std::vector<std::string> GetList(const std::string& key);
 
@@ -63,48 +80,19 @@ void PrintFailPhaseNames(std::FILE* out);
 // Returns false after printing the offending part.
 bool ParseFailSpec(const std::string& spec, FailurePlan* out, std::string* description);
 
-// Scenario knobs shared by `run` and `drill`: workload selection plus
-// replication, topology, device fault plans, and failure-schedule settings.
-// Returns false after printing the offending flag.
+// The scenario `run` and `drill` parse from their flags: workload
+// selection plus replication, topology, device fault plans, injected
+// packets, and the failure schedule. Its bare reference is
+// `scenario.AsBare()`, which keeps every environment knob, so the
+// transparency checks compare like with like.
 struct ScenarioFlags {
-  WorkloadSpec workload;
-  int backups = 1;
-  uint64_t epoch_length = 4096;
-  ProtocolVariant variant = ProtocolVariant::kOriginal;
-  uint64_t seed = 42;
-  FailureSchedule failures;
+  Scenario scenario;
   std::string failure_description = "none";
-  bool has_failure = false;
-
-  // Per-device transient-fault knobs (--disk-uncertain= etc.), applied to
-  // the replicated run and its bare reference alike so the transparency
-  // checks compare like with like.
-  FaultPlan disk_faults;
-  FaultPlan console_faults;
-  FaultPlan nic_faults;
-
-  // Interconnect knobs (--loss/--reorder/--dup/--link-queue/--rto-ms/
-  // --loss-until-ms) and the protocol's transport generalisations
-  // (--pipeline-depth, --ack-batch). Replicated runs only — the bare
-  // reference has no replica channels.
-  LinkFaults link_faults;
-  uint32_t pipeline_depth = 0;
-  uint32_t ack_batch = 1;
-
-  // net-echo: packets injected into the run (0 = workload iterations).
-  uint64_t packets = 0;
-
-  // Interpreter selection (--interp=slow|cached); results are dispatch-mode
-  // invariant, so this only changes host-side speed. Defaults to the
-  // HBFT_INTERP environment override or the slow path.
-  InterpMode interp = DefaultInterpMode();
-
-  // Builders carrying every parsed knob.
-  Scenario Replicated() const;
-  Scenario Bare() const;
 };
 
-bool ParseScenarioFlags(FlagSet& flags, ScenarioFlags* out);
+// `txnlog_iterations` is the txnlog workload's iteration count when
+// --iterations is absent. Returns nullopt after printing the offending flag.
+std::optional<ScenarioFlags> ParseScenarioFlags(FlagSet& flags, uint32_t txnlog_iterations = 10);
 
 }  // namespace cli
 }  // namespace hbft

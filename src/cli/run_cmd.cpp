@@ -4,6 +4,7 @@
 // document on stdout, so CI and scripts consume structured output instead of
 // scraping the text report.
 #include <cstdio>
+#include <optional>
 #include <string>
 
 #include "cli/commands.hpp"
@@ -201,12 +202,16 @@ JsonValue TransportJson(const ScenarioResult& r) {
 }  // namespace
 
 int RunCommand(FlagSet& flags) {
-  ScenarioFlags scenario;
   std::string mode = flags.GetString("mode", "both");
   const bool json = flags.Has("json");
-  if (!ParseScenarioFlags(flags, &scenario) || !flags.Finish()) {
+  std::optional<ScenarioFlags> parsed = ParseScenarioFlags(flags);
+  if (!parsed || !flags.Finish()) {
     return 2;
   }
+  const Scenario& scenario = parsed->scenario;
+  const WorldConfig config = scenario.world_config();
+  const ReplicationConfig& replication = config.replication;
+  const LinkFaults& link_faults = config.link_faults;
   if (mode != "both" && mode != "bare" && mode != "replicated") {
     std::fprintf(stderr, "hbft_cli: unknown --mode '%s' (both, bare, replicated)\n", mode.c_str());
     return 2;
@@ -218,25 +223,25 @@ int RunCommand(FlagSet& flags) {
     // Machine-readable path: one document on stdout, nothing else.
     JsonValue doc = JsonValue::Object()
                         .Set("command", "run")
-                        .Set("workload", WorkloadKindName(scenario.workload.kind))
-                        .Set("iterations", static_cast<uint64_t>(scenario.workload.iterations))
+                        .Set("workload", WorkloadKindName(scenario.workload().kind))
+                        .Set("iterations", static_cast<uint64_t>(scenario.workload().iterations))
                         .Set("mode", mode)
-                        .Set("variant", VariantName(scenario.variant))
-                        .Set("epoch_length", scenario.epoch_length)
-                        .Set("backups", scenario.backups)
-                        .Set("seed", scenario.seed)
-                        .Set("failure", scenario.failure_description);
+                        .Set("variant", VariantName(replication.variant))
+                        .Set("epoch_length", replication.epoch_length)
+                        .Set("backups", config.backups)
+                        .Set("seed", config.seed)
+                        .Set("failure", parsed->failure_description);
     int rc = 0;
     ScenarioResult bare;
     if (want_bare) {
-      bare = scenario.Bare().Run();
+      bare = scenario.AsBare().Run();
       doc.Set("bare", OutcomeJson(bare));
       if (!bare.completed || bare.exited_flag != 1) {
         rc = 1;
       }
     }
     if (want_replicated) {
-      ScenarioResult ft = scenario.Replicated().Run();
+      ScenarioResult ft = scenario.Run();
       JsonValue rep = OutcomeJson(ft);
       rep.Set("replication", ReplicationJson(ft));
       rep.Set("transport", TransportJson(ft));
@@ -261,50 +266,47 @@ int RunCommand(FlagSet& flags) {
   }
 
   std::printf("== hbft run report ==\n");
-  ReportLine("workload", WorkloadKindName(scenario.workload.kind));
-  ReportLine("iterations", std::to_string(scenario.workload.iterations));
+  ReportLine("workload", WorkloadKindName(scenario.workload().kind));
+  ReportLine("iterations", std::to_string(scenario.workload().iterations));
   ReportLine("mode", mode);
   if (want_replicated) {
-    ReportLine("variant", VariantName(scenario.variant));
-    ReportLine("epoch_length", std::to_string(scenario.epoch_length));
-    ReportLine("backups", std::to_string(scenario.backups));
-    ReportLine("failure", scenario.failure_description);
-    if (scenario.link_faults.Enabled()) {
+    ReportLine("variant", VariantName(replication.variant));
+    ReportLine("epoch_length", std::to_string(replication.epoch_length));
+    ReportLine("backups", std::to_string(config.backups));
+    ReportLine("failure", parsed->failure_description);
+    if (link_faults.Enabled()) {
       char link[128];
       std::snprintf(link, sizeof(link), "loss=%g dup=%g reorder=%g queue=%u rto_ms=%.3f",
-                    scenario.link_faults.drop_probability,
-                    scenario.link_faults.duplicate_probability,
-                    scenario.link_faults.reorder_probability,
-                    scenario.link_faults.sender_queue_limit,
-                    scenario.link_faults.retransmit_timeout.seconds() * 1e3);
+                    link_faults.drop_probability, link_faults.duplicate_probability,
+                    link_faults.reorder_probability, link_faults.sender_queue_limit,
+                    link_faults.retransmit_timeout.seconds() * 1e3);
       ReportLine("link_faults", link);
     }
-    if (scenario.pipeline_depth > 0) {
-      ReportLine("pipeline_depth", std::to_string(scenario.pipeline_depth));
+    if (replication.pipeline_depth > 0) {
+      ReportLine("pipeline_depth", std::to_string(replication.pipeline_depth));
     }
-    if (scenario.ack_batch > 1) {
-      ReportLine("ack_batch", std::to_string(scenario.ack_batch));
+    if (replication.ack_batch > 1) {
+      ReportLine("ack_batch", std::to_string(replication.ack_batch));
     }
   }
 
   int rc = 0;
   ScenarioResult bare;
   if (want_bare) {
-    bare = scenario.Bare().Run();
+    bare = scenario.AsBare().Run();
     ReportOutcome("bare reference", bare);
     if (!bare.completed || bare.exited_flag != 1) {
       rc = 1;
     }
   }
   if (want_replicated) {
-    ScenarioResult ft = scenario.Replicated().Run();
+    ScenarioResult ft = scenario.Run();
     ReportOutcome("replicated", ft);
     ReportReplicationStats(ft);
     if (!ft.resyncs.empty()) {
       ReportResyncStats(ft);
     }
-    if (scenario.link_faults.Enabled() || scenario.pipeline_depth > 0 ||
-        scenario.ack_batch > 1) {
+    if (link_faults.Enabled() || replication.pipeline_depth > 0 || replication.ack_batch > 1) {
       ReportTransportStats(ft);
     }
     if (!ft.completed || ft.exited_flag != 1) {

@@ -2,7 +2,9 @@
 // one process (the simulated chain) or two (--role=primary / --role=backup
 // with the replication stream over a real socket). The final report mirrors
 // `run --json`'s shape: an outcome block plus per-channel transport counters.
+#include <climits>
 #include <cstdio>
+#include <optional>
 #include <string>
 
 #include "cli/commands.hpp"
@@ -130,10 +132,11 @@ int ServeCommand(FlagSet& flags) {
   config.peer_host = flags.GetString("peer", "127.0.0.1");
   config.seed = flags.GetU64("seed").value_or(42);
   config.epoch_length = flags.GetU64("epoch-length").value_or(4096);
-  config.backups = static_cast<int>(flags.GetU64("backups").value_or(1));
-  config.duration_ms = flags.GetU64("duration-ms").value_or(0);
+  const std::optional<uint64_t> backups = flags.GetU64("backups", INT_MAX);
+  config.backups = static_cast<int>(backups.value_or(1));
+  config.duration_ms = flags.GetU64("duration-ms", kMaxMillis).value_or(0);
   config.max_requests = flags.GetU64("max-requests").value_or(0);
-  config.backup_wait_ms = flags.GetU64("backup-wait-ms").value_or(3000);
+  config.backup_wait_ms = flags.GetU64("backup-wait-ms", kMaxMillis).value_or(3000);
 
   if (flags.Has("variant")) {
     std::string variant = flags.GetString("variant", "new");
@@ -163,6 +166,12 @@ int ServeCommand(FlagSet& flags) {
     std::fprintf(stderr,
                  "hbft_cli: --fail applies to --role=single only (multi-process failures "
                  "are real: kill the primary process)\n");
+    return 2;
+  }
+  if (backups.has_value() && config.role != serve::ServeRole::kSingle) {
+    std::fprintf(stderr,
+                 "hbft_cli: --backups applies to --role=single only (a multi-process pair "
+                 "is one primary process and one backup process)\n");
     return 2;
   }
   if (!flags.Finish()) {

@@ -14,10 +14,12 @@
 // earlier of the next fleet event and the next quantum boundary. Every world
 // first advances until its next actionable instant is at or past the
 // horizon, then the fleet events at the horizon fire (kills, repair
-// admissions) against worlds whose state is exactly the single-run state at
-// that instant — World::RunLoop's pause is horizon-invariant, so a chain
-// that never interacts with a fleet event produces byte-identical results to
-// a standalone Scenario::Run.
+// admissions). A world's run is deterministic for a given sequence of
+// horizons, and that sequence is a function of the fleet configuration, so
+// results repeat exactly for a given config at any thread count. They are
+// not invariant to the slicing itself: a replicated world's results can
+// depend on where the horizons fall (see World::RunLoop), so --quantum-ms can
+// move a fleet's figures and fingerprint.
 //
 // Parallel rounds (FleetConfig::threads): chains are independent Worlds
 // between horizons, so a round's slices fan out across a fixed WorkerPool —

@@ -1,56 +1,44 @@
 #include "serve/node_host.hpp"
 
-#include "common/check.hpp"
 #include "core/failure_detector.hpp"
+#include "guest/image.hpp"
 
 namespace hbft {
 namespace serve {
 
 NodeHost::~NodeHost() = default;
 
-NodeHost::NodeHost(const NodeHostConfig& config) : config_(config) {
-  bundle_ = &GetGuestImage(GuestImageVariant::kNet);
+NodeHost::NodeHost(const Scenario& scenario, HostRole role) : role_(role) {
+  const WorldConfig config = scenario.world_config();
+  failure_detect_timeout_ = config.costs.failure_detect_timeout;
+  devices_ = std::make_unique<DeviceSet>(config.devices, config.costs, config.seed);
 
-  DeviceSetConfig device_config;
-  device_config.disk_blocks = config.disk_blocks;
-  device_config.with_nic = true;
-  devices_ = std::make_unique<DeviceSet>(device_config, config.costs, config.seed);
-
-  MachineConfig machine = config.machine;
-  machine.machine_seed = config.seed;
-
-  // Both processes derive their channel endpoints from the shared seed; the
-  // ordered-stream state that matters (sequence numbers, cumulative acks)
-  // travels inside the frames themselves, which is what lets two separately
-  // constructed endpoints interoperate over the wire.
-  const uint64_t stream_seed = config.seed ^ (0x11F0D1CEULL * 1);
-  const uint64_t ack_seed = config.seed ^ (0x11F0D1CEULL * 2);
-
-  // The primary's links have no upstream, so its replica starts active.
+  // Both processes construct the chain's first link pair from the shared
+  // seed and keep their own ends of it; the ordered-stream state that
+  // matters (sequence numbers, cumulative acks) travels inside the frames
+  // themselves, which is what lets two separately constructed endpoints
+  // interoperate over the wire. The primary's links have no upstream, so its
+  // replica starts active.
+  World::LinkPair pair = World::MakeLinkPair(config, World::kMeshLinkSalt, 0);
   NodeLinks links;
-  if (config.role == HostRole::kPrimary) {
-    wire_out_ = std::make_unique<Channel>(config.costs.link, ChannelMode::kOrdered,
-                                          config.link_faults, stream_seed);
-    wire_in_ = std::make_unique<Channel>(config.costs.link, ChannelMode::kDatagram,
-                                         config.link_faults, ack_seed);
-    links.down_out = wire_out_.get();
-    links.down_in = wire_in_.get();
+  if (role == HostRole::kPrimary) {
+    links.down_out = pair.down.get();
+    links.down_in = pair.up.get();
+    wire_out_ = std::move(pair.down);
+    wire_in_ = std::move(pair.up);
   } else {
-    wire_in_ = std::make_unique<Channel>(config.costs.link, ChannelMode::kOrdered,
-                                         config.link_faults, stream_seed);
-    wire_out_ = std::make_unique<Channel>(config.costs.link, ChannelMode::kDatagram,
-                                          config.link_faults, ack_seed);
-    links.up_in = wire_in_.get();
-    links.up_out = wire_out_.get();
+    links.up_in = pair.down.get();
+    links.up_out = pair.up.get();
+    wire_in_ = std::move(pair.down);
+    wire_out_ = std::move(pair.up);
   }
-  const int id = config.role == HostRole::kPrimary ? 1 : 2;
-  node_ = std::make_unique<ReplicaNode>(id, bundle_->program, machine, config.replication,
-                                        config.costs, devices_->BuildRegistry(), links, this);
+  const size_t position = role == HostRole::kPrimary ? 0 : 1;
+  node_ = World::MakeReplica(scenario.guest().program, config, *devices_, position, links, this);
   // Identical parameter block on both processes: the backup boots the same
   // guest state the primary does and diverges only through the protocol
   // stream — the multi-process restatement of "every replica boots from
   // identical state".
-  PatchWorkloadParams(&node_->hypervisor().machine().memory(), config.workload);
+  PatchWorkloadParams(&node_->hypervisor().machine().memory(), scenario.workload());
 }
 
 void NodeHost::ScheduleAt(SimTime t, std::function<void()> fn) { queue_.Push(t, std::move(fn)); }
@@ -77,10 +65,9 @@ void NodeHost::OnPeerDead(SimTime now) {
   // channel breaking at its crash instant: everything already received still
   // counts, nothing more arrives (paper failure model).
   wire_in_->Break(now);
-  SimTime detect =
-      FailureDetector::DetectionTime(*wire_in_, now, config_.costs.failure_detect_timeout);
+  SimTime detect = FailureDetector::DetectionTime(*wire_in_, now, failure_detect_timeout_);
   ReplicaNode* n = node_.get();
-  if (config_.role == HostRole::kBackup) {
+  if (role_ == HostRole::kBackup) {
     ScheduleAt(detect, [n, detect] { n->OnFailureDetected(detect); });
   } else {
     ScheduleAt(detect, [n, detect] { n->OnDownstreamFailureDetected(detect); });
@@ -98,7 +85,7 @@ bool NodeHost::ActiveForEnvironment() const {
   if (node_->dead() || node_->halted()) {
     return false;
   }
-  return config_.role == HostRole::kPrimary || peer_lost_;
+  return role_ == HostRole::kPrimary || peer_lost_;
 }
 
 void NodeHost::Advance(SimTime now) {

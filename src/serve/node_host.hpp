@@ -24,6 +24,12 @@
 // OnFailureDetected for a backup (P6/P7 promotion), OnDownstreamFailureDetected
 // for a primary (continue solo).
 //
+// NodeHost is built from the same Scenario the in-process chain runs, through
+// World's constructors: World::MakeLinkPair gives it the chain's first link
+// pair (the same channel seeds both processes derive) and World::MakeReplica
+// the replica at its chain position, so each process boots exactly the
+// machine a World boots there.
+//
 // NodeHost is an EventScheduler with its own event queue; Advance(now) is
 // the single-node specialisation of World::RunLoop — deterministic catch-up
 // to the wall-mapped instant `now` chosen by the RealtimePump.
@@ -36,33 +42,19 @@
 
 #include "core/replica.hpp"
 #include "devices/device_set.hpp"
-#include "guest/image.hpp"
-#include "guest/workloads.hpp"
 #include "net/channel.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/scenario.hpp"
 
 namespace hbft {
 namespace serve {
 
 enum class HostRole { kPrimary, kBackup };
 
-struct NodeHostConfig {
-  HostRole role = HostRole::kPrimary;
-  uint64_t seed = 42;
-  CostModel costs;
-  ReplicationConfig replication;  // serve forces ProtocolVariant::kRevised.
-  MachineConfig machine;
-  WorkloadSpec workload;
-  // Retransmit pacing for the wire-bound ordered stream (probabilities stay
-  // zero: TCP does not lose frames, but a crashed peer's successor must
-  // never wait on one either).
-  LinkFaults link_faults;
-  uint32_t disk_blocks = 128;
-};
-
 class NodeHost : public EventScheduler {
  public:
-  explicit NodeHost(const NodeHostConfig& config);
+  // Hosts the scenario's chain position 0 (kPrimary) or 1 (kBackup).
+  NodeHost(const Scenario& scenario, HostRole role);
   ~NodeHost() override;
   NodeHost(const NodeHost&) = delete;
   NodeHost& operator=(const NodeHost&) = delete;
@@ -108,8 +100,7 @@ class NodeHost : public EventScheduler {
   Nic* nic() { return devices_->nic(); }
   Channel& wire_out() { return *wire_out_; }
   Channel& wire_in() { return *wire_in_; }
-  HostRole role() const { return config_.role; }
-  const GuestImageBundle& bundle() const { return *bundle_; }
+  HostRole role() const { return role_; }
 
   // Whether this node currently answers for the environment: a live primary
   // always; a backup once its upstream is known dead (inputs queue until the
@@ -117,8 +108,8 @@ class NodeHost : public EventScheduler {
   bool ActiveForEnvironment() const;
 
  private:
-  NodeHostConfig config_;
-  const GuestImageBundle* bundle_ = nullptr;
+  HostRole role_;
+  SimTime failure_detect_timeout_;
   EventQueue queue_;
   std::unique_ptr<DeviceSet> devices_;
   std::unique_ptr<Channel> wire_out_;

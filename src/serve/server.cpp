@@ -59,22 +59,29 @@ void AttachLatchRelease(Nic* nic, Frontend* frontend, uint64_t* released) {
   });
 }
 
-NodeHostConfig MakeHostConfig(const ServeConfig& config, HostRole role) {
-  NodeHostConfig hc;
-  hc.role = role;
-  hc.seed = config.seed;
-  hc.replication.epoch_length = config.epoch_length;
+// The served chain, one description for all three roles: the in-process
+// World of kSingle and the NodeHost of each wire role boot from it alike.
+Scenario ServeScenario(const ServeConfig& config) {
   // Output commit is the serving contract (see server.hpp); the original
   // variant's boundary-ack rule does not provide it per-response.
-  hc.replication.variant = ProtocolVariant::kRevised;
-  hc.machine.tlb_entries = 64;
-  hc.machine.tlb_policy = TlbPolicy::kHardwareRandom;
-  hc.workload = WorkloadSpec::NetEcho(kServeForever);
-  // TCP does not drop frames, but a peer that dies leaves the go-back-N
-  // window unacked; a generous timer keeps retransmit probes from racing
-  // the 5 ms failure detector while still bounding recovery.
-  hc.link_faults.retransmit_timeout = SimTime::Millis(50);
-  return hc;
+  Scenario scenario = Scenario::Replicated(WorkloadSpec::NetEcho(kServeForever))
+                          .Backups(config.backups)
+                          .Variant(ProtocolVariant::kRevised)
+                          .Epoch(config.epoch_length)
+                          .Seed(config.seed)
+                          .MaxTime(SimTime::Seconds(100000));
+  for (const FailurePlan& plan : config.failures) {
+    scenario.FailAt(plan);
+  }
+  if (config.role != ServeRole::kSingle) {
+    // TCP does not drop frames, but a peer that dies leaves the go-back-N
+    // window unacked; a generous timer keeps retransmit probes from racing
+    // the 5 ms failure detector while still bounding recovery.
+    LinkFaults wire;
+    wire.retransmit_timeout = SimTime::Millis(50);
+    scenario.LinkFaults(wire);
+  }
+  return scenario;
 }
 
 // Drains the replication socket: complete frames are injected into the
@@ -166,17 +173,7 @@ void FillNodeReport(const ReplicaNode& node, ServeReport* report) {
 // --- kSingle: whole chain in-process, real clients only ---------------------
 
 int RunSingle(const ServeConfig& config, ServeReport* report) {
-  Scenario scenario =
-      Scenario::Replicated(WorkloadSpec::NetEcho(kServeForever))
-          .Backups(config.backups)
-          .Variant(ProtocolVariant::kRevised)
-          .Epoch(config.epoch_length)
-          .Seed(config.seed)
-          .MaxTime(SimTime::Seconds(100000));
-  for (const FailurePlan& plan : config.failures) {
-    scenario.FailAt(plan);
-  }
-  std::unique_ptr<World> world = scenario.BuildWorld();
+  std::unique_ptr<World> world = ServeScenario(config).BuildWorld();
 
   Frontend frontend(config.port);
   std::string error;
@@ -344,7 +341,7 @@ int RunPrimary(const ServeConfig& config, ServeReport* report) {
   }
 
   RealtimePump pump;
-  NodeHost host(MakeHostConfig(config, HostRole::kPrimary));
+  NodeHost host(ServeScenario(config), HostRole::kPrimary);
 
   // Hold the guest until the backup is attached (or the wait expires): every
   // protocol message must ship through the wire from the first epoch, or the
@@ -428,7 +425,7 @@ int RunBackup(const ServeConfig& config, ServeReport* report) {
     return 0;
   }
 
-  NodeHost host(MakeHostConfig(config, HostRole::kBackup));
+  NodeHost host(ServeScenario(config), HostRole::kBackup);
   auto repl = std::make_unique<FrameStream>(fd, kMaxReplFrameBytes);
   FrameStream* stream = repl.get();
   host.BindWireSink([stream](const std::vector<uint8_t>& bytes) {

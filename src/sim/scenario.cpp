@@ -30,16 +30,6 @@ const ReplicaNode::Stats& ScenarioResult::backup_stats(size_t backup_index) cons
   return backup_index + 1 < nodes.size() ? nodes[backup_index + 1].stats : kEmpty;
 }
 
-const Hypervisor::Stats& ScenarioResult::primary_hv_stats() const {
-  static const Hypervisor::Stats kEmpty;
-  return nodes.empty() ? kEmpty : nodes.front().hv_stats;
-}
-
-const Hypervisor::Stats& ScenarioResult::backup_hv_stats(size_t backup_index) const {
-  static const Hypervisor::Stats kEmpty;
-  return backup_index + 1 < nodes.size() ? nodes[backup_index + 1].hv_stats : kEmpty;
-}
-
 const std::vector<uint64_t>& ScenarioResult::primary_boundary_fingerprints() const {
   static const std::vector<uint64_t> kEmpty;
   return nodes.empty() ? kEmpty : nodes.front().boundary_fingerprints;
@@ -112,11 +102,11 @@ std::vector<int> ScenarioResult::issuer_chain() const {
 Scenario::Scenario(const WorkloadSpec& workload, bool replicated)
     : workload_(workload), replicated_(replicated) {
   // Scenario-level machine defaults (larger TLB than the raw machine's).
-  machine_.tlb_entries = 64;
-  machine_.tlb_policy = TlbPolicy::kHardwareRandom;
+  config_.machine.tlb_entries = 64;
+  config_.machine.tlb_policy = TlbPolicy::kHardwareRandom;
   // The net-echo workload is meaningless without its device.
   if (workload.kind == WorkloadKind::kNetEcho) {
-    with_nic_ = true;
+    config_.devices.with_nic = true;
   }
 }
 
@@ -126,89 +116,89 @@ Scenario Scenario::Replicated(const WorkloadSpec& workload) { return Scenario(wo
 
 Scenario& Scenario::Backups(int count) {
   HBFT_CHECK(count >= 1) << "a replicated scenario needs at least one backup";
-  backups_ = count;
+  config_.backups = count;
   return *this;
 }
 
 Scenario& Scenario::Epoch(uint64_t epoch_length) {
-  replication_.epoch_length = epoch_length;
+  config_.replication.epoch_length = epoch_length;
   return *this;
 }
 
 Scenario& Scenario::Variant(ProtocolVariant variant) {
-  replication_.variant = variant;
+  config_.replication.variant = variant;
   return *this;
 }
 
 Scenario& Scenario::Replication(const ReplicationConfig& replication) {
-  replication_ = replication;
+  config_.replication = replication;
   return *this;
 }
 
 Scenario& Scenario::TlbTakeover(bool takeover) {
-  replication_.tlb_takeover = takeover;
+  config_.replication.tlb_takeover = takeover;
   return *this;
 }
 
 Scenario& Scenario::AuditLockstep(bool audit) {
-  replication_.audit_lockstep = audit;
+  config_.replication.audit_lockstep = audit;
   return *this;
 }
 
 Scenario& Scenario::PipelineDepth(uint32_t depth) {
-  replication_.pipeline_depth = depth;
+  config_.replication.pipeline_depth = depth;
   return *this;
 }
 
 Scenario& Scenario::AckBatch(uint32_t batch) {
   HBFT_CHECK(batch >= 1) << "ack batch must be at least 1";
-  replication_.ack_batch = batch;
+  config_.replication.ack_batch = batch;
   return *this;
 }
 
 Scenario& Scenario::LinkFaults(const ::hbft::LinkFaults& faults) {
-  link_faults_ = faults;
+  config_.link_faults = faults;
   return *this;
 }
 
 Scenario& Scenario::Costs(const CostModel& costs) {
-  costs_ = costs;
+  config_.costs = costs;
   return *this;
 }
 
 Scenario& Scenario::Hardware(const MachineConfig& machine) {
-  machine_ = machine;
+  config_.machine = machine;
   return *this;
 }
 
 Scenario& Scenario::RamBytes(uint32_t ram_bytes) {
-  machine_.ram_bytes = ram_bytes;
+  config_.machine.ram_bytes = ram_bytes;
   return *this;
 }
 
 Scenario& Scenario::Tlb(uint32_t entries, TlbPolicy policy) {
-  machine_.tlb_entries = entries;
-  machine_.tlb_policy = policy;
+  config_.machine.tlb_entries = entries;
+  config_.machine.tlb_policy = policy;
   return *this;
 }
 
 Scenario& Scenario::Interp(InterpMode mode) {
-  machine_.interp = mode;
+  config_.machine.interp = mode;
   return *this;
 }
 
 Scenario& Scenario::TcacheSlots(uint32_t slots) {
-  machine_.tcache_slots = slots;
+  config_.machine.tcache_slots = slots;
   return *this;
 }
 
 Scenario& Scenario::Seed(uint64_t seed) {
-  seed_ = seed;
+  config_.seed = seed;
   return *this;
 }
 
 Scenario& Scenario::DiskBlocks(uint32_t blocks) {
-  disk_blocks_ = blocks;
+  config_.devices.disk_blocks = blocks;
   return *this;
 }
 
@@ -218,7 +208,7 @@ Scenario& Scenario::Device(DeviceId id) {
     case DeviceId::kConsole:
       break;  // Always attached.
     case DeviceId::kNic:
-      with_nic_ = true;
+      config_.devices.with_nic = true;
       break;
     default:
       HBFT_CHECK(false) << "unknown device id " << static_cast<uint32_t>(id);
@@ -227,22 +217,22 @@ Scenario& Scenario::Device(DeviceId id) {
 }
 
 Scenario& Scenario::DiskFaults(const FaultPlan& faults) {
-  disk_faults_ = faults;
+  config_.devices.disk_faults = faults;
   return *this;
 }
 
 Scenario& Scenario::ConsoleFaults(const FaultPlan& faults) {
-  console_faults_ = faults;
+  config_.devices.console_faults = faults;
   return *this;
 }
 
 Scenario& Scenario::NicFaults(const FaultPlan& faults) {
-  nic_faults_ = faults;
+  config_.devices.nic_faults = faults;
   return *this;
 }
 
 Scenario& Scenario::MaxTime(SimTime max_time) {
-  max_time_ = max_time;
+  config_.max_time = max_time;
   return *this;
 }
 
@@ -259,13 +249,13 @@ Scenario& Scenario::ConsoleInput(std::string text, SimTime start, SimTime interv
 }
 
 Scenario& Scenario::InjectPacket(std::vector<uint8_t> payload) {
-  with_nic_ = true;
+  config_.devices.with_nic = true;
   packets_.push_back(PacketInjection{std::move(payload), false, SimTime::Zero()});
   return *this;
 }
 
 Scenario& Scenario::InjectPacket(std::vector<uint8_t> payload, SimTime t) {
-  with_nic_ = true;
+  config_.devices.with_nic = true;
   packets_.push_back(PacketInjection{std::move(payload), true, t});
   return *this;
 }
@@ -325,7 +315,7 @@ Scenario& Scenario::FailAfterResync(SimTime delay, FailurePlan::CrashIo crash_io
 }
 
 Scenario& Scenario::Resync(const StateTransferConfig& config) {
-  replication_.resync = config;
+  config_.replication.resync = config;
   return *this;
 }
 
@@ -344,30 +334,22 @@ ScenarioResult Scenario::Run() const {
   return result;
 }
 
-std::unique_ptr<World> Scenario::BuildWorld() const {
+WorldConfig Scenario::world_config() const {
+  WorldConfig config = config_;
+  config.machine.machine_seed = config_.seed;
+  return config;
+}
+
+const GuestImageBundle& Scenario::guest() const {
   // The net-enabled guest image differs from the legacy one only in its
   // interrupt-service hook; legacy workloads keep their exact instruction
   // streams by using the legacy image.
-  const GuestImageBundle& bundle = workload_.kind == WorkloadKind::kNetEcho
-                                       ? GetGuestImage(GuestImageVariant::kNet)
-                                       : GetGuestImage();
+  return workload_.kind == WorkloadKind::kNetEcho ? GetGuestImage(GuestImageVariant::kNet)
+                                                  : GetGuestImage();
+}
 
-  WorldConfig config;
-  config.costs = costs_;
-  config.replication = replication_;
-  config.machine = machine_;
-  config.machine.machine_seed = seed_;
-  config.backups = backups_;
-  config.disk_blocks = disk_blocks_;
-  config.seed = seed_;
-  config.link_faults = link_faults_;
-  config.disk_faults = disk_faults_;
-  config.console_faults = console_faults_;
-  config.with_nic = with_nic_;
-  config.nic_faults = nic_faults_;
-  config.max_time = max_time_;
-
-  auto world = std::make_unique<World>(bundle.program, config, replicated_);
+std::unique_ptr<World> Scenario::BuildWorld() const {
+  auto world = std::make_unique<World>(guest().program, world_config(), replicated_);
   if (replicated_) {
     // Every replica boots from identical state, including the parameter block.
     for (size_t i = 0; i < world->replica_count(); ++i) {

@@ -40,6 +40,8 @@
 
 namespace hbft {
 
+struct GuestImageBundle;
+
 struct ScenarioResult {
   // Run outcome (filled by World::Run directly).
   bool completed = false;
@@ -111,8 +113,6 @@ struct ScenarioResult {
   // Pair conveniences over `nodes` (safe empty defaults for bare runs).
   const ReplicaNode::Stats& primary_stats() const;
   const ReplicaNode::Stats& backup_stats(size_t backup_index = 0) const;
-  const Hypervisor::Stats& primary_hv_stats() const;
-  const Hypervisor::Stats& backup_hv_stats(size_t backup_index = 0) const;
   const std::vector<uint64_t>& primary_boundary_fingerprints() const;
   const std::vector<uint64_t>& backup_boundary_fingerprints(size_t backup_index = 0) const;
 
@@ -217,11 +217,12 @@ class Scenario {
   void CollectResult(World& world, ScenarioResult* result) const;
 
   const WorkloadSpec& workload() const { return workload_; }
-  bool replicated() const { return replicated_; }
-  int backups() const { return backups_; }
-  const ReplicationConfig& replication() const { return replication_; }
-  const CostModel& costs() const { return costs_; }
   const FailureSchedule& failures() const { return failures_; }
+  // What every replica boots: the world config (machine seeded with the
+  // scenario seed) and the guest image the workload runs on. World and
+  // serve::NodeHost both build their replicas from these two.
+  WorldConfig world_config() const;
+  const GuestImageBundle& guest() const;
 
  private:
   Scenario(const WorkloadSpec& workload, bool replicated);
@@ -234,19 +235,8 @@ class Scenario {
 
   WorkloadSpec workload_;
   bool replicated_ = false;
-  ReplicationConfig replication_;
-  CostModel costs_;
-  MachineConfig machine_;
-  int backups_ = 1;
-  uint64_t seed_ = 42;
-  uint32_t disk_blocks_ = 128;
-  ::hbft::LinkFaults link_faults_;
-  bool with_nic_ = false;
-  FaultPlan disk_faults_;
-  FaultPlan console_faults_;
-  FaultPlan nic_faults_;
+  WorldConfig config_;
   FailureSchedule failures_;
-  SimTime max_time_ = SimTime::Seconds(900);
   std::string console_input_;
   SimTime console_input_start_ = SimTime::Millis(100);
   SimTime console_input_interval_ = SimTime::Millis(20);

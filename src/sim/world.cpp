@@ -18,13 +18,7 @@ World::~World() = default;
 
 World::World(const GuestProgram& guest, const WorldConfig& config, bool replicated)
     : config_(config), guest_(guest), crash_rng_(config.seed ^ 0xC4A5BEEFULL) {
-  DeviceSetConfig device_config;
-  device_config.disk_blocks = config.disk_blocks;
-  device_config.disk_faults = config.disk_faults;
-  device_config.console_faults = config.console_faults;
-  device_config.with_nic = config.with_nic;
-  device_config.nic_faults = config.nic_faults;
-  devices_ = std::make_unique<DeviceSet>(device_config, config.costs, config.seed);
+  devices_ = std::make_unique<DeviceSet>(config.devices, config.costs, config.seed);
 
   if (!replicated) {
     bare_ = std::make_unique<BareNode>(kBareId, guest, config.machine, config.costs,
@@ -35,19 +29,9 @@ World::World(const GuestProgram& guest, const WorldConfig& config, bool replicat
   HBFT_CHECK(config.backups >= 1) << "a replicated world needs at least one backup";
   const size_t n = static_cast<size_t>(config.backups) + 1;
 
-  // Channel mesh: one link per direction per adjacent chain pair. The
-  // downstream (protocol) direction is an ordered go-back-N stream; the
-  // upstream (ack) direction is a datagram best-effort stream — cumulative
-  // acks need no retransmission of their own. Each channel gets an
-  // independent fault-RNG stream derived from the scenario seed so lossy
-  // runs are exactly reproducible.
+  // Channel mesh: one link pair per adjacent chain pair.
   for (size_t i = 0; i + 1 < n; ++i) {
-    const uint64_t down_seed = config.seed ^ (0x11F0D1CEULL * (2 * i + 1));
-    const uint64_t up_seed = config.seed ^ (0x11F0D1CEULL * (2 * i + 2));
-    channels_[{i, i + 1}] = std::make_unique<Channel>(
-        config.costs.link, ChannelMode::kOrdered, config.link_faults, down_seed);
-    channels_[{i + 1, i}] = std::make_unique<Channel>(
-        config.costs.link, ChannelMode::kDatagram, config.link_faults, up_seed);
+    AddLinkPair(i, i + 1, kMeshLinkSalt, i);
   }
 
   for (size_t i = 0; i < n; ++i) {
@@ -60,10 +44,7 @@ World::World(const GuestProgram& guest, const WorldConfig& config, bool replicat
       links.down_out = channel(i, i + 1);
       links.down_in = channel(i + 1, i);
     }
-    const int id = kPrimaryId + static_cast<int>(i);
-    replicas_.push_back(std::make_unique<ReplicaNode>(id, guest, config.machine,
-                                                      config.replication, config.costs,
-                                                      devices_->BuildRegistry(), links, this));
+    replicas_.push_back(MakeReplica(guest, config, *devices_, i, links, this));
   }
 
   // Poll wiring: a send wakes the receiving neighbour at the arrival time.
@@ -78,6 +59,31 @@ World::World(const GuestProgram& guest, const WorldConfig& config, bool replicat
     chain_next_[i] = i + 1;
     chain_prev_[i + 1] = i;
   }
+}
+
+World::LinkPair World::MakeLinkPair(const WorldConfig& config, uint64_t salt, size_t index) {
+  LinkPair pair;
+  pair.down = std::make_unique<Channel>(config.costs.link, ChannelMode::kOrdered,
+                                        config.link_faults, config.seed ^ (salt * (2 * index + 1)));
+  pair.up = std::make_unique<Channel>(config.costs.link, ChannelMode::kDatagram,
+                                      config.link_faults, config.seed ^ (salt * (2 * index + 2)));
+  return pair;
+}
+
+std::unique_ptr<ReplicaNode> World::MakeReplica(const GuestProgram& guest,
+                                                const WorldConfig& config,
+                                                const DeviceSet& devices, size_t position,
+                                                const NodeLinks& links,
+                                                EventScheduler* scheduler) {
+  const int id = kPrimaryId + static_cast<int>(position);
+  return std::make_unique<ReplicaNode>(id, guest, config.machine, config.replication, config.costs,
+                                       devices.BuildRegistry(), links, scheduler);
+}
+
+void World::AddLinkPair(size_t up, size_t down, uint64_t salt, size_t index) {
+  LinkPair pair = MakeLinkPair(config_, salt, index);
+  channels_[{up, down}] = std::move(pair.down);
+  channels_[{down, up}] = std::move(pair.up);
 }
 
 void World::WireAdjacentPolls(size_t up_index, size_t down_index) {
@@ -249,22 +255,11 @@ size_t World::RejoinReplica(SimTime t) {
   }
 
   const size_t pos = replicas_.size();
-  // Fresh channel pair with its own fault-RNG streams, salted differently
-  // from the construction-time mesh so rejoin wires never reuse a stream.
-  const uint64_t down_seed = config_.seed ^ (0x5EED2E70ULL * (2 * pos + 1));
-  const uint64_t up_seed = config_.seed ^ (0x5EED2E70ULL * (2 * pos + 2));
-  channels_[{tail, pos}] = std::make_unique<Channel>(config_.costs.link, ChannelMode::kOrdered,
-                                                     config_.link_faults, down_seed);
-  channels_[{pos, tail}] = std::make_unique<Channel>(config_.costs.link, ChannelMode::kDatagram,
-                                                     config_.link_faults, up_seed);
-
+  AddLinkPair(tail, pos, kRejoinLinkSalt, pos);
   NodeLinks links;
   links.up_in = channel(tail, pos);
   links.up_out = channel(pos, tail);
-  const int id = kPrimaryId + static_cast<int>(pos);
-  auto joiner = std::make_unique<ReplicaNode>(id, guest_, config_.machine, config_.replication,
-                                              config_.costs, devices_->BuildRegistry(), links,
-                                              this);
+  std::unique_ptr<ReplicaNode> joiner = MakeReplica(guest_, config_, *devices_, pos, links, this);
   joiner->StartAsJoiner();
 
   const size_t resync_index = resyncs_.size();

@@ -32,12 +32,12 @@
 #include "common/rng.hpp"
 #include "core/failure_detector.hpp"
 #include "core/replica.hpp"
+#include "devices/device_set.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/node.hpp"
 
 namespace hbft {
 
-class DeviceSet;
 struct ScenarioResult;
 
 struct FailurePlan {
@@ -99,19 +99,15 @@ struct WorldConfig {
   CostModel costs;
   ReplicationConfig replication;
   MachineConfig machine;
+  DeviceSetConfig devices;
   int backups = 1;  // Chain length: 1 primary + `backups` backups.
-  uint32_t disk_blocks = 128;
   uint64_t seed = 42;
   // Interconnect fault model (drop/duplicate/reorder + bounded sender
   // queue), applied to every channel of the mesh. Protocol-direction
   // channels run go-back-N recovery on top; ack channels are datagrams.
   // Default: ideal wire, byte-identical to the fault-free model.
   LinkFaults link_faults;
-  FaultPlan disk_faults;
-  FaultPlan console_faults;
-  bool with_nic = false;  // Attach the NIC to every node's registry.
-  FaultPlan nic_faults;
-  SimTime max_time = SimTime::Seconds(600);
+  SimTime max_time = SimTime::Seconds(900);
 };
 
 class World : public EventScheduler {
@@ -120,6 +116,33 @@ class World : public EventScheduler {
   // one bare node.
   World(const GuestProgram& guest, const WorldConfig& config, bool replicated);
   ~World() override;
+
+  // --- Replica construction, shared with serve::NodeHost --------------------
+  // The one place a chain position's links and replica derive from the
+  // config, so a replica boots the same machine whichever process hosts it.
+
+  // The channels between adjacent chain positions: `down` carries the
+  // protocol stream (ordered, go-back-N), `up` the acks (datagrams:
+  // cumulative acks need no retransmission). Each channel's fault-RNG stream
+  // derives from the config seed, `salt` and `index`, so lossy runs
+  // reproduce exactly.
+  struct LinkPair {
+    std::unique_ptr<Channel> down;
+    std::unique_ptr<Channel> up;
+  };
+  // The construction-time mesh indexes its pairs by upstream position;
+  // rejoin pairs use the joiner's position under their own salt, so a rejoin
+  // wire never reuses a stream.
+  static constexpr uint64_t kMeshLinkSalt = 0x11F0D1CEULL;
+  static constexpr uint64_t kRejoinLinkSalt = 0x5EED2E70ULL;
+  static LinkPair MakeLinkPair(const WorldConfig& config, uint64_t salt, size_t index);
+  // The replica at chain `position` (0 = the primary), its registry bound to
+  // `devices`. It starts active iff `links` has no upstream.
+  static std::unique_ptr<ReplicaNode> MakeReplica(const GuestProgram& guest,
+                                                  const WorldConfig& config,
+                                                  const DeviceSet& devices, size_t position,
+                                                  const NodeLinks& links,
+                                                  EventScheduler* scheduler);
 
   void ScheduleAt(SimTime t, std::function<void()> fn) override;
   SimTime NextEventTime() const override {
@@ -143,9 +166,10 @@ class World : public EventScheduler {
   // Resumable form, for co-simulation (the fleet drives many worlds in
   // lockstep): advances nodes and events until the next actionable instant is
   // at or past `limit`, every node is finished, or nothing can make progress.
-  // Repeated calls with non-decreasing limits reproduce exactly the schedule
-  // a single Run would have taken (node slicing is horizon-invariant).
-  // Returns true while the world can still make progress on a later call.
+  // A run is deterministic for a given sequence of non-decreasing limits, but
+  // reproduces a single Run exactly only with one node (a bare world): with
+  // several, where the limits fall can move the results. Returns true while
+  // the world can still make progress on a later call.
   bool RunLoop(SimTime limit);
   // Fills the run-outcome portion of `result` after the last RunLoop call.
   void Finish(ScenarioResult* result);
@@ -208,6 +232,8 @@ class World : public EventScheduler {
   void OnPhaseHook(size_t schedule_index, size_t replica_index, FailPhase phase, uint64_t epoch,
                    uint64_t io_seq);
   void OnJoined(size_t resync_index, SimTime t, uint64_t join_epoch);
+  // Adds the channel pair between chain positions `up` and `down` to the mesh.
+  void AddLinkPair(size_t up, size_t down, uint64_t salt, size_t index);
   void WireAdjacentPolls(size_t up_index, size_t down_index);
 
   // Routes environment input to the node serving (or about to serve) the

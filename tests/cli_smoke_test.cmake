@@ -3,12 +3,16 @@
 # reports contain the expected fields / artifacts.
 file(MAKE_DIRECTORY ${WORK_DIR})
 
+# Every command runs under a TIMEOUT, so a hung one fails fast and is named
+# (rc becomes "Process terminated due to timeout") instead of using up the
+# whole ctest budget.
 function(run_cli out_var)
   execute_process(COMMAND ${HBFT_CLI} ${ARGN}
                   WORKING_DIRECTORY ${WORK_DIR}
                   OUTPUT_VARIABLE output
                   ERROR_VARIABLE output
-                  RESULT_VARIABLE rc)
+                  RESULT_VARIABLE rc
+                  TIMEOUT 300)
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR "hbft_cli ${ARGN} exited ${rc}:\n${output}")
   endif()
@@ -22,7 +26,8 @@ function(expect_usage_error pattern)
                   WORKING_DIRECTORY ${WORK_DIR}
                   OUTPUT_QUIET
                   ERROR_VARIABLE err
-                  RESULT_VARIABLE rc)
+                  RESULT_VARIABLE rc
+                  TIMEOUT 60)
   if(NOT rc EQUAL 2 OR NOT err MATCHES "${pattern}")
     message(FATAL_ERROR
             "hbft_cli ${ARGN}: expected exit 2 with '${pattern}', got ${rc}:\n${err}")
@@ -166,6 +171,32 @@ expect_usage_error("hosts expects" fleet --chains=2 --hosts=2 --requests=2
 expect_usage_error("hosts expects" fleet --chains=2 --hosts=2 --requests=2
                    --fail=host-storm,hosts=0,time-ms=50)
 
+# Malformed numbers (a signed or wrapping count, a NaN, infinite, negative
+# or out-of-range time) are usage errors, never a hang, an abort, or a run
+# of a different scenario than asked.
+expect_usage_error("--rto-ms expects milliseconds" run --workload=txnlog --rto-ms=nan
+                   --loss=0.05)
+expect_usage_error("time-ms expects milliseconds" fleet --chains=2 --hosts=2
+                   --fail=host-0,time-ms=inf)
+expect_usage_error("--backups expects an integer" run --backups=-1)
+expect_usage_error("--backups expects an integer" run --backups=4294967297)
+expect_usage_error("--iterations expects an integer" run --iterations=-1)
+expect_usage_error("--seed expects an integer" run --seed=99999999999999999999)
+expect_usage_error("time-ms expects milliseconds" run --fail=time-ms=nan)
+expect_usage_error("time-ms expects milliseconds" run --fail=time-ms=1e30)
+expect_usage_error("time-ms expects milliseconds" run --fail=time-ms=-5)
+expect_usage_error("--loss expects a finite number" run --loss=nan)
+expect_usage_error("--loss-until-ms expects milliseconds" run --loss-until-ms=nan)
+expect_usage_error("--repair-delay-ms expects milliseconds" drill --repair
+                   --repair-delay-ms=-50)
+expect_usage_error("--refail-delay-ms expects milliseconds" drill --repair
+                   --refail-delay-ms=nan)
+expect_usage_error("--rate expects a finite number" fleet --rate=nan)
+expect_usage_error("--slo-ms expects milliseconds" fleet --slo-ms=-1)
+expect_usage_error("--epoch-length expects an integer" fleet --epoch-length=-5)
+expect_usage_error("--payload-bytes expects an integer" fleet --payload-bytes=4294967297)
+expect_usage_error("--max-time-ms expects milliseconds" fleet --max-time-ms=nan)
+
 # --- bench: JSON artifacts under bench/ -------------------------------------
 run_cli(bench_out bench --quick --out-dir=${WORK_DIR}/bench)
 foreach(artifact table1.json fig2_cpu.json fig3_io.json fig4_faster_comm.json
@@ -196,6 +227,11 @@ endif()
 if(NOT variant_err MATCHES "output commit")
   message(FATAL_ERROR "serve --variant=old missing contract message:\n${variant_err}")
 endif()
+
+# Only --role=single builds a chain; a wire role given --backups would
+# silently serve as a plain pair.
+expect_usage_error("--backups applies to --role=single only" serve --role=primary
+                   --backups=3 --duration-ms=100)
 
 # Ports beyond 16 bits are rejected, not wrapped onto another port.
 expect_usage_error("--port must be a TCP port" serve --port=70000 --duration-ms=100)

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <memory>
 #include <vector>
 
 #include "devices/nic.hpp"
@@ -332,15 +333,47 @@ TEST(ChannelWire, SinkFailureCountsAsLinkDrop) {
 
 // --- NodeHost lockstep over an in-memory "socket" ----------------------------
 
-NodeHostConfig LockstepConfig(HostRole role) {
-  NodeHostConfig hc;
-  hc.role = role;
-  hc.seed = 42;
-  hc.replication.variant = ProtocolVariant::kRevised;
-  hc.replication.epoch_length = 4096;
-  hc.workload = WorkloadSpec::NetEcho(1000000);
-  hc.link_faults.retransmit_timeout = SimTime::Millis(50);
-  return hc;
+Scenario LockstepConfig() {
+  LinkFaults wire;
+  wire.retransmit_timeout = SimTime::Millis(50);
+  return Scenario::Replicated(WorkloadSpec::NetEcho(1000000))
+      .Variant(ProtocolVariant::kRevised)
+      .Epoch(4096)
+      .Seed(42)
+      .LinkFaults(wire);
+}
+
+// A NodeHost boots the machine World boots at the same chain position, so
+// the two-process serve pair cannot drift from the in-process chain.
+TEST(NodeHostLockstep, BootsWhatWorldBootsAtTheSamePosition) {
+  const Scenario scenario = LockstepConfig();
+  std::unique_ptr<World> world = scenario.BuildWorld();
+  const struct {
+    HostRole role;
+    size_t position;
+    size_t peer;
+  } hosts[] = {{HostRole::kPrimary, 0, 1}, {HostRole::kBackup, 1, 0}};
+  for (const auto& h : hosts) {
+    SCOPED_TRACE(h.position);
+    NodeHost host(scenario, h.role);
+    ReplicaNode& twin = *world->replica(h.position);
+    Machine& machine = host.node().hypervisor().machine();
+    Machine& twin_machine = twin.hypervisor().machine();
+    EXPECT_EQ(machine.Fingerprint(), twin_machine.Fingerprint());
+    EXPECT_EQ(host.node().id(), twin.id());
+    EXPECT_EQ(machine.tlb().capacity(), twin_machine.tlb().capacity());
+    EXPECT_EQ(machine.config().tlb_policy, twin_machine.config().tlb_policy);
+    EXPECT_EQ(machine.config().machine_seed, twin_machine.config().machine_seed);
+    EXPECT_EQ(host.node().hypervisor().config().epoch_length,
+              twin.hypervisor().config().epoch_length);
+    // wire_out() is this position's outbound channel to its peer.
+    const Channel& out = *world->channel(h.position, h.peer);
+    const Channel& in = *world->channel(h.peer, h.position);
+    EXPECT_EQ(host.wire_out().mode(), out.mode());
+    EXPECT_EQ(host.wire_out().retransmit_timeout(), out.retransmit_timeout());
+    EXPECT_EQ(host.wire_in().mode(), in.mode());
+    EXPECT_EQ(host.wire_in().retransmit_timeout(), in.retransmit_timeout());
+  }
 }
 
 // Two separately constructed NodeHosts joined by byte queues: the in-memory
@@ -349,8 +382,8 @@ NodeHostConfig LockstepConfig(HostRole role) {
 // injection, lockstep execution, output commit at the TX latch, peer death,
 // promotion, and the promoted backup serving on its own.
 TEST(NodeHostLockstep, EchoThenFailover) {
-  NodeHost primary(LockstepConfig(HostRole::kPrimary));
-  NodeHost backup(LockstepConfig(HostRole::kBackup));
+  NodeHost primary(LockstepConfig(), HostRole::kPrimary);
+  NodeHost backup(LockstepConfig(), HostRole::kBackup);
 
   std::deque<std::vector<uint8_t>> to_backup;
   std::deque<std::vector<uint8_t>> to_primary;
@@ -444,7 +477,7 @@ TEST(NodeHostLockstep, EchoThenFailover) {
 // A standing backup queues environment input until promotion completes —
 // the single-process RouteInput semantics carried over to the socket world.
 TEST(NodeHostLockstep, StandingBackupQueuesInputUntilPromotion) {
-  NodeHost backup(LockstepConfig(HostRole::kBackup));
+  NodeHost backup(LockstepConfig(), HostRole::kBackup);
   backup.BindWireSink([](const std::vector<uint8_t>&) { return true; });
 
   std::vector<NicRequest> released;

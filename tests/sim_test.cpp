@@ -2,6 +2,8 @@
 // world scheduling, and reproducibility of full runs.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "guest/workloads.hpp"
 #include "hypervisor/cost_model.hpp"
 #include "sim/event_queue.hpp"
@@ -200,6 +202,62 @@ TEST(World, BareAndReplicatedShareWorkloadResults) {
   EXPECT_EQ(bare.guest_checksum, ft.guest_checksum);
   // Replication costs time: N' > N strictly.
   EXPECT_GT(ft.completion_time.picos(), bare.completion_time.picos());
+}
+
+// Runs `scenario` through repeated World::RunLoop calls whose limits advance
+// by `slice`, the way the fleet drives its worlds.
+ScenarioResult RunInSlices(const Scenario& scenario, SimTime slice) {
+  std::unique_ptr<World> world = scenario.BuildWorld();
+  SimTime limit = slice;
+  while (world->RunLoop(limit)) {
+    limit += slice;
+  }
+  ScenarioResult result;
+  world->Finish(&result);
+  scenario.CollectResult(*world, &result);
+  return result;
+}
+
+// With one node the horizons cannot reorder anything: a bare world sliced
+// at any granularity reproduces the whole run exactly. (Replicated worlds
+// are only deterministic per horizon sequence; see World::RunLoop.)
+TEST(World, SingleNodeRunLoopIsSliceInvariant) {
+  WorkloadSpec cpu;
+  cpu.iterations = 1500;
+  WorkloadSpec txnlog;
+  txnlog.kind = WorkloadKind::kTxnLog;
+  txnlog.iterations = 4;
+  txnlog.num_blocks = 4;
+  const Scenario scenarios[] = {
+      Scenario::Bare(cpu),
+      Scenario::Bare(WorkloadSpec::PaperDiskRead(4)),
+      Scenario::Bare(txnlog),
+      Scenario::Bare(WorkloadSpec::NetEcho(3))
+          .InjectPacket({'a'})
+          .InjectPacket({'b', 'c'})
+          .InjectPacket({'d', 'e', 'f'}),
+  };
+  const SimTime slices[] = {SimTime::Millis(10), SimTime::Millis(1), SimTime::Micros(370),
+                            SimTime::Micros(13)};
+  for (const Scenario& scenario : scenarios) {
+    SCOPED_TRACE(static_cast<int>(scenario.workload().kind));
+    const ScenarioResult whole = scenario.Run();
+    ASSERT_TRUE(whole.completed);
+    for (SimTime slice : slices) {
+      SCOPED_TRACE(slice.picos());
+      const ScenarioResult sliced = RunInSlices(scenario, slice);
+      EXPECT_TRUE(sliced.completed);
+      EXPECT_EQ(sliced.completion_time, whole.completion_time);
+      EXPECT_EQ(sliced.guest_checksum, whole.guest_checksum);
+      ASSERT_EQ(sliced.env_trace.size(), whole.env_trace.size());
+      for (size_t i = 0; i < whole.env_trace.size(); ++i) {
+        EXPECT_EQ(sliced.env_trace[i].device_id, whole.env_trace[i].device_id);
+        EXPECT_EQ(sliced.env_trace[i].issuer, whole.env_trace[i].issuer);
+        EXPECT_EQ(sliced.env_trace[i].performed, whole.env_trace[i].performed);
+        EXPECT_EQ(sliced.env_trace[i].op_hash, whole.env_trace[i].op_hash);
+      }
+    }
+  }
 }
 
 }  // namespace
