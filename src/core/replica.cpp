@@ -794,7 +794,8 @@ void ReplicaNode::StartAsJoiner() {
   runnable_ = false;
   // The constructor booted the guest image; the transferred pages replace
   // everything, and untouched pages must read as the source's zeroes.
-  hv_.machine().memory().Fill(0);
+  PhysicalMemory& memory = hv_.machine().memory();
+  memory.ZeroPages(0, memory.PageCount());
 }
 
 void ReplicaNode::AttachJoiningDownstream(Channel* down_out, Channel* down_in, SimTime t) {
@@ -1010,11 +1011,8 @@ void ReplicaNode::ApplyStateChunk(const Message& msg, SimTime now) {
     case StateChunkKind::kZeroRun: {
       HBFT_CHECK(msg.state_page_count > 0 &&
                  msg.state_page + msg.state_page_count <= memory.PageCount());
-      static const std::vector<uint8_t> kZeroPage(kPageBytes, 0);
-      for (uint32_t i = 0; i < msg.state_page_count; ++i) {
-        // Later deltas may re-zero a page sent earlier: write, don't assume.
-        memory.WriteBlock((msg.state_page + i) * kPageBytes, kZeroPage.data(), kPageBytes);
-      }
+      // Later deltas may re-zero a page sent earlier: zero, don't assume.
+      memory.ZeroPages(msg.state_page, msg.state_page_count);
       break;
     }
     case StateChunkKind::kControl: {

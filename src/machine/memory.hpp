@@ -1,5 +1,14 @@
 // Physical memory with per-page dirty tracking and incremental fingerprinting.
 //
+// RAM is one private, anonymous, demand-zero host mapping. The host commits a
+// page only when something first writes it (a guest store, a loader, DMA, a
+// state-transfer chunk), so a replica's resident memory tracks the pages its
+// guest touches, not the configured RAM size. Bulk zeroing never writes
+// zeroes: ZeroPages hands the pages back to the host, and they read as zero
+// again. The mapping opts out of transparent huge pages (a first write must
+// not commit 2 MB), and a PROT_NONE guard page past the last byte makes an
+// overrun fault. Guest pages must be whole host pages; the constructor checks.
+//
 // Replica-coordination tests need a state fingerprint at every epoch boundary;
 // rehashing all of RAM each epoch would dominate runtime, so memory keeps one
 // FNV hash per page, re-hashes only pages dirtied since the last fingerprint,
@@ -19,8 +28,11 @@ namespace hbft {
 class PhysicalMemory : public Snapshotable {
  public:
   explicit PhysicalMemory(uint32_t bytes);
+  ~PhysicalMemory() override;
+  PhysicalMemory(const PhysicalMemory&) = delete;
+  PhysicalMemory& operator=(const PhysicalMemory&) = delete;
 
-  uint32_t size() const { return static_cast<uint32_t>(bytes_.size()); }
+  uint32_t size() const { return size_; }
   bool Contains(uint32_t paddr, uint32_t access_bytes) const {
     return paddr + access_bytes <= size() && paddr + access_bytes >= paddr;
   }
@@ -37,19 +49,19 @@ class PhysicalMemory : public Snapshotable {
   }
   void Write8(uint32_t paddr, uint8_t value) {
     bytes_[paddr] = value;
-    MarkDirty(paddr);
+    MarkPageWritten(paddr >> kPageShift);
   }
   void Write16(uint32_t paddr, uint16_t value) {
     bytes_[paddr] = static_cast<uint8_t>(value);
     bytes_[paddr + 1] = static_cast<uint8_t>(value >> 8);
-    MarkDirty(paddr);
+    MarkPageWritten(paddr >> kPageShift);
   }
   void Write32(uint32_t paddr, uint32_t value) {
     bytes_[paddr] = static_cast<uint8_t>(value);
     bytes_[paddr + 1] = static_cast<uint8_t>(value >> 8);
     bytes_[paddr + 2] = static_cast<uint8_t>(value >> 16);
     bytes_[paddr + 3] = static_cast<uint8_t>(value >> 24);
-    MarkDirty(paddr);
+    MarkPageWritten(paddr >> kPageShift);
   }
 
   // Bulk copy used by loaders and (virtualised) DMA. Marks pages dirty.
@@ -66,14 +78,16 @@ class PhysicalMemory : public Snapshotable {
   bool PageIsZero(uint32_t page) const;
 
   // Monotonic per-page write counter, bumped by every mutation of the page
-  // (stores, WriteBlock/DMA, Fill, snapshot restore). The translation cache
-  // keys predecoded superblocks on it so guest writes to code pages
+  // (stores, WriteBlock/DMA, ZeroPages, snapshot restore). The translation
+  // cache keys predecoded superblocks on it so guest writes to code pages
   // invalidate stale blocks. Derived bookkeeping: never serialised.
   uint32_t PageVersion(uint32_t page) const { return versions_[page]; }
 
-  // Overwrites all of RAM with `value` (a joining replica zeroes its memory
-  // before applying transferred pages). Marks everything dirty.
-  void Fill(uint8_t value);
+  // Zeroes pages [first, first + count) by returning them to the host, with
+  // the same dirty, version and transfer-dirty bookkeeping as a write. Every
+  // bulk zero goes through here: a joiner's wipe, an applied zero-run chunk,
+  // and the all-zero runs of a restored image.
+  void ZeroPages(uint32_t first, uint32_t count);
 
   // --- Transfer dirty tracking ----------------------------------------------
   // A second dirty channel, independent of the fingerprint's (which clears
@@ -94,8 +108,7 @@ class PhysicalMemory : public Snapshotable {
   bool RestoreState(SnapshotReader& r) override;
 
  private:
-  void MarkDirty(uint32_t paddr) {
-    uint32_t page = paddr >> kPageShift;
+  void MarkPageWritten(uint32_t page) {
     dirty_[page] = 1;
     ++versions_[page];
     if (transfer_tracking_) {
@@ -103,13 +116,19 @@ class PhysicalMemory : public Snapshotable {
     }
   }
 
-  std::vector<uint8_t> bytes_;
-  std::vector<uint8_t> dirty_;        // Per-page dirty flags.
-  std::vector<uint32_t> versions_;    // Per-page write counters (see PageVersion).
+  uint8_t* bytes_ = nullptr;  // The mapping; a guard page follows its last byte.
+  uint32_t size_ = 0;
+  // Per-page bookkeeping below is never serialised: a restore rewrites every
+  // page through WriteBlock or ZeroPages, and those mark it.
+  // hbft-lint: derived-state — per-page dirty flags for Fingerprint.
+  std::vector<uint8_t> dirty_;
+  // hbft-lint: derived-state — per-page write counters (see PageVersion).
+  std::vector<uint32_t> versions_;
   // hbft-lint: derived-state — hash cache, rebuilt lazily from bytes_/versions_.
   std::vector<uint64_t> page_hashes_; // Cached per-page hashes.
   uint64_t combined_ = 0;  // hbft-lint: derived-state — see page_hashes_ above.
   bool transfer_tracking_ = false;
+  // hbft-lint: derived-state — the transfer source's delta-round flags.
   std::vector<uint8_t> transfer_dirty_;
 };
 

@@ -19,9 +19,12 @@ TranslationCache::TranslationCache(uint32_t slots) {
 }
 
 size_t TranslationCache::SlotIndex(uint32_t vaddr, uint32_t paddr) const {
-  // Entry addresses are word-aligned; drop the zero bits before mixing.
-  uint32_t h = ((vaddr >> 2) * 2654435761u) ^ (paddr >> 2);
-  return h & (slots_.size() - 1);
+  // Entry addresses are word-aligned; drop the zero bits. Identity-mapped PCs
+  // (vaddr == paddr: all kernel code) must still spread over every slot, so
+  // both halves go through one multiply and the product's middle bits index.
+  uint64_t key = (static_cast<uint64_t>(vaddr >> 2) << 32) | (paddr >> 2);
+  uint64_t h = (key * 0x9E3779B97F4A7C15ULL) >> 32;
+  return static_cast<size_t>(h & (slots_.size() - 1));
 }
 
 Superblock* TranslationCache::Find(uint32_t vaddr, uint32_t paddr, uint32_t page_version) {

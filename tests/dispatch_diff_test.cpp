@@ -315,6 +315,20 @@ join:
   EXPECT_GT(t.cached->tcache_stats().evictions, 0u);
 }
 
+TEST(DispatchDiff, IdentityMappedBlocksNeverEvict) {
+  // 256 one-instruction blocks at consecutive PCs with vaddr == paddr, as all
+  // kernel code runs. The default cache has 8x as many slots, so two passes
+  // over them must never evict.
+  std::string source = "    li r11, 2\n    beqz zero, b0\n";
+  for (int i = 0; i < 256; ++i) {
+    source += "b" + std::to_string(i) + ":\n    beqz zero, b" + std::to_string(i + 1) + "\n";
+  }
+  source += "b256:\n    addi r11, r11, -1\n    bnez r11, b0\n    halt\n";
+  Twins t = MakeTwins(source);
+  RunLockstep(*t.slow, *t.cached, kSlices);
+  EXPECT_EQ(t.cached->tcache_stats().evictions, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Snapshot interaction: the cache is derived state, never serialised.
 // ---------------------------------------------------------------------------

@@ -115,6 +115,12 @@ class Suppressions(unittest.TestCase):
         code, out = run_lint(fixture("clean.cpp"))
         self.assertEqual(code, 0, out)
 
+    def test_operator_declarations_are_not_members(self):
+        # A deleted `operator=` and a defaulted `operator==` must parse as
+        # functions, not as a never-serialized member named `operator`.
+        code, out = run_lint(fixture("snapshot_operators_ok.cpp"))
+        self.assertEqual(code, 0, out)
+
     def test_stripping_the_annotations_unsuppresses(self):
         # The same file with its hbft-lint annotations removed must fail for
         # each formerly-suppressed rule: proves the clean verdict above comes

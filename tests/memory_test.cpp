@@ -1,11 +1,38 @@
-// Physical memory tests: endianness, bounds, bulk copies, and the
-// incremental fingerprint.
+// Physical memory tests: endianness, bounds, bulk copies, the incremental
+// fingerprint, ZeroPages, and the host footprint of demand-zero RAM.
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdint>
+#include <fstream>
+#include <memory>
+#include <vector>
 
 #include "machine/memory.hpp"
 
 namespace hbft {
 namespace {
+
+// Sanitizer shadow memory swamps RSS, so the footprint assertions (only
+// those) are skipped in sanitized builds.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kCheckRss = false;
+#else
+constexpr bool kCheckRss = true;
+#endif
+
+constexpr uint32_t kRamBytes = 4 * 1024 * 1024;
+constexpr int64_t kMiB = 1024 * 1024;
+
+// Resident set size in bytes: the second field of /proc/self/statm, in pages.
+int64_t ResidentBytes() {
+  std::ifstream statm("/proc/self/statm");
+  int64_t total_pages = 0;
+  int64_t resident_pages = 0;
+  statm >> total_pages >> resident_pages;
+  EXPECT_TRUE(statm.good()) << "cannot read /proc/self/statm";
+  return resident_pages * sysconf(_SC_PAGESIZE);
+}
 
 TEST(Memory, LittleEndianAccessors) {
   PhysicalMemory memory(64 * 1024);
@@ -73,6 +100,78 @@ TEST(MemoryFingerprint, CheapWhenClean) {
   memory.Fingerprint();
   // A second call with no writes touches no pages; just verify stability.
   EXPECT_EQ(memory.Fingerprint(), memory.Fingerprint());
+}
+
+TEST(MemoryDeathTest, OverrunFaultsOnTheGuardPage) {
+  PhysicalMemory memory(2 * kPageBytes);
+  memory.Write8(memory.size() - 1, 1);
+  EXPECT_DEATH(memory.Write8(memory.size(), 1), "");
+}
+
+TEST(MemoryZeroPages, ZeroesTheRangeWithWriteBookkeeping) {
+  PhysicalMemory memory(16 * kPageBytes);
+  for (uint32_t page = 0; page < memory.PageCount(); ++page) {
+    memory.Write32(page * kPageBytes + 12, page + 1);
+  }
+  uint64_t written = memory.Fingerprint();
+  memory.BeginTransferTracking();
+  uint32_t version = memory.PageVersion(5);
+
+  memory.ZeroPages(5, 2);
+  EXPECT_EQ(memory.Read32(4 * kPageBytes + 12), 5u);
+  EXPECT_TRUE(memory.PageIsZero(5));
+  EXPECT_TRUE(memory.PageIsZero(6));
+  EXPECT_EQ(memory.Read32(7 * kPageBytes + 12), 8u);
+  EXPECT_EQ(memory.PageVersion(5), version + 1);
+  EXPECT_EQ(memory.TakeTransferDirtyPages(), (std::vector<uint32_t>{5, 6}));
+  EXPECT_NE(memory.Fingerprint(), written);  // Marked dirty, so rehashed.
+}
+
+TEST(MemoryFootprint, UntouchedPagesCostNoHostMemory) {
+  int64_t before = ResidentBytes();
+  std::vector<std::unique_ptr<PhysicalMemory>> memories;
+  for (uint32_t i = 0; i < 64; ++i) {
+    memories.push_back(std::make_unique<PhysicalMemory>(kRamBytes));
+    memories.back()->Write32(0x1000, i + 1);
+  }
+  if (kCheckRss) {
+    // 256 MB of configured RAM; each memory commits one page.
+    EXPECT_LT(ResidentBytes() - before, 16 * kMiB);
+  }
+  for (uint32_t i = 0; i < memories.size(); ++i) {
+    EXPECT_EQ(memories[i]->Read32(0x1000), i + 1);
+    EXPECT_EQ(memories[i]->Read32(kRamBytes - 4), 0u);
+  }
+}
+
+TEST(MemoryFootprint, ZeroPagesGivesWrittenPagesBack) {
+  PhysicalMemory memory(kRamBytes);
+  int64_t before = ResidentBytes();
+  for (uint32_t page = 0; page < memory.PageCount(); ++page) {
+    memory.Write32(page * kPageBytes, page + 1);
+  }
+  if (kCheckRss) {
+    // The writes commit all of RAM, so the probe can see it handed back.
+    EXPECT_GT(ResidentBytes() - before, int64_t{kRamBytes} - kMiB);
+  }
+  std::vector<uint32_t> versions;
+  for (uint32_t page = 0; page < memory.PageCount(); ++page) {
+    versions.push_back(memory.PageVersion(page));
+  }
+
+  memory.ZeroPages(0, memory.PageCount());
+  if (kCheckRss) {
+    EXPECT_LT(ResidentBytes() - before, kMiB);
+  }
+  uint32_t not_zeroed = 0;
+  uint32_t not_bumped = 0;
+  for (uint32_t page = 0; page < memory.PageCount(); ++page) {
+    not_zeroed += memory.PageIsZero(page) ? 0 : 1;
+    not_bumped += memory.PageVersion(page) > versions[page] ? 0 : 1;
+  }
+  EXPECT_EQ(not_zeroed, 0u);
+  EXPECT_EQ(not_bumped, 0u);
+  EXPECT_EQ(memory.Fingerprint(), PhysicalMemory(kRamBytes).Fingerprint());
 }
 
 }  // namespace

@@ -89,6 +89,34 @@ TEST(Snapshot, RestoredMachineExecutesIdentically) {
   EXPECT_EQ(sa.bytes, sb.bytes);
 }
 
+// A full-memory restore discards the image's all-zero pages instead of
+// copying them: over a target whose every page was written, those pages must
+// read zero again, and the restored machine must capture byte-identically.
+TEST(Snapshot, MemoryRestoreZeroesTheImagesZeroPages) {
+  auto original = BusyMachine();
+  ASSERT_TRUE(original->memory().PageIsZero(1));
+  ASSERT_TRUE(original->memory().PageIsZero(2));
+  Snapshot first;
+  SnapshotWriter w1(&first);
+  original->CaptureState(w1, /*include_memory=*/true);
+
+  Machine restored(TinyConfig());
+  PhysicalMemory& memory = restored.memory();
+  for (uint32_t addr = 0; addr < memory.size(); addr += 4) {
+    memory.Write32(addr, 0xDEADBEEF);
+  }
+  SnapshotReader r(first);
+  ASSERT_TRUE(restored.RestoreState(r, /*include_memory=*/true));
+  EXPECT_TRUE(memory.PageIsZero(1));
+  EXPECT_TRUE(memory.PageIsZero(2));
+
+  Snapshot second;
+  SnapshotWriter w2(&second);
+  restored.CaptureState(w2, /*include_memory=*/true);
+  EXPECT_EQ(first.bytes, second.bytes);
+  EXPECT_EQ(original->Fingerprint(), restored.Fingerprint());
+}
+
 TEST(Snapshot, MachineRestoreRejectsMismatchedRamSize) {
   auto original = BusyMachine();
   Snapshot snap;

@@ -500,9 +500,12 @@ def parse_members(code, body_start, body_end, cls, path, nested_into=None):
         masked = mask_angle_spans(text)
         # Anything with a parameter list is a function; a trailing {} span
         # right after the declarator is a brace initializer, which is fine.
+        # An `=` ahead of the list makes it an initializer, unless `operator`
+        # comes first (`operator=`, `operator==`).
         paren = masked.find("(")
         eq = masked.find("=")
-        if paren != -1 and (eq == -1 or paren < eq):
+        if paren != -1 and (eq == -1 or paren < eq or
+                            re.search(r"\boperator\b", masked[:paren])):
             m = re.search(r"([A-Za-z_]\w*)\s*\($", masked[:paren + 1])
             if m:
                 cls.method_names.add(m.group(1))
