@@ -371,14 +371,14 @@ bool EmitFig5(const BenchConfig& cfg, int* failures) {
                   .Set("loss", c.loss)
                   .Set("reorder", c.loss)
                   .Set("resync_ms", (resync.join_time - resync.start).seconds() * 1e3)
-                  .Set("cut_ms", (resync.cut_time - resync.start).seconds() * 1e3)
-                  .Set("bytes", resync.bytes)
-                  .Set("full_pages", resync.full_pages)
-                  .Set("page_chunks", resync.page_chunks)
-                  .Set("zero_run_chunks", resync.zero_run_chunks)
-                  .Set("delta_pages", resync.delta_pages)
-                  .Set("rounds", resync.rounds)
-                  .Set("join_epoch", resync.join_epoch)
+                  .Set("cut_ms", (resync.transfer.cut_time - resync.start).seconds() * 1e3)
+                  .Set("bytes", resync.transfer.bytes_sent)
+                  .Set("full_pages", resync.transfer.full_pages)
+                  .Set("page_chunks", resync.transfer.page_chunks)
+                  .Set("zero_run_chunks", resync.transfer.zero_run_chunks)
+                  .Set("delta_pages", resync.transfer.delta_pages)
+                  .Set("rounds", resync.transfer.rounds)
+                  .Set("join_epoch", resync.transfer.cut_epoch)
                   .Set("retransmits", ft.TotalRetransmits()));
   }
   return WriteBenchDoc(cfg, "fig5_resync", "fig5_resync.json", std::move(rows));

@@ -42,9 +42,6 @@ void PrintUsage(std::FILE* out) {
       "                        the paper's strict wait; old variant only)\n"
       "  --ack-batch=K         backup coalesces K acks into one cumulative ack (1)\n"
       "  --packets=N           net-echo: packets injected (default: iterations)\n"
-      "  --interp=E            slow (fetch-decode every instruction) | cached\n"
-      "                        (predecoded superblocks); identical results,\n"
-      "                        cached is faster (default: $HBFT_INTERP or slow)\n"
       "  --fail=SPEC           append a failure/repair event to the ordered schedule;\n"
       "                        repeatable. SPEC is comma-separated key=value:\n"
       "                          time-ms=X | phase=P[,epoch=N][,io-seq=N]\n"

@@ -141,13 +141,14 @@ int DrillCommand(FlagSet& flags) {
       repair_ok = repair_ok && resync.completed;
       if (resync.completed) {
         ReportF("resync_latency_ms" + suffix, (resync.join_time - resync.start).seconds() * 1e3);
-        ReportF("  resync_cut_ms" + suffix, (resync.cut_time - resync.start).seconds() * 1e3);
-        ReportLine("resync_bytes" + suffix, std::to_string(resync.bytes));
-        ReportLine("  resync_page_chunks" + suffix, std::to_string(resync.page_chunks));
-        ReportLine("  resync_zero_runs" + suffix, std::to_string(resync.zero_run_chunks));
-        ReportLine("  resync_delta_pages" + suffix, std::to_string(resync.delta_pages));
-        ReportLine("  resync_rounds" + suffix, std::to_string(resync.rounds));
-        ReportLine("resync_join_epoch" + suffix, std::to_string(resync.join_epoch));
+        const StateTransferSource::Report& transfer = resync.transfer;
+        ReportF("  resync_cut_ms" + suffix, (transfer.cut_time - resync.start).seconds() * 1e3);
+        ReportLine("resync_bytes" + suffix, std::to_string(transfer.bytes_sent));
+        ReportLine("  resync_page_chunks" + suffix, std::to_string(transfer.page_chunks));
+        ReportLine("  resync_zero_runs" + suffix, std::to_string(transfer.zero_run_chunks));
+        ReportLine("  resync_delta_pages" + suffix, std::to_string(transfer.delta_pages));
+        ReportLine("  resync_rounds" + suffix, std::to_string(transfer.rounds));
+        ReportLine("resync_join_epoch" + suffix, std::to_string(transfer.cut_epoch));
       }
       ++resync_stage;
     }

@@ -554,20 +554,6 @@ std::optional<ScenarioFlags> ParseScenarioFlags(FlagSet& flags, uint32_t txnlog_
     scenario.AckBatch(static_cast<uint32_t>(*v));
   }
 
-  // Interpreter selection (--interp=slow|cached); results are dispatch-mode
-  // invariant, so this only changes host-side speed. Absent, the machine
-  // default applies (the HBFT_INTERP environment override or the slow path).
-  std::string interp_name = flags.GetString("interp", "");
-  if (interp_name == "slow") {
-    scenario.Interp(InterpMode::kSlow);
-  } else if (interp_name == "cached") {
-    scenario.Interp(InterpMode::kCached);
-  } else if (!interp_name.empty()) {
-    std::fprintf(stderr, "hbft_cli: unknown --interp '%s' (slow, cached)\n",
-                 interp_name.c_str());
-    return std::nullopt;
-  }
-
   // net-echo: the packets injected into the run (default: one per
   // iteration).
   uint64_t packets = workload.iterations;

@@ -78,22 +78,32 @@ void ReportReplicationStats(const ScenarioResult& r) {
 }
 
 // Per-channel transport counters, printed when the run exercised the modeled
-// transport (lossy wire, pipelining, or ack batching).
+// transport (lossy wire, pipelining, or ack batching): unique messages vs
+// wire sends, retransmits, wire discards, queue high-water, bytes on wire,
+// and effective goodput in Mbit/s.
 void ReportTransportStats(const ScenarioResult& r) {
   ReportLine("link_retransmits", std::to_string(r.TotalRetransmits()));
   ReportLine("link_wire_bytes", std::to_string(r.TotalWireBytes()));
   ReportLine("link_delivered_bytes", std::to_string(r.TotalDeliveredBytes()));
   ReportF("link_goodput_mbps", r.GoodputBps() / 1e6);
-  std::vector<ChannelCounterRow> rows;
+  TableReporter table({"channel", "msgs", "wire_sends", "retx", "drops", "dups", "reord",
+                       "q_drop", "q_hwm", "rx_disc", "bytes_wire", "goodput_mbps"});
+  const double run_seconds = r.completion_time.seconds();
   for (const ScenarioResult::ChannelReport& ch : r.channels) {
-    ChannelCounterRow row;
-    row.label = std::to_string(ch.from) + "->" + std::to_string(ch.to) +
-                (ch.mode == ChannelMode::kOrdered ? " (protocol)" : " (acks)");
-    row.counters = ch.counters;
-    row.run_seconds = r.completion_time.seconds();
-    rows.push_back(std::move(row));
+    const Channel::Counters& c = ch.counters;
+    const double goodput_mbps =
+        run_seconds > 0.0 ? static_cast<double>(c.bytes_delivered) * 8.0 / run_seconds / 1e6
+                          : 0.0;
+    table.AddRow({std::to_string(ch.from) + "->" + std::to_string(ch.to) +
+                      (ch.mode == ChannelMode::kOrdered ? " (protocol)" : " (acks)"),
+                  std::to_string(c.messages_enqueued), std::to_string(c.wire_sends),
+                  std::to_string(c.retransmits), std::to_string(c.link_drops),
+                  std::to_string(c.link_duplicates), std::to_string(c.link_reorders),
+                  std::to_string(c.queue_drops), std::to_string(c.queue_high_water),
+                  std::to_string(c.rx_duplicates + c.rx_gaps), std::to_string(c.bytes_on_wire),
+                  TableReporter::Num(goodput_mbps, 3)});
   }
-  std::fputs(RenderTransportTable(rows).c_str(), stdout);
+  std::fputs(table.Render().c_str(), stdout);
 }
 
 void ReportResyncStats(const ScenarioResult& r) {
@@ -105,10 +115,10 @@ void ReportResyncStats(const ScenarioResult& r) {
       continue;
     }
     ReportF("resync_latency_ms" + suffix, (resync.join_time - resync.start).seconds() * 1e3);
-    ReportLine("resync_bytes" + suffix, std::to_string(resync.bytes));
-    ReportLine("resync_page_chunks" + suffix, std::to_string(resync.page_chunks));
-    ReportLine("resync_delta_pages" + suffix, std::to_string(resync.delta_pages));
-    ReportLine("resync_rounds" + suffix, std::to_string(resync.rounds));
+    ReportLine("resync_bytes" + suffix, std::to_string(resync.transfer.bytes_sent));
+    ReportLine("resync_page_chunks" + suffix, std::to_string(resync.transfer.page_chunks));
+    ReportLine("resync_delta_pages" + suffix, std::to_string(resync.transfer.delta_pages));
+    ReportLine("resync_rounds" + suffix, std::to_string(resync.transfer.rounds));
   }
 }
 
@@ -156,16 +166,16 @@ JsonValue ReplicationJson(const ScenarioResult& r) {
                      .Set("joined", static_cast<uint64_t>(resync.joined))
                      .Set("completed", resync.completed)
                      .Set("start_ms", resync.start.seconds() * 1e3)
-                     .Set("cut_ms", resync.cut_time.seconds() * 1e3)
+                     .Set("cut_ms", resync.transfer.cut_time.seconds() * 1e3)
                      .Set("join_ms", resync.join_time.seconds() * 1e3)
                      .Set("latency_ms", (resync.join_time - resync.start).seconds() * 1e3)
-                     .Set("join_epoch", resync.join_epoch)
-                     .Set("bytes", resync.bytes)
-                     .Set("page_chunks", resync.page_chunks)
-                     .Set("zero_run_chunks", resync.zero_run_chunks)
-                     .Set("full_pages", resync.full_pages)
-                     .Set("delta_pages", resync.delta_pages)
-                     .Set("rounds", resync.rounds));
+                     .Set("join_epoch", resync.transfer.cut_epoch)
+                     .Set("bytes", resync.transfer.bytes_sent)
+                     .Set("page_chunks", resync.transfer.page_chunks)
+                     .Set("zero_run_chunks", resync.transfer.zero_run_chunks)
+                     .Set("full_pages", resync.transfer.full_pages)
+                     .Set("delta_pages", resync.transfer.delta_pages)
+                     .Set("rounds", resync.transfer.rounds));
   }
   return JsonValue::Object()
       .Set("replicas", static_cast<uint64_t>(r.nodes.size()))

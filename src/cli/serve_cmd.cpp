@@ -42,23 +42,23 @@ JsonValue ServeJson(const serve::ServeConfig& config, const serve::ServeReport& 
       .Set("completed", report.ok)
       .Set("stop_reason", report.stop_reason)
       .Set("runtime_s", report.runtime_s)
-      .Set("connections", report.connections)
-      .Set("requests", report.requests)
-      .Set("responses", report.responses)
-      .Set("responses_unroutable", report.responses_unroutable)
-      .Set("rejected_frames", report.rejected_frames)
-      .Set("client_bytes_in", report.client_bytes_in)
-      .Set("client_bytes_out", report.client_bytes_out)
+      .Set("connections", report.frontend.connections_accepted)
+      .Set("requests", report.frontend.requests)
+      .Set("responses", report.frontend.responses)
+      .Set("responses_unroutable", report.frontend.responses_unroutable)
+      .Set("rejected_frames", report.frontend.rejected_frames)
+      .Set("client_bytes_in", report.frontend.bytes_in)
+      .Set("client_bytes_out", report.frontend.bytes_out)
       .Set("failovers", report.failovers)
       .Set("promoted", report.promoted)
       .Set("solo", report.solo)
       .Set("promotion_time_ms", report.promotion_latency_ms)
       .Set("repl_bytes_in", report.repl_bytes_in)
       .Set("repl_bytes_out", report.repl_bytes_out)
-      .Set("epochs", report.epochs)
-      .Set("messages_sent", report.messages_sent)
-      .Set("acks_received", report.acks_received)
-      .Set("uncertain_synthesised", report.uncertain_synthesised)
+      .Set("epochs", report.node.epochs)
+      .Set("messages_sent", report.node.messages_sent)
+      .Set("acks_received", report.node.acks_received)
+      .Set("uncertain_synthesised", report.node.uncertain_synthesised)
       .Set("channels", std::move(channels));
 }
 
@@ -68,14 +68,14 @@ void PrintServeReport(const serve::ServeReport& report) {
   ReportYesNo("completed", report.ok);
   ReportLine("stop_reason", report.stop_reason);
   ReportF("runtime_s", report.runtime_s);
-  ReportLine("connections", std::to_string(report.connections));
-  ReportLine("requests", std::to_string(report.requests));
-  ReportLine("responses", std::to_string(report.responses));
-  if (report.rejected_frames > 0) {
-    ReportLine("rejected_frames", std::to_string(report.rejected_frames));
+  ReportLine("connections", std::to_string(report.frontend.connections_accepted));
+  ReportLine("requests", std::to_string(report.frontend.requests));
+  ReportLine("responses", std::to_string(report.frontend.responses));
+  if (report.frontend.rejected_frames > 0) {
+    ReportLine("rejected_frames", std::to_string(report.frontend.rejected_frames));
   }
-  ReportLine("client_bytes_in", std::to_string(report.client_bytes_in));
-  ReportLine("client_bytes_out", std::to_string(report.client_bytes_out));
+  ReportLine("client_bytes_in", std::to_string(report.frontend.bytes_in));
+  ReportLine("client_bytes_out", std::to_string(report.frontend.bytes_out));
   ReportLine("failovers", std::to_string(report.failovers));
   ReportYesNo("promoted", report.promoted);
   if (report.promoted) {
@@ -84,9 +84,9 @@ void PrintServeReport(const serve::ServeReport& report) {
   if (report.solo) {
     ReportYesNo("solo", true);
   }
-  ReportLine("epochs", std::to_string(report.epochs));
-  ReportLine("messages_sent", std::to_string(report.messages_sent));
-  ReportLine("acks_received", std::to_string(report.acks_received));
+  ReportLine("epochs", std::to_string(report.node.epochs));
+  ReportLine("messages_sent", std::to_string(report.node.messages_sent));
+  ReportLine("acks_received", std::to_string(report.node.acks_received));
   if (report.repl_bytes_in + report.repl_bytes_out > 0) {
     ReportLine("repl_bytes_in", std::to_string(report.repl_bytes_in));
     ReportLine("repl_bytes_out", std::to_string(report.repl_bytes_out));

@@ -524,7 +524,6 @@ void ReplicaNode::OnMessage(const Message& msg, SimTime now) {
     // order means everything before the control chunk is a chunk.
     HBFT_CHECK(joining_) << "state chunk delivered to a non-joining replica";
     hv_.AdvanceClock(costs_.msg_receive_cpu_cost);
-    ++stats_.messages_received;
     ApplyStateChunk(msg, now);
     // Ack immediately (never batched): the source's pre-copy window is paced
     // by these, and a parked joiner has no boundary to flush a batch at.
@@ -537,7 +536,6 @@ void ReplicaNode::OnMessage(const Message& msg, SimTime now) {
     // Acknowledgment from this node's own downstream backup: pays the
     // (cheap) ack-processing interrupt.
     hv_.AdvanceClock(costs_.ack_receive_cpu_cost);
-    ++stats_.messages_received;
     ++stats_.acks_received;
     NoteDownAck(msg.ack_seq);
     ReleaseDeferredAcks();
@@ -546,7 +544,6 @@ void ReplicaNode::OnMessage(const Message& msg, SimTime now) {
   }
 
   hv_.AdvanceClock(costs_.msg_receive_cpu_cost);
-  ++stats_.messages_received;
 
   switch (msg.type) {
     case MsgType::kInterrupt: {
@@ -778,11 +775,8 @@ void ReplicaNode::OnRetransmitTimer(SimTime t) {
     return;
   }
   Channel::RetransmitResult result = down_out_->MaybeRetransmit(t);
-  if (result.frames > 0) {
-    ++stats_.retransmit_rounds;
-    if (result.last_arrival.has_value() && schedule_down_poll_) {
-      schedule_down_poll_(*result.last_arrival);
-    }
+  if (result.frames > 0 && result.last_arrival.has_value() && schedule_down_poll_) {
+    schedule_down_poll_(*result.last_arrival);
   }
   EnsureRetransmitTimer();  // Re-arm while the unacked window is non-empty.
 }
@@ -914,7 +908,7 @@ void ReplicaNode::TransferBoundaryHook() {
   deferred_released_ = 0;
   down_ack_base_ = down_out_->messages_enqueued();
   if (on_resync_cut_) {
-    on_resync_cut_(hv_.clock(), transfer_->report());
+    on_resync_cut_(transfer_->report());
   }
 }
 
@@ -1033,7 +1027,7 @@ void ReplicaNode::ApplyStateChunk(const Message& msg, SimTime now) {
       join_time_ = hv_.clock();
       join_epoch_ = epoch_;
       if (on_joined_) {
-        on_joined_(join_time_, join_epoch_);
+        on_joined_(join_time_);
       }
       break;
     }

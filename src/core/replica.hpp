@@ -161,23 +161,21 @@ class ReplicaNode : public NodeActor {
   SimTime join_time() const { return join_time_; }
   uint64_t join_epoch() const { return join_epoch_; }
 
-  // World callbacks: the source's cut (with its final report) and the
-  // joiner's restore completion (with the epoch it resumes at).
-  void set_on_resync_cut(std::function<void(SimTime, const StateTransferSource::Report&)> fn) {
+  // World callbacks: the source's cut (with its final report, whose cut
+  // epoch is where the joiner resumes) and the joiner's restore completion.
+  void set_on_resync_cut(std::function<void(const StateTransferSource::Report&)> fn) {
     on_resync_cut_ = std::move(fn);
   }
-  void set_on_joined(std::function<void(SimTime, uint64_t)> fn) { on_joined_ = std::move(fn); }
+  void set_on_joined(std::function<void(SimTime)> fn) { on_joined_ = std::move(fn); }
 
   struct Stats {
     uint64_t messages_sent = 0;
-    uint64_t messages_received = 0;
     uint64_t acks_received = 0;
     uint64_t relays_forwarded = 0;
     uint64_t env_values = 0;
     uint64_t io_issued = 0;
     uint64_t io_suppressed = 0;
     uint64_t uncertain_synthesised = 0;
-    uint64_t retransmit_rounds = 0;  // Go-back-N window re-sends triggered.
     uint64_t epochs = 0;
     SimTime ack_wait_time = SimTime::Zero();
     SimTime boundary_time = SimTime::Zero();  // Total epoch-boundary processing.
@@ -455,8 +453,8 @@ class ReplicaNode : public NodeActor {
   bool joined_ = false;
   SimTime join_time_ = SimTime::Zero();
   uint64_t join_epoch_ = 0;
-  std::function<void(SimTime, const StateTransferSource::Report&)> on_resync_cut_;
-  std::function<void(SimTime, uint64_t)> on_joined_;
+  std::function<void(const StateTransferSource::Report&)> on_resync_cut_;
+  std::function<void(SimTime)> on_joined_;
 
   Stats stats_;
   std::vector<uint64_t> boundary_fingerprints_;

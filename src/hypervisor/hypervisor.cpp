@@ -5,6 +5,14 @@
 
 namespace hbft {
 
+namespace {
+
+// Coverage of the guest's linear page table (MiniOS maps vpns 0..0x3FF); the
+// TLB-fill walk treats any vpn past it as unmapped.
+constexpr uint32_t kPageTableEntries = 1024;
+
+}  // namespace
+
 Hypervisor::Hypervisor(const MachineConfig& machine_config, const HypervisorConfig& hv_config,
                        const CostModel& costs, std::unique_ptr<DeviceRegistry> devices)
     : machine_config_(machine_config), hv_config_(hv_config), costs_(costs),
@@ -43,7 +51,7 @@ uint32_t Hypervisor::RealStatusFromVirtual(uint32_t virt) const {
 
 std::optional<uint32_t> Hypervisor::WalkPageTable(uint32_t vaddr) const {
   uint32_t vpn = vaddr >> kPageShift;
-  if (vpn >= hv_config_.page_table_entries) {
+  if (vpn >= kPageTableEntries) {
     return std::nullopt;
   }
   const PhysicalMemory& memory = machine_.memory();
@@ -477,7 +485,6 @@ GuestEvent Hypervisor::HandleMmio(uint32_t paddr, const DecodedInstr& instr, uin
       pending_ = PendingKind::kIoCommand;
       pending_instr_ = instr;
       pending_pc_ = pc;
-      ++stats_.io_commands;
       return event;
     }
     RetireSimulatedInstr(pc + 4);

@@ -41,7 +41,6 @@ namespace hbft {
 struct HypervisorConfig {
   uint64_t epoch_length = 4096;     // Instructions per epoch (the paper's EL).
   bool tlb_takeover = true;         // Paper's fix; disable for the ablation.
-  uint32_t page_table_entries = 1024;  // Guest linear page table coverage.
 };
 
 // Policy decision points surfaced to the replication layer.
@@ -139,7 +138,6 @@ class Hypervisor {
     uint64_t traps_reflected = 0;
     uint64_t tlb_fills = 0;
     uint64_t interrupts_delivered = 0;
-    uint64_t io_commands = 0;
   };
   const Stats& stats() const { return stats_; }
   Stats& stats() { return stats_; }

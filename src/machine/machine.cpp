@@ -1,9 +1,10 @@
 #include "machine/machine.hpp"
 
+#include <array>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <initializer_list>
 #include <limits>
+#include <utility>
 
 #include "common/check.hpp"
 #include "isa/disassembler.hpp"
@@ -18,17 +19,6 @@ namespace {
 bool IsEnvironmentCr(uint32_t cr) { return cr == kCrTod || cr == kCrItmr || cr == kCrPrid; }
 
 }  // namespace
-
-InterpMode DefaultInterpMode() {
-  static const InterpMode mode = [] {
-    const char* env = std::getenv("HBFT_INTERP");
-    if (env != nullptr && std::strcmp(env, "cached") == 0) {
-      return InterpMode::kCached;
-    }
-    return InterpMode::kSlow;
-  }();
-  return mode;
-}
 
 Machine::Machine(const MachineConfig& config)
     : config_(config),
@@ -865,17 +855,10 @@ MachineExit Machine::RunCached(uint64_t max_instructions) {
   return exit;
 }
 
-// The dispatch core threads through a dense per-opcode handler table. With
-// GCC/Clang the table holds computed-goto label addresses (one indirect jump
-// per instruction); elsewhere a dense switch over the 6-bit opcode compiles
-// to the same jump table. Handler bodies are shared by both forms. Every
-// real opcode maps to its handler label; the ten memory opcodes share one.
-#if defined(__GNUC__) && !defined(HBFT_NO_COMPUTED_GOTO)
-#define HBFT_THREADED_DISPATCH 1
-#else
-#define HBFT_THREADED_DISPATCH 0
-#endif
-
+// The dispatch core threads through a dense per-opcode table of
+// computed-goto label addresses (GNU C: one indirect jump per instruction).
+// Every real opcode maps to its handler label; the ten memory opcodes share
+// one.
 #define HBFT_OPCODE_HANDLERS(X)                                                          \
   X(kAdd, Add) X(kSub, Sub) X(kAnd, And) X(kOr, Or) X(kXor, Xor) X(kSll, Sll)            \
   X(kSrl, Srl) X(kSra, Sra) X(kSlt, Slt) X(kSltu, Sltu) X(kMul, Mul) X(kDiv, Div)        \
@@ -908,28 +891,23 @@ Machine::BlockOutcome Machine::ExecuteBlock(const Superblock& block, uint64_t ma
   TrapCause trap_cause = TrapCause::kNone;
   uint32_t trap_vaddr = 0;
 
-#if HBFT_THREADED_DISPATCH
-  static const void* jump_table[kMaxOpcode + 1];
-  if (jump_table[0] == nullptr) {
-    for (const void*& entry : jump_table) {
-      entry = &&h_Invalid;
-    }
-#define X(name, handler) jump_table[static_cast<uint8_t>(Opcode::name)] = &&h_##handler;
-    HBFT_OPCODE_HANDLERS(X)
+  // Built once per process: a function-local static's initialiser runs
+  // exactly once even when fleet workers reach their first block together.
+  // Label addresses exist only in this function, so they are passed in.
+  using JumpTable = std::array<const void*, kMaxOpcode + 1>;
+  static const JumpTable jump_table =
+      [](const void* invalid, std::initializer_list<std::pair<Opcode, const void*>> handlers) {
+        JumpTable table;
+        table.fill(invalid);
+        for (const auto& [op, label] : handlers) {
+          table[static_cast<uint8_t>(op)] = label;
+        }
+        return table;
+      }(&&h_Invalid, {
+#define X(name, handler) {Opcode::name, &&h_##handler},
+                         HBFT_OPCODE_HANDLERS(X)
 #undef X
-  }
-#define HBFT_DISPATCH() goto* jump_table[static_cast<uint8_t>(p->instr.op)]
-#else
-#define HBFT_DISPATCH_CASE(name, handler) \
-  case static_cast<uint8_t>(Opcode::name): \
-    goto h_##handler;
-#define HBFT_DISPATCH()                          \
-  switch (static_cast<uint8_t>(p->instr.op)) {   \
-    HBFT_OPCODE_HANDLERS(HBFT_DISPATCH_CASE)     \
-    default:                                     \
-      goto h_Invalid;                            \
-  }
-#endif
+                     });
 
 front:
   if (index >= count || executed >= max_instructions) {
@@ -955,7 +933,7 @@ front:
   rs2 = cpu_.gpr[p->instr.rs2];
   imm_u = p->imm_u;
   next_pc = pc + 4;
-  HBFT_DISPATCH();
+  goto* jump_table[static_cast<uint8_t>(p->instr.op)];
 
 h_Add:
   cpu_.set_gpr(p->instr.rd, rs1 + rs2);
@@ -1339,11 +1317,6 @@ out:
   return outcome;
 }
 
-#undef HBFT_DISPATCH
-#ifdef HBFT_DISPATCH_CASE
-#undef HBFT_DISPATCH_CASE
-#endif
 #undef HBFT_OPCODE_HANDLERS
-#undef HBFT_THREADED_DISPATCH
 
 }  // namespace hbft

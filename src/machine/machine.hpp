@@ -42,19 +42,18 @@ enum class TrapMode {
   kHostFirst,  // Hypervised: every trap exits to the embedder.
 };
 
-// Two interpreters over identical semantics. kSlow fetches, decodes, and
-// dispatches every instruction; kCached executes predecoded superblocks from
-// the translation cache. Every guest-visible effect — retired counts, the
-// recovery counter, trap and interrupt delivery points, TLB counters,
-// idle-loop dynamics, snapshot bytes — is dispatch-mode invariant
-// (tests/dispatch_diff_test.cpp holds both paths to that contract).
+// Two interpreters over identical semantics. kCached, the engine every
+// machine runs by default, executes predecoded superblocks from the
+// translation cache. kSlow fetches, decodes, and dispatches every
+// instruction; it is the reference implementation, selected only by the
+// differential tests and the fig6 throughput comparison. Every guest-visible
+// effect — retired counts, the recovery counter, trap and interrupt delivery
+// points, TLB counters, idle-loop dynamics, snapshot bytes — is dispatch-mode
+// invariant (tests/dispatch_diff_test.cpp holds both paths to that contract).
 enum class InterpMode {
   kSlow,
   kCached,
 };
-
-// Process-wide default: HBFT_INTERP=cached flips it (read once); else kSlow.
-InterpMode DefaultInterpMode();
 
 struct MachineConfig {
   uint32_t ram_bytes = 4 * 1024 * 1024;
@@ -62,7 +61,7 @@ struct MachineConfig {
   TlbPolicy tlb_policy = TlbPolicy::kHardwareRandom;
   uint64_t machine_seed = 0;  // Seeds per-machine hardware nondeterminism.
   TrapMode trap_mode = TrapMode::kDirect;
-  InterpMode interp = DefaultInterpMode();
+  InterpMode interp = InterpMode::kCached;
   uint32_t tcache_slots = 2048;  // Superblock slots (rounded up to a power of 2).
 };
 

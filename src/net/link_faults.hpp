@@ -41,10 +41,9 @@ struct LinkFaults {
   // unacknowledged message once the oldest has waited this long.
   SimTime retransmit_timeout = SimTime::Millis(2);
 
-  // Fault window: faults apply only to sends inside [active_from,
-  // active_until). A bounded window models a transient loss burst; the
-  // defaults cover the whole run.
-  SimTime active_from = SimTime::Zero();
+  // Fault window: faults apply only to sends before `active_until`. A
+  // bounded window models a transient loss burst from the start of the run;
+  // the default covers the whole run.
   SimTime active_until = SimTime::Max();
 
   // Whether this configuration can perturb the wire at all. When false the
@@ -54,7 +53,7 @@ struct LinkFaults {
            reorder_probability > 0.0 || sender_queue_limit > 0;
   }
 
-  bool ActiveAt(SimTime t) const { return t >= active_from && t < active_until; }
+  bool ActiveAt(SimTime t) const { return t < active_until; }
 
   // The canonical symmetric lossy profile used by the bench artifacts and
   // tests: drop and reorder at `p`, duplicates at half that.

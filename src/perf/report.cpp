@@ -54,25 +54,6 @@ std::string TableReporter::Render() const {
   return out.str();
 }
 
-std::string RenderTransportTable(const std::vector<ChannelCounterRow>& rows) {
-  TableReporter table({"channel", "msgs", "wire_sends", "retx", "drops", "dups", "reord",
-                       "q_drop", "q_hwm", "rx_disc", "bytes_wire", "goodput_mbps"});
-  for (const ChannelCounterRow& row : rows) {
-    const Channel::Counters& c = row.counters;
-    double goodput_mbps =
-        row.run_seconds > 0.0
-            ? static_cast<double>(c.bytes_delivered) * 8.0 / row.run_seconds / 1e6
-            : 0.0;
-    table.AddRow({row.label, std::to_string(c.messages_enqueued), std::to_string(c.wire_sends),
-                  std::to_string(c.retransmits), std::to_string(c.link_drops),
-                  std::to_string(c.link_duplicates), std::to_string(c.link_reorders),
-                  std::to_string(c.queue_drops), std::to_string(c.queue_high_water),
-                  std::to_string(c.rx_duplicates + c.rx_gaps), std::to_string(c.bytes_on_wire),
-                  TableReporter::Num(goodput_mbps, 3)});
-  }
-  return table.Render();
-}
-
 double PercentileNearestRank(const std::vector<double>& sorted, double pct) {
   HBFT_CHECK(!sorted.empty());
   HBFT_CHECK(pct >= 0.0 && pct <= 100.0);  // pct 0 clamps to the minimum.

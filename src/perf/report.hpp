@@ -1,7 +1,5 @@
-// Report building blocks for the CLI: aligned plain-text tables, the shared
-// renderer for per-channel transport counters (retransmits, queue pressure,
-// goodput), and the latency-percentile and availability arithmetic behind
-// the fleet reports.
+// Report building blocks for the CLI: aligned plain-text tables, and the
+// latency-percentile and availability arithmetic behind the fleet reports.
 #ifndef HBFT_PERF_REPORT_HPP_
 #define HBFT_PERF_REPORT_HPP_
 
@@ -9,7 +7,6 @@
 #include <vector>
 
 #include "common/time.hpp"
-#include "net/channel.hpp"
 
 namespace hbft {
 
@@ -27,18 +24,6 @@ class TableReporter {
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;
 };
-
-// One labelled channel's counters plus the run duration (for goodput).
-struct ChannelCounterRow {
-  std::string label;  // e.g. "0->1 (protocol)".
-  Channel::Counters counters;
-  double run_seconds = 0.0;
-};
-
-// Renders the per-channel transport table: unique messages vs wire sends,
-// retransmits, wire discards, queue high-water, bytes on wire, and effective
-// goodput in Mbit/s.
-std::string RenderTransportTable(const std::vector<ChannelCounterRow>& rows);
 
 // --- Latency percentiles & availability (fleet bench machinery) -------------
 

@@ -151,25 +151,6 @@ void FillChannelReport(ServeReport* report, const std::string& name, const std::
   report->channels.push_back(std::move(row));
 }
 
-void FillFrontendReport(const Frontend& frontend, ServeReport* report) {
-  const Frontend::Stats& fs = frontend.stats();
-  report->connections = fs.connections_accepted;
-  report->requests = fs.requests;
-  report->responses = fs.responses;
-  report->responses_unroutable = fs.responses_unroutable;
-  report->rejected_frames = fs.rejected_frames;
-  report->client_bytes_in = fs.bytes_in;
-  report->client_bytes_out = fs.bytes_out;
-}
-
-void FillNodeReport(const ReplicaNode& node, ServeReport* report) {
-  const ReplicaNode::Stats& stats = node.stats();
-  report->epochs = stats.epochs;
-  report->messages_sent = stats.messages_sent;
-  report->acks_received = stats.acks_received;
-  report->uncertain_synthesised = stats.uncertain_synthesised;
-}
-
 // --- kSingle: whole chain in-process, real clients only ---------------------
 
 int RunSingle(const ServeConfig& config, ServeReport* report) {
@@ -214,7 +195,7 @@ int RunSingle(const ServeConfig& config, ServeReport* report) {
 
   report->stop_reason = stop.reason;
   report->runtime_s = pump.Now().seconds();
-  FillFrontendReport(frontend, report);
+  report->frontend = frontend.stats();
   ScenarioResult outcome;
   world->Finish(&outcome);
   report->failovers = outcome.crash_times.size();
@@ -224,7 +205,7 @@ int RunSingle(const ServeConfig& config, ServeReport* report) {
         (outcome.promotion_time - outcome.crash_times.front()).seconds() * 1e3;
   }
   if (world->replica_count() > 0) {
-    FillNodeReport(*world->replica(0), report);
+    report->node = world->replica(0)->stats();
   }
   for (const auto& [key, channel] : world->channel_map()) {
     FillChannelReport(report,
@@ -320,8 +301,8 @@ void HostServeLoop(const ServeConfig& config, NodeHost* host, Frontend* frontend
     report->repl_bytes_in = repl->bytes_in();
     report->repl_bytes_out = repl->bytes_out();
   }
-  FillFrontendReport(*frontend, report);
-  FillNodeReport(host->node(), report);
+  report->frontend = frontend->stats();
+  report->node = host->node().stats();
   const bool is_primary = host->role() == HostRole::kPrimary;
   FillChannelReport(report, is_primary ? "primary->backup" : "backup->primary",
                     is_primary ? "protocol" : "acks", host->wire_out());

@@ -32,7 +32,9 @@
 #include <string>
 #include <vector>
 
+#include "core/replica.hpp"
 #include "net/channel.hpp"
+#include "serve/frontend.hpp"
 #include "sim/world.hpp"
 
 namespace hbft {
@@ -67,13 +69,7 @@ struct ServeReport {
   double runtime_s = 0.0;
 
   // Client-side traffic.
-  uint64_t connections = 0;
-  uint64_t requests = 0;
-  uint64_t responses = 0;
-  uint64_t responses_unroutable = 0;
-  uint64_t rejected_frames = 0;
-  uint64_t client_bytes_in = 0;
-  uint64_t client_bytes_out = 0;
+  Frontend::Stats frontend;
 
   // Replication.
   uint64_t failovers = 0;  // Peer/active-replica deaths observed.
@@ -84,10 +80,7 @@ struct ServeReport {
   uint64_t repl_bytes_out = 0;
 
   // Protocol counters of the hosted (or first) replica.
-  uint64_t epochs = 0;
-  uint64_t messages_sent = 0;
-  uint64_t acks_received = 0;
-  uint64_t uncertain_synthesised = 0;
+  ReplicaNode::Stats node;
 
   struct ChannelReport {
     std::string name;  // e.g. "primary->backup"

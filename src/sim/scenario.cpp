@@ -8,6 +8,10 @@ namespace hbft {
 
 namespace {
 
+// Arrival pacing of packets queued without an explicit time.
+constexpr SimTime kPacketStart = SimTime::Millis(100);
+constexpr SimTime kPacketInterval = SimTime::Millis(20);
+
 void ReadBackGuestState(Machine& machine, ScenarioResult* result) {
   const GuestImageBundle& bundle = GetGuestImage();
   PhysicalMemory& memory = machine.memory();
@@ -44,7 +48,7 @@ const std::vector<uint64_t>& ScenarioResult::backup_boundary_fingerprints(
 uint64_t ScenarioResult::TotalResyncBytes() const {
   uint64_t total = 0;
   for (const ResyncReport& resync : resyncs) {
-    total += resync.bytes;
+    total += resync.transfer.bytes_sent;
   }
   return total;
 }
@@ -130,11 +134,6 @@ Scenario& Scenario::Variant(ProtocolVariant variant) {
   return *this;
 }
 
-Scenario& Scenario::Replication(const ReplicationConfig& replication) {
-  config_.replication = replication;
-  return *this;
-}
-
 Scenario& Scenario::TlbTakeover(bool takeover) {
   config_.replication.tlb_takeover = takeover;
   return *this;
@@ -166,11 +165,6 @@ Scenario& Scenario::Costs(const CostModel& costs) {
   return *this;
 }
 
-Scenario& Scenario::Hardware(const MachineConfig& machine) {
-  config_.machine = machine;
-  return *this;
-}
-
 Scenario& Scenario::RamBytes(uint32_t ram_bytes) {
   config_.machine.ram_bytes = ram_bytes;
   return *this;
@@ -187,18 +181,8 @@ Scenario& Scenario::Interp(InterpMode mode) {
   return *this;
 }
 
-Scenario& Scenario::TcacheSlots(uint32_t slots) {
-  config_.machine.tcache_slots = slots;
-  return *this;
-}
-
 Scenario& Scenario::Seed(uint64_t seed) {
   config_.seed = seed;
-  return *this;
-}
-
-Scenario& Scenario::DiskBlocks(uint32_t blocks) {
-  config_.devices.disk_blocks = blocks;
   return *this;
 }
 
@@ -257,12 +241,6 @@ Scenario& Scenario::InjectPacket(std::vector<uint8_t> payload) {
 Scenario& Scenario::InjectPacket(std::vector<uint8_t> payload, SimTime t) {
   config_.devices.with_nic = true;
   packets_.push_back(PacketInjection{std::move(payload), true, t});
-  return *this;
-}
-
-Scenario& Scenario::PacketTiming(SimTime start, SimTime interval) {
-  packet_start_ = start;
-  packet_interval_ = interval;
   return *this;
 }
 
@@ -368,7 +346,7 @@ std::unique_ptr<World> Scenario::BuildWorld() const {
   for (const PacketInjection& packet : packets_) {
     SimTime t = packet.has_time
                     ? packet.time
-                    : packet_start_ + packet_interval_ * static_cast<int64_t>(auto_timed++);
+                    : kPacketStart + kPacketInterval * static_cast<int64_t>(auto_timed++);
     world->InjectPacket(packet.payload, t);
   }
   return world;

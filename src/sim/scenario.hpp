@@ -135,7 +135,6 @@ class Scenario {
   Scenario& Backups(int count);  // Chain length: 1 primary + `count` backups.
   Scenario& Epoch(uint64_t epoch_length);
   Scenario& Variant(ProtocolVariant variant);
-  Scenario& Replication(const ReplicationConfig& replication);
   Scenario& TlbTakeover(bool takeover);
   Scenario& AuditLockstep(bool audit = true);
   // Epoch pipelining window (0 = the paper's strict boundary ack wait) and
@@ -151,16 +150,13 @@ class Scenario {
 
   // --- Machine & environment ------------------------------------------------
   Scenario& Costs(const CostModel& costs);
-  Scenario& Hardware(const MachineConfig& machine);  // Folded machine knobs.
   Scenario& RamBytes(uint32_t ram_bytes);
   Scenario& Tlb(uint32_t entries, TlbPolicy policy);
-  // Interpreter selection (slow fetch-decode vs cached superblocks) and the
-  // translation-cache slot count. Dispatch mode never changes results — only
-  // host speed — so every scenario accepts either.
+  // Interpreter selection (cached superblocks by default; the slow
+  // fetch-decode reference for differential runs). Dispatch mode never
+  // changes results — only host speed — so every scenario accepts either.
   Scenario& Interp(InterpMode mode);
-  Scenario& TcacheSlots(uint32_t slots);
   Scenario& Seed(uint64_t seed);
-  Scenario& DiskBlocks(uint32_t blocks);
   Scenario& MaxTime(SimTime max_time);
 
   // --- Devices --------------------------------------------------------------
@@ -175,11 +171,10 @@ class Scenario {
   Scenario& ConsoleInput(std::string text);
   Scenario& ConsoleInput(std::string text, SimTime start, SimTime interval);
   // Queues a packet for injection (implies Device(kNic)). Without an
-  // explicit time, packets space themselves PacketTiming()-style like
-  // console input.
+  // explicit time, packets arrive from 100 ms on, one every 20 ms, like
+  // default-paced console input.
   Scenario& InjectPacket(std::vector<uint8_t> payload);
   Scenario& InjectPacket(std::vector<uint8_t> payload, SimTime t);
-  Scenario& PacketTiming(SimTime start, SimTime interval);
 
   // --- Failure/repair schedule (ordered; each event arms after the previous)
   Scenario& FailAt(const FailurePlan& plan);
@@ -241,8 +236,6 @@ class Scenario {
   SimTime console_input_start_ = SimTime::Millis(100);
   SimTime console_input_interval_ = SimTime::Millis(20);
   std::vector<PacketInjection> packets_;
-  SimTime packet_start_ = SimTime::Millis(100);
-  SimTime packet_interval_ = SimTime::Millis(20);
 };
 
 // Thin convenience for the ubiquitous default-configuration reference run.

@@ -270,22 +270,11 @@ size_t World::RejoinReplica(SimTime t) {
   resyncs_.push_back(report);
   resync_in_flight_ = true;
 
-  source->set_on_resync_cut(
-      [this, resync_index](SimTime cut_time, const StateTransferSource::Report& rep) {
-        ResyncReport& r = resyncs_[resync_index];
-        r.cut = true;
-        r.cut_time = cut_time;
-        r.join_epoch = rep.cut_epoch;
-        r.bytes = rep.bytes_sent;
-        r.page_chunks = rep.page_chunks;
-        r.zero_run_chunks = rep.zero_run_chunks;
-        r.full_pages = rep.full_pages;
-        r.delta_pages = rep.delta_pages;
-        r.rounds = rep.rounds;
-      });
-  joiner->set_on_joined([this, resync_index](SimTime join_time, uint64_t join_epoch) {
-    OnJoined(resync_index, join_time, join_epoch);
+  source->set_on_resync_cut([this, resync_index](const StateTransferSource::Report& rep) {
+    resyncs_[resync_index].transfer = rep;
   });
+  joiner->set_on_joined(
+      [this, resync_index](SimTime join_time) { OnJoined(resync_index, join_time); });
 
   replicas_.push_back(std::move(joiner));
   chain_next_.push_back(kNoChain);
@@ -308,11 +297,10 @@ size_t World::RejoinReplica(SimTime t) {
   return pos;
 }
 
-void World::OnJoined(size_t resync_index, SimTime t, uint64_t join_epoch) {
+void World::OnJoined(size_t resync_index, SimTime t) {
   ResyncReport& report = resyncs_[resync_index];
   report.completed = true;
   report.join_time = t;
-  report.join_epoch = join_epoch;
   resync_in_flight_ = false;
   if (on_resync_done_) {
     on_resync_done_(resync_index, t);

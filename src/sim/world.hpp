@@ -82,17 +82,12 @@ struct ResyncReport {
   size_t source = 0;   // Chain position that streamed the snapshot.
   size_t joined = 0;   // Chain position of the new replica.
   SimTime start = SimTime::Zero();      // Transfer began (pre-copy).
-  SimTime cut_time = SimTime::Zero();   // Source-side quiesce + cut.
   SimTime join_time = SimTime::Zero();  // Joiner restored; backup online.
-  bool cut = false;        // Source finished streaming.
   bool completed = false;  // Joiner restored and entered the chain.
-  uint64_t join_epoch = 0;  // The joiner resumed at the start of this epoch.
-  uint64_t bytes = 0;       // Chunk bytes on the protocol stream, incl. control.
-  uint64_t page_chunks = 0;
-  uint64_t zero_run_chunks = 0;
-  uint64_t full_pages = 0;
-  uint64_t delta_pages = 0;
-  uint64_t rounds = 0;
+  // The source's report as of its quiesce + cut: `cut_epoch` is the epoch
+  // the joiner resumes at, `bytes_sent` the chunk bytes on the protocol
+  // stream (control included).
+  StateTransferSource::Report transfer;
 };
 
 struct WorldConfig {
@@ -231,7 +226,7 @@ class World : public EventScheduler {
   void FireRejoin(size_t schedule_index, SimTime when);
   void OnPhaseHook(size_t schedule_index, size_t replica_index, FailPhase phase, uint64_t epoch,
                    uint64_t io_seq);
-  void OnJoined(size_t resync_index, SimTime t, uint64_t join_epoch);
+  void OnJoined(size_t resync_index, SimTime t);
   // Adds the channel pair between chain positions `up` and `down` to the mesh.
   void AddLinkPair(size_t up, size_t down, uint64_t salt, size_t index);
   void WireAdjacentPolls(size_t up_index, size_t down_index);

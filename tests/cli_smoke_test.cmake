@@ -197,6 +197,9 @@ expect_usage_error("--epoch-length expects an integer" fleet --epoch-length=-5)
 expect_usage_error("--payload-bytes expects an integer" fleet --payload-bytes=4294967297)
 expect_usage_error("--max-time-ms expects milliseconds" fleet --max-time-ms=nan)
 
+# Every command runs the cached interpreter: there is no engine selector.
+expect_usage_error("unknown flag --interp" run --workload=cpu --iterations=3 --interp=cached)
+
 # --- bench: JSON artifacts under bench/ -------------------------------------
 run_cli(bench_out bench --quick --out-dir=${WORK_DIR}/bench)
 foreach(artifact table1.json fig2_cpu.json fig3_io.json fig4_faster_comm.json

@@ -3,10 +3,12 @@
 // equivalence of guest-visible state — snapshot bytes (registers, memory,
 // TLB incl. its lookup/miss counters, recovery counter, idle-loop dynamics),
 // exit kinds and PCs, trap and interrupt delivery points, and scenario-level
-// results (epoch fingerprints, environment traces, completion times) — over
-// machine-level lockstep runs, whole-scenario runs with failovers and lossy
-// links, self-modifying code, cache-eviction pressure, and snapshot/restore
-// with a warm cache.
+// results (epoch fingerprints, environment traces, completion times, resync
+// reports, per-channel transport counters) — over machine-level lockstep
+// runs, whole-scenario runs with failovers, cascades, lossy links and live
+// state transfer, self-modifying code, cache-eviction pressure, and
+// snapshot/restore with a warm cache. The cached engine runs everywhere
+// else; this file is where the slow reference path still runs.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -402,6 +404,45 @@ void ExpectSameScenarioResults(const ScenarioResult& a, const ScenarioResult& b)
     EXPECT_EQ(a.nodes[i].boundary_fingerprints, b.nodes[i].boundary_fingerprints)
         << "node " << i << " epoch fingerprints diverged";
   }
+  ASSERT_EQ(a.resyncs.size(), b.resyncs.size());
+  for (size_t i = 0; i < a.resyncs.size(); ++i) {
+    const ResyncReport& x = a.resyncs[i];
+    const ResyncReport& y = b.resyncs[i];
+    EXPECT_EQ(x.source, y.source) << "resync " << i;
+    EXPECT_EQ(x.joined, y.joined) << "resync " << i;
+    EXPECT_EQ(x.start.picos(), y.start.picos()) << "resync " << i;
+    EXPECT_EQ(x.join_time.picos(), y.join_time.picos()) << "resync " << i;
+    EXPECT_EQ(x.completed, y.completed) << "resync " << i;
+    EXPECT_EQ(x.transfer.cut, y.transfer.cut) << "resync " << i;
+    EXPECT_EQ(x.transfer.cut_time.picos(), y.transfer.cut_time.picos()) << "resync " << i;
+    EXPECT_EQ(x.transfer.cut_epoch, y.transfer.cut_epoch) << "resync " << i;
+    EXPECT_EQ(x.transfer.page_chunks, y.transfer.page_chunks) << "resync " << i;
+    EXPECT_EQ(x.transfer.zero_run_chunks, y.transfer.zero_run_chunks) << "resync " << i;
+    EXPECT_EQ(x.transfer.full_pages, y.transfer.full_pages) << "resync " << i;
+    EXPECT_EQ(x.transfer.delta_pages, y.transfer.delta_pages) << "resync " << i;
+    EXPECT_EQ(x.transfer.rounds, y.transfer.rounds) << "resync " << i;
+    EXPECT_EQ(x.transfer.bytes_sent, y.transfer.bytes_sent) << "resync " << i;
+  }
+  ASSERT_EQ(a.channels.size(), b.channels.size());
+  for (size_t i = 0; i < a.channels.size(); ++i) {
+    const Channel::Counters& x = a.channels[i].counters;
+    const Channel::Counters& y = b.channels[i].counters;
+    EXPECT_EQ(a.channels[i].from, b.channels[i].from) << "channel " << i;
+    EXPECT_EQ(a.channels[i].to, b.channels[i].to) << "channel " << i;
+    EXPECT_EQ(x.messages_enqueued, y.messages_enqueued) << "channel " << i;
+    EXPECT_EQ(x.wire_sends, y.wire_sends) << "channel " << i;
+    EXPECT_EQ(x.retransmits, y.retransmits) << "channel " << i;
+    EXPECT_EQ(x.link_drops, y.link_drops) << "channel " << i;
+    EXPECT_EQ(x.link_duplicates, y.link_duplicates) << "channel " << i;
+    EXPECT_EQ(x.link_reorders, y.link_reorders) << "channel " << i;
+    EXPECT_EQ(x.queue_drops, y.queue_drops) << "channel " << i;
+    EXPECT_EQ(x.queue_high_water, y.queue_high_water) << "channel " << i;
+    EXPECT_EQ(x.rx_duplicates, y.rx_duplicates) << "channel " << i;
+    EXPECT_EQ(x.rx_gaps, y.rx_gaps) << "channel " << i;
+    EXPECT_EQ(x.messages_delivered, y.messages_delivered) << "channel " << i;
+    EXPECT_EQ(x.bytes_on_wire, y.bytes_on_wire) << "channel " << i;
+    EXPECT_EQ(x.bytes_delivered, y.bytes_delivered) << "channel " << i;
+  }
 }
 
 TEST(ScenarioDiff, CpuBareRun) {
@@ -453,6 +494,51 @@ TEST(ScenarioDiff, NetEchoLossyLink) {
   ScenarioResult slow = RunWith(base, InterpMode::kSlow);
   ScenarioResult cached = RunWith(base, InterpMode::kCached);
   ASSERT_TRUE(slow.completed);
+  ExpectSameScenarioResults(slow, cached);
+}
+
+// Live state transfer over a lossy, reordering wire: the joiner's RAM
+// arrives as page and zero-run chunks, its restore drops its translation
+// cache, and it runs on from the source's cut; the source tracks the pages
+// the guest dirties for its delta rounds meanwhile.
+TEST(ScenarioDiff, TxnLogLossyRejoin) {
+  WorkloadSpec spec;
+  spec.kind = WorkloadKind::kTxnLog;
+  spec.iterations = 8;
+  spec.num_blocks = 16;
+  LinkFaults faults;
+  faults.drop_probability = 0.05;
+  faults.reorder_probability = 0.05;
+  Scenario base = Scenario::Replicated(spec)
+                      .Backups(2)
+                      .Seed(7)
+                      .LinkFaults(faults)
+                      .FailAtTime(SimTime::Millis(4))
+                      .RejoinAfterFail(SimTime::Millis(10));
+  ScenarioResult slow = RunWith(base, InterpMode::kSlow);
+  ScenarioResult cached = RunWith(base, InterpMode::kCached);
+  ASSERT_TRUE(slow.completed);
+  ASSERT_EQ(slow.resyncs.size(), 1u);
+  ASSERT_TRUE(slow.resyncs[0].completed);
+  EXPECT_GT(slow.resyncs[0].transfer.zero_run_chunks, 0u);
+  ExpectSameScenarioResults(slow, cached);
+}
+
+// A 2-backup cascade: a timed kill of the primary, then a kill of the
+// promoted backup right after it issues an I/O.
+TEST(ScenarioDiff, CascadeTimeThenPhaseKill) {
+  WorkloadSpec spec;
+  spec.kind = WorkloadKind::kTxnLog;
+  spec.iterations = 10;
+  spec.num_blocks = 16;
+  Scenario base = Scenario::Replicated(spec)
+                      .Backups(2)
+                      .FailAtTime(SimTime::Millis(6))
+                      .FailAtPhase(FailPhase::kAfterIoIssue);
+  ScenarioResult slow = RunWith(base, InterpMode::kSlow);
+  ScenarioResult cached = RunWith(base, InterpMode::kCached);
+  ASSERT_TRUE(slow.completed);
+  ASSERT_EQ(slow.crash_times.size(), 2u);
   ExpectSameScenarioResults(slow, cached);
 }
 

@@ -39,19 +39,19 @@ TEST(Rejoin, BackupRejoinsAfterPrimaryKillAndMirrorsTheSource) {
   EXPECT_TRUE(ft.promoted);
   ASSERT_EQ(ft.resyncs.size(), 1u);
   const ResyncReport& resync = ft.resyncs[0];
-  EXPECT_TRUE(resync.cut);
+  EXPECT_TRUE(resync.transfer.cut);
   ASSERT_TRUE(resync.completed);
   EXPECT_EQ(resync.source, 1u);  // The promoted backup streamed the snapshot.
   EXPECT_EQ(resync.joined, 2u);
-  EXPECT_GT(resync.bytes, 0u);
-  EXPECT_GT(resync.page_chunks, 0u);
-  EXPECT_GT(resync.zero_run_chunks, 0u);  // Mostly-idle RAM compresses.
-  EXPECT_GE(resync.join_time, resync.cut_time);
+  EXPECT_GT(resync.transfer.bytes_sent, 0u);
+  EXPECT_GT(resync.transfer.page_chunks, 0u);
+  EXPECT_GT(resync.transfer.zero_run_chunks, 0u);  // Mostly-idle RAM compresses.
+  EXPECT_GE(resync.join_time, resync.transfer.cut_time);
 
   ASSERT_EQ(ft.nodes.size(), 3u);
   EXPECT_TRUE(ft.nodes[2].rejoined);
   EXPECT_TRUE(ft.nodes[2].joined);
-  EXPECT_EQ(ft.nodes[2].join_epoch, resync.join_epoch);
+  EXPECT_EQ(ft.nodes[2].join_epoch, resync.transfer.cut_epoch);
   // The rejoined backup runs in exact lockstep with its source from the
   // join epoch to the end of the run.
   size_t compared = ExpectLockstepFromJoin(ft, 1, 2);
@@ -169,9 +169,9 @@ TEST(Rejoin, DeltaRoundsConvergeUnderDiskWrites) {
   ASSERT_EQ(ft.resyncs.size(), 1u);
   const ResyncReport& resync = ft.resyncs[0];
   ASSERT_TRUE(resync.completed);
-  EXPECT_GE(resync.rounds, 1u);
-  EXPECT_EQ(resync.full_pages, 4u * 1024u * 1024u / kPageBytes);
-  EXPECT_EQ(ft.TotalResyncBytes(), resync.bytes);
+  EXPECT_GE(resync.transfer.rounds, 1u);
+  EXPECT_EQ(resync.transfer.full_pages, 4u * 1024u * 1024u / kPageBytes);
+  EXPECT_EQ(ft.TotalResyncBytes(), resync.transfer.bytes_sent);
 }
 
 // A rejoin landing inside the window between a standing backup's death and

@@ -375,7 +375,7 @@ TEST(Transport, RejoinReportsFrozenBrokenChannelsAndFreshPair) {
   EXPECT_EQ(rejoin_pair->to, 2u);
   EXPECT_EQ(rejoin_pair->mode, ChannelMode::kOrdered);
   // The transfer rode the fresh ordered channel: at least the resync bytes.
-  EXPECT_GE(rejoin_pair->counters.bytes_delivered, ft.resyncs[0].bytes);
+  EXPECT_GE(rejoin_pair->counters.bytes_delivered, ft.resyncs[0].transfer.bytes_sent);
   EXPECT_GT(rejoin_pair->counters.messages_delivered, 0u);
 }
 

@@ -73,12 +73,7 @@ Suppressions (each requires a reason):
     // hbft-lint: derived-state — <reason>         member is rebuilt, not
                                                    serialized (caches etc.)
 
-Backends: the default backend is a dependency-free C++ tokenizer (this
-file). When the python libclang bindings are importable, `--backend=libclang`
-cross-checks the determinism rules against a real AST; the container image
-does not ship a clang frontend, so the tokenizer backend is authoritative
-and libclang is opportunistic (it degrades to the tokenizer with a note,
-never an error).
+The analyzer is a dependency-free C++ tokenizer (this file).
 
 Usage:
     tools/lint/hbft_lint.py [--root DIR] [paths...]     # default: src
@@ -943,43 +938,6 @@ def check_snapshot_completeness(files, violations):
 
 
 # ---------------------------------------------------------------------------
-# Optional libclang backend (opportunistic cross-check of the determinism
-# rules; the container image has no clang frontend, so absence is normal).
-# ---------------------------------------------------------------------------
-
-def try_libclang_determinism(root, paths):
-    try:
-        from clang import cindex  # noqa: F401
-    except Exception:
-        return None  # Not available: tokenizer backend is authoritative.
-    try:
-        index = cindex.Index.create()
-        banned_calls = {"rand", "srand", "gettimeofday", "clock_gettime",
-                        "time", "localtime", "gmtime", "mktime"}
-        banned_types = {"std::random_device", "std::default_random_engine"}
-        findings = []
-        for path in paths:
-            tu = index.parse(path, args=["-std=c++20", f"-I{root}/src"])
-            for node in tu.cursor.walk_preorder():
-                if str(node.location.file) != path:
-                    continue
-                if node.kind == cindex.CursorKind.CALL_EXPR and \
-                        node.spelling in banned_calls:
-                    findings.append((path, node.location.line, "wall-clock"
-                                     if node.spelling not in ("rand", "srand")
-                                     else "ambient-rand", node.spelling))
-                if node.kind == cindex.CursorKind.VAR_DECL and \
-                        node.type.spelling in banned_types:
-                    findings.append((path, node.location.line,
-                                     "ambient-rand", node.type.spelling))
-        return findings
-    except Exception as e:  # pragma: no cover - depends on host clang
-        sys.stderr.write(f"hbft_lint: libclang backend degraded ({e}); "
-                         "tokenizer results stand\n")
-        return None
-
-
-# ---------------------------------------------------------------------------
 # Driver.
 # ---------------------------------------------------------------------------
 
@@ -1005,11 +963,6 @@ def main(argv=None):
                         help="files or directories to lint (default: src)")
     parser.add_argument("--root", default=None,
                         help="repository root (default: two levels above this script)")
-    parser.add_argument("--backend", choices=("tokenizer", "libclang"),
-                        default="tokenizer",
-                        help="libclang adds an AST cross-check of the "
-                             "determinism rules when python clang bindings "
-                             "are importable; falls back silently otherwise")
     parser.add_argument("--list-rules", action="store_true")
     args = parser.parse_args(argv)
 
@@ -1041,18 +994,6 @@ def main(argv=None):
         check_thread_state_codec(path, code, suppress, violations)
         check_codec_symmetry(path, code, suppress, violations)
     check_snapshot_completeness(lexed, violations)
-
-    if args.backend == "libclang":
-        extra = try_libclang_determinism(root, file_list)
-        if extra is None:
-            sys.stderr.write("hbft_lint: libclang unavailable; "
-                             "tokenizer backend results stand\n")
-        else:
-            known = {(v.path, v.line, v.rule) for v in violations}
-            for path, line, rule, what in extra:
-                if (path, line, rule) not in known:
-                    violations.append(Violation(
-                        path, line, rule, f"(libclang) `{what}`"))
 
     violations.sort(key=lambda v: (v.path, v.line, v.rule))
     for v in violations:
