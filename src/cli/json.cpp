@@ -63,12 +63,12 @@ void JsonValue::DumpTo(std::string* out, int indent) const {
     case Kind::kBool:
       *out += bool_ ? "true" : "false";
       break;
-    case Kind::kInt: {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(int_));
-      *out += buf;
+    case Kind::kInt:
+      *out += std::to_string(int_);
       break;
-    }
+    case Kind::kUint:
+      *out += std::to_string(uint_);
+      break;
     case Kind::kDouble: {
       if (!std::isfinite(double_)) {
         *out += "null";

@@ -18,7 +18,7 @@ class JsonValue {
   JsonValue() : kind_(Kind::kNull) {}
   JsonValue(bool b) : kind_(Kind::kBool), bool_(b) {}
   JsonValue(int64_t n) : kind_(Kind::kInt), int_(n) {}
-  JsonValue(uint64_t n) : kind_(Kind::kInt), int_(static_cast<int64_t>(n)) {}
+  JsonValue(uint64_t n) : kind_(Kind::kUint), uint_(n) {}
   JsonValue(int n) : kind_(Kind::kInt), int_(n) {}
   JsonValue(double d) : kind_(Kind::kDouble), double_(d) {}
   JsonValue(const char* s) : kind_(Kind::kString), string_(s) {}
@@ -42,13 +42,14 @@ class JsonValue {
   std::string Dump() const;
 
  private:
-  enum class Kind { kNull, kBool, kInt, kDouble, kString, kObject, kArray };
+  enum class Kind { kNull, kBool, kInt, kUint, kDouble, kString, kObject, kArray };
 
   void DumpTo(std::string* out, int indent) const;
 
   Kind kind_;
   bool bool_ = false;
   int64_t int_ = 0;
+  uint64_t uint_ = 0;
   double double_ = 0.0;
   std::string string_;
   std::vector<std::pair<std::string, JsonValue>> members_;

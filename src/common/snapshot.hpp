@@ -1,16 +1,19 @@
-// Canonical state snapshots: the serialisation substrate behind the
-// Snapshotable interface and the live state-transfer subsystem.
+// The repo's one canonical byte codec: the serialisation substrate behind
+// the Snapshotable interface and the live state-transfer subsystem, and the
+// codec every wire format is written in (protocol messages in
+// net/message.cpp, client frames, the stream length prefix and the NIC
+// request header in serve/wire.cpp, the fleet's request header and result
+// fingerprint in fleet/).
 //
 // Every layer that owns mutable virtual-machine state (machine/, devices/,
 // hypervisor/, core/) implements Snapshotable: CaptureState writes the
 // layer's state as canonical little-endian bytes, RestoreState reads them
-// back. The encoding is *canonical* in the same sense as the wire codec in
-// net/message.cpp: there is exactly one byte sequence for a given state —
-// flag bytes are 0/1 only, lengths are explicit, and a top-level snapshot is
-// rejected unless every byte is consumed. Canonicality is what makes
-// "round-trip = byte-identical machine" a testable property: capture,
-// restore into a fresh instance, capture again, and the two byte sequences
-// must be equal.
+// back. The encoding is *canonical*: there is exactly one byte sequence for
+// a given value — flag bytes are 0/1 only, lengths are explicit, and a
+// top-level snapshot or wire message is rejected unless every byte is
+// consumed. Canonicality is what makes "round-trip = byte-identical machine"
+// a testable property: capture, restore into a fresh instance, capture
+// again, and the two byte sequences must be equal.
 //
 // Snapshots are versioned through a fixed header (magic + version) written
 // by WriteSnapshotHeader and checked by ReadSnapshotHeader, so a persisted

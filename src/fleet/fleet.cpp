@@ -1,10 +1,12 @@
 #include "fleet/fleet.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/check.hpp"
 #include "common/hash.hpp"
 #include "common/logging.hpp"
+#include "common/snapshot.hpp"
 #include "sim/environment_observer.hpp"
 
 namespace hbft {
@@ -469,35 +471,25 @@ FleetResult Fleet::Collect() {
                 static_cast<double>(result.requests_total);
 
   // Fingerprint every observable field a regression could move.
-  std::vector<uint8_t> bytes;
-  auto fold64 = [&bytes](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      bytes.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
-  };
-  auto fold_double = [&fold64](double v) {
-    uint64_t raw = 0;
-    static_assert(sizeof(raw) == sizeof(v));
-    __builtin_memcpy(&raw, &v, sizeof(raw));
-    fold64(raw);
-  };
-  fold64(result.requests_total);
-  fold64(result.requests_served);
-  fold64(result.requests_within_slo);
-  fold_double(result.availability);
-  fold_double(result.latency_ms.p50);
-  fold_double(result.latency_ms.p99);
-  fold_double(result.latency_ms.p999);
-  fold64(static_cast<uint64_t>(result.makespan.picos()));
+  Snapshot observed;
+  SnapshotWriter w(&observed);
+  w.U64(result.requests_total);
+  w.U64(result.requests_served);
+  w.U64(result.requests_within_slo);
+  w.U64(std::bit_cast<uint64_t>(result.availability));
+  w.U64(std::bit_cast<uint64_t>(result.latency_ms.p50));
+  w.U64(std::bit_cast<uint64_t>(result.latency_ms.p99));
+  w.U64(std::bit_cast<uint64_t>(result.latency_ms.p999));
+  w.I64(result.makespan.picos());
   for (const FleetChainReport& chain : result.chains) {
-    fold64(chain.guest_checksum);
-    fold64(chain.requests_served);
-    fold64(chain.failovers);
-    fold64(chain.repairs);
-    fold64(static_cast<uint64_t>(chain.completion_time.picos()));
-    fold_double(chain.availability);
+    w.U64(chain.guest_checksum);
+    w.U64(chain.requests_served);
+    w.U64(chain.failovers);
+    w.U64(chain.repairs);
+    w.I64(chain.completion_time.picos());
+    w.U64(std::bit_cast<uint64_t>(chain.availability));
   }
-  result.fingerprint = Fnv1a(bytes.data(), bytes.size());
+  result.fingerprint = Fnv1a(observed.bytes.data(), observed.size());
   return result;
 }
 

@@ -1,6 +1,7 @@
 #include "fleet/traffic.hpp"
 
 #include "common/check.hpp"
+#include "common/snapshot.hpp"
 #include "isa/isa.hpp"
 
 namespace hbft {
@@ -14,19 +15,18 @@ std::vector<uint8_t> EncodeRequest(uint32_t chain, uint32_t seq, uint32_t payloa
     payload_bytes = kHeaderBytes;
   }
   HBFT_CHECK_LE(payload_bytes, kNicMaxPacketBytes);
-  std::vector<uint8_t> out(payload_bytes);
-  out[0] = 'F';
-  out[1] = 'Q';
-  for (int i = 0; i < 4; ++i) {
-    out[2 + i] = static_cast<uint8_t>(chain >> (8 * i));
-    out[6 + i] = static_cast<uint8_t>(seq >> (8 * i));
-  }
+  Snapshot packet;
+  SnapshotWriter w(&packet);
+  w.U8('F');
+  w.U8('Q');
+  w.U32(chain);
+  w.U32(seq);
   // Deterministic filler keyed off the header, so equal-length requests
   // never collide byte-wise.
   for (uint32_t i = kHeaderBytes; i < payload_bytes; ++i) {
-    out[i] = static_cast<uint8_t>((chain * 131u + seq * 31u + i) & 0xFF);
+    w.U8(static_cast<uint8_t>((chain * 131u + seq * 31u + i) & 0xFF));
   }
-  return out;
+  return std::move(packet.bytes);
 }
 
 SimTime RequestArrival(const TrafficConfig& traffic, uint64_t seq) {
@@ -47,14 +47,13 @@ std::vector<RequestOutcome> MatchRequests(uint32_t chain, const TrafficConfig& t
     // Decode the header back rather than re-encoding every candidate: the
     // trace can hold duplicates (P7 redrive) and, in principle, non-request
     // traffic.
-    if (entry.bytes.size() < kHeaderBytes || entry.bytes[0] != 'F' || entry.bytes[1] != 'Q') {
-      continue;
-    }
+    SnapshotReader header(entry.bytes);
+    uint8_t magic[2] = {};
     uint32_t got_chain = 0;
     uint32_t got_seq = 0;
-    for (int i = 0; i < 4; ++i) {
-      got_chain |= static_cast<uint32_t>(entry.bytes[2 + i]) << (8 * i);
-      got_seq |= static_cast<uint32_t>(entry.bytes[6 + i]) << (8 * i);
+    if (!header.U8(&magic[0]) || !header.U8(&magic[1]) || magic[0] != 'F' || magic[1] != 'Q' ||
+        !header.U32(&got_chain) || !header.U32(&got_seq)) {
+      continue;
     }
     if (got_chain != chain || got_seq >= out.size() || out[got_seq].served) {
       continue;

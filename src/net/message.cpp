@@ -1,122 +1,50 @@
 #include "net/message.hpp"
 
-#include "common/check.hpp"
+#include "common/snapshot.hpp"
 
 namespace hbft {
 
-namespace {
-
-void PutU8(std::vector<uint8_t>* out, uint8_t v) { out->push_back(v); }
-
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-class Reader {
- public:
-  explicit Reader(const std::vector<uint8_t>& bytes) : bytes_(bytes) {}
-
-  bool GetU8(uint8_t* v) {
-    if (pos_ + 1 > bytes_.size()) {
-      return false;
-    }
-    *v = bytes_[pos_++];
-    return true;
-  }
-  bool GetU32(uint32_t* v) {
-    if (pos_ + 4 > bytes_.size()) {
-      return false;
-    }
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<uint32_t>(bytes_[pos_++]) << (8 * i);
-    }
-    return true;
-  }
-  bool GetU64(uint64_t* v) {
-    if (pos_ + 8 > bytes_.size()) {
-      return false;
-    }
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<uint64_t>(bytes_[pos_++]) << (8 * i);
-    }
-    return true;
-  }
-  bool GetBytes(std::vector<uint8_t>* out, size_t n) {
-    if (pos_ + n > bytes_.size()) {
-      return false;
-    }
-    out->assign(bytes_.begin() + static_cast<ptrdiff_t>(pos_),
-                bytes_.begin() + static_cast<ptrdiff_t>(pos_ + n));
-    pos_ += n;
-    return true;
-  }
-  bool AtEnd() const { return pos_ == bytes_.size(); }
-
- private:
-  const std::vector<uint8_t>& bytes_;
-  size_t pos_ = 0;
-};
-
-}  // namespace
-
 std::vector<uint8_t> Message::Serialize() const {
-  std::vector<uint8_t> out;
-  PutU8(&out, static_cast<uint8_t>(type));
-  PutU64(&out, seq);
-  PutU64(&out, epoch);
+  Snapshot wire;
+  SnapshotWriter w(&wire);
+  w.U8(static_cast<uint8_t>(type));
+  w.U64(seq);
+  w.U64(epoch);
   switch (type) {
     case MsgType::kAck:
-      PutU64(&out, ack_seq);
+      w.U64(ack_seq);
       break;
     case MsgType::kEnvValue:
-      PutU64(&out, env_seq);
-      PutU64(&out, env_value);
+      w.U64(env_seq);
+      w.U64(env_value);
       break;
     case MsgType::kTimeSync:
-      PutU64(&out, tod_value);
+      w.U64(tod_value);
       break;
     case MsgType::kEpochEnd:
       break;
-    case MsgType::kInterrupt: {
-      PutU32(&out, irq_lines);
-      PutU8(&out, io.has_value() ? 1 : 0);
+    case MsgType::kInterrupt:
+      w.U32(irq_lines);
+      w.Bool(io.has_value());
       if (io.has_value()) {
-        PutU32(&out, io->device_irq);
-        PutU64(&out, io->guest_op_seq);
-        PutU32(&out, io->result_code);
-        PutU8(&out, io->has_dma_data ? 1 : 0);
-        PutU32(&out, io->dma_guest_paddr);
-        PutU32(&out, static_cast<uint32_t>(io->dma_data.size()));
-        out.insert(out.end(), io->dma_data.begin(), io->dma_data.end());
+        CaptureIoCompletion(w, *io);
       }
       break;
-    }
     case MsgType::kStateChunk:
-      PutU8(&out, static_cast<uint8_t>(state_kind));
-      PutU32(&out, state_page);
-      PutU32(&out, state_page_count);
-      PutU32(&out, static_cast<uint32_t>(state_data.size()));
-      out.insert(out.end(), state_data.begin(), state_data.end());
+      w.U8(static_cast<uint8_t>(state_kind));
+      w.U32(state_page);
+      w.U32(state_page_count);
+      w.Blob(state_data);
       break;
   }
-  return out;
+  return std::move(wire.bytes);
 }
 
 std::optional<Message> Message::Deserialize(const std::vector<uint8_t>& bytes) {
-  Reader reader(bytes);
+  SnapshotReader r(bytes);
   Message msg;
   uint8_t type_raw = 0;
-  if (!reader.GetU8(&type_raw) || !reader.GetU64(&msg.seq) || !reader.GetU64(&msg.epoch)) {
+  if (!r.U8(&type_raw) || !r.U64(&msg.seq) || !r.U64(&msg.epoch)) {
     return std::nullopt;
   }
   if (type_raw < 1 || type_raw > 6) {
@@ -125,57 +53,36 @@ std::optional<Message> Message::Deserialize(const std::vector<uint8_t>& bytes) {
   msg.type = static_cast<MsgType>(type_raw);
   switch (msg.type) {
     case MsgType::kAck:
-      if (!reader.GetU64(&msg.ack_seq)) {
+      if (!r.U64(&msg.ack_seq)) {
         return std::nullopt;
       }
       break;
     case MsgType::kEnvValue:
-      if (!reader.GetU64(&msg.env_seq) || !reader.GetU64(&msg.env_value)) {
+      if (!r.U64(&msg.env_seq) || !r.U64(&msg.env_value)) {
         return std::nullopt;
       }
       break;
     case MsgType::kTimeSync:
-      if (!reader.GetU64(&msg.tod_value)) {
+      if (!r.U64(&msg.tod_value)) {
         return std::nullopt;
       }
       break;
     case MsgType::kEpochEnd:
       break;
     case MsgType::kInterrupt: {
-      uint8_t has_io = 0;
-      if (!reader.GetU32(&msg.irq_lines) || !reader.GetU8(&has_io)) {
+      bool has_io = false;
+      if (!r.U32(&msg.irq_lines) || !r.Bool(&has_io)) {
         return std::nullopt;
       }
-      // The encoder only ever emits 0 or 1: anything else is corruption, and
-      // accepting it would re-serialise differently (a silent misparse).
-      if (has_io > 1) {
+      if (has_io && !RestoreIoCompletion(r, &msg.io.emplace())) {
         return std::nullopt;
-      }
-      if (has_io != 0) {
-        IoCompletionPayload io;
-        uint8_t has_dma = 0;
-        uint32_t dma_len = 0;
-        if (!reader.GetU32(&io.device_irq) || !reader.GetU64(&io.guest_op_seq) ||
-            !reader.GetU32(&io.result_code) || !reader.GetU8(&has_dma) ||
-            !reader.GetU32(&io.dma_guest_paddr) || !reader.GetU32(&dma_len)) {
-          return std::nullopt;
-        }
-        if (has_dma > 1) {
-          return std::nullopt;  // Non-canonical flag byte: corruption.
-        }
-        io.has_dma_data = has_dma != 0;
-        if (!reader.GetBytes(&io.dma_data, dma_len)) {
-          return std::nullopt;
-        }
-        msg.io = std::move(io);
       }
       break;
     }
     case MsgType::kStateChunk: {
       uint8_t kind = 0;
-      uint32_t data_len = 0;
-      if (!reader.GetU8(&kind) || !reader.GetU32(&msg.state_page) ||
-          !reader.GetU32(&msg.state_page_count) || !reader.GetU32(&data_len)) {
+      if (!r.U8(&kind) || !r.U32(&msg.state_page) || !r.U32(&msg.state_page_count) ||
+          !r.Blob(&msg.state_data)) {
         return std::nullopt;
       }
       // The encoder only emits the three chunk kinds; anything else is
@@ -184,13 +91,10 @@ std::optional<Message> Message::Deserialize(const std::vector<uint8_t>& bytes) {
         return std::nullopt;
       }
       msg.state_kind = static_cast<StateChunkKind>(kind);
-      if (!reader.GetBytes(&msg.state_data, data_len)) {
-        return std::nullopt;
-      }
       break;
     }
   }
-  if (!reader.AtEnd()) {
+  if (!r.AtEnd()) {
     return std::nullopt;
   }
   return msg;

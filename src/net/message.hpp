@@ -20,9 +20,15 @@
 //                 ordered protocol channel, so FIFO guarantees the whole
 //                 snapshot precedes the first post-cut protocol message.
 //
-// Serialisation exists so the channel can model wire sizes (an 8K disk block
-// fragments into the paper's "9 messages for the data") and so codecs are
-// testable; the simulation otherwise passes Message values directly.
+// Simulated channels pass Message values directly and charge WireSize()
+// bytes, so an 8K disk block fragments into the paper's "9 messages for the
+// data". Serialize/Deserialize are the real wire format, used where a
+// Channel rides a TCP stream (serve's replication link). They are written in
+// the canonical snapshot codec (common/snapshot.hpp), and an interrupt's
+// completion payload goes through CaptureIoCompletion/RestoreIoCompletion,
+// so the [E, Int] a backup buffers has one byte layout whether it arrived
+// over the wire or in a resync snapshot. WireSize() is kept by hand because
+// it runs for every simulated send; a test holds it to Serialize().size().
 #ifndef HBFT_NET_MESSAGE_HPP_
 #define HBFT_NET_MESSAGE_HPP_
 

@@ -1,87 +1,51 @@
 #include "serve/wire.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
+#include "common/snapshot.hpp"
 
 namespace hbft {
 namespace serve {
 
-namespace {
-
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
-  out->push_back(static_cast<uint8_t>(v >> 16));
-  out->push_back(static_cast<uint8_t>(v >> 24));
-}
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-uint32_t GetU32(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
-         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
-}
-
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = v << 8 | p[i];
-  }
-  return v;
-}
-
-}  // namespace
-
 std::vector<uint8_t> ClientFrame::Serialize() const {
   HBFT_CHECK_LE(payload.size(), kMaxRequestPayload);
-  std::vector<uint8_t> out;
-  out.reserve(kClientFrameHeaderBytes + payload.size());
-  out.push_back(type);
-  out.push_back(flags);
-  PutU64(&out, client_id);
-  PutU64(&out, seq);
-  PutU32(&out, static_cast<uint32_t>(payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
+  Snapshot body;
+  SnapshotWriter w(&body);
+  w.U8(type);
+  w.U8(flags);
+  w.U64(client_id);
+  w.U64(seq);
+  w.Blob(payload);
+  return std::move(body.bytes);
 }
 
 std::optional<ClientFrame> ClientFrame::Deserialize(const std::vector<uint8_t>& bytes) {
-  if (bytes.size() < kClientFrameHeaderBytes) {
+  SnapshotReader r(bytes);
+  ClientFrame frame;
+  // The announced payload must account for every remaining byte: trailing
+  // garbage and truncated payloads are both rejected.
+  if (!r.U8(&frame.type) || !r.U8(&frame.flags) || !r.U64(&frame.client_id) ||
+      !r.U64(&frame.seq) || !r.Blob(&frame.payload) || !r.AtEnd()) {
     return std::nullopt;
   }
-  ClientFrame frame;
-  frame.type = bytes[0];
-  frame.flags = bytes[1];
   if (frame.type != kFrameRequest && frame.type != kFrameResponse) {
     return std::nullopt;
   }
   if ((frame.flags & ~kFlagResend) != 0) {
     return std::nullopt;  // Undefined flag bits: non-canonical.
   }
-  frame.client_id = GetU64(&bytes[2]);
-  frame.seq = GetU64(&bytes[10]);
-  uint32_t payload_len = GetU32(&bytes[18]);
-  if (payload_len > kMaxRequestPayload) {
+  if (frame.payload.size() > kMaxRequestPayload) {
     return std::nullopt;
   }
-  // The announced payload must account for every remaining byte: trailing
-  // garbage and truncated payloads are both rejected.
-  if (bytes.size() != kClientFrameHeaderBytes + payload_len) {
-    return std::nullopt;
-  }
-  frame.payload.assign(bytes.begin() + kClientFrameHeaderBytes, bytes.end());
   return frame;
 }
 
 std::vector<uint8_t> FrameBytes(const std::vector<uint8_t>& body) {
-  std::vector<uint8_t> out;
-  out.reserve(4 + body.size());
-  PutU32(&out, static_cast<uint32_t>(body.size()));
-  out.insert(out.end(), body.begin(), body.end());
-  return out;
+  Snapshot framed;
+  SnapshotWriter w(&framed);
+  w.Blob(body);
+  return std::move(framed.bytes);
 }
 
 std::vector<uint8_t> EncodeFrame(const ClientFrame& frame) { return FrameBytes(frame.Serialize()); }
@@ -94,14 +58,13 @@ void FrameReader::Feed(const uint8_t* data, size_t n) {
 }
 
 std::optional<std::vector<uint8_t>> FrameReader::Next() {
-  if (corrupt_ || buffer_.size() < 4) {
+  const std::vector<uint8_t> prefix(buffer_.begin(),
+                                    buffer_.begin() + std::min<size_t>(buffer_.size(), 4));
+  SnapshotReader r(prefix);
+  uint32_t body_len = 0;
+  if (corrupt_ || !r.U32(&body_len)) {
     return std::nullopt;
   }
-  uint8_t len_bytes[4];
-  for (int i = 0; i < 4; ++i) {
-    len_bytes[i] = buffer_[static_cast<size_t>(i)];
-  }
-  uint32_t body_len = GetU32(len_bytes);
   if (body_len > max_frame_bytes_) {
     corrupt_ = true;
     return std::nullopt;
@@ -117,28 +80,28 @@ std::optional<std::vector<uint8_t>> FrameReader::Next() {
 
 std::vector<uint8_t> EncodeNicRequest(const NicRequest& request) {
   HBFT_CHECK_LE(request.payload.size(), kMaxRequestPayload);
-  std::vector<uint8_t> out;
-  out.reserve(kNicRequestHeaderBytes + request.payload.size());
-  out.push_back('S');
-  out.push_back('V');
-  PutU64(&out, request.client_id);
-  PutU64(&out, request.seq);
-  out.insert(out.end(), request.payload.begin(), request.payload.end());
-  return out;
+  Snapshot packet;
+  SnapshotWriter w(&packet);
+  w.U8('S');
+  w.U8('V');
+  w.U64(request.client_id);
+  w.U64(request.seq);
+  packet.bytes.insert(packet.bytes.end(), request.payload.begin(), request.payload.end());
+  return std::move(packet.bytes);
 }
 
 std::optional<NicRequest> DecodeNicPacket(const std::vector<uint8_t>& bytes) {
-  if (bytes.size() < kNicRequestHeaderBytes ||
-      bytes.size() > kNicRequestHeaderBytes + kMaxRequestPayload) {
+  if (bytes.size() > kNicRequestHeaderBytes + kMaxRequestPayload) {
     return std::nullopt;
   }
-  if (bytes[0] != 'S' || bytes[1] != 'V') {
-    return std::nullopt;
-  }
+  SnapshotReader r(bytes);
+  uint8_t magic[2] = {};
   NicRequest request;
-  request.client_id = GetU64(&bytes[2]);
-  request.seq = GetU64(&bytes[10]);
-  request.payload.assign(bytes.begin() + kNicRequestHeaderBytes, bytes.end());
+  if (!r.U8(&magic[0]) || !r.U8(&magic[1]) || magic[0] != 'S' || magic[1] != 'V' ||
+      !r.U64(&request.client_id) || !r.U64(&request.seq)) {
+    return std::nullopt;
+  }
+  request.payload.assign(bytes.begin() + static_cast<ptrdiff_t>(r.position()), bytes.end());
   return request;
 }
 

@@ -2,21 +2,23 @@
 // length-prefix framing used on both real TCP byte streams (client
 // connections and the inter-replica replication link).
 //
-// The codec follows the repo's canonical-bytes discipline (common/snapshot,
-// net/message): little-endian fixed-width fields, explicit lengths, exactly
-// one encoding per value. Deserialize rejects every non-canonical byte
-// string — unknown frame types, undefined flag bits, a payload length that
-// disagrees with the frame size — so a fuzzer can assert "parses or is
-// rejected, never misreads".
+// Every format here is written with the canonical snapshot codec
+// (common/snapshot.hpp's SnapshotWriter/SnapshotReader, as net/message is):
+// little-endian fixed-width fields, explicit lengths, exactly one encoding
+// per value. Deserialize rejects every non-canonical byte string — unknown
+// frame types, undefined flag bits, a payload length that disagrees with the
+// frame size — so a fuzzer can assert "parses or is rejected, never
+// misreads".
 //
 // Frame layout on the stream (everything little-endian):
-//   u32  body_len                  (framing prefix, not part of the body)
+//   u32  body_len                  (framing prefix, not part of the body:
+//                                  the body written as one Blob)
 //   u8   type                      kFrameRequest | kFrameResponse
 //   u8   flags                     bit 0 = resend (client retry after
 //                                  reconnect); all other bits must be zero
 //   u64  client_id
 //   u64  seq                       per-client request sequence number
-//   u32  payload_len
+//   u32  payload_len               (payload_len + payload: one Blob)
 //   u8[] payload
 //
 // Truncation semantics: a byte stream that ends mid-frame (peer death between

@@ -80,6 +80,11 @@ expect_field("${json_out}" "\"env_consistency\": true")
 expect_field("${json_out}" "\"resyncs\"")
 expect_field("${json_out}" "\"completed\": true")
 
+# --- run --json: a seed above INT64_MAX prints unsigned, as it was given ------
+run_cli(seed_json_out run --workload=cpu --iterations=200 --mode=bare
+        --seed=18446744073709551615 --json)
+expect_field("${seed_json_out}" "\"seed\": 18446744073709551615")
+
 # --- drill --backups=2: cascading failover through a backup chain -----------
 run_cli(cascade_out drill --backups=2 --fail=time-ms=6
         --fail=phase=after-io-issue,crash-io=not-performed)

@@ -11,9 +11,9 @@ Three layers:
   * The full src/ tree must lint clean — the same gate CI enforces.
 
   * Mutation tests against the real tree: deleting a single field write from
-    a Snapshotable CaptureState implementation must turn the lint red
-    (the acceptance property the snapshot-completeness and codec-symmetry
-    checks exist for).
+    a Snapshotable CaptureState implementation, or from a wire codec's
+    Serialize, must turn the lint red (the acceptance property the
+    snapshot-completeness and codec-symmetry checks exist for).
 
 Run directly (`python3 tests/lint_test.py`) or via CTest (`ctest -R lint`).
 """
@@ -115,6 +115,13 @@ class Suppressions(unittest.TestCase):
         code, out = run_lint(fixture("clean.cpp"))
         self.assertEqual(code, 0, out)
 
+    def test_local_writer_over_out_buffer_is_not_a_codec_step(self):
+        # `Snapshot out; SnapshotWriter w(&out);` declares a writer; it must
+        # not count as a nested codec call just because the buffer is named
+        # like a byte stream.
+        code, out = run_lint(fixture("codec_local_writer_ok.cpp"))
+        self.assertEqual(code, 0, out)
+
     def test_operator_declarations_are_not_members(self):
         # A deleted `operator=` and a defaulted `operator==` must parse as
         # functions, not as a never-serialized member named `operator`.
@@ -149,13 +156,15 @@ class FullTree(unittest.TestCase):
 
 
 class MutationOnRealTree(unittest.TestCase):
-    """Deleting one field write from a real Capture* method makes the lint
-    fail (via codec-symmetry when only the writer side is edited, via
-    snapshot-field when both sides drop the member). The replica entry is the
-    resync control snapshot's protocol half, paired with its Restore* in the
-    same class."""
+    """Deleting one field write from a real Capture* method, or from a wire
+    codec's Serialize, makes the lint fail (via codec-symmetry when only the
+    writer side is edited, via snapshot-field when both sides drop the
+    member). The replica entry is the resync control snapshot's protocol
+    half, paired with its Restore* in the same class. The message and wire
+    entries are the protocol message and serve client frame codecs, which
+    write through the same SnapshotWriter operations as the snapshots."""
 
-    # (file, one full line inside a Capture* method to delete)
+    # (file, one full line inside a Capture* method or Serialize to delete)
     WRITER_MUTATIONS = [
         ("src/machine/tlb.cpp", "  w.U64(lookups_);"),
         ("src/machine/machine.cpp", None),  # auto-pick below
@@ -163,6 +172,8 @@ class MutationOnRealTree(unittest.TestCase):
         ("src/devices/disk.cpp", None),
         ("src/devices/nic.cpp", None),
         ("src/core/replica.cpp", "  w.U64(next_env_seq_);"),
+        ("src/net/message.cpp", "  w.U64(epoch);"),
+        ("src/serve/wire.cpp", "  w.U64(client_id);"),
     ]
 
     @staticmethod

@@ -1,7 +1,11 @@
-// Network tests: message serialisation round trips, wire sizes, link timing
-// (including the paper's 9-messages-per-8K-block framing), FIFO delivery, and
-// break semantics.
+// Network tests: message serialisation round trips and golden wire bytes,
+// wire sizes, link timing (including the paper's 9-messages-per-8K-block
+// framing), FIFO delivery, and break semantics.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "isa/isa.hpp"
@@ -68,15 +72,21 @@ TEST_P(MessageRoundTrip, SerializeDeserialize) {
   EXPECT_EQ(decoded->env_seq, msg.env_seq);
   EXPECT_EQ(decoded->env_value, msg.env_value);
   EXPECT_EQ(decoded->tod_value, msg.tod_value);
+  EXPECT_EQ(decoded->irq_lines, msg.irq_lines);
   EXPECT_EQ(decoded->io.has_value(), msg.io.has_value());
   if (msg.io.has_value()) {
-    EXPECT_EQ(decoded->io->dma_data, msg.io->dma_data);
+    EXPECT_EQ(decoded->io->device_irq, msg.io->device_irq);
     EXPECT_EQ(decoded->io->guest_op_seq, msg.io->guest_op_seq);
+    EXPECT_EQ(decoded->io->result_code, msg.io->result_code);
+    EXPECT_EQ(decoded->io->has_dma_data, msg.io->has_dma_data);
+    EXPECT_EQ(decoded->io->dma_guest_paddr, msg.io->dma_guest_paddr);
+    EXPECT_EQ(decoded->io->dma_data, msg.io->dma_data);
   }
   EXPECT_EQ(decoded->state_kind, msg.state_kind);
   EXPECT_EQ(decoded->state_page, msg.state_page);
   EXPECT_EQ(decoded->state_page_count, msg.state_page_count);
   EXPECT_EQ(decoded->state_data, msg.state_data);
+  EXPECT_EQ(decoded->Serialize(), bytes);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTypes, MessageRoundTrip, testing::Range(1, kNumMsgTypes + 1));
@@ -154,6 +164,100 @@ TEST(Message, DeserializeRejectsNonCanonicalFlagBytes) {
   ASSERT_EQ(chunk[kind_pos], static_cast<uint8_t>(StateChunkKind::kPage));
   chunk[kind_pos] = 3;
   EXPECT_FALSE(Message::Deserialize(chunk).has_value());
+}
+
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (uint8_t b : bytes) {
+    hex.push_back(kDigits[b >> 4]);
+    hex.push_back(kDigits[b & 0xF]);
+  }
+  return hex;
+}
+
+std::vector<uint8_t> Unhex(const std::string& hex) {
+  std::vector<uint8_t> bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(static_cast<uint8_t>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  }
+  return bytes;
+}
+
+// The exact bytes of every message kind and variant, split field by field as
+// they sit on the wire (all little-endian). A codec change that reorders,
+// widens or drops a field fails here even if it still round-trips with
+// itself; each golden string must also decode and re-encode unchanged.
+TEST(Message, GoldenWireBytes) {
+  auto header = [](MsgType type) {
+    Message msg;
+    msg.type = type;
+    msg.seq = 0x0102030405060708ULL;
+    msg.epoch = 0x1112131415161718ULL;
+    return msg;
+  };
+  // seq, epoch after the type byte.
+  const std::string kSeqEpoch = "0807060504030201" "1817161514131211";
+  std::vector<std::pair<Message, std::string>> cases;
+
+  Message ack = header(MsgType::kAck);
+  ack.ack_seq = 0x2122232425262728ULL;
+  cases.emplace_back(ack, "05" + kSeqEpoch + "2827262524232221");
+
+  Message env = header(MsgType::kEnvValue);
+  env.env_seq = 5;
+  env.env_value = 0xDEADBEEFCAFEULL;
+  cases.emplace_back(env, "02" + kSeqEpoch + "0500000000000000" "fecaefbeadde0000");
+
+  Message tod = header(MsgType::kTimeSync);
+  tod.tod_value = 123456789;
+  cases.emplace_back(tod, "03" + kSeqEpoch + "15cd5b0700000000");
+
+  cases.emplace_back(header(MsgType::kEpochEnd), "04" + kSeqEpoch);
+
+  // Interrupt: irq_lines, has-completion flag, then the completion: device
+  // irq, guest op seq, result code, has-DMA flag, DMA paddr, DMA length+data.
+  Message irq = header(MsgType::kInterrupt);
+  irq.irq_lines = 0x6;
+  cases.emplace_back(irq, "01" + kSeqEpoch + "06000000" "00");
+  IoCompletionPayload io;
+  io.device_irq = 0x2;
+  io.guest_op_seq = 9;
+  io.result_code = 0xFFFFFFFE;
+  irq.io = io;
+  cases.emplace_back(irq, "01" + kSeqEpoch + "06000000" "01" "02000000" "0900000000000000"
+                          "feffffff" "00" "00000000" "00000000");
+  io.result_code = 0;
+  io.has_dma_data = true;
+  io.dma_guest_paddr = 0x310000;
+  io.dma_data = {0xAA, 0xBB, 0xCC};
+  irq.io = io;
+  cases.emplace_back(irq, "01" + kSeqEpoch + "06000000" "01" "02000000" "0900000000000000"
+                          "00000000" "01" "00003100" "03000000" "aabbcc");
+
+  // State chunk: kind, first page, page count, data length+data.
+  Message page = header(MsgType::kStateChunk);
+  page.state_kind = StateChunkKind::kPage;
+  page.state_page = 33;
+  page.state_data = {1, 2, 3, 4};
+  cases.emplace_back(page, "06" + kSeqEpoch + "00" "21000000" "00000000" "04000000" "01020304");
+  Message zero_run = header(MsgType::kStateChunk);
+  zero_run.state_kind = StateChunkKind::kZeroRun;
+  zero_run.state_page = 40;
+  zero_run.state_page_count = 17;
+  cases.emplace_back(zero_run, "06" + kSeqEpoch + "01" "28000000" "11000000" "00000000");
+  Message control = header(MsgType::kStateChunk);
+  control.state_kind = StateChunkKind::kControl;
+  control.state_data = {0x48, 0x42};
+  cases.emplace_back(control, "06" + kSeqEpoch + "02" "00000000" "00000000" "02000000" "4842");
+
+  for (const auto& [msg, golden] : cases) {
+    EXPECT_EQ(Hex(msg.Serialize()), golden) << "kind " << static_cast<int>(msg.type);
+    const std::vector<uint8_t> bytes = Unhex(golden);
+    auto decoded = Message::Deserialize(bytes);
+    ASSERT_TRUE(decoded.has_value()) << golden;
+    EXPECT_EQ(Hex(decoded->Serialize()), golden);
+  }
 }
 
 TEST(Message, DeserializeRejectsGarbage) {

@@ -1,10 +1,12 @@
 // perf/report helper tests: exact nearest-rank percentiles on small samples
 // and time-based availability from outage windows — the fleet's measurement
-// arithmetic, checked against hand-computed values.
+// arithmetic, checked against hand-computed values — plus the JSON printer
+// every --json report goes through.
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "cli/json.hpp"
 #include "perf/report.hpp"
 
 namespace hbft {
@@ -95,6 +97,17 @@ TEST(Availability, EdgeCases) {
   EXPECT_DOUBLE_EQ(AvailabilityFromOutages({{SimTime::Zero(), SimTime::Zero()}},
                                            SimTime::Zero()),
                    0.0);
+}
+
+// Reports carry fingerprints and seeds as full-range uint64_t: values at or
+// above 2^63 must print as the unsigned numbers they are, not wrap negative.
+TEST(JsonValue, PrintsUint64AboveInt64MaxUnsigned) {
+  EXPECT_EQ(cli::JsonValue(uint64_t{1} << 63).Dump(), "9223372036854775808\n");
+  EXPECT_EQ(cli::JsonValue(~uint64_t{0}).Dump(), "18446744073709551615\n");
+  EXPECT_EQ(cli::JsonValue(int64_t{-1}).Dump(), "-1\n");
+  cli::JsonValue doc = cli::JsonValue::Object();
+  doc.Set("fingerprint", uint64_t{16216602067118716049ULL});
+  EXPECT_EQ(doc.Dump(), "{\n  \"fingerprint\": 16216602067118716049\n}\n");
 }
 
 }  // namespace

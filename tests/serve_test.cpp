@@ -1,18 +1,22 @@
 // Serve subsystem tests: the client wire codec (canonical-bytes fuzzing:
 // every truncation and every non-canonical byte must be rejected, never
-// misread), the length-prefix stream dissector (a partial trailing frame is
-// held and never delivered — the socket analogue of Channel::Break pruning a
-// mid-serialisation frame), the Channel socket transport (go-back-N framing
-// and retransmits over a WireSink), and a two-NodeHost lockstep run joined
-// by in-memory byte queues standing in for the TCP connection, including
-// primary death and backup promotion.
+// misread), golden bytes for every client-side wire format (client frame,
+// length prefix, NIC request header, fleet request header), the length-prefix
+// stream dissector (a partial trailing frame is held and never delivered —
+// the socket analogue of Channel::Break pruning a mid-serialisation frame),
+// the Channel socket transport (go-back-N framing and retransmits over a
+// WireSink), and a two-NodeHost lockstep run joined by in-memory byte queues
+// standing in for the TCP connection, including primary death and backup
+// promotion.
 #include <gtest/gtest.h>
 
 #include <deque>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "devices/nic.hpp"
+#include "fleet/traffic.hpp"
 #include "net/channel.hpp"
 #include "net/message.hpp"
 #include "serve/node_host.hpp"
@@ -215,6 +219,77 @@ TEST(NicCodec, RejectsForeignAndMalformedPackets) {
   oversized[0] = 'S';
   oversized[1] = 'V';
   EXPECT_FALSE(DecodeNicPacket(oversized).has_value());
+}
+
+// --- Golden wire bytes -------------------------------------------------------
+
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (uint8_t b : bytes) {
+    hex.push_back(kDigits[b >> 4]);
+    hex.push_back(kDigits[b & 0xF]);
+  }
+  return hex;
+}
+
+std::vector<uint8_t> Unhex(const std::string& hex) {
+  std::vector<uint8_t> bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(static_cast<uint8_t>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  }
+  return bytes;
+}
+
+// The exact bytes of the client frame, its length prefix and the NIC request
+// header (and the fleet's request header, the other NIC request format),
+// split field by field, all little-endian. Each golden string must also
+// decode back to the value that produced it.
+TEST(WireGolden, ClientFrameWithResendFlag) {
+  ClientFrame frame;
+  frame.type = kFrameRequest;
+  frame.flags = kFlagResend;
+  frame.client_id = 0x1122334455667788ULL;
+  frame.seq = 42;
+  frame.payload = {'h', 'i'};
+  // type, flags, client_id, seq, payload length+bytes.
+  const std::string body = "01" "01" "8877665544332211" "2a00000000000000" "02000000" "6869";
+  EXPECT_EQ(Hex(frame.Serialize()), body);
+  EXPECT_EQ(ClientFrame::Deserialize(Unhex(body)), frame);
+  EXPECT_EQ(Hex(EncodeFrame(frame)), "18000000" + body);
+}
+
+TEST(WireGolden, FrameBytesLengthPrefix) {
+  const std::string stream = "03000000" "abcdef";
+  EXPECT_EQ(Hex(FrameBytes({0xAB, 0xCD, 0xEF})), stream);
+  FrameReader reader(kMaxClientFrameBytes);
+  std::vector<uint8_t> bytes = Unhex(stream);
+  reader.Feed(bytes.data(), bytes.size());
+  EXPECT_EQ(reader.Next(), (std::vector<uint8_t>{0xAB, 0xCD, 0xEF}));
+  EXPECT_EQ(reader.BufferedBytes(), 0u);
+}
+
+TEST(WireGolden, NicRequest) {
+  NicRequest request{0xAABBCCDD00112233ULL, 7, {1, 2, 3}};
+  // 'S' 'V', client_id, seq, then the raw payload (no length).
+  const std::string packet = "5356" "33221100ddccbbaa" "0700000000000000" "010203";
+  EXPECT_EQ(Hex(EncodeNicRequest(request)), packet);
+  EXPECT_EQ(DecodeNicPacket(Unhex(packet)), request);
+}
+
+TEST(WireGolden, FleetRequestHeader) {
+  // 'F' 'Q', chain, seq, then filler bytes (chain*131 + seq*31 + i) & 0xFF.
+  EXPECT_EQ(Hex(EncodeRequest(0x01020304, 0x0A0B0C0D, 10)), "4651" "04030201" "0d0c0b0a");
+  const std::string packet = "4651" "03000000" "05000000" "2e2f30313233";
+  EXPECT_EQ(Hex(EncodeRequest(3, 5, 16)), packet);
+  TrafficConfig traffic;
+  traffic.requests_per_chain = 6;
+  std::vector<RequestOutcome> outcomes =
+      MatchRequests(3, traffic, {NicTraceEntry{Unhex(packet), 0, SimTime::Seconds(1)}});
+  ASSERT_EQ(outcomes.size(), 6u);
+  for (const RequestOutcome& outcome : outcomes) {
+    EXPECT_EQ(outcome.served, outcome.seq == 5) << "seq " << outcome.seq;
+  }
 }
 
 // --- Channel socket transport ------------------------------------------------

@@ -648,6 +648,8 @@ def strip_codec_prefix(name):
 
 
 CALL_RE = re.compile(r"((?:[A-Za-z_]\w*(?:\.|->|::))*)([A-Za-z_]\w*)\s*\(")
+# A locally constructed writer or reader: `SnapshotWriter w(&buf)`.
+LOCAL_STREAM_RE = re.compile(r"\b\w*(?:Writer|Reader)\s+([A-Za-z_]\w*)\s*\(")
 BYTE_INDEX_RE = re.compile(r"\b(?:bytes|data|buf)\s*\[\s*(\d+|[A-Za-z_]\w*)\s*\]")
 
 # Control flow and cast-ish names that CALL_RE matches but are not calls.
@@ -666,6 +668,9 @@ def codec_sequence(body, body_offset, code, stream_names):
     # Track locally-declared byte-output vectors (writer side).
     out_vecs = set(re.findall(r"std::vector<uint8_t>\s+([A-Za-z_]\w*)", body))
     out_vecs.update({"out", "out_"})
+    # Declaring a local writer or reader is not a codec step, whatever its
+    # constructor argument is named.
+    stream_decls = {m.start(1) for m in LOCAL_STREAM_RE.finditer(body)}
     while i < n:
         cm = CALL_RE.match(body, i)
         if not cm:
@@ -698,6 +703,9 @@ def codec_sequence(body, body_offset, code, stream_names):
         args = body[cm.end():j]
         recv_root = re.split(r"\.|->|::", receiver.rstrip(".->:"))[0] if receiver else ""
 
+        if cm.start(2) in stream_decls:
+            i = j + 1
+            continue
         if name in ("push_back", "insert"):
             if recv_root in out_vecs:
                 seq.append((WIDTH_OPS[name], line))
@@ -751,9 +759,7 @@ STREAM_PARAM_TYPES = re.compile(
 def stream_names_of(params_text, body):
     names = set(m.group(2) for m in STREAM_PARAM_TYPES.finditer(params_text))
     # Locally-constructed writers/readers too.
-    names.update(re.findall(r"SnapshotWriter\s+([A-Za-z_]\w*)\s*\(", body))
-    names.update(re.findall(r"SnapshotReader\s+([A-Za-z_]\w*)\s*\(", body))
-    names.update(re.findall(r"Reader\s+([A-Za-z_]\w*)\s*\(", body))
+    names.update(LOCAL_STREAM_RE.findall(body))
     names.update({"w", "r", "reader", "writer", "out"})
     return names
 
