@@ -1,5 +1,6 @@
 #include "machine/machine.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <initializer_list>
@@ -153,7 +154,7 @@ bool Machine::RestoreState(SnapshotReader& r, bool include_memory) {
   return true;
 }
 
-Machine::Translation Machine::Translate(uint32_t vaddr, Access access) {
+inline Machine::Translation Machine::Translate(uint32_t vaddr, Access access) {
   Translation result;
   uint32_t priv = cpu_.priv();
   uint32_t paddr;
@@ -243,8 +244,8 @@ bool Machine::DeliverTrap(TrapCause cause, uint32_t pc, uint32_t vaddr, const De
   return true;
 }
 
-Machine::IdleOutcome Machine::IdleCheck(uint64_t max_instructions, uint64_t* executed,
-                                        MachineExit* exit) {
+inline Machine::IdleOutcome Machine::IdleCheck(uint64_t max_instructions, uint64_t* executed,
+                                               MachineExit* exit) {
   // Idle-loop fast-forward: after one observed pure iteration, skip whole
   // iterations in bulk (bounded by budget and recovery counter).
   if (idle_configured_ && cpu_.pc == idle_begin_) {
@@ -871,16 +872,23 @@ MachineExit Machine::RunCached(uint64_t max_instructions) {
   X(kMtcr, Mtcr) X(kTlbi, Tlbi) X(kTlbf, Tlbf) X(kProbe, Probe) X(kHalt, Halt)
 
 Machine::BlockOutcome Machine::ExecuteBlock(const Superblock& block, uint64_t max_instructions,
-                                            MachineExit* exit, uint64_t* executed_io) {
-  uint64_t executed = *executed_io;
+                                            MachineExit* exit, uint64_t* executed) {
   const PredecodedInstr* code = block.code.data();
-  const size_t count = block.code.size();
-  // VM-enable state cannot change mid-block (MTCR/RFI end superblocks), so
-  // the fetch-lookup crediting condition is loop-invariant.
+  // The block runs at most `limit` instructions: its length, the budget left,
+  // and, with the recovery counter armed, the retirements until it expires
+  // (one when it is already negative). Each bound is at least 1.
+  uint64_t limit = std::min<uint64_t>(block.code.size(), max_instructions - *executed);
+  if (rctr_enabled_) {
+    limit = std::min<uint64_t>(limit, rctr_ < 0 ? 1 : static_cast<uint64_t>(rctr_) + 1);
+  }
+  // VM-enable state is read at entry: the MTCR or RFI that may flip it ends
+  // the block, and the slow path looked up that instruction's fetch under the
+  // old state.
   const bool credit_fetch = cpu_.vm_enabled();
   const bool trace_on = !trace_ring_.empty();
-  BlockOutcome outcome = BlockOutcome::kContinue;
-  size_t index = 0;
+  // Instructions retired in this block and not yet committed; also the
+  // position of the instruction running.
+  uint64_t index = 0;
   uint32_t pc = cpu_.pc;
   const PredecodedInstr* p = nullptr;
   uint32_t rs1 = 0;
@@ -910,17 +918,10 @@ Machine::BlockOutcome Machine::ExecuteBlock(const Superblock& block, uint64_t ma
                      });
 
 front:
-  if (index >= count || executed >= max_instructions) {
-    goto done;
+  if (index == limit) {
+    goto stop;
   }
   p = &code[index];
-  if (index != 0 && credit_fetch) {
-    // The slow path performs one TLB fetch lookup per instruction — always a
-    // hit after the dispatch translation succeeded, since nothing mid-block
-    // mutates the TLB. The counters are snapshot state, so the lookups this
-    // path skips must still be credited.
-    tlb_.CreditLookups(1);
-  }
   if (trace_on) {
     RecordTrace(pc, p->word);
   }
@@ -1056,9 +1057,10 @@ h_Mem: {
   if (IsMmioAddress(paddr)) {
     // kDirect at privilege 0 reaches here; kHostFirst never does (privilege
     // rule in Translate and the privileged LWP/SWP check).
+    CommitBlock(pc, index, credit_fetch ? index : 0, executed);
     idle_observing_ = false;
     exit->kind = ExitKind::kMmio;
-    exit->executed = executed;
+    exit->executed = *executed;
     exit->pc = pc;
     exit->instr = p->instr;
     exit->instr_valid = true;
@@ -1066,8 +1068,7 @@ h_Mem: {
     exit->mmio_is_store = p->mem_store;
     exit->mmio_bytes = bytes;
     exit->mmio_value = p->mem_store ? cpu_.gpr[p->instr.rd] : 0;
-    outcome = BlockOutcome::kReturn;
-    goto out;
+    return BlockOutcome::kReturn;
   }
   if (p->mem_store) {
     idle_clean_ = false;
@@ -1187,20 +1188,15 @@ h_Mfcr: {
     goto trap;
   }
   if (IsEnvironmentCr(cr)) {
-    idle_observing_ = false;
-    exit->kind = ExitKind::kEnvCr;
-    exit->executed = executed;
-    exit->pc = pc;
-    exit->instr = p->instr;
-    exit->instr_valid = true;
-    outcome = BlockOutcome::kReturn;
-    goto out;
+    goto env_exit;
   }
+  // The counters read as the slow path holds them: net of the `index`
+  // retirements this block has not committed yet.
   uint32_t value;
   if (cr == kCrRctr) {
-    value = static_cast<uint32_t>(rctr_);
+    value = static_cast<uint32_t>(rctr_enabled_ ? rctr_ - static_cast<int64_t>(index) : rctr_);
   } else if (cr == kCrInstret) {
-    value = static_cast<uint32_t>(cpu_.instret);
+    value = static_cast<uint32_t>(cpu_.instret + index);
   } else {
     value = cpu_.cr[cr];
   }
@@ -1215,20 +1211,16 @@ h_Mtcr: {
     goto trap;
   }
   if (IsEnvironmentCr(cr)) {
-    idle_observing_ = false;
-    exit->kind = ExitKind::kEnvCr;
-    exit->executed = executed;
-    exit->pc = pc;
-    exit->instr = p->instr;
-    exit->instr_valid = true;
-    outcome = BlockOutcome::kReturn;
-    goto out;
+    goto env_exit;
   }
   idle_clean_ = false;
   if (cr == kCrEirr) {
     cpu_.cr[kCrEirr] &= ~rs1;  // Write-1-to-clear.
   } else if (cr == kCrRctr) {
-    rctr_ = static_cast<int64_t>(static_cast<int32_t>(rs1));
+    // Re-based so the commit at block end, which subtracts this block's
+    // retirements including this one, leaves the written value minus one.
+    rctr_ = static_cast<int64_t>(static_cast<int32_t>(rs1)) +
+            (rctr_enabled_ ? static_cast<int64_t>(index) : 0);
   } else if (cr == kCrInstret) {
     // Read-only; writes ignored.
   } else {
@@ -1264,57 +1256,54 @@ h_Probe: {
 h_Halt:
   // HALT retires (the recovery counter still ticks) but its exit outranks a
   // simultaneous recovery expiry, exactly as the slow path orders it.
+  CommitBlock(next_pc, index + 1, credit_fetch ? index : 0, executed);
   exit->kind = ExitKind::kHalt;
-  cpu_.pc = next_pc;
-  ++cpu_.instret;
-  ++executed;
-  if (rctr_enabled_) {
-    --rctr_;
-  }
-  exit->executed = executed;
+  exit->executed = *executed;
   exit->pc = pc;
-  outcome = BlockOutcome::kReturn;
-  goto out;
+  return BlockOutcome::kReturn;
 
 h_Invalid:
   HBFT_CHECK(false) << "undecodable opcode inside a superblock";
-  goto done;
+  goto stop;
 
 retire:
-  cpu_.pc = next_pc;
-  ++cpu_.instret;
-  ++executed;
-  if (rctr_enabled_) {
-    --rctr_;
-    if (rctr_ < 0) {
-      exit->kind = ExitKind::kRecovery;
-      exit->executed = executed;
-      exit->pc = cpu_.pc;
-      outcome = BlockOutcome::kReturn;
-      goto out;
-    }
-  }
-  if (leave_block) {
-    goto done;
-  }
   pc = next_pc;
   ++index;
-  goto front;
+  if (!leave_block) {
+    goto front;
+  }
+
+stop:
+  // Block end, budget, recovery expiry or a code-page store: `index` >= 1
+  // instructions retired, and every one after the first skipped the slow
+  // path's (always hitting) fetch lookup.
+  CommitBlock(pc, index, credit_fetch ? index - 1 : 0, executed);
+  if (rctr_enabled_ && rctr_ < 0) {
+    exit->kind = ExitKind::kRecovery;
+    exit->executed = *executed;
+    exit->pc = pc;
+    return BlockOutcome::kReturn;
+  }
+  return BlockOutcome::kContinue;
+
+env_exit:
+  CommitBlock(pc, index, credit_fetch ? index : 0, executed);
+  idle_observing_ = false;
+  exit->kind = ExitKind::kEnvCr;
+  exit->executed = *executed;
+  exit->pc = pc;
+  exit->instr = p->instr;
+  exit->instr_valid = true;
+  return BlockOutcome::kReturn;
 
 trap:
-  if (!DeliverTrap(trap_cause, pc, trap_vaddr, &p->instr, exit, &executed)) {
-    exit->executed = executed;
-    outcome = BlockOutcome::kReturn;
-    goto out;
+  // The trapping instruction does not retire, but its fetch was looked up.
+  CommitBlock(pc, index, credit_fetch ? index : 0, executed);
+  if (!DeliverTrap(trap_cause, pc, trap_vaddr, &p->instr, exit, executed)) {
+    exit->executed = *executed;
+    return BlockOutcome::kReturn;
   }
-  outcome = BlockOutcome::kContinue;
-  goto out;
-
-done:
-  outcome = BlockOutcome::kContinue;
-out:
-  *executed_io = executed;
-  return outcome;
+  return BlockOutcome::kContinue;
 }
 
 #undef HBFT_OPCODE_HANDLERS

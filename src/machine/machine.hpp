@@ -173,7 +173,10 @@ class Machine {
   };
   enum class Access { kFetch, kLoad, kStore };
 
-  Translation Translate(uint32_t vaddr, Access access);
+  // Translate, IdleCheck and TranslationCache::Find run on every dispatch
+  // (Translate also on every load and store), so they are forced inline
+  // into both interpreters' loops.
+  [[gnu::always_inline]] Translation Translate(uint32_t vaddr, Access access);
   // Returns true when the trap was delivered in-machine (kDirect); false when
   // the caller must exit to host (kHostFirst). kDirect delivery increments
   // *executed so trap storms cannot outlive the budget.
@@ -188,13 +191,40 @@ class Machine {
   // path runs it before every fetch, the cached path before every superblock
   // dispatch (equivalent because blocks never span the idle boundaries).
   enum class IdleOutcome { kProceed, kBudgetExhausted, kRecoveryExit };
-  IdleOutcome IdleCheck(uint64_t max_instructions, uint64_t* executed, MachineExit* exit);
+  [[gnu::always_inline]] IdleOutcome IdleCheck(uint64_t max_instructions, uint64_t* executed,
+                                               MachineExit* exit);
 
   // Executes one superblock. kReturn: `exit` is filled and Run must return;
   // kContinue: dispatch again at the (updated) PC.
+  //
+  // Retirement is per block, not per instruction. At entry the block works
+  // out how many instructions it may retire (its length, the budget left,
+  // the recovery counter's allowance) and then counts them in a register.
+  // PC, instret, `executed`, the recovery counter and the TLB fetch-lookup
+  // credit are written back once, by CommitBlock, at one of four commit
+  // points: block end (including budget or recovery-counter expiry and a
+  // store into the block's own code page), a trap, an MMIO or
+  // environment-register exit, and HALT. Between commit points the machine
+  // state lags the slow path by the uncommitted count, so the two
+  // instructions that can observe it compensate: MFCR of rctr or instret
+  // reads the in-flight value, and MTCR of rctr re-bases the counter against
+  // the pending commit. RunSlow keeps per-instruction retirement and is the
+  // oracle these commit points are held to (tests/dispatch_diff_test.cpp).
   enum class BlockOutcome { kContinue, kReturn };
   BlockOutcome ExecuteBlock(const Superblock& block, uint64_t max_instructions, MachineExit* exit,
                             uint64_t* executed);
+
+  // Commits `retired` instructions of the running block, leaving the PC at
+  // `pc`, and credits `fetch_credits` hitting TLB lookups.
+  void CommitBlock(uint32_t pc, uint64_t retired, uint64_t fetch_credits, uint64_t* executed) {
+    cpu_.pc = pc;
+    cpu_.instret += retired;
+    *executed += retired;
+    if (rctr_enabled_) {
+      rctr_ -= static_cast<int64_t>(retired);
+    }
+    tlb_.CreditLookups(fetch_credits);
+  }
 
   void RecordTrace(uint32_t pc, uint32_t word) {
     trace_ring_[trace_next_] = TraceEntry{pc, word};

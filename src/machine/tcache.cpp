@@ -18,30 +18,6 @@ TranslationCache::TranslationCache(uint32_t slots) {
   slots_.resize(RoundUpPow2(slots == 0 ? 1 : slots));
 }
 
-size_t TranslationCache::SlotIndex(uint32_t vaddr, uint32_t paddr) const {
-  // Entry addresses are word-aligned; drop the zero bits. Identity-mapped PCs
-  // (vaddr == paddr: all kernel code) must still spread over every slot, so
-  // both halves go through one multiply and the product's middle bits index.
-  uint64_t key = (static_cast<uint64_t>(vaddr >> 2) << 32) | (paddr >> 2);
-  uint64_t h = (key * 0x9E3779B97F4A7C15ULL) >> 32;
-  return static_cast<size_t>(h & (slots_.size() - 1));
-}
-
-Superblock* TranslationCache::Find(uint32_t vaddr, uint32_t paddr, uint32_t page_version) {
-  Superblock& slot = slots_[SlotIndex(vaddr, paddr)];
-  if (!slot.valid || slot.entry_vaddr != vaddr || slot.entry_paddr != paddr) {
-    ++stats_.misses;
-    return nullptr;
-  }
-  if (slot.version != page_version) {
-    ++stats_.stale;
-    slot.valid = false;
-    return nullptr;
-  }
-  ++stats_.hits;
-  return &slot;
-}
-
 Superblock* TranslationCache::Claim(uint32_t vaddr, uint32_t paddr) {
   Superblock& slot = slots_[SlotIndex(vaddr, paddr)];
   if (slot.valid && (slot.entry_vaddr != vaddr || slot.entry_paddr != paddr)) {

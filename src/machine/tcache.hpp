@@ -65,7 +65,21 @@ class TranslationCache {
 
   // The valid block for the key at `page_version`, or nullptr (miss or
   // stale; a stale block is invalidated so the caller rebuilds in place).
-  Superblock* Find(uint32_t vaddr, uint32_t paddr, uint32_t page_version);
+  // Runs once per dispatched block, so it is forced inline into the loop.
+  [[gnu::always_inline]] Superblock* Find(uint32_t vaddr, uint32_t paddr, uint32_t page_version) {
+    Superblock& slot = slots_[SlotIndex(vaddr, paddr)];
+    if (!slot.valid || slot.entry_vaddr != vaddr || slot.entry_paddr != paddr) {
+      ++stats_.misses;
+      return nullptr;
+    }
+    if (slot.version != page_version) {
+      ++stats_.stale;
+      slot.valid = false;
+      return nullptr;
+    }
+    ++stats_.hits;
+    return &slot;
+  }
 
   // The slot a rebuilt block for the key goes into, cleared and re-keyed
   // (counts the eviction if it displaces a live different-key block). The
@@ -78,7 +92,15 @@ class TranslationCache {
   uint32_t capacity() const { return static_cast<uint32_t>(slots_.size()); }
 
  private:
-  size_t SlotIndex(uint32_t vaddr, uint32_t paddr) const;
+  size_t SlotIndex(uint32_t vaddr, uint32_t paddr) const {
+    // Entry addresses are word-aligned; drop the zero bits. Identity-mapped
+    // PCs (vaddr == paddr: all kernel code) must still spread over every
+    // slot, so both halves go through one multiply and the product's middle
+    // bits index.
+    uint64_t key = (static_cast<uint64_t>(vaddr >> 2) << 32) | (paddr >> 2);
+    uint64_t h = (key * 0x9E3779B97F4A7C15ULL) >> 32;
+    return static_cast<size_t>(h & (slots_.size() - 1));
+  }
 
   std::vector<Superblock> slots_;
   Stats stats_;

@@ -1,5 +1,7 @@
 #include "machine/tlb.hpp"
 
+#include <utility>
+
 #include "common/check.hpp"
 
 namespace hbft {
@@ -7,13 +9,22 @@ namespace hbft {
 Tlb::Tlb(uint32_t entries, TlbPolicy policy, uint64_t machine_seed)
     : policy_(policy), rng_(machine_seed ^ 0x7718BFD5C0FFEE00ULL) {
   HBFT_CHECK_GT(entries, 0u);
+  HBFT_CHECK_LE(entries, kMaxEntries) << "TLB slot numbers must fit the index";
   slots_.resize(entries);
+  // At least four buckets per slot keeps hot VPNs from sharing a bucket.
+  uint32_t bits = 2;
+  while ((1u << bits) < 4 * entries) {
+    ++bits;
+  }
+  index_.assign(size_t{1} << bits, 0);
+  index_shift_ = 32 - bits;
 }
 
-std::optional<uint32_t> Tlb::Lookup(uint32_t vpn) {
-  ++lookups_;
-  for (const Slot& slot : slots_) {
+std::optional<uint32_t> Tlb::Scan(uint32_t vpn) {
+  for (uint32_t i = 0; i < slots_.size(); ++i) {
+    const Slot& slot = slots_[i];
     if (slot.valid && slot.vpn == vpn) {
+      index_[Bucket(vpn)] = static_cast<IndexSlot>(i);
       return slot.pte;
     }
   }
@@ -51,19 +62,20 @@ uint32_t Tlb::PickVictim() {
 }
 
 void Tlb::Insert(uint32_t vpn, uint32_t pte, bool wired) {
-  // Replace an existing mapping for the same VPN in place.
-  for (Slot& slot : slots_) {
+  // Replace an existing mapping for the same VPN in place: this is what
+  // keeps at most one valid slot per VPN.
+  for (uint32_t i = 0; i < slots_.size(); ++i) {
+    Slot& slot = slots_[i];
     if (slot.valid && slot.vpn == vpn) {
       slot.pte = pte;
       slot.wired = wired;
+      index_[Bucket(vpn)] = static_cast<IndexSlot>(i);
       return;
     }
   }
-  Slot& slot = slots_[PickVictim()];
-  slot.valid = true;
-  slot.wired = wired;
-  slot.vpn = vpn;
-  slot.pte = pte;
+  const uint32_t victim = PickVictim();
+  slots_[victim] = Slot{true, wired, vpn, pte};
+  index_[Bucket(vpn)] = static_cast<IndexSlot>(victim);
 }
 
 void Tlb::FlushUnwired() {
@@ -100,15 +112,23 @@ bool Tlb::RestoreState(SnapshotReader& r) {
   if (!r.U32(&count) || count != slots_.size()) {
     return false;
   }
-  for (Slot& slot : slots_) {
+  std::vector<Slot> restored(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    Slot& slot = restored[i];
     if (!r.Bool(&slot.valid) || !r.Bool(&slot.wired) || !r.U32(&slot.vpn) || !r.U32(&slot.pte)) {
       return false;
+    }
+    for (uint32_t j = 0; slot.valid && j < i; ++j) {
+      if (restored[j].valid && restored[j].vpn == slot.vpn) {
+        return false;  // Two valid slots for one VPN: the index could not be exact.
+      }
     }
   }
   uint64_t rng_state = 0;
   if (!r.U32(&next_victim_) || !r.U64(&rng_state) || !r.U64(&lookups_) || !r.U64(&misses_)) {
     return false;
   }
+  slots_ = std::move(restored);
   rng_.set_state(rng_state);
   return true;
 }

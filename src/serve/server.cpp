@@ -45,20 +45,6 @@ void Note(const char* fmt, ...) {
   va_end(args);
 }
 
-// Releases one committed response: the NIC TX latch fires only once the
-// revised protocol's output-commit wait is satisfied, so by construction the
-// backup has acknowledged everything this response depends on.
-void AttachLatchRelease(Nic* nic, Frontend* frontend, uint64_t* released) {
-  nic->set_on_latch([frontend, released](const NicTraceEntry& entry) {
-    std::optional<NicRequest> req = DecodeNicPacket(entry.bytes);
-    if (!req.has_value()) {
-      return;  // Not client traffic (nothing else transmits today).
-    }
-    frontend->SendResponse(req->client_id, req->seq, req->payload);
-    ++*released;
-  });
-}
-
 // The served chain, one description for all three roles: the in-process
 // World of kSingle and the NodeHost of each wire role boot from it alike.
 Scenario ServeScenario(const ServeConfig& config) {
@@ -120,7 +106,7 @@ bool PumpRepl(FrameStream* repl, NodeHost* host, SimTime now, uint64_t* failover
 
 struct StopCheck {
   const ServeConfig* config;
-  const uint64_t* released;
+  const ReleasedResponses* released;
   std::string reason;
 
   // Returns true when the session should end, recording why.
@@ -129,7 +115,7 @@ struct StopCheck {
       reason = "signal";
     } else if (config->duration_ms > 0 && now >= SimTime::Millis(config->duration_ms)) {
       reason = "duration";
-    } else if (config->max_requests > 0 && *released >= config->max_requests) {
+    } else if (config->max_requests > 0 && released->size() >= config->max_requests) {
       reason = "max-requests";
     } else if (halted) {
       reason = "guest-halt";
@@ -165,7 +151,7 @@ int RunSingle(const ServeConfig& config, ServeReport* report) {
   Note("listening on 127.0.0.1:%u (single-process chain, %d backup%s)", config.port,
        config.backups, config.backups == 1 ? "" : "s");
 
-  uint64_t released = 0;
+  ReleasedResponses released;
   AttachLatchRelease(world->devices().nic(), &frontend, &released);
 
   RealtimePump pump;
@@ -222,7 +208,7 @@ int RunSingle(const ServeConfig& config, ServeReport* report) {
 // The primary enters with the frontend already listening; a backup enters
 // with it closed and opens it at promotion.
 void HostServeLoop(const ServeConfig& config, NodeHost* host, Frontend* frontend,
-                   FrameStream* repl, RealtimePump* pump, uint64_t* released,
+                   FrameStream* repl, RealtimePump* pump, ReleasedResponses* released,
                    ServeReport* report) {
   StopCheck stop{&config, released, ""};
   SimTime peer_died = SimTime::Zero();
@@ -374,7 +360,7 @@ int RunPrimary(const ServeConfig& config, ServeReport* report) {
   }
   Note("listening on 127.0.0.1:%u (primary)", config.port);
 
-  uint64_t released = 0;
+  ReleasedResponses released;
   AttachLatchRelease(host.nic(), &frontend, &released);
   HostServeLoop(config, &host, &frontend, repl.get(), &pump, &released, report);
   report->solo = host.node().solo();
@@ -421,13 +407,24 @@ int RunBackup(const ServeConfig& config, ServeReport* report) {
 
   // The client listener stays closed until promotion: the primary serves.
   Frontend frontend(config.port);
-  uint64_t released = 0;
+  ReleasedResponses released;
   AttachLatchRelease(host.nic(), &frontend, &released);
   HostServeLoop(config, &host, &frontend, repl.get(), &pump, &released, report);
   return report->ok ? 0 : 1;
 }
 
 }  // namespace
+
+void AttachLatchRelease(Nic* nic, Frontend* frontend, ReleasedResponses* released) {
+  nic->set_on_latch([frontend, released](const NicTraceEntry& entry) {
+    std::optional<NicRequest> req = DecodeNicPacket(entry.bytes);
+    if (!req.has_value()) {
+      return;  // Not client traffic (nothing else transmits today).
+    }
+    frontend->SendResponse(req->client_id, req->seq, req->payload);
+    released->emplace(req->client_id, req->seq);
+  });
+}
 
 int RunServe(const ServeConfig& config, ServeReport* report) {
   InstallSignalHandlers();

@@ -29,10 +29,13 @@
 #define HBFT_SERVE_SERVER_HPP_
 
 #include <cstdint>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/replica.hpp"
+#include "devices/nic.hpp"
 #include "net/channel.hpp"
 #include "serve/frontend.hpp"
 #include "sim/world.hpp"
@@ -93,6 +96,20 @@ struct ServeReport {
 // Runs one serve session to completion (signal, duration, request budget, or
 // guest halt). Returns the process exit code; `report` is always filled.
 int RunServe(const ServeConfig& config, ServeReport* report);
+
+// The distinct (client_id, seq) responses a session has released.
+using ReleasedResponses = std::set<std::pair<uint64_t, uint64_t>>;
+
+// Releases committed responses: every echo latched by `nic` goes to its
+// client through `frontend`, and its (client_id, seq) into `released`. The
+// NIC TX latch fires only once the revised protocol's output-commit wait is
+// satisfied, so by construction the backup has acknowledged everything the
+// response depends on. One echo can latch twice: if the active replica dies
+// after latching it but before its completion reaches the backup, P7
+// synthesises an uncertain completion and the promoted guest's driver
+// transmits it again. The client already holds that response, so the
+// request budget (--max-requests) counts `released`, not latches.
+void AttachLatchRelease(Nic* nic, Frontend* frontend, ReleasedResponses* released);
 
 }  // namespace serve
 }  // namespace hbft

@@ -5,7 +5,10 @@
 // exit kinds and PCs, trap and interrupt delivery points, and scenario-level
 // results (epoch fingerprints, environment traces, completion times, resync
 // reports, per-channel transport counters) — over machine-level lockstep
-// runs, whole-scenario runs with failovers, cascades, lossy links and live
+// runs, the cached engine's per-block commit points (recovery boundaries at
+// every block offset, counter reads and writes after uncommitted
+// retirements, HALT on a boundary, traps at every block position),
+// whole-scenario runs with failovers, cascades, lossy links and live
 // state transfer, self-modifying code, cache-eviction pressure, and
 // snapshot/restore with a warm cache. The cached engine runs everywhere
 // else; this file is where the slow reference path still runs.
@@ -13,6 +16,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,11 +28,13 @@
 namespace hbft {
 namespace {
 
-MachineConfig ModeConfig(InterpMode mode, uint32_t tcache_slots = 2048) {
+MachineConfig ModeConfig(InterpMode mode, uint32_t tcache_slots = 2048,
+                         uint32_t ram_bytes = MachineConfig{}.ram_bytes) {
   MachineConfig config;
   config.trap_mode = TrapMode::kDirect;
   config.interp = mode;
   config.tcache_slots = tcache_slots;
+  config.ram_bytes = ram_bytes;
   return config;
 }
 
@@ -44,12 +50,14 @@ struct Twins {
   std::unique_ptr<Machine> cached;
 };
 
-Twins MakeTwins(const std::string& source, uint32_t tcache_slots = 2048) {
+Twins MakeTwins(const std::string& source, uint32_t tcache_slots = 2048,
+                uint32_t ram_bytes = MachineConfig{}.ram_bytes) {
   auto assembled = Assemble(source);
   EXPECT_TRUE(assembled.ok()) << (assembled.ok() ? "" : assembled.error().ToString());
   Twins twins;
-  twins.slow = std::make_unique<Machine>(ModeConfig(InterpMode::kSlow));
-  twins.cached = std::make_unique<Machine>(ModeConfig(InterpMode::kCached, tcache_slots));
+  twins.slow = std::make_unique<Machine>(ModeConfig(InterpMode::kSlow, 2048, ram_bytes));
+  twins.cached =
+      std::make_unique<Machine>(ModeConfig(InterpMode::kCached, tcache_slots, ram_bytes));
   for (Machine* m : {twins.slow.get(), twins.cached.get()}) {
     m->LoadImage(assembled.value());
     m->cpu().pc = 0;
@@ -59,9 +67,12 @@ Twins MakeTwins(const std::string& source, uint32_t tcache_slots = 2048) {
 
 // Runs both machines through identical slice budgets until both halt (or the
 // step limit trips), asserting identical exits and identical snapshot bytes
-// after every single slice — equivalence at every observable cut, not just
-// at the end.
-void RunLockstep(Machine& slow, Machine& cached, const std::vector<uint64_t>& slices) {
+// (TLB lookup/miss counters included) after every single slice — equivalence
+// at every observable cut, not just at the end. With `rearm`, every recovery
+// exit re-arms both counters to it, as a hypervisor starting the next epoch
+// does; without, an armed counter runs on below zero.
+void RunLockstep(Machine& slow, Machine& cached, const std::vector<uint64_t>& slices,
+                 std::optional<int64_t> rearm = std::nullopt) {
   bool halted = false;
   for (int step = 0; step < 10000 && !halted; ++step) {
     uint64_t budget = slices[step % slices.size()];
@@ -70,15 +81,50 @@ void RunLockstep(Machine& slow, Machine& cached, const std::vector<uint64_t>& sl
     ASSERT_EQ(static_cast<int>(a.kind), static_cast<int>(b.kind)) << "step " << step;
     ASSERT_EQ(a.executed, b.executed) << "step " << step;
     ASSERT_EQ(a.pc, b.pc) << "step " << step;
+    ASSERT_EQ(static_cast<int>(a.cause), static_cast<int>(b.cause)) << "step " << step;
+    ASSERT_EQ(a.vaddr, b.vaddr) << "step " << step;
+    ASSERT_EQ(slow.tlb().lookups(), cached.tlb().lookups()) << "step " << step;
+    ASSERT_EQ(slow.tlb().misses(), cached.tlb().misses()) << "step " << step;
     ASSERT_EQ(Capture(slow), Capture(cached)) << "step " << step;
     halted = a.kind == ExitKind::kHalt;
+    if (a.kind == ExitKind::kRecovery && rearm.has_value()) {
+      slow.SetRecoveryCounter(*rearm);
+      cached.SetRecoveryCounter(*rearm);
+    }
   }
   ASSERT_TRUE(halted) << "lockstep run never reached HALT";
+}
+
+void ArmRecovery(const Twins& t, int64_t remaining) {
+  for (Machine* m : {t.slow.get(), t.cached.get()}) {
+    m->SetRecoveryCounter(remaining);
+    m->SetRctrEnabled(true);
+  }
 }
 
 // Slice widths chosen to cut superblocks at every phase: mid-block (1..7),
 // around typical block lengths, and bulk.
 const std::vector<uint64_t> kSlices = {1, 2, 3, 5, 7, 13, 64, 1000};
+
+// STATUS with translation on and privilege 3 stacked for the next RFI.
+constexpr uint32_t kVmToUser = StatusBits::kVmEn | (3u << StatusBits::kPrevPrivShift);
+
+// Wires pages 0..3 (identity, V|W|X|U|WIRED) so both kernel and user code
+// can run with translation on, then sets STATUS to `status`.
+std::string VmPrologue(uint32_t status) {
+  return R"(
+    li r2, 0
+wire_loop:
+    slli r3, r2, 12
+    ori r4, r3, 0x1F     ; V|W|X|U|WIRED
+    tlbi r3, r4
+    addi r2, r2, 1
+    li r5, 4
+    bltu r2, r5, wire_loop
+    li r1, )" + std::to_string(status) + R"(
+    mtcr status, r1
+)";
+}
 
 TEST(DispatchDiff, LockstepAluMemoryLoops) {
   Twins t = MakeTwins(R"(
@@ -185,16 +231,8 @@ TEST(DispatchDiff, LockstepVirtualMemoryUserMode) {
   Twins t = MakeTwins(R"(
     la r1, handler
     mtcr tvec, r1
-    li r2, 0
-wire_loop:
-    slli r3, r2, 12
-    ori r4, r3, 0x1F     ; V|W|X|U|WIRED
-    tlbi r3, r4
-    addi r2, r2, 1
-    li r5, 4
-    bltu r2, r5, wire_loop
-    li r1, 0x98          ; VM | prev_priv=3
-    mtcr status, r1
+)" + VmPrologue(kVmToUser) +
+                      R"(
     la r2, user
     mtcr epc, r2
     rfi
@@ -329,6 +367,212 @@ TEST(DispatchDiff, IdentityMappedBlocksNeverEvict) {
   Twins t = MakeTwins(source);
   RunLockstep(*t.slow, *t.cached, kSlices);
   EXPECT_EQ(t.cached->tcache_stats().evictions, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Commit points: the cached path retires a block at once; the slow path
+// retires each instruction. Every place the block's count is committed or
+// observed must land exactly where per-instruction retirement would.
+// ---------------------------------------------------------------------------
+
+// Machines for these programs need little RAM, which keeps the per-slice
+// snapshot comparison cheap.
+constexpr uint32_t kSmallRam = 64 * 1024;
+
+// A 27-instruction straight-line body: ALU work plus a data store and load,
+// so with translation on every instruction after the first also owes the
+// slow path's fetch lookup.
+std::string LongBlockLoop() {
+  std::string body = "    li r11, 4\nloop:\n";
+  for (int i = 0; i < 12; ++i) {
+    body += "    addi r10, r10, " + std::to_string(i + 1) + "\n";
+    body += "    xor r13, r13, r10\n";
+  }
+  body += "    sw r13, 0x2800(zero)\n    lw r14, 0x2800(zero)\n    add r15, r15, r14\n";
+  body += "    addi r11, r11, -1\n    bnez r11, loop\n    halt\n";
+  return body;
+}
+
+TEST(CommitPoints, RecoveryBoundaryAtEveryOffsetOfALongBlock) {
+  // The first boundary lands on each offset of the first block, including
+  // counters armed at 0 and below (expiry after the next retirement); 29
+  // after each boundary then walks the boundary through later blocks.
+  for (bool vm : {false, true}) {
+    const std::string source = (vm ? VmPrologue(StatusBits::kVmEn) : "") + LongBlockLoop();
+    for (int64_t first = -3; first <= 32; ++first) {
+      SCOPED_TRACE(testing::Message() << "vm " << vm << " first " << first);
+      Twins t = MakeTwins(source, 2048, kSmallRam);
+      ArmRecovery(t, first);
+      RunLockstep(*t.slow, *t.cached, kSlices, /*rearm=*/29);
+    }
+    // Never re-armed: from 0 or below, every retirement is a boundary.
+    for (int64_t first : {0, -5}) {
+      SCOPED_TRACE(testing::Message() << "vm " << vm << " unarmed from " << first);
+      Twins t = MakeTwins(source, 2048, kSmallRam);
+      ArmRecovery(t, first);
+      RunLockstep(*t.slow, *t.cached, kSlices);
+      EXPECT_LT(t.cached->RecoveryRemaining(), 0);
+    }
+  }
+}
+
+TEST(CommitPoints, MfcrReadsInFlightCountersMidBlock) {
+  // Each MFCR follows instructions the block has retired but not committed;
+  // it must read rctr and instret as the slow path holds them.
+  const std::string loop = R"(
+    li r11, 6
+loop:
+    addi r10, r10, 3
+    slli r12, r10, 1
+    add r13, r13, r12
+    mfcr r5, rctr
+    add r20, r20, r5
+    xori r14, r14, 0x55
+    mfcr r6, instret
+    add r21, r21, r6
+    addi r11, r11, -1
+    bnez r11, loop
+    halt
+  )";
+  for (bool vm : {false, true}) {
+    const std::string source = (vm ? VmPrologue(StatusBits::kVmEn) : "") + loop;
+    for (std::optional<int64_t> armed : {std::optional<int64_t>(), std::optional<int64_t>(7),
+                                         std::optional<int64_t>(1000)}) {
+      SCOPED_TRACE(testing::Message() << "vm " << vm << " armed " << armed.value_or(-1));
+      Twins t = MakeTwins(source, 2048, kSmallRam);
+      if (armed.has_value()) {
+        ArmRecovery(t, *armed);
+      }
+      RunLockstep(*t.slow, *t.cached, kSlices, armed);
+      EXPECT_NE(t.cached->cpu().gpr[20], 0u);
+      EXPECT_NE(t.cached->cpu().gpr[21], 0u);
+    }
+  }
+}
+
+TEST(CommitPoints, MtcrRctrEndingABlockRebasesTheCount) {
+  // MTCR rctr is the last instruction of its block, after `lead` retirements
+  // the block has not committed. Writing 0 or a negative value expires the
+  // counter on the MTCR itself; 1 expires it one instruction later.
+  for (int32_t value : {0, 1, -1, -9}) {
+    for (int lead : {0, 1, 2, 5}) {
+      std::string source = "    li r7, " + std::to_string(value) + "\n    li r11, 3\nloop:\n";
+      for (int i = 0; i < lead; ++i) {
+        source += "    addi r10, r10, " + std::to_string(i + 1) + "\n";
+      }
+      source += R"(
+    mtcr rctr, r7
+    addi r12, r12, 1
+    mfcr r5, rctr
+    add r20, r20, r5
+    addi r11, r11, -1
+    bnez r11, loop
+    halt
+  )";
+      for (bool enabled : {false, true}) {
+        SCOPED_TRACE(testing::Message()
+                     << "value " << value << " lead " << lead << " enabled " << enabled);
+        Twins t = MakeTwins(source, 2048, kSmallRam);
+        if (enabled) {
+          ArmRecovery(t, 40);
+        }
+        RunLockstep(*t.slow, *t.cached, kSlices);
+      }
+    }
+  }
+}
+
+TEST(CommitPoints, HaltOnTheRecoveryBoundary) {
+  // HALT is the ninth retirement. Boundaries just before, on and just after
+  // it: on it, HALT's exit outranks the expiry it causes.
+  const std::string source = R"(
+    addi r1, r1, 1
+    addi r2, r2, 2
+    addi r3, r3, 3
+    addi r4, r4, 4
+    addi r5, r5, 5
+    addi r6, r6, 6
+    addi r7, r7, 7
+    addi r8, r8, 8
+    halt
+  )";
+  for (int64_t first : {8, 9, 10}) {
+    SCOPED_TRACE(testing::Message() << "first " << first);
+    Twins t = MakeTwins(source, 2048, kSmallRam);
+    ArmRecovery(t, first);
+    RunLockstep(*t.slow, *t.cached, {1000});
+    EXPECT_EQ(t.cached->RecoveryRemaining(), first - 9);
+    Twins sliced = MakeTwins(source, 2048, kSmallRam);
+    ArmRecovery(sliced, first);
+    RunLockstep(*sliced.slow, *sliced.cached, kSlices, /*rearm=*/first);
+  }
+}
+
+TEST(CommitPoints, VirtualMemoryTrapAtEveryBlockPosition) {
+  // User mode with translation on; one instruction of a 10-instruction block
+  // traps and the handler resumes after it. Every trap position commits the
+  // retirements before it and the fetch lookups up to and including it.
+  const struct {
+    const char* instr;
+    TrapCause cause;
+  } kTraps[] = {
+      {"lw r15, 0(r9)", TrapCause::kTlbMissLoad},  // r9 = 0x8000: page 8 unmapped.
+      {"sw r15, 4(r9)", TrapCause::kTlbMissStore},
+      {"lwp r15, 0x100(zero)", TrapCause::kPrivilegeViolation},  // In user mode.
+      {"lw r15, 0x2802(zero)", TrapCause::kUnalignedAccess},
+      {"div r15, r12, zero", TrapCause::kDivideByZero},
+  };
+  constexpr int kBlockLength = 10;
+  for (const auto& trap : kTraps) {
+    for (int position = 0; position < kBlockLength; ++position) {
+      std::string source = R"(
+    la r1, handler
+    mtcr tvec, r1
+    li r9, 0x8000
+)" + VmPrologue(kVmToUser) +
+                           R"(
+    la r2, user
+    mtcr epc, r2
+    rfi
+user:
+    li r10, 3
+uloop:
+)";
+      for (int i = 0; i < kBlockLength; ++i) {
+        if (i == position) {
+          source += std::string("    ") + trap.instr + "\n";
+        } else if (i % 3 == 2) {
+          source += "    sw r12, 0x2800(zero)\n";
+        } else {
+          source += "    addi r12, r12, " + std::to_string(i + 1) + "\n";
+        }
+      }
+      source += R"(
+    addi r10, r10, -1
+    bnez r10, uloop
+    syscall
+handler:
+    mfcr r21, ecause
+    add r20, r20, r21
+    li r23, 9            ; TrapCause::kSyscall
+    beq r21, r23, finish
+    mfcr r22, epc
+    addi r22, r22, 4
+    mtcr epc, r22
+    rfi
+finish:
+    halt
+  )";
+      SCOPED_TRACE(testing::Message() << trap.instr << " at " << position);
+      Twins t = MakeTwins(source, 2048, kSmallRam);
+      RunLockstep(*t.slow, *t.cached, kSlices);
+      // The handler summed the causes: three trapped iterations, then the
+      // syscall.
+      EXPECT_EQ(t.cached->cpu().gpr[20], 3 * static_cast<uint32_t>(trap.cause) + 9);
+      EXPECT_GT(t.cached->tlb().lookups(), 0u);
+    }
+  }
+  ASSERT_EQ(static_cast<uint32_t>(TrapCause::kSyscall), 9u);
 }
 
 // ---------------------------------------------------------------------------

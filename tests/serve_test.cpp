@@ -7,7 +7,8 @@
 // the Channel socket transport (go-back-N framing and retransmits over a
 // WireSink), and a two-NodeHost lockstep run joined by in-memory byte queues
 // standing in for the TCP connection, including primary death and backup
-// promotion.
+// promotion, and the request budget's count of released responses across a
+// failover that releases one twice.
 #include <gtest/gtest.h>
 
 #include <deque>
@@ -20,7 +21,9 @@
 #include "net/channel.hpp"
 #include "net/message.hpp"
 #include "serve/node_host.hpp"
+#include "serve/server.hpp"
 #include "serve/wire.hpp"
+#include "sim/scenario.hpp"
 
 namespace hbft {
 namespace serve {
@@ -577,6 +580,46 @@ TEST(NodeHostLockstep, StandingBackupQueuesInputUntilPromotion) {
   }
   ASSERT_EQ(released.size(), 1u);
   EXPECT_EQ(released[0], request);
+}
+
+// --- Released responses across a failover -----------------------------------
+
+// The active replica dies right after issuing I/O 3, the first echo's
+// transmit (each request here costs three device operations). Its latch had
+// already released the echo; the completion never reached the backup, so P7
+// synthesises an uncertain one and the promoted guest transmits the echo
+// again. The session's budget must count that response once: counting
+// latches ended `serve --max-requests=N` one distinct response short of N.
+TEST(ReleasedResponses, FailoverReReleaseCountsOnce) {
+  constexpr uint64_t kRequests = 10;
+  FailurePlan kill;
+  kill.kind = FailurePlan::Kind::kAtPhase;
+  kill.phase = FailPhase::kAfterIoIssue;
+  kill.io_seq = 3;
+  Scenario scenario = Scenario::Replicated(WorkloadSpec::NetEcho(kRequests))
+                          .Variant(ProtocolVariant::kRevised)
+                          .Epoch(4096)
+                          .Seed(42)
+                          .FailAt(kill);
+  for (uint64_t seq = 1; seq <= kRequests; ++seq) {
+    NicRequest req{7, seq, {'r', static_cast<uint8_t>('0' + seq)}};
+    scenario.InjectPacket(EncodeNicRequest(req), SimTime::Millis(40 * seq));
+  }
+  std::unique_ptr<World> world = scenario.BuildWorld();
+  Frontend frontend(0);  // Never listening: every response counts as unroutable.
+  ReleasedResponses released;
+  AttachLatchRelease(world->devices().nic(), &frontend, &released);
+  world->RunLoop(SimTime::Max());
+  ASSERT_TRUE(world->finished());
+
+  const std::vector<NicTraceEntry>& latches = world->devices().nic()->trace();
+  ASSERT_EQ(latches.size(), kRequests + 1);  // One echo latched twice...
+  EXPECT_EQ(latches[0].bytes, latches[1].bytes);
+  EXPECT_EQ(frontend.stats().responses_unroutable, kRequests + 1);
+  EXPECT_EQ(released.size(), kRequests);  // ...and counted once.
+  for (uint64_t seq = 1; seq <= kRequests; ++seq) {
+    EXPECT_EQ(released.count({7, seq}), 1u) << "seq " << seq;
+  }
 }
 
 }  // namespace
