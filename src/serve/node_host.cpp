@@ -53,7 +53,14 @@ bool NodeHost::OnPeerFrame(const std::vector<uint8_t>& bytes, SimTime now) {
   if (peer_lost_) {
     return false;  // Already broken: the detector's verdict stands.
   }
-  return wire_in_->InjectWireFrame(bytes, now);
+  if (!wire_in_->InjectWireFrame(bytes, now)) {
+    return false;
+  }
+  // The frame arrived at `now`: wake the replica then, as World's poll
+  // wiring wakes a neighbour at a message's arrival.
+  ReplicaNode* n = node_.get();
+  ScheduleAt(now, [n, now] { n->PollIncoming(now); });
+  return true;
 }
 
 void NodeHost::OnPeerDead(SimTime now) {
@@ -75,10 +82,8 @@ void NodeHost::OnPeerDead(SimTime now) {
 }
 
 void NodeHost::InjectPacket(const std::vector<uint8_t>& payload, SimTime now) {
-  if (node_->dead() || node_->halted()) {
-    return;
-  }
-  node_->InjectInput(DeviceId::kNic, payload, now);
+  ReplicaNode* n = node_.get();
+  ScheduleAt(now, [n, payload, now] { n->InjectInput(DeviceId::kNic, payload, now); });
 }
 
 bool NodeHost::ActiveForEnvironment() const {
@@ -89,15 +94,12 @@ bool NodeHost::ActiveForEnvironment() const {
 }
 
 void NodeHost::Advance(SimTime now) {
-  if (!node_->dead()) {
-    node_->PollIncoming(now);
-  }
   while (true) {
     SimTime tq = queue_.empty() ? SimTime::Max() : queue_.PeekTime();
     SimTime tn = node_->runnable() ? node_->clock() : SimTime::Max();
     SimTime actionable = tn < tq ? tn : tq;
-    if (actionable >= now) {
-      return;  // Caught up: everything before `now` has been handled.
+    if (actionable > now) {
+      return;  // Caught up: everything stamped at or before `now` is handled.
     }
     if (tn < tq) {
       SimTime horizon = tq < now ? tq : now;

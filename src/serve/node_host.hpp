@@ -32,7 +32,10 @@
 //
 // NodeHost is an EventScheduler with its own event queue; Advance(now) is
 // the single-node specialisation of World::RunLoop — deterministic catch-up
-// to the wall-mapped instant `now` chosen by the RealtimePump.
+// to the wall-mapped instant `now` chosen by the RealtimePump. Inputs follow
+// the in-process chain's rule: a peer frame or client packet stamped `t` is
+// an event at `t`, handled once the replica has executed up to `t`, so the
+// guest never skips time it did not run.
 #ifndef HBFT_SERVE_NODE_HOST_HPP_
 #define HBFT_SERVE_NODE_HOST_HPP_
 
@@ -70,9 +73,10 @@ class NodeHost : public EventScheduler {
   // sends queue harmlessly in the local channel.
   void BindWireSink(Channel::WireSink sink);
 
-  // A peer frame arrived from the repl socket; injected at sim time `now`.
-  // Returns false when the bytes failed canonical decode (counted on the
-  // channel) or the peer is already considered dead.
+  // A peer frame arrived from the repl socket at sim time `now`: it joins
+  // the inbound channel and the replica polls it at `now`. Returns false
+  // when the bytes failed canonical decode (counted on the channel) or the
+  // peer is already considered dead.
   bool OnPeerFrame(const std::vector<uint8_t>& bytes, SimTime now);
 
   // The repl socket died (EOF / reset) at sim time `now`: break the inbound
@@ -82,16 +86,20 @@ class NodeHost : public EventScheduler {
 
   // --- Environment input ----------------------------------------------------
 
-  // Client packet bound for the guest NIC. The node buffers-and-relays
-  // (active) or queues until promotion (standing backup) — identical to the
-  // simulation's RouteInput semantics for a two-node chain.
+  // Client packet bound for the guest NIC, delivered at `now` like
+  // World::InjectPacket. The node buffers-and-relays (active) or queues
+  // until promotion (standing backup) — identical to the simulation's
+  // RouteInput semantics for a two-node chain.
   void InjectPacket(const std::vector<uint8_t>& payload, SimTime now);
 
   // --- Execution ------------------------------------------------------------
 
-  // Deterministic catch-up to `now`: delivers pending channel messages, then
-  // alternates queue events and node slices until the next actionable
-  // instant is at or past `now`. Single-node World::RunLoop.
+  // Deterministic catch-up to `now`: alternates node slices and queue
+  // events in time order — the replica runs up to each event before the
+  // event fires, injected frames and packets included — until the next
+  // actionable instant is past `now`. Single-node World::RunLoop, except
+  // that events stamped exactly `now` are handled too, so inputs stamped
+  // with the instant the host advances to are not left for the next call.
   void Advance(SimTime now);
 
   // --- Introspection --------------------------------------------------------

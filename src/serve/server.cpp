@@ -104,6 +104,21 @@ bool PumpRepl(FrameStream* repl, NodeHost* host, SimTime now, uint64_t* failover
   return true;
 }
 
+// Ships the host's outbound channel over the repl stream. The sink only
+// queues: HostServeLoop's end-of-iteration Flush sends the iteration's
+// frames in one write(2), since a running guest emits one every epoch. A
+// dead peer is not reported here; PumpRepl sees its EOF or reset on the
+// next read and runs the failure detector.
+void BindReplSink(NodeHost* host, FrameStream* stream) {
+  host->BindWireSink([stream](const std::vector<uint8_t>& bytes) {
+    if (!stream->open()) {
+      return false;
+    }
+    stream->QueueFrame(bytes);
+    return true;
+  });
+}
+
 struct StopCheck {
   const ServeConfig* config;
   const ReleasedResponses* released;
@@ -137,6 +152,17 @@ void FillChannelReport(ServeReport* report, const std::string& name, const std::
   report->channels.push_back(std::move(row));
 }
 
+// Whether any replica of the in-process chain is executing guest code: the
+// World half of the wait rule's input.
+bool AnyRunnable(World& world) {
+  for (size_t i = 0; i < world.replica_count(); ++i) {
+    if (world.replica(i)->runnable()) {
+      return true;
+    }
+  }
+  return false;
+}
+
 // --- kSingle: whole chain in-process, real clients only ---------------------
 
 int RunSingle(const ServeConfig& config, ServeReport* report) {
@@ -159,7 +185,8 @@ int RunSingle(const ServeConfig& config, ServeReport* report) {
   while (true) {
     std::vector<pollfd> fds;
     frontend.CollectFds(&fds);
-    pump.Poll(fds.data(), fds.size(), SimTime::Millis(2));
+    pump.Poll(fds.data(), fds.size(),
+              RealtimePump::WaitBound(pump.Now(), world->NextEventTime(), AnyRunnable(*world)));
     SimTime now = pump.Now();
 
     frontend.Pump([&world, now](const ClientFrame& frame) {
@@ -225,14 +252,12 @@ void HostServeLoop(const ServeConfig& config, NodeHost* host, Frontend* frontend
       fds.push_back(pollfd{repl->fd(), events, 0});
     }
     // Wake for the next scheduled sim event (a disk completion, a failure
-    // detector verdict) even with silent sockets.
+    // detector verdict) even with silent sockets, and often enough that a
+    // running guest keeps pace with the wall clock.
+    pump->Poll(fds.data(), fds.size(),
+               RealtimePump::WaitBound(pump->Now(), host->NextEventTime(),
+                                       host->node().runnable()));
     SimTime now = pump->Now();
-    SimTime next_event = host->NextEventTime();
-    SimTime wait = next_event == SimTime::Max() ? SimTime::Millis(50)
-                   : next_event > now           ? next_event - now
-                                                : SimTime::Millis(1);
-    pump->Poll(fds.data(), fds.size(), wait);
-    now = pump->Now();
 
     if (repl != nullptr && repl->open()) {
       bool was_lost = host->peer_lost();
@@ -307,7 +332,7 @@ int RunPrimary(const ServeConfig& config, ServeReport* report) {
     return 1;
   }
 
-  RealtimePump pump;
+  RealtimePump wait_clock;
   NodeHost host(ServeScenario(config), HostRole::kPrimary);
 
   // Hold the guest until the backup is attached (or the wait expires): every
@@ -317,32 +342,31 @@ int RunPrimary(const ServeConfig& config, ServeReport* report) {
        static_cast<unsigned long long>(config.backup_wait_ms), config.repl_port);
   std::unique_ptr<FrameStream> repl;
   const SimTime wait_deadline = SimTime::Millis(config.backup_wait_ms);
-  while (g_stop == 0 && pump.Now() < wait_deadline) {
+  while (g_stop == 0 && wait_clock.Now() < wait_deadline) {
     int fd = TcpAccept(repl_listen);
     if (fd >= 0) {
       repl = std::make_unique<FrameStream>(fd, kMaxReplFrameBytes);
       break;
     }
     pollfd p{repl_listen, POLLIN, 0};
-    pump.Poll(&p, 1, SimTime::Millis(50));
+    wait_clock.Poll(&p, 1, RealtimePump::kIdleWait);
   }
   CloseFd(repl_listen);  // One backup per session; rejoin-over-wire is future work.
   if (g_stop != 0) {
     report->stop_reason = "signal";
-    report->runtime_s = pump.Now().seconds();
+    report->runtime_s = wait_clock.Now().seconds();
     report->ok = true;
     return 0;
   }
 
+  // The held guest's time 0 is the instant serving begins, not launch. A
+  // clock anchored at launch would have the guest run the whole wait in one
+  // burst on the first iteration, firing retransmit timers for frames the
+  // backup never had a chance to ack, and leaving the backup that far behind.
+  RealtimePump pump;
+
   if (repl != nullptr) {
-    FrameStream* stream = repl.get();
-    host.BindWireSink([stream](const std::vector<uint8_t>& bytes) {
-      if (!stream->open()) {
-        return false;
-      }
-      stream->QueueFrame(bytes);
-      return stream->Flush();
-    });
+    BindReplSink(&host, repl.get());
     Note("backup connected; replication active");
   } else {
     // No backup came: run unprotected, via the same failure-detection path a
@@ -394,14 +418,7 @@ int RunBackup(const ServeConfig& config, ServeReport* report) {
 
   NodeHost host(ServeScenario(config), HostRole::kBackup);
   auto repl = std::make_unique<FrameStream>(fd, kMaxReplFrameBytes);
-  FrameStream* stream = repl.get();
-  host.BindWireSink([stream](const std::vector<uint8_t>& bytes) {
-    if (!stream->open()) {
-      return false;
-    }
-    stream->QueueFrame(bytes);
-    return stream->Flush();
-  });
+  BindReplSink(&host, repl.get());
   Note("connected to primary at %s:%u; standing by", config.peer_host.c_str(),
        config.repl_port);
 

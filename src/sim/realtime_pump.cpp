@@ -29,8 +29,8 @@ int RealtimePump::Poll(pollfd* fds, size_t nfds, SimTime max_wait) {
   // tens of microseconds apart, and rounding every wait up to 1 ms would
   // serialise each event hop onto a millisecond of wall time.
   int64_t nanos = max_wait.nanos();
-  if (nanos < 50 * 1000) {
-    nanos = 50 * 1000;  // Floor: a zero-ish bound must not busy-spin.
+  if (nanos < kMinWait.nanos()) {
+    nanos = kMinWait.nanos();  // Floor: a zero-ish bound must not busy-spin.
   }
   if (nanos > 1000 * 1000 * 1000LL) {
     nanos = 1000 * 1000 * 1000LL;  // Bound the sleep so stop flags stay responsive.
@@ -43,6 +43,15 @@ int RealtimePump::Poll(pollfd* fds, size_t nfds, SimTime max_wait) {
     return 0;
   }
   return rc;
+}
+
+SimTime RealtimePump::WaitBound(SimTime now, SimTime next_event, bool runnable) {
+  if (next_event <= now) {
+    return kMinWait;
+  }
+  const SimTime cap = runnable ? kRunnableWait : kIdleWait;
+  const SimTime until = next_event - now;
+  return until < cap ? until : cap;
 }
 
 }  // namespace hbft

@@ -7,17 +7,20 @@
 // epoch at construction and maps elapsed wall time 1:1 onto SimTime, so a
 // serve loop alternates:
 //
-//   pump.Poll(fds, wait)            — sleep until sockets are ready
+//   pump.Poll(fds, WaitBound(...))  — sleep until sockets are ready
 //   t = pump.Now()                  — one injection instant per iteration
-//   inject socket events at t       — InjectWireFrame / InjectInput(t)
-//   world.RunLoop(t) / host.Advance(t) — deterministic catch-up to t
+//   queue socket events at t        — an event at t, as World::InjectPacket
+//   world.RunLoop(pump.Now()) / host.Advance(pump.Now())
+//                                   — run the replicas up to t, handle the
+//                                     events at t, catch up to the new Now()
 //
-// Everything that happened on the wire since the last iteration is injected
-// at the same SimTime t, and the simulation then advances deterministically
-// to t: given the sequence of (t, injected events) pairs, the run is exactly
-// reproducible — wall time only decides where the sequence gets cut. Now()
-// is monotone (never re-reads an earlier instant) so injection points can
-// never violate channel arrival ordering.
+// Everything that happened on the wire since the last iteration is stamped
+// with the same SimTime t and handled once the replica has executed up to
+// t, never by jumping its clock over guest time it did not run. Given the
+// sequence of (t, injected events) pairs, the run is exactly reproducible —
+// wall time only decides where the sequence gets cut. Now() is monotone
+// (never re-reads an earlier instant) so injection points can never violate
+// channel arrival ordering.
 //
 // hbft-lint: allow-file(wall-clock) — this layer IS the wall-clock boundary;
 // everything downstream of Now() stays deterministic.
@@ -40,10 +43,25 @@ class RealtimePump {
   // Wall-clock elapsed since construction as SimTime, clamped monotone.
   SimTime Now();
 
-  // ppoll(2) with a SimTime wait bound (floored at 50 µs so a zero-ish
+  // ppoll(2) with a SimTime wait bound (floored at kMinWait so a zero-ish
   // bound cannot busy-spin). Returns poll's result; 0 fds is a plain
   // sleep. EINTR reads as 0 (the loop just re-evaluates).
   int Poll(pollfd* fds, size_t nfds, SimTime max_wait);
+
+  // The one wait rule every serve loop sleeps by (socket readiness ends any
+  // sleep early). Until the next queued event, but:
+  //   - an event already due waits only the poll floor, kMinWait;
+  //   - a runnable replica waits at most kRunnableWait, so a guest that is
+  //     executing never falls more than that behind the wall clock (an
+  //     interrupt due at its next epoch boundary is not left waiting for an
+  //     unrelated wake-up);
+  //   - nothing runnable and nothing queued waits kIdleWait, which keeps
+  //     stop flags and session budgets responsive.
+  static SimTime WaitBound(SimTime now, SimTime next_event, bool runnable);
+
+  static constexpr SimTime kMinWait = SimTime::Micros(50);
+  static constexpr SimTime kRunnableWait = SimTime::Millis(2);
+  static constexpr SimTime kIdleWait = SimTime::Millis(50);
 
  private:
   std::chrono::steady_clock::time_point epoch_;

@@ -7,10 +7,13 @@
 // the Channel socket transport (go-back-N framing and retransmits over a
 // WireSink), and a two-NodeHost lockstep run joined by in-memory byte queues
 // standing in for the TCP connection, including primary death and backup
-// promotion, and the request budget's count of released responses across a
-// failover that releases one twice.
+// promotion and the pair's equivalence to the World that runs the same
+// scenario, the serve loops' wait rule, and the request budget's count of
+// released responses across a failover that releases one twice.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdlib>
 #include <deque>
 #include <memory>
 #include <string>
@@ -23,6 +26,7 @@
 #include "serve/node_host.hpp"
 #include "serve/server.hpp"
 #include "serve/wire.hpp"
+#include "sim/realtime_pump.hpp"
 #include "sim/scenario.hpp"
 
 namespace hbft {
@@ -456,23 +460,49 @@ TEST(NodeHostLockstep, BootsWhatWorldBootsAtTheSamePosition) {
 
 // Two separately constructed NodeHosts joined by byte queues: the in-memory
 // stand-in for the TCP repl connection, driven at deterministic synthetic
-// times. Covers the full serve datapath minus the actual sockets: request
+// times. Step(now) delivers what either side sent during the previous step,
+// stamped `now`, then advances both hosts to `now`.
+struct QueuedPair {
+  explicit QueuedPair(const Scenario& scenario)
+      : primary(scenario, HostRole::kPrimary), backup(scenario, HostRole::kBackup) {
+    primary.BindWireSink([this](const std::vector<uint8_t>& bytes) {
+      to_backup.push_back(bytes);
+      return true;
+    });
+    backup.BindWireSink([this](const std::vector<uint8_t>& bytes) {
+      to_primary.push_back(bytes);
+      return true;
+    });
+  }
+  QueuedPair(const QueuedPair&) = delete;
+  QueuedPair& operator=(const QueuedPair&) = delete;
+
+  void Step(SimTime now) {
+    while (!to_backup.empty()) {
+      backup.OnPeerFrame(to_backup.front(), now);
+      to_backup.pop_front();
+    }
+    while (!to_primary.empty()) {
+      primary.OnPeerFrame(to_primary.front(), now);
+      to_primary.pop_front();
+    }
+    primary.Advance(now);
+    backup.Advance(now);
+  }
+
+  NodeHost primary;
+  NodeHost backup;
+  std::deque<std::vector<uint8_t>> to_backup;
+  std::deque<std::vector<uint8_t>> to_primary;
+};
+
+// Covers the full serve datapath minus the actual sockets: request
 // injection, lockstep execution, output commit at the TX latch, peer death,
 // promotion, and the promoted backup serving on its own.
 TEST(NodeHostLockstep, EchoThenFailover) {
-  NodeHost primary(LockstepConfig(), HostRole::kPrimary);
-  NodeHost backup(LockstepConfig(), HostRole::kBackup);
-
-  std::deque<std::vector<uint8_t>> to_backup;
-  std::deque<std::vector<uint8_t>> to_primary;
-  primary.BindWireSink([&to_backup](const std::vector<uint8_t>& bytes) {
-    to_backup.push_back(bytes);
-    return true;
-  });
-  backup.BindWireSink([&to_primary](const std::vector<uint8_t>& bytes) {
-    to_primary.push_back(bytes);
-    return true;
-  });
+  QueuedPair pair(LockstepConfig());
+  NodeHost& primary = pair.primary;
+  NodeHost& backup = pair.backup;
 
   std::vector<NicRequest> primary_released;
   primary.nic()->set_on_latch([&primary_released](const NicTraceEntry& entry) {
@@ -489,21 +519,6 @@ TEST(NodeHostLockstep, EchoThenFailover) {
 
   const SimTime step = SimTime::Micros(200);
   SimTime now = SimTime::Zero();
-  auto advance_both = [&](SimTime horizon) {
-    while (now < horizon) {
-      now = now + step;
-      while (!to_backup.empty()) {
-        backup.OnPeerFrame(to_backup.front(), now);
-        to_backup.pop_front();
-      }
-      while (!to_primary.empty()) {
-        primary.OnPeerFrame(to_primary.front(), now);
-        to_primary.pop_front();
-      }
-      primary.Advance(now);
-      backup.Advance(now);
-    }
-  };
 
   EXPECT_TRUE(primary.ActiveForEnvironment());
   EXPECT_FALSE(backup.ActiveForEnvironment());
@@ -514,7 +529,8 @@ TEST(NodeHostLockstep, EchoThenFailover) {
   primary.InjectPacket(EncodeNicRequest(first), now);
   SimTime deadline = now + SimTime::Millis(400);
   while (primary_released.empty() && now < deadline) {
-    advance_both(now + step);
+    now = now + step;
+    pair.Step(now);
   }
   ASSERT_EQ(primary_released.size(), 1u);
   EXPECT_EQ(primary_released[0], first);
@@ -522,8 +538,8 @@ TEST(NodeHostLockstep, EchoThenFailover) {
 
   // The primary dies. Its unshipped frames vanish with it (the sink queues
   // are dropped); the backup sees the socket break and promotes.
-  to_backup.clear();
-  to_primary.clear();
+  pair.to_backup.clear();
+  pair.to_primary.clear();
   backup.OnPeerDead(now);
   deadline = now + SimTime::Millis(400);
   while (!backup.node().promoted() && now < deadline) {
@@ -550,6 +566,86 @@ TEST(NodeHostLockstep, EchoThenFailover) {
     }
   }
   EXPECT_TRUE(seen);
+}
+
+// The wire roles run their replicas by the in-process chain's rules: a
+// NodeHost pair stepped at 200 us over the byte queues executes the guest
+// time its World twin executes and latches the same echoes at the same
+// instants. A host that delivered inputs before running its replica up to
+// their stamp would jump the guest's clock over time it never ran: it falls
+// thousands of epochs behind here and latches every echo milliseconds late.
+//
+// The pair cannot match its twin exactly. The harness delivers each frame
+// on a step boundary, not at the link model's arrival instant, so output
+// commit waits end at different instants in the two runs (the pair's are
+// shorter here) and the guest's epoch grid drifts against its twin's: over
+// this run the pair ends about one epoch ahead, and an interrupt waits for
+// a boundary up to an epoch earlier or later. The bounds below allow that
+// for this scenario: two epochs, two steps per echo and one step on the
+// mean, where a skipping host misses by 3,344 epochs and by 1.4-1.8 ms on
+// every echo.
+TEST(NodeHostLockstep, PairRunsTheGuestTimeItsWorldTwinRuns) {
+  constexpr int kRequests = 20;
+  const SimTime gap = SimTime::Millis(100);
+  const SimTime step = SimTime::Micros(200);
+  const SimTime end = gap * (kRequests + 1);
+  std::vector<std::vector<uint8_t>> requests;
+  for (int i = 1; i <= kRequests; ++i) {
+    NicRequest req{31, static_cast<uint64_t>(i), {'e', 'c', 'h', 'o', static_cast<uint8_t>(i)}};
+    requests.push_back(EncodeNicRequest(req));
+  }
+  auto due = [&gap](int i) { return gap * (i + 1); };
+
+  Scenario scenario = LockstepConfig();
+  for (int i = 0; i < kRequests; ++i) {
+    scenario.InjectPacket(requests[i], due(i));
+  }
+  std::unique_ptr<World> world = scenario.BuildWorld();
+  world->RunLoop(end);
+
+  QueuedPair pair(LockstepConfig());
+  int next = 0;
+  for (SimTime now = step; now <= end; now = now + step) {
+    if (next < kRequests && due(next) == now) {
+      pair.primary.InjectPacket(requests[next++], now);
+    }
+    pair.Step(now);
+  }
+  ASSERT_EQ(next, kRequests);
+
+  const struct {
+    const char* name;
+    NodeHost* host;
+    size_t position;
+  } sides[] = {{"primary", &pair.primary, 0}, {"backup", &pair.backup, 1}};
+  for (const auto& side : sides) {
+    SCOPED_TRACE(side.name);
+    ReplicaNode& twin = *world->replica(side.position);
+    const auto epochs = static_cast<int64_t>(side.host->node().stats().epochs);
+    const auto twin_epochs = static_cast<int64_t>(twin.stats().epochs);
+    EXPECT_GT(twin_epochs, 8000);
+    EXPECT_LE(std::abs(epochs - twin_epochs), 2) << epochs << " vs " << twin_epochs;
+    const double retired =
+        static_cast<double>(side.host->node().hypervisor().machine().cpu().instret);
+    const double twin_retired = static_cast<double>(twin.hypervisor().machine().cpu().instret);
+    EXPECT_NEAR(retired, twin_retired, twin_retired * 0.001);
+  }
+
+  const std::vector<NicTraceEntry>& echoes = pair.primary.nic()->trace();
+  const std::vector<NicTraceEntry>& twin_echoes = world->devices().nic()->trace();
+  ASSERT_EQ(twin_echoes.size(), static_cast<size_t>(kRequests));
+  ASSERT_EQ(echoes.size(), twin_echoes.size());
+  const double step_us = step.micros_f();
+  double total_late_us = 0.0;
+  for (size_t i = 0; i < echoes.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(echoes[i].bytes, twin_echoes[i].bytes);
+    const double late_us = (echoes[i].time - twin_echoes[i].time).micros_f();
+    EXPECT_LE(std::abs(late_us), 2 * step_us) << "us after the World twin's latch";
+    total_late_us += late_us;
+  }
+  EXPECT_LE(std::abs(total_late_us / static_cast<double>(echoes.size())), step_us)
+      << "mean us after the World twin's latches";
 }
 
 // A standing backup queues environment input until promotion completes —
@@ -580,6 +676,37 @@ TEST(NodeHostLockstep, StandingBackupQueuesInputUntilPromotion) {
   }
   ASSERT_EQ(released.size(), 1u);
   EXPECT_EQ(released[0], request);
+}
+
+// --- The serve loops' wait rule ----------------------------------------------
+
+TEST(WaitBound, RunnableReplicaWaitsAtMostTwoMillis) {
+  const SimTime now = SimTime::Millis(10);
+  EXPECT_EQ(RealtimePump::WaitBound(now, now + SimTime::Millis(50), true), SimTime::Millis(2));
+  EXPECT_EQ(RealtimePump::WaitBound(now, SimTime::Max(), true), SimTime::Millis(2));
+  // An event sooner than the bound still ends the sleep at the event.
+  EXPECT_EQ(RealtimePump::WaitBound(now, now + SimTime::Micros(300), true), SimTime::Micros(300));
+}
+
+TEST(WaitBound, BlockedReplicaWaitsUntilItsNextEvent) {
+  const SimTime now = SimTime::Millis(10);
+  EXPECT_EQ(RealtimePump::WaitBound(now, now + SimTime::Millis(26), false), SimTime::Millis(26));
+  EXPECT_EQ(RealtimePump::WaitBound(now, now + SimTime::Micros(95), false), SimTime::Micros(95));
+}
+
+TEST(WaitBound, DueEventWaitsThePollFloor) {
+  const SimTime now = SimTime::Millis(10);
+  EXPECT_EQ(RealtimePump::kMinWait, SimTime::Micros(50));
+  for (bool runnable : {false, true}) {
+    EXPECT_EQ(RealtimePump::WaitBound(now, now, runnable), SimTime::Micros(50));
+    EXPECT_EQ(RealtimePump::WaitBound(now, now - SimTime::Millis(3), runnable),
+              SimTime::Micros(50));
+  }
+}
+
+TEST(WaitBound, IdleWaitsFiftyMillis) {
+  EXPECT_EQ(RealtimePump::WaitBound(SimTime::Millis(10), SimTime::Max(), false),
+            SimTime::Millis(50));
 }
 
 // --- Released responses across a failover -----------------------------------

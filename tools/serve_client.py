@@ -23,6 +23,10 @@ listener — and resends every unacknowledged request with the resend flag.
 Responses are deduplicated by seq (a promoted backup may re-transmit an
 uncertain echo; that is the paper's P7, not an error).
 
+The summary reports ack latency over the acknowledged requests: p50 and
+p90 of the time from a request's first send to its response, so a request
+resent across a failover is charged the whole outage.
+
 Usable as a library (ServeClient) or a CLI:
 
     tools/serve_client.py --port=7070 --count=32 --payload-bytes=64 \
@@ -59,6 +63,17 @@ def decode_body(body):
     return ftype, flags, client_id, seq, payload
 
 
+def percentile(values, q):
+    """Linear-interpolated percentile, q in [0, 1]; 0.0 for no values."""
+    values = sorted(values)
+    if not values:
+        return 0.0
+    pos = q * (len(values) - 1)
+    lo = int(pos)
+    hi = min(lo + 1, len(values) - 1)
+    return values[lo] + (pos - lo) * (values[hi] - values[lo])
+
+
 def request_payload(client_id, seq, payload_bytes):
     """Deterministic per-seq payload, so echo verification is self-contained."""
     stem = ("c%d-s%d-" % (client_id, seq)).encode()
@@ -75,7 +90,9 @@ class ServeClient:
         self.sock = None
         self.rxbuf = b""
         self.unacked = {}  # seq -> payload sent
+        self.first_sent = {}  # seq -> monotonic time of the first send
         self.acked = set()
+        self.latencies = []  # seconds, first send -> ack, one per acked seq
         self.duplicates = 0
         self.reconnects = 0
         self.mismatches = 0
@@ -121,6 +138,7 @@ class ServeClient:
     def send(self, seq):
         payload = request_payload(self.client_id, seq, self.payload_bytes)
         self.unacked[seq] = payload
+        self.first_sent.setdefault(seq, time.monotonic())
         self.sock.sendall(encode_frame(FRAME_REQUEST, 0, self.client_id, seq, payload))
 
     def _feed(self, data):
@@ -144,6 +162,7 @@ class ServeClient:
             return False
         if not data:
             return False
+        now = time.monotonic()
         for body in self._feed(data):
             ftype, _flags, client_id, seq, payload = decode_body(body)
             if ftype != FRAME_RESPONSE or client_id != self.client_id:
@@ -156,6 +175,8 @@ class ServeClient:
                 self.mismatches += 1
             self.acked.add(seq)
             self.unacked.pop(seq, None)
+            if seq in self.first_sent:
+                self.latencies.append(now - self.first_sent[seq])
         return True
 
     # -- driver ----------------------------------------------------------------
@@ -189,6 +210,8 @@ class ServeClient:
             "duplicates": self.duplicates,
             "reconnects": self.reconnects,
             "mismatches": self.mismatches,
+            "ack_p50_ms": percentile(self.latencies, 0.5) * 1e3,
+            "ack_p90_ms": percentile(self.latencies, 0.9) * 1e3,
         }
 
 
@@ -216,6 +239,7 @@ def main():
     else:
         print(
             "serve_client: %s acked=%d/%d duplicates=%d reconnects=%d mismatches=%d"
+            " ack_p50=%.1fms ack_p90=%.1fms"
             % (
                 "OK" if ok else "FAIL",
                 summary["acked"],
@@ -223,6 +247,8 @@ def main():
                 summary["duplicates"],
                 summary["reconnects"],
                 summary["mismatches"],
+                summary["ack_p50_ms"],
+                summary["ack_p90_ms"],
             )
         )
     return 0 if ok and summary["mismatches"] == 0 else 1
