@@ -455,6 +455,12 @@ void ReplicaNode::OnFailureDetected(SimTime t) {
   if (dead_ || halted_) {
     return;
   }
+  // The survivor detects the failure only after receiving the last message
+  // its upstream sent. Frames can have arrived unread: a go-back-N re-send
+  // schedules one poll, at its last frame's arrival, and the crash may have
+  // pruned that frame. Promoting before reading them would send an [end, E]
+  // the dead upstream's own relayed copy then duplicates downstream.
+  PollIncoming(t);
   failure_detected_ = true;
   CatchUpClock(t);
   RetryStandingWait();

@@ -9,7 +9,6 @@
 
 #include "devices/device_set.hpp"
 #include "serve/frontend.hpp"
-#include "serve/node_host.hpp"
 #include "serve/sockets.hpp"
 #include "serve/wire.hpp"
 #include "sim/realtime_pump.hpp"
@@ -45,8 +44,8 @@ void Note(const char* fmt, ...) {
   va_end(args);
 }
 
-// The served chain, one description for all three roles: the in-process
-// World of kSingle and the NodeHost of each wire role boot from it alike.
+// The served chain, one description for all three roles: --role=single
+// builds its whole chain from it, each wire role one position of it.
 Scenario ServeScenario(const ServeConfig& config) {
   // Output commit is the serving contract (see server.hpp); the original
   // variant's boundary-ack rule does not provide it per-response.
@@ -70,47 +69,34 @@ Scenario ServeScenario(const ServeConfig& config) {
   return scenario;
 }
 
-// Drains the replication socket: complete frames are injected into the
-// inbound channel at `now`; EOF/reset/corruption is the peer's death.
-// Returns false once the connection is gone (after OnPeerDead fired).
-bool PumpRepl(FrameStream* repl, NodeHost* host, SimTime now, uint64_t* failovers) {
-  if (repl == nullptr || !repl->open()) {
-    return false;
-  }
+// Drains the replication socket: complete frames enter the world at `now`;
+// EOF, reset or corruption is the peer's death.
+void PumpRepl(FrameStream* repl, World* world, SimTime now) {
   bool alive = repl->ReadAvailable();
-  while (true) {
-    std::optional<std::vector<uint8_t>> frame = repl->NextFrame();
-    if (!frame.has_value()) {
-      break;
-    }
-    host->OnPeerFrame(*frame, now);
+  while (std::optional<std::vector<uint8_t>> frame = repl->NextFrame()) {
+    world->InjectWireFrame(*frame, now);
   }
-  if (repl->corrupt()) {
-    alive = false;
+  if (alive && !repl->corrupt()) {
+    return;
   }
-  if (!alive) {
-    if (repl->truncated_bytes() > 0) {
-      // The peer died mid-write: the partial frame is held by the dissector
-      // and never delivered — Channel::Break truncation semantics at the
-      // socket boundary.
-      Note("peer died mid-frame (%zu truncated bytes discarded)", repl->truncated_bytes());
-    }
-    repl->Close();
-    host->OnPeerDead(now);
-    ++*failovers;
-    Note("replication peer lost at t=%.3f ms", now.seconds() * 1e3);
-    return false;
+  if (repl->truncated_bytes() > 0) {
+    // The peer died mid-write: the partial frame is held by the dissector
+    // and never delivered — Channel::Break truncation semantics at the
+    // socket boundary.
+    Note("peer died mid-frame (%zu truncated bytes discarded)", repl->truncated_bytes());
   }
-  return true;
+  repl->Close();
+  world->PeerLost(now);
+  Note("replication peer lost at t=%.3f ms", now.seconds() * 1e3);
 }
 
-// Ships the host's outbound channel over the repl stream. The sink only
-// queues: HostServeLoop's end-of-iteration Flush sends the iteration's
+// Ships the wire position's outbound channel over the repl stream. The sink
+// only queues: ServeLoop's end-of-iteration Flush sends the iteration's
 // frames in one write(2), since a running guest emits one every epoch. A
 // dead peer is not reported here; PumpRepl sees its EOF or reset on the
-// next read and runs the failure detector.
-void BindReplSink(NodeHost* host, FrameStream* stream) {
-  host->BindWireSink([stream](const std::vector<uint8_t>& bytes) {
+// next read.
+void BindReplSink(World* world, FrameStream* stream) {
+  world->BindWireSink([stream](const std::vector<uint8_t>& bytes) {
     if (!stream->open()) {
       return false;
     }
@@ -125,17 +111,13 @@ struct StopCheck {
   std::string reason;
 
   // Returns true when the session should end, recording why.
-  bool Due(SimTime now, bool halted, bool dead) {
+  bool Due(SimTime now) {
     if (g_stop != 0) {
       reason = "signal";
     } else if (config->duration_ms > 0 && now >= SimTime::Millis(config->duration_ms)) {
       reason = "duration";
     } else if (config->max_requests > 0 && released->size() >= config->max_requests) {
       reason = "max-requests";
-    } else if (halted) {
-      reason = "guest-halt";
-    } else if (dead) {
-      reason = "node-dead";
     } else {
       return false;
     }
@@ -143,17 +125,8 @@ struct StopCheck {
   }
 };
 
-void FillChannelReport(ServeReport* report, const std::string& name, const std::string& mode,
-                       const Channel& channel) {
-  ServeReport::ChannelReport row;
-  row.name = name;
-  row.mode = mode;
-  row.counters = channel.counters();
-  report->channels.push_back(std::move(row));
-}
-
-// Whether any replica of the in-process chain is executing guest code: the
-// World half of the wait rule's input.
+// Whether any replica of the world is executing guest code: the world half
+// of the wait rule's input.
 bool AnyRunnable(World& world) {
   for (size_t i = 0; i < world.replica_count(); ++i) {
     if (world.replica(i)->runnable()) {
@@ -163,129 +136,63 @@ bool AnyRunnable(World& world) {
   return false;
 }
 
-// --- kSingle: whole chain in-process, real clients only ---------------------
-
-int RunSingle(const ServeConfig& config, ServeReport* report) {
-  std::unique_ptr<World> world = ServeScenario(config).BuildWorld();
-
-  Frontend frontend(config.port);
-  std::string error;
-  if (!frontend.OpenListener(&error)) {
-    report->error = "client listener: " + error;
-    return 1;
-  }
-  Note("listening on 127.0.0.1:%u (single-process chain, %d backup%s)", config.port,
-       config.backups, config.backups == 1 ? "" : "s");
-
-  ReleasedResponses released;
-  AttachLatchRelease(world->devices().nic(), &frontend, &released);
-
-  RealtimePump pump;
-  StopCheck stop{&config, &released, ""};
-  while (true) {
-    std::vector<pollfd> fds;
-    frontend.CollectFds(&fds);
-    pump.Poll(fds.data(), fds.size(),
-              RealtimePump::WaitBound(pump.Now(), world->NextEventTime(), AnyRunnable(*world)));
-    SimTime now = pump.Now();
-
-    frontend.Pump([&world, now](const ClientFrame& frame) {
-      NicRequest req{frame.client_id, frame.seq, frame.payload};
-      world->InjectPacket(EncodeNicRequest(req), now);
-    });
-    bool more = world->RunLoop(pump.Now());
-    frontend.FlushAll();
-
-    if (!more && world->finished()) {
-      stop.reason = world->service_lost() ? "service-lost" : "guest-halt";
-      break;
-    }
-    if (stop.Due(now, false, false)) {
-      break;
+// The first replica that took over, if any.
+const ReplicaNode* Promoted(World& world) {
+  for (size_t i = 0; i < world.replica_count(); ++i) {
+    if (world.replica(i)->promoted()) {
+      return world.replica(i);
     }
   }
-  frontend.FlushAll();
-
-  report->stop_reason = stop.reason;
-  report->runtime_s = pump.Now().seconds();
-  report->frontend = frontend.stats();
-  ScenarioResult outcome;
-  world->Finish(&outcome);
-  report->failovers = outcome.crash_times.size();
-  report->promoted = outcome.promoted;
-  if (outcome.promoted && !outcome.crash_times.empty()) {
-    report->promotion_latency_ms =
-        (outcome.promotion_time - outcome.crash_times.front()).seconds() * 1e3;
-  }
-  if (world->replica_count() > 0) {
-    report->node = world->replica(0)->stats();
-  }
-  for (const auto& [key, channel] : world->channel_map()) {
-    FillChannelReport(report,
-                      "r" + std::to_string(key.first) + "->r" + std::to_string(key.second),
-                      channel->mode() == ChannelMode::kOrdered ? "protocol" : "acks", *channel);
-  }
-  report->ok = stop.reason != "service-lost" && stop.reason != "node-dead";
-  return report->ok ? 0 : 1;
+  return nullptr;
 }
 
-// --- Shared multi-process serve loop ----------------------------------------
+// --- The serve loop, one for every role --------------------------------------
 
-// Drives one NodeHost plus the client frontend and the replication stream.
-// The primary enters with the frontend already listening; a backup enters
-// with it closed and opens it at promotion.
-void HostServeLoop(const ServeConfig& config, NodeHost* host, Frontend* frontend,
-                   FrameStream* repl, RealtimePump* pump, ReleasedResponses* released,
-                   ServeReport* report) {
-  StopCheck stop{&config, released, ""};
-  SimTime peer_died = SimTime::Zero();
+// Drives one World plus the client frontend and, for a wire position, the
+// replication stream. The frontend enters listening, except a wire backup's,
+// which opens at promotion.
+void ServeLoop(const ServeConfig& config, World* world, Frontend* frontend, FrameStream* repl,
+               RealtimePump* pump, ServeReport* report) {
+  ReleasedResponses released;
+  AttachLatchRelease(world->devices().nic(), frontend, &released);
+  StopCheck stop{&config, &released, ""};
   bool promotion_noted = false;
 
   while (true) {
     std::vector<pollfd> fds;
     frontend->CollectFds(&fds);
-    if (repl != nullptr && repl->open()) {
+    const bool repl_open = repl != nullptr && repl->open();
+    if (repl_open) {
       short events = POLLIN;
       if (repl->HasPendingWrites()) {
         events |= POLLOUT;
       }
       fds.push_back(pollfd{repl->fd(), events, 0});
     }
-    // Wake for the next scheduled sim event (a disk completion, a failure
-    // detector verdict) even with silent sockets, and often enough that a
-    // running guest keeps pace with the wall clock.
     pump->Poll(fds.data(), fds.size(),
-               RealtimePump::WaitBound(pump->Now(), host->NextEventTime(),
-                                       host->node().runnable()));
-    SimTime now = pump->Now();
+               RealtimePump::WaitBound(pump->Now(), world->NextEventTime(), AnyRunnable(*world)));
+    const SimTime now = pump->Now();
 
-    if (repl != nullptr && repl->open()) {
-      bool was_lost = host->peer_lost();
-      if (!PumpRepl(repl, host, now, &report->failovers) && !was_lost) {
-        peer_died = now;
-      }
+    if (repl_open) {
+      PumpRepl(repl, world, now);
     }
+    frontend->Pump([world, now](const ClientFrame& frame) {
+      NicRequest req{frame.client_id, frame.seq, frame.payload};
+      world->InjectPacket(EncodeNicRequest(req), now);
+    });
+    const bool more = world->RunLoop(pump->Now());
 
-    if (frontend->listening()) {
-      frontend->Pump([host, now](const ClientFrame& frame) {
-        NicRequest req{frame.client_id, frame.seq, frame.payload};
-        host->InjectPacket(EncodeNicRequest(req), now);
-      });
-    }
-
-    host->Advance(pump->Now());
-
-    // A backup that just promoted takes over the client port. Retried every
-    // loop until the bind lands (the dead primary's socket may take an
-    // instant to evaporate even with SO_REUSEADDR).
-    const ReplicaNode& node = host->node();
-    if (node.promoted()) {
+    // A backup that promoted takes over the client port. Retried every loop
+    // until the bind lands (the dead primary's socket may take an instant to
+    // evaporate even with SO_REUSEADDR).
+    if (const ReplicaNode* node = Promoted(*world)) {
       if (!promotion_noted) {
         promotion_noted = true;
         report->promoted = true;
-        report->promotion_latency_ms = (node.promotion_time() - peer_died).seconds() * 1e3;
+        report->promotion_latency_ms =
+            (node->promotion_time() - world->crash_times().front()).seconds() * 1e3;
         Note("promoted at t=%.3f ms (%.3f ms after peer loss)",
-             node.promotion_time().seconds() * 1e3, report->promotion_latency_ms);
+             node->promotion_time().seconds() * 1e3, report->promotion_latency_ms);
       }
       if (!frontend->listening()) {
         std::string error;
@@ -300,7 +207,11 @@ void HostServeLoop(const ServeConfig& config, NodeHost* host, Frontend* frontend
       repl->Flush();
     }
 
-    if (stop.Due(now, host->node().halted(), host->node().dead())) {
+    if (!more && world->finished()) {
+      stop.reason = world->service_lost() ? "service-lost" : "guest-halt";
+      break;
+    }
+    if (stop.Due(now)) {
       break;
     }
   }
@@ -308,21 +219,40 @@ void HostServeLoop(const ServeConfig& config, NodeHost* host, Frontend* frontend
 
   report->stop_reason = stop.reason;
   report->runtime_s = pump->Now().seconds();
+  report->frontend = frontend->stats();
   if (repl != nullptr) {
     report->repl_bytes_in = repl->bytes_in();
     report->repl_bytes_out = repl->bytes_out();
   }
-  report->frontend = frontend->stats();
-  report->node = host->node().stats();
-  const bool is_primary = host->role() == HostRole::kPrimary;
-  FillChannelReport(report, is_primary ? "primary->backup" : "backup->primary",
-                    is_primary ? "protocol" : "acks", host->wire_out());
-  FillChannelReport(report, is_primary ? "backup->primary" : "primary->backup",
-                    is_primary ? "acks" : "protocol", host->wire_in());
-  report->ok = stop.reason != "node-dead";
+  report->failovers = world->crash_times().size();
+  report->solo = world->replica(world->active_index())->solo();
+  report->node = world->replica(0)->stats();
+  for (const auto& [key, channel] : world->channel_map()) {
+    ServeReport::ChannelReport row;
+    row.name = "r" + std::to_string(key.first) + "->r" + std::to_string(key.second);
+    row.mode = channel->mode() == ChannelMode::kOrdered ? "protocol" : "acks";
+    row.counters = channel->counters();
+    report->channels.push_back(std::move(row));
+  }
+  report->ok = stop.reason != "service-lost";
 }
 
-// --- kPrimary ----------------------------------------------------------------
+// --- Per-role setup ------------------------------------------------------------
+
+int RunSingle(const ServeConfig& config, ServeReport* report) {
+  std::unique_ptr<World> world = ServeScenario(config).BuildWorld();
+  Frontend frontend(config.port);
+  std::string error;
+  if (!frontend.OpenListener(&error)) {
+    report->error = "client listener: " + error;
+    return 1;
+  }
+  Note("listening on 127.0.0.1:%u (single-process chain, %d backup%s)", config.port,
+       config.backups, config.backups == 1 ? "" : "s");
+  RealtimePump pump;
+  ServeLoop(config, world.get(), &frontend, nullptr, &pump, report);
+  return report->ok ? 0 : 1;
+}
 
 int RunPrimary(const ServeConfig& config, ServeReport* report) {
   std::string error;
@@ -333,7 +263,7 @@ int RunPrimary(const ServeConfig& config, ServeReport* report) {
   }
 
   RealtimePump wait_clock;
-  NodeHost host(ServeScenario(config), HostRole::kPrimary);
+  std::unique_ptr<World> world = ServeScenario(config).BuildWirePosition(0);
 
   // Hold the guest until the backup is attached (or the wait expires): every
   // protocol message must ship through the wire from the first epoch, or the
@@ -366,13 +296,13 @@ int RunPrimary(const ServeConfig& config, ServeReport* report) {
   RealtimePump pump;
 
   if (repl != nullptr) {
-    BindReplSink(&host, repl.get());
+    BindReplSink(world.get(), repl.get());
     Note("backup connected; replication active");
   } else {
     // No backup came: run unprotected, via the same failure-detection path a
     // mid-session backup loss takes (the primary's OnDownstreamFailureDetected
     // releases every ack wait).
-    host.OnPeerDead(pump.Now());
+    world->PeerLost(pump.Now());
     Note("no backup within %llu ms; running solo",
          static_cast<unsigned long long>(config.backup_wait_ms));
   }
@@ -383,15 +313,12 @@ int RunPrimary(const ServeConfig& config, ServeReport* report) {
     return 1;
   }
   Note("listening on 127.0.0.1:%u (primary)", config.port);
-
-  ReleasedResponses released;
-  AttachLatchRelease(host.nic(), &frontend, &released);
-  HostServeLoop(config, &host, &frontend, repl.get(), &pump, &released, report);
-  report->solo = host.node().solo();
+  ServeLoop(config, world.get(), &frontend, repl.get(), &pump, report);
+  if (repl == nullptr) {
+    report->failovers = 0;  // No backup ever attached, so none was lost.
+  }
   return report->ok ? 0 : 1;
 }
-
-// --- kBackup -----------------------------------------------------------------
 
 int RunBackup(const ServeConfig& config, ServeReport* report) {
   RealtimePump pump;
@@ -416,17 +343,15 @@ int RunBackup(const ServeConfig& config, ServeReport* report) {
     return 0;
   }
 
-  NodeHost host(ServeScenario(config), HostRole::kBackup);
+  std::unique_ptr<World> world = ServeScenario(config).BuildWirePosition(1);
   auto repl = std::make_unique<FrameStream>(fd, kMaxReplFrameBytes);
-  BindReplSink(&host, repl.get());
+  BindReplSink(world.get(), repl.get());
   Note("connected to primary at %s:%u; standing by", config.peer_host.c_str(),
        config.repl_port);
 
   // The client listener stays closed until promotion: the primary serves.
   Frontend frontend(config.port);
-  ReleasedResponses released;
-  AttachLatchRelease(host.nic(), &frontend, &released);
-  HostServeLoop(config, &host, &frontend, repl.get(), &pump, &released, report);
+  ServeLoop(config, world.get(), &frontend, repl.get(), &pump, report);
   return report->ok ? 0 : 1;
 }
 

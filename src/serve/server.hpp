@@ -1,20 +1,24 @@
 // The serve subsystem's session driver: a protected guest behind a real TCP
 // listener.
 //
-// Three roles:
-//   kSingle  — the whole replica chain lives in this process (a World, as in
-//              the simulation); only the client frontend is real TCP. The
+// Three roles, each running one World through one serve loop; only their
+// setup differs:
+//   kSingle  — the World hosts the whole replica chain (as in the
+//              simulation); only the client frontend is real TCP. The
 //              --fail schedule can kill the in-process primary mid-session
 //              to demonstrate failover under live traffic.
-//   kPrimary — this process hosts the primary replica (NodeHost). It accepts
-//              the backup's replication connection on --repl-port, bridges
-//              the protocol stream over it, and serves clients on --port.
-//              If no backup arrives within --backup-wait-ms it runs solo.
-//   kBackup  — this process hosts the standing backup. It dials the
-//              primary's repl port, consumes the protocol stream, and on the
-//              primary's death (socket EOF -> failure detector -> P6/P7)
-//              promotes and takes over the client port (SO_REUSEADDR rebind;
-//              clients reconnect and resend unacknowledged requests).
+//   kPrimary — the World hosts wire position 0, the primary. This process
+//              accepts the backup's replication connection on --repl-port,
+//              holds the guest until it attaches, ships the protocol stream
+//              over it, and serves clients on --port. If no backup arrives
+//              within --backup-wait-ms it runs solo.
+//   kBackup  — the World hosts wire position 1, the standing backup. This
+//              process dials the primary's repl port and consumes the
+//              protocol stream. A dead connection is the primary's death: it
+//              takes the path a killed replica's survivor takes (failure
+//              detector, then P6/P7), and the promoted backup takes over the
+//              client port (SO_REUSEADDR rebind; clients reconnect and resend
+//              unacknowledged requests).
 //
 // Request path and output commit: a client request frame becomes a NIC RX
 // completion; the guest echoes the packet (after logging it to disk), and
@@ -77,7 +81,7 @@ struct ServeReport {
   // Replication.
   uint64_t failovers = 0;  // Peer/active-replica deaths observed.
   bool promoted = false;
-  bool solo = false;
+  bool solo = false;  // The serving replica ended without a live backup.
   double promotion_latency_ms = 0.0;  // Peer death -> promotion complete.
   uint64_t repl_bytes_in = 0;
   uint64_t repl_bytes_out = 0;
@@ -86,7 +90,7 @@ struct ServeReport {
   ReplicaNode::Stats node;
 
   struct ChannelReport {
-    std::string name;  // e.g. "primary->backup"
+    std::string name;  // Chain positions, e.g. "r0->r1".
     std::string mode;  // "protocol" | "acks"
     Channel::Counters counters;
   };

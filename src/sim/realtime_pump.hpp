@@ -9,9 +9,8 @@
 //
 //   pump.Poll(fds, WaitBound(...))  — sleep until sockets are ready
 //   t = pump.Now()                  — one injection instant per iteration
-//   queue socket events at t        — an event at t, as World::InjectPacket
-//   world.RunLoop(pump.Now()) / host.Advance(pump.Now())
-//                                   — run the replicas up to t, handle the
+//   queue socket events at t        — World::InjectPacket / InjectWireFrame
+//   world.RunLoop(pump.Now())       — run the replicas up to t, handle the
 //                                     events at t, catch up to the new Now()
 //
 // Everything that happened on the wire since the last iteration is stamped

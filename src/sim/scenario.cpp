@@ -352,6 +352,15 @@ std::unique_ptr<World> Scenario::BuildWorld() const {
   return world;
 }
 
+std::unique_ptr<World> Scenario::BuildWirePosition(size_t position) const {
+  HBFT_CHECK(replicated_) << "a wire position hosts a replica";
+  auto world = std::make_unique<World>(guest().program, world_config(),
+                                       World::WirePosition{position});
+  // The same parameter block every replica of BuildWorld's chain boots with.
+  PatchWorkloadParams(&world->replica(0)->hypervisor().machine().memory(), workload_);
+  return world;
+}
+
 void Scenario::CollectResult(World& world, ScenarioResult* out) const {
   ScenarioResult& result = *out;
   result.console_output = world.devices().console().output();

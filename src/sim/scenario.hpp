@@ -210,12 +210,17 @@ class Scenario {
   // fields. Run() == BuildWorld() + World::Run + CollectResult().
   std::unique_ptr<World> BuildWorld() const;
   void CollectResult(World& world, ScenarioResult* result) const;
+  // One chain position (0 = primary, 1 = backup) of this scenario's
+  // two-replica chain, in World's wire-position form: it boots the machine
+  // BuildWorld's chain boots at that position. Its inputs come through the
+  // World's wire and injection calls, so the scenario's failure schedule,
+  // console input and packets are not applied.
+  std::unique_ptr<World> BuildWirePosition(size_t position) const;
 
   const WorkloadSpec& workload() const { return workload_; }
   const FailureSchedule& failures() const { return failures_; }
   // What every replica boots: the world config (machine seeded with the
-  // scenario seed) and the guest image the workload runs on. World and
-  // serve::NodeHost both build their replicas from these two.
+  // scenario seed) and the guest image the workload runs on.
   WorldConfig world_config() const;
   const GuestImageBundle& guest() const;
 

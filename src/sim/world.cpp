@@ -33,18 +33,8 @@ World::World(const GuestProgram& guest, const WorldConfig& config, bool replicat
   for (size_t i = 0; i + 1 < n; ++i) {
     AddLinkPair(i, i + 1, kMeshLinkSalt, i);
   }
-
   for (size_t i = 0; i < n; ++i) {
-    NodeLinks links;
-    if (i > 0) {
-      links.up_in = channel(i - 1, i);
-      links.up_out = channel(i, i - 1);
-    }
-    if (i + 1 < n) {
-      links.down_out = channel(i, i + 1);
-      links.down_in = channel(i + 1, i);
-    }
-    replicas_.push_back(MakeReplica(guest, config, *devices_, i, links, this));
+    replicas_.push_back(MakeReplica(i, ChainLinks(i, n)));
   }
 
   // Poll wiring: a send wakes the receiving neighbour at the arrival time.
@@ -61,29 +51,46 @@ World::World(const GuestProgram& guest, const WorldConfig& config, bool replicat
   }
 }
 
-World::LinkPair World::MakeLinkPair(const WorldConfig& config, uint64_t salt, size_t index) {
-  LinkPair pair;
-  pair.down = std::make_unique<Channel>(config.costs.link, ChannelMode::kOrdered,
-                                        config.link_faults, config.seed ^ (salt * (2 * index + 1)));
-  pair.up = std::make_unique<Channel>(config.costs.link, ChannelMode::kDatagram,
-                                      config.link_faults, config.seed ^ (salt * (2 * index + 2)));
-  return pair;
+World::World(const GuestProgram& guest, const WorldConfig& config, WirePosition wire)
+    : config_(config),
+      guest_(guest),
+      crash_rng_(config.seed ^ 0xC4A5BEEFULL),
+      wire_position_(wire.position) {
+  HBFT_CHECK(wire.position <= 1) << "a wire position is one end of a two-replica chain";
+  devices_ = std::make_unique<DeviceSet>(config.devices, config.costs, config.seed);
+  AddLinkPair(0, 1, kMeshLinkSalt, 0);
+  replicas_.push_back(MakeReplica(wire.position, ChainLinks(wire.position, 2)));
+  chain_next_.assign(1, kNoChain);
+  chain_prev_.assign(1, kNoChain);
 }
 
-std::unique_ptr<ReplicaNode> World::MakeReplica(const GuestProgram& guest,
-                                                const WorldConfig& config,
-                                                const DeviceSet& devices, size_t position,
-                                                const NodeLinks& links,
-                                                EventScheduler* scheduler) {
+NodeLinks World::ChainLinks(size_t position, size_t n) {
+  NodeLinks links;
+  if (position > 0) {
+    links.up_in = channel(position - 1, position);
+    links.up_out = channel(position, position - 1);
+  }
+  if (position + 1 < n) {
+    links.down_out = channel(position, position + 1);
+    links.down_in = channel(position + 1, position);
+  }
+  return links;
+}
+
+std::unique_ptr<ReplicaNode> World::MakeReplica(size_t position, const NodeLinks& links) {
   const int id = kPrimaryId + static_cast<int>(position);
-  return std::make_unique<ReplicaNode>(id, guest, config.machine, config.replication, config.costs,
-                                       devices.BuildRegistry(), links, scheduler);
+  return std::make_unique<ReplicaNode>(id, guest_, config_.machine, config_.replication,
+                                       config_.costs, devices_->BuildRegistry(), links, this);
 }
 
 void World::AddLinkPair(size_t up, size_t down, uint64_t salt, size_t index) {
-  LinkPair pair = MakeLinkPair(config_, salt, index);
-  channels_[{up, down}] = std::move(pair.down);
-  channels_[{down, up}] = std::move(pair.up);
+  const uint64_t seed = config_.seed;
+  channels_[{up, down}] = std::make_unique<Channel>(config_.costs.link, ChannelMode::kOrdered,
+                                                    config_.link_faults,
+                                                    seed ^ (salt * (2 * index + 1)));
+  channels_[{down, up}] = std::make_unique<Channel>(config_.costs.link, ChannelMode::kDatagram,
+                                                    config_.link_faults,
+                                                    seed ^ (salt * (2 * index + 2)));
 }
 
 void World::WireAdjacentPolls(size_t up_index, size_t down_index) {
@@ -108,6 +115,7 @@ void World::ScheduleAt(SimTime t, std::function<void()> fn) { queue_.Push(t, std
 
 void World::SetFailureSchedule(const FailureSchedule& schedule) {
   HBFT_CHECK(!replicas_.empty()) << "failure schedules require a replicated world";
+  HBFT_CHECK(wire_position_ == kNoChain) << "a wire position fails only by losing its peer";
   bool seen_rejoin = false;
   for (const FailurePlan& plan : schedule) {
     if (plan.kind == FailurePlan::Kind::kRejoin) {
@@ -259,7 +267,7 @@ size_t World::RejoinReplica(SimTime t) {
   NodeLinks links;
   links.up_in = channel(tail, pos);
   links.up_out = channel(pos, tail);
-  std::unique_ptr<ReplicaNode> joiner = MakeReplica(guest_, config_, *devices_, pos, links, this);
+  std::unique_ptr<ReplicaNode> joiner = MakeReplica(pos, links);
   joiner->StartAsJoiner();
 
   const size_t resync_index = resyncs_.size();
@@ -353,11 +361,8 @@ void World::KillReplica(size_t index, SimTime t, FailurePlan::CrashIo crash_io) 
     const size_t successor = chain_next_[index];
     if (successor != kNoChain && !replicas_[successor]->dead() &&
         !replicas_[successor]->joining()) {
-      SimTime detect = FailureDetector::DetectionTime(*channel(index, successor), t,
-                                                      config_.costs.failure_detect_timeout,
-                                                      config_.link_faults);
-      ReplicaNode* next_node = replicas_[successor].get();
-      ScheduleAt(detect, [next_node, detect] { next_node->OnFailureDetected(detect); });
+      ScheduleDetection(replicas_[successor].get(), *channel(index, successor), t,
+                        /*upstream_died=*/true);
       active_index_ = successor;
     } else {
       for (size_t j = successor; j != kNoChain; j = chain_next_[j]) {
@@ -377,16 +382,51 @@ void World::KillReplica(size_t index, SimTime t, FailurePlan::CrashIo crash_io) 
   // restores redundancy below the new tail).
   const size_t upstream = chain_prev_[index];
   HBFT_CHECK(upstream != kNoChain);
-  SimTime detect = FailureDetector::DetectionTime(*channel(index, upstream), t,
-                                                  config_.costs.failure_detect_timeout,
-                                                  config_.link_faults);
-  ReplicaNode* up_node = replicas_[upstream].get();
-  ScheduleAt(detect, [up_node, detect] { up_node->OnDownstreamFailureDetected(detect); });
+  ScheduleDetection(replicas_[upstream].get(), *channel(index, upstream), t,
+                    /*upstream_died=*/false);
   for (size_t j = chain_next_[index]; j != kNoChain; j = chain_next_[j]) {
     if (!replicas_[j]->dead()) {
       replicas_[j]->Kill(t);
     }
   }
+}
+
+void World::ScheduleDetection(ReplicaNode* survivor, const Channel& from_dead, SimTime t,
+                              bool upstream_died) {
+  SimTime detect = FailureDetector::DetectionTime(from_dead, t,
+                                                  config_.costs.failure_detect_timeout,
+                                                  config_.link_faults);
+  if (upstream_died) {
+    ScheduleAt(detect, [survivor, detect] { survivor->OnFailureDetected(detect); });
+  } else {
+    ScheduleAt(detect, [survivor, detect] { survivor->OnDownstreamFailureDetected(detect); });
+  }
+}
+
+void World::BindWireSink(Channel::WireSink sink) {
+  HBFT_CHECK(wire_position_ != kNoChain) << "only a wire position has a wire";
+  channel(wire_position_, 1 - wire_position_)->BindWireSink(std::move(sink));
+}
+
+void World::InjectWireFrame(const std::vector<uint8_t>& bytes, SimTime t) {
+  HBFT_CHECK(wire_position_ != kNoChain) << "only a wire position has a wire";
+  if (channel(1 - wire_position_, wire_position_)->InjectWireFrame(bytes, t)) {
+    ReplicaNode* node = replicas_[0].get();
+    ScheduleAt(t, [node, t] { node->PollIncoming(t); });
+  }
+}
+
+void World::PeerLost(SimTime t) {
+  HBFT_CHECK(wire_position_ != kNoChain) << "only a wire position has a wire";
+  Channel& from_peer = *channel(1 - wire_position_, wire_position_);
+  if (from_peer.broken() || replicas_[0]->dead()) {
+    return;
+  }
+  // Everything already received still counts; nothing more arrives (the
+  // paper's failure model, as Kill breaks a dead node's outbound channels).
+  from_peer.Break(t);
+  crash_times_.push_back(t);
+  ScheduleDetection(replicas_[0].get(), from_peer, t, /*upstream_died=*/wire_position_ == 1);
 }
 
 void World::RouteInput(DeviceId device, const std::vector<uint8_t>& payload, SimTime t) {

@@ -20,6 +20,18 @@
 // drain + timeout) and runs the P6/P7 takeover, then re-protects itself by
 // relaying to its own backup. A chain with k backups survives k successive
 // active-replica failures.
+//
+// Wire positions: a World can host one chain position (0 = the primary, 1 =
+// its backup) of a two-replica chain whose other position runs in another
+// process, as each `serve` wire role does. Only the hosted replica is built,
+// with the full chain's first link pair: the same seeds and (0, 1)/(1, 0)
+// keys, so both processes derive the same channels and each boots exactly
+// the machine a whole-chain World boots at its position. The neighbour's end
+// of that pair is the wire: frames leave through the outbound channel's
+// WireSink and enter through InjectWireFrame, and a dead connection enters
+// through PeerLost as a kill of the neighbour would. The hosted replica is
+// `replica(0)`; the channel keys stay chain positions. Everything else —
+// RunLoop, environment input, promotion — is the whole-chain code.
 #ifndef HBFT_SIM_WORLD_HPP_
 #define HBFT_SIM_WORLD_HPP_
 
@@ -112,32 +124,29 @@ class World : public EventScheduler {
   World(const GuestProgram& guest, const WorldConfig& config, bool replicated);
   ~World() override;
 
-  // --- Replica construction, shared with serve::NodeHost --------------------
-  // The one place a chain position's links and replica derive from the
-  // config, so a replica boots the same machine whichever process hosts it.
-
-  // The channels between adjacent chain positions: `down` carries the
-  // protocol stream (ordered, go-back-N), `up` the acks (datagrams:
-  // cumulative acks need no retransmission). Each channel's fault-RNG stream
-  // derives from the config seed, `salt` and `index`, so lossy runs
-  // reproduce exactly.
-  struct LinkPair {
-    std::unique_ptr<Channel> down;
-    std::unique_ptr<Channel> up;
+  // Wire-position form (see the header): hosts chain position `position`
+  // of a two-replica chain whose other position runs elsewhere.
+  struct WirePosition {
+    size_t position = 0;
   };
-  // The construction-time mesh indexes its pairs by upstream position;
-  // rejoin pairs use the joiner's position under their own salt, so a rejoin
-  // wire never reuses a stream.
-  static constexpr uint64_t kMeshLinkSalt = 0x11F0D1CEULL;
-  static constexpr uint64_t kRejoinLinkSalt = 0x5EED2E70ULL;
-  static LinkPair MakeLinkPair(const WorldConfig& config, uint64_t salt, size_t index);
-  // The replica at chain `position` (0 = the primary), its registry bound to
-  // `devices`. It starts active iff `links` has no upstream.
-  static std::unique_ptr<ReplicaNode> MakeReplica(const GuestProgram& guest,
-                                                  const WorldConfig& config,
-                                                  const DeviceSet& devices, size_t position,
-                                                  const NodeLinks& links,
-                                                  EventScheduler* scheduler);
+  World(const GuestProgram& guest, const WorldConfig& config, WirePosition wire);
+
+  // --- Wire side (wire-position form only) -----------------------------------
+
+  // Ships the hosted replica's outbound channel (the protocol stream from
+  // position 0, the acks from position 1) to the neighbour. Until bound,
+  // sends queue harmlessly in the local channel.
+  void BindWireSink(Channel::WireSink sink);
+  // A frame from the neighbour arrived at `t`: it joins the inbound channel
+  // and the replica polls at `t`, as a neighbour's send wakes it in a whole
+  // chain. Bytes that fail canonical decode are counted on the channel and
+  // dropped, as is anything after the peer was lost.
+  void InjectWireFrame(const std::vector<uint8_t>& bytes, SimTime t);
+  // The neighbour's connection died at `t`: the image of its kill at `t`.
+  // The inbound channel breaks, `t` is recorded as a crash time, and the
+  // hosted replica detects the failure exactly as KillReplica's survivor
+  // does. Idempotent.
+  void PeerLost(SimTime t);
 
   void ScheduleAt(SimTime t, std::function<void()> fn) override;
   SimTime NextEventTime() const override {
@@ -170,6 +179,8 @@ class World : public EventScheduler {
   void Finish(ScenarioResult* result);
   bool finished() const { return run_finished_; }
   bool service_lost() const { return service_lost_; }
+  // Every crash so far, kills and lost peers, in order.
+  const std::vector<SimTime>& crash_times() const { return crash_times_; }
 
   // The shared device backends (environment side).
   DeviceSet& devices() { return *devices_; }
@@ -221,15 +232,37 @@ class World : public EventScheduler {
  private:
   static constexpr size_t kNoChain = static_cast<size_t>(-1);
 
+  // The channels between adjacent chain positions: `down` carries the
+  // protocol stream (ordered, go-back-N), `up` the acks (datagrams:
+  // cumulative acks need no retransmission). Each channel's fault-RNG stream
+  // derives from the config seed, `salt` and `index`, so lossy runs
+  // reproduce exactly. The construction-time mesh indexes its pairs by
+  // upstream position; rejoin pairs use the joiner's position under their
+  // own salt, so a rejoin wire never reuses a stream.
+  static constexpr uint64_t kMeshLinkSalt = 0x11F0D1CEULL;
+  static constexpr uint64_t kRejoinLinkSalt = 0x5EED2E70ULL;
+  // Adds the channel pair between chain positions `up` and `down` to the mesh.
+  void AddLinkPair(size_t up, size_t down, uint64_t salt, size_t index);
+  // The links of chain position `position` in an n-replica chain built from
+  // the construction-time mesh.
+  NodeLinks ChainLinks(size_t position, size_t n);
+  // The replica at chain `position` (0 = the primary). It starts active iff
+  // `links` has no upstream.
+  std::unique_ptr<ReplicaNode> MakeReplica(size_t position, const NodeLinks& links);
+
   void ArmNextFailure();
   void FireTimedFailure(size_t schedule_index, SimTime when);
   void FireRejoin(size_t schedule_index, SimTime when);
   void OnPhaseHook(size_t schedule_index, size_t replica_index, FailPhase phase, uint64_t epoch,
                    uint64_t io_seq);
   void OnJoined(size_t resync_index, SimTime t);
-  // Adds the channel pair between chain positions `up` and `down` to the mesh.
-  void AddLinkPair(size_t up, size_t down, uint64_t salt, size_t index);
   void WireAdjacentPolls(size_t up_index, size_t down_index);
+  // The one failure-detection path: `survivor` learns of the crash at `t`
+  // of its neighbour, whose channel to it is `from_dead`, once that channel
+  // has drained and the detector's timeout elapsed. `upstream_died` picks
+  // the takeover (P6/P7) over continuing without the dead downstream.
+  void ScheduleDetection(ReplicaNode* survivor, const Channel& from_dead, SimTime t,
+                         bool upstream_died);
 
   // Routes environment input to the node serving (or about to serve) the
   // environment.
@@ -248,6 +281,8 @@ class World : public EventScheduler {
   std::vector<SimTime> crash_times_;
   size_t active_index_ = 0;
   bool service_lost_ = false;
+  // Wire-position form: the hosted chain position; kNoChain otherwise.
+  size_t wire_position_ = kNoChain;
 
   // Resumable run-loop outcome state (set by RunLoop, read by Finish).
   bool run_finished_ = false;

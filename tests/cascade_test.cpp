@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "core/failure_detector.hpp"
 #include "guest/workloads.hpp"
@@ -201,6 +202,39 @@ TEST(Cascade, MiddleBackupDeathTruncatesChain) {
   // Only the primary touched the devices.
   for (const auto& entry : ft.disk_trace) {
     EXPECT_EQ(entry.issuer, ft.primary_id);
+  }
+}
+
+// The middle replica of a lossy three-replica chain reads everything its dead
+// upstream sent before it promotes. A go-back-N re-send schedules one
+// receiver poll, at its last frame's arrival; when the crash prunes that
+// frame, the frames before it sit unread. A middle replica that promoted
+// without reading them sent its own [end, E], then read and relayed the dead
+// primary's, and the last backup aborted on the duplicate epoch end.
+TEST(Cascade, MiddleReplicaReadsItsDeadUpstreamBeforePromoting) {
+  WorkloadSpec spec;
+  spec.kind = WorkloadKind::kDiskRead;
+  spec.iterations = 16;
+  ScenarioResult bare = RunBare(spec);
+  ASSERT_TRUE(bare.completed);
+
+  const struct {
+    bool loss;  // Otherwise reordering.
+    int64_t kill_ms;
+  } cases[] = {{false, 1500}, {false, 2000}, {false, 2500}, {true, 1000}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(std::string(c.loss ? "loss" : "reorder") + " 5%, kill at " +
+                 std::to_string(c.kill_ms) + " ms");
+    LinkFaults faults;
+    (c.loss ? faults.drop_probability : faults.reorder_probability) = 0.05;
+    ScenarioResult ft = Scenario::Replicated(spec)
+                            .Backups(2)
+                            .Variant(ProtocolVariant::kRevised)
+                            .LinkFaults(faults)
+                            .FailAtTime(SimTime::Millis(c.kill_ms))
+                            .Run();
+    VerifyAgainstBare(spec, bare, ft);
+    EXPECT_TRUE(ft.promoted);
   }
 }
 

@@ -5,11 +5,12 @@
 // stream dissector (a partial trailing frame is held and never delivered —
 // the socket analogue of Channel::Break pruning a mid-serialisation frame),
 // the Channel socket transport (go-back-N framing and retransmits over a
-// WireSink), and a two-NodeHost lockstep run joined by in-memory byte queues
-// standing in for the TCP connection, including primary death and backup
-// promotion and the pair's equivalence to the World that runs the same
-// scenario, the serve loops' wait rule, and the request budget's count of
-// released responses across a failover that releases one twice.
+// WireSink), and the two wire roles' Worlds joined by in-memory byte queues
+// standing in for the TCP connection: each boots its World twin's machine
+// byte for byte, the pair runs the guest time its twin runs, and a lost peer
+// promotes the backup as a killed primary promotes the twin's. Then the serve
+// loop's wait rule, and the request budget's count of released responses
+// across a failover that releases one twice.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -19,11 +20,11 @@
 #include <string>
 #include <vector>
 
+#include "common/snapshot.hpp"
 #include "devices/nic.hpp"
 #include "fleet/traffic.hpp"
 #include "net/channel.hpp"
 #include "net/message.hpp"
-#include "serve/node_host.hpp"
 #include "serve/server.hpp"
 #include "serve/wire.hpp"
 #include "sim/realtime_pump.hpp"
@@ -413,7 +414,7 @@ TEST(ChannelWire, SinkFailureCountsAsLinkDrop) {
   EXPECT_TRUE(tx.NeedsRetransmitTimer());
 }
 
-// --- NodeHost lockstep over an in-memory "socket" ----------------------------
+// --- Wire positions over an in-memory "socket" ------------------------------
 
 Scenario LockstepConfig() {
   LinkFaults wire;
@@ -425,51 +426,63 @@ Scenario LockstepConfig() {
       .LinkFaults(wire);
 }
 
-// A NodeHost boots the machine World boots at the same chain position, so
-// the two-process serve pair cannot drift from the in-process chain.
-TEST(NodeHostLockstep, BootsWhatWorldBootsAtTheSamePosition) {
+std::vector<uint8_t> CaptureBytes(const Machine& machine) {
+  Snapshot snap;
+  SnapshotWriter w(&snap);
+  machine.CaptureState(w, /*include_memory=*/true);
+  return snap.bytes;
+}
+
+// Runs `world` just past `now`: RunLoop(limit) leaves the events stamped
+// `limit` for its next call, and a step must handle what it delivered at
+// `now`.
+void RunPast(World& world, SimTime now) { world.RunLoop(now + SimTime::Picos(1)); }
+
+// A wire position boots, byte for byte, the machine World boots at the same
+// chain position, with the same channels to its neighbour, so the
+// two-process serve pair cannot drift from the in-process chain.
+TEST(WirePositionLockstep, BootsWhatWorldBootsAtTheSamePosition) {
   const Scenario scenario = LockstepConfig();
   std::unique_ptr<World> world = scenario.BuildWorld();
-  const struct {
-    HostRole role;
-    size_t position;
-    size_t peer;
-  } hosts[] = {{HostRole::kPrimary, 0, 1}, {HostRole::kBackup, 1, 0}};
-  for (const auto& h : hosts) {
-    SCOPED_TRACE(h.position);
-    NodeHost host(scenario, h.role);
-    ReplicaNode& twin = *world->replica(h.position);
-    Machine& machine = host.node().hypervisor().machine();
+  for (size_t position : {0, 1}) {
+    SCOPED_TRACE(position);
+    std::unique_ptr<World> wire = scenario.BuildWirePosition(position);
+    ASSERT_EQ(wire->replica_count(), 1u);
+    ReplicaNode& node = *wire->replica(0);
+    ReplicaNode& twin = *world->replica(position);
+    Machine& machine = node.hypervisor().machine();
     Machine& twin_machine = twin.hypervisor().machine();
+    const std::vector<uint8_t> state = CaptureBytes(machine);
+    EXPECT_GE(state.size(), machine.config().ram_bytes);
+    EXPECT_TRUE(state == CaptureBytes(twin_machine)) << state.size() << " state bytes differ";
     EXPECT_EQ(machine.Fingerprint(), twin_machine.Fingerprint());
-    EXPECT_EQ(host.node().id(), twin.id());
+    EXPECT_EQ(node.id(), twin.id());
     EXPECT_EQ(machine.tlb().capacity(), twin_machine.tlb().capacity());
     EXPECT_EQ(machine.config().tlb_policy, twin_machine.config().tlb_policy);
     EXPECT_EQ(machine.config().machine_seed, twin_machine.config().machine_seed);
-    EXPECT_EQ(host.node().hypervisor().config().epoch_length,
-              twin.hypervisor().config().epoch_length);
-    // wire_out() is this position's outbound channel to its peer.
-    const Channel& out = *world->channel(h.position, h.peer);
-    const Channel& in = *world->channel(h.peer, h.position);
-    EXPECT_EQ(host.wire_out().mode(), out.mode());
-    EXPECT_EQ(host.wire_out().retransmit_timeout(), out.retransmit_timeout());
-    EXPECT_EQ(host.wire_in().mode(), in.mode());
-    EXPECT_EQ(host.wire_in().retransmit_timeout(), in.retransmit_timeout());
+    EXPECT_EQ(node.hypervisor().config().epoch_length, twin.hypervisor().config().epoch_length);
+    // The chain's first link pair, under the whole chain's keys.
+    ASSERT_EQ(wire->channel_map().size(), 2u);
+    for (const auto& [key, channel] : wire->channel_map()) {
+      const Channel& twin_channel = *world->channel(key.first, key.second);
+      EXPECT_EQ(channel->mode(), twin_channel.mode());
+      EXPECT_EQ(channel->retransmit_timeout(), twin_channel.retransmit_timeout());
+    }
   }
 }
 
-// Two separately constructed NodeHosts joined by byte queues: the in-memory
+// Two separately built wire positions joined by byte queues: the in-memory
 // stand-in for the TCP repl connection, driven at deterministic synthetic
 // times. Step(now) delivers what either side sent during the previous step,
-// stamped `now`, then advances both hosts to `now`.
+// stamped `now`, then runs both worlds past `now`.
 struct QueuedPair {
   explicit QueuedPair(const Scenario& scenario)
-      : primary(scenario, HostRole::kPrimary), backup(scenario, HostRole::kBackup) {
-    primary.BindWireSink([this](const std::vector<uint8_t>& bytes) {
+      : primary(scenario.BuildWirePosition(0)), backup(scenario.BuildWirePosition(1)) {
+    primary->BindWireSink([this](const std::vector<uint8_t>& bytes) {
       to_backup.push_back(bytes);
       return true;
     });
-    backup.BindWireSink([this](const std::vector<uint8_t>& bytes) {
+    backup->BindWireSink([this](const std::vector<uint8_t>& bytes) {
       to_primary.push_back(bytes);
       return true;
     });
@@ -479,19 +492,19 @@ struct QueuedPair {
 
   void Step(SimTime now) {
     while (!to_backup.empty()) {
-      backup.OnPeerFrame(to_backup.front(), now);
+      backup->InjectWireFrame(to_backup.front(), now);
       to_backup.pop_front();
     }
     while (!to_primary.empty()) {
-      primary.OnPeerFrame(to_primary.front(), now);
+      primary->InjectWireFrame(to_primary.front(), now);
       to_primary.pop_front();
     }
-    primary.Advance(now);
-    backup.Advance(now);
+    RunPast(*primary, now);
+    RunPast(*backup, now);
   }
 
-  NodeHost primary;
-  NodeHost backup;
+  std::unique_ptr<World> primary;
+  std::unique_ptr<World> backup;
   std::deque<std::vector<uint8_t>> to_backup;
   std::deque<std::vector<uint8_t>> to_primary;
 };
@@ -499,19 +512,19 @@ struct QueuedPair {
 // Covers the full serve datapath minus the actual sockets: request
 // injection, lockstep execution, output commit at the TX latch, peer death,
 // promotion, and the promoted backup serving on its own.
-TEST(NodeHostLockstep, EchoThenFailover) {
+TEST(WirePositionLockstep, EchoThenFailover) {
   QueuedPair pair(LockstepConfig());
-  NodeHost& primary = pair.primary;
-  NodeHost& backup = pair.backup;
+  World& primary = *pair.primary;
+  World& backup = *pair.backup;
 
   std::vector<NicRequest> primary_released;
-  primary.nic()->set_on_latch([&primary_released](const NicTraceEntry& entry) {
+  primary.devices().nic()->set_on_latch([&primary_released](const NicTraceEntry& entry) {
     if (auto req = DecodeNicPacket(entry.bytes)) {
       primary_released.push_back(*req);
     }
   });
   std::vector<NicRequest> backup_released;
-  backup.nic()->set_on_latch([&backup_released](const NicTraceEntry& entry) {
+  backup.devices().nic()->set_on_latch([&backup_released](const NicTraceEntry& entry) {
     if (auto req = DecodeNicPacket(entry.bytes)) {
       backup_released.push_back(*req);
     }
@@ -519,9 +532,6 @@ TEST(NodeHostLockstep, EchoThenFailover) {
 
   const SimTime step = SimTime::Micros(200);
   SimTime now = SimTime::Zero();
-
-  EXPECT_TRUE(primary.ActiveForEnvironment());
-  EXPECT_FALSE(backup.ActiveForEnvironment());
 
   // Request 1 commits through the chain: the primary's TX latch may only
   // fire once the backup acked everything the echo depends on.
@@ -534,21 +544,23 @@ TEST(NodeHostLockstep, EchoThenFailover) {
   }
   ASSERT_EQ(primary_released.size(), 1u);
   EXPECT_EQ(primary_released[0], first);
-  EXPECT_GT(backup.node().stats().epochs, 0u);
+  EXPECT_GT(backup.replica(0)->stats().epochs, 0u);
+  EXPECT_FALSE(backup.replica(0)->promoted());
 
   // The primary dies. Its unshipped frames vanish with it (the sink queues
   // are dropped); the backup sees the socket break and promotes.
   pair.to_backup.clear();
   pair.to_primary.clear();
-  backup.OnPeerDead(now);
+  const SimTime lost = now;
+  backup.PeerLost(lost);
   deadline = now + SimTime::Millis(400);
-  while (!backup.node().promoted() && now < deadline) {
+  while (!backup.replica(0)->promoted() && now < deadline) {
     now = now + step;
-    backup.Advance(now);
+    RunPast(backup, now);
   }
-  ASSERT_TRUE(backup.node().promoted());
-  EXPECT_TRUE(backup.ActiveForEnvironment());
-  EXPECT_GE(backup.node().promotion_time(), SimTime::Zero());
+  ASSERT_TRUE(backup.replica(0)->promoted());
+  EXPECT_GE(backup.replica(0)->promotion_time(), lost);
+  EXPECT_EQ(backup.crash_times(), std::vector<SimTime>{lost});
 
   // The promoted backup serves request 2 end to end by itself.
   NicRequest second{77, 2, {'m', 'o', 'r', 'e'}};
@@ -558,7 +570,7 @@ TEST(NodeHostLockstep, EchoThenFailover) {
   bool seen = false;
   while (!seen && now < deadline) {
     now = now + step;
-    backup.Advance(now);
+    RunPast(backup, now);
     for (size_t i = already; i < backup_released.size(); ++i) {
       if (backup_released[i] == second) {
         seen = true;
@@ -568,12 +580,50 @@ TEST(NodeHostLockstep, EchoThenFailover) {
   EXPECT_TRUE(seen);
 }
 
-// The wire roles run their replicas by the in-process chain's rules: a
-// NodeHost pair stepped at 200 us over the byte queues executes the guest
-// time its World twin executes and latches the same echoes at the same
-// instants. A host that delivered inputs before running its replica up to
-// their stamp would jump the guest's clock over time it never ran: it falls
-// thousands of epochs behind here and latches every echo milliseconds late.
+// A dead socket takes the killed-replica path: a wire backup whose peer is
+// lost at t promotes within one step of its World twin whose primary is
+// killed at t. The twin's detector counts from the arrival of the last frame
+// still in flight at the kill, a link latency after t; the wire backup has
+// received everything by t, so it promotes that much earlier.
+TEST(WirePositionLockstep, LostPeerPromotesLikeAKilledPrimary) {
+  const SimTime step = SimTime::Micros(200);
+  for (int64_t kill_ms : {37, 120, 301}) {
+    SCOPED_TRACE(kill_ms);
+    const SimTime kill = SimTime::Millis(kill_ms);
+    const SimTime deadline = kill + SimTime::Millis(50);
+    std::unique_ptr<World> twin = LockstepConfig().FailAtTime(kill).BuildWorld();
+    twin->RunLoop(deadline);
+    const ReplicaNode& twin_backup = *twin->replica(1);
+    ASSERT_TRUE(twin_backup.promoted());
+
+    QueuedPair pair(LockstepConfig());
+    SimTime now = SimTime::Zero();
+    while (now < kill) {
+      now = now + step;
+      pair.Step(now);
+    }
+    pair.to_backup.clear();
+    pair.backup->PeerLost(kill);
+    const ReplicaNode& backup = *pair.backup->replica(0);
+    while (!backup.promoted() && now < deadline) {
+      now = now + step;
+      RunPast(*pair.backup, now);
+    }
+    ASSERT_TRUE(backup.promoted());
+    EXPECT_LE(std::abs((backup.promotion_time() - twin_backup.promotion_time()).micros_f()),
+              step.micros_f())
+        << "wire backup promoted at " << backup.promotion_time().micros_f() << " us, twin at "
+        << twin_backup.promotion_time().micros_f() << " us";
+  }
+}
+
+// The wire roles run their replicas by the in-process chain's rules: a pair
+// of wire positions stepped at 200 us over the byte queues executes the
+// guest time its World twin executes and latches the same echoes at the
+// same instants. A role that delivered inputs before running its replica up
+// to their stamp would jump the guest's clock over time it never ran: it
+// falls thousands of epochs behind here and latches every echo milliseconds
+// late.
 //
 // The pair cannot match its twin exactly. The harness delivers each frame
 // on a step boundary, not at the link model's arrival instant, so output
@@ -582,9 +632,9 @@ TEST(NodeHostLockstep, EchoThenFailover) {
 // this run the pair ends about one epoch ahead, and an interrupt waits for
 // a boundary up to an epoch earlier or later. The bounds below allow that
 // for this scenario: two epochs, two steps per echo and one step on the
-// mean, where a skipping host misses by 3,344 epochs and by 1.4-1.8 ms on
+// mean, where a skipping role misses by 3,344 epochs and by 1.4-1.8 ms on
 // every echo.
-TEST(NodeHostLockstep, PairRunsTheGuestTimeItsWorldTwinRuns) {
+TEST(WirePositionLockstep, PairRunsTheGuestTimeItsWorldTwinRuns) {
   constexpr int kRequests = 20;
   const SimTime gap = SimTime::Millis(100);
   const SimTime step = SimTime::Micros(200);
@@ -607,7 +657,7 @@ TEST(NodeHostLockstep, PairRunsTheGuestTimeItsWorldTwinRuns) {
   int next = 0;
   for (SimTime now = step; now <= end; now = now + step) {
     if (next < kRequests && due(next) == now) {
-      pair.primary.InjectPacket(requests[next++], now);
+      pair.primary->InjectPacket(requests[next++], now);
     }
     pair.Step(now);
   }
@@ -615,23 +665,23 @@ TEST(NodeHostLockstep, PairRunsTheGuestTimeItsWorldTwinRuns) {
 
   const struct {
     const char* name;
-    NodeHost* host;
+    World* wire;
     size_t position;
-  } sides[] = {{"primary", &pair.primary, 0}, {"backup", &pair.backup, 1}};
+  } sides[] = {{"primary", pair.primary.get(), 0}, {"backup", pair.backup.get(), 1}};
   for (const auto& side : sides) {
     SCOPED_TRACE(side.name);
+    ReplicaNode& node = *side.wire->replica(0);
     ReplicaNode& twin = *world->replica(side.position);
-    const auto epochs = static_cast<int64_t>(side.host->node().stats().epochs);
+    const auto epochs = static_cast<int64_t>(node.stats().epochs);
     const auto twin_epochs = static_cast<int64_t>(twin.stats().epochs);
     EXPECT_GT(twin_epochs, 8000);
     EXPECT_LE(std::abs(epochs - twin_epochs), 2) << epochs << " vs " << twin_epochs;
-    const double retired =
-        static_cast<double>(side.host->node().hypervisor().machine().cpu().instret);
+    const double retired = static_cast<double>(node.hypervisor().machine().cpu().instret);
     const double twin_retired = static_cast<double>(twin.hypervisor().machine().cpu().instret);
     EXPECT_NEAR(retired, twin_retired, twin_retired * 0.001);
   }
 
-  const std::vector<NicTraceEntry>& echoes = pair.primary.nic()->trace();
+  const std::vector<NicTraceEntry>& echoes = pair.primary->devices().nic()->trace();
   const std::vector<NicTraceEntry>& twin_echoes = world->devices().nic()->trace();
   ASSERT_EQ(twin_echoes.size(), static_cast<size_t>(kRequests));
   ASSERT_EQ(echoes.size(), twin_echoes.size());
@@ -650,12 +700,12 @@ TEST(NodeHostLockstep, PairRunsTheGuestTimeItsWorldTwinRuns) {
 
 // A standing backup queues environment input until promotion completes —
 // the single-process RouteInput semantics carried over to the socket world.
-TEST(NodeHostLockstep, StandingBackupQueuesInputUntilPromotion) {
-  NodeHost backup(LockstepConfig(), HostRole::kBackup);
-  backup.BindWireSink([](const std::vector<uint8_t>&) { return true; });
+TEST(WirePositionLockstep, StandingBackupQueuesInputUntilPromotion) {
+  std::unique_ptr<World> backup = LockstepConfig().BuildWirePosition(1);
+  backup->BindWireSink([](const std::vector<uint8_t>&) { return true; });
 
   std::vector<NicRequest> released;
-  backup.nic()->set_on_latch([&released](const NicTraceEntry& entry) {
+  backup->devices().nic()->set_on_latch([&released](const NicTraceEntry& entry) {
     if (auto req = DecodeNicPacket(entry.bytes)) {
       released.push_back(*req);
     }
@@ -663,16 +713,16 @@ TEST(NodeHostLockstep, StandingBackupQueuesInputUntilPromotion) {
 
   NicRequest request{5, 1, {'q'}};
   SimTime now = SimTime::Millis(1);
-  backup.InjectPacket(EncodeNicRequest(request), now);
-  backup.Advance(now + SimTime::Millis(2));
+  backup->InjectPacket(EncodeNicRequest(request), now);
+  RunPast(*backup, now + SimTime::Millis(2));
   EXPECT_TRUE(released.empty());  // Standing by: input held, not consumed.
 
-  backup.OnPeerDead(now + SimTime::Millis(2));
+  backup->PeerLost(now + SimTime::Millis(2));
   SimTime deadline = now + SimTime::Millis(400);
   const SimTime step = SimTime::Micros(200);
   while (now < deadline && released.empty()) {
     now = now + step;
-    backup.Advance(now);
+    RunPast(*backup, now);
   }
   ASSERT_EQ(released.size(), 1u);
   EXPECT_EQ(released[0], request);
