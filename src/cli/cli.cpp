@@ -16,10 +16,15 @@ void PrintUsage(std::FILE* out) {
   std::fputs(
       "hbft_cli — hypervisor-based fault-tolerance scenario driver\n"
       "\n"
-      "usage: hbft_cli <run|drill|bench|fleet|serve|help> [flags]\n"
+      "usage: hbft_cli <run|bench|fleet|serve|help> [flags]\n"
       "       hbft_cli --list-workloads | --list-phases\n"
       "\n"
-      "run    Execute one workload and report the outcome.\n"
+      "run    Execute one workload and report the outcome; with --fail, a\n"
+      "       failover drill reporting each takeover's promotion latency.\n"
+      "       Exits 0 iff the verdict is PASS: every run completes cleanly, the\n"
+      "       environment saw a sequence consistent with a single machine, the\n"
+      "       checksum matches bare (timing-free workloads), every scheduled\n"
+      "       kill fired and every scheduled rejoin completed.\n"
       "  --workload=KIND       cpu|diskread|diskwrite|hello|txnlog|echo|heap|time|\n"
       "                        net-echo (txnlog). net-echo attaches the NIC and\n"
       "                        echoes injected packets (see --packets).\n"
@@ -38,9 +43,6 @@ void PrintUsage(std::FILE* out) {
       "  --link-queue=N        bounded sender queue; overflow tail-drops (0=inf)\n"
       "  --rto-ms=X            go-back-N retransmission timeout (2)\n"
       "  --loss-until-ms=X     confine link faults to a burst ending at X\n"
-      "  --pipeline-depth=W    epochs of unacked run-ahead at P2 boundaries (0 =\n"
-      "                        the paper's strict wait; old variant only)\n"
-      "  --ack-batch=K         backup coalesces K acks into one cumulative ack (1)\n"
       "  --packets=N           net-echo: packets injected (default: iterations)\n"
       "  --fail=SPEC           append a failure/repair event to the ordered schedule;\n"
       "                        repeatable. SPEC is comma-separated key=value:\n"
@@ -55,19 +57,8 @@ void PrintUsage(std::FILE* out) {
       "                             --fail=after-resync-ms=10\n"
       "  --json                emit one machine-readable JSON document instead of\n"
       "                        the text report (outcome, replication, transport,\n"
-      "                        resyncs, N'/N + consistency)\n"
+      "                        resyncs, N'/N + consistency, verdict)\n"
       "  --num-blocks=N --seed=N\n"
-      "\n"
-      "drill  Failover drill with a per-takeover promotion-latency report.\n"
-      "  Takes the run flags; defaults to txnlog with a kill at after-send-tme\n"
-      "  epoch 3, plus — cascading mode — one further active-replica kill per\n"
-      "  extra backup. Exits 0 iff the environment saw a sequence consistent\n"
-      "  with a single machine and the workload result matches bare.\n"
-      "  --repair              after the kills, rejoin a fresh backup (live state\n"
-      "                        transfer) and kill the active replica once more —\n"
-      "                        the report adds resync latency + transferred bytes\n"
-      "  --repair-delay-ms=X   rejoin X ms after the last kill (20)\n"
-      "  --refail-delay-ms=X   re-kill X ms after the resync completes (10)\n"
       "\n"
       "bench  Regenerate the paper's Table 1 / Fig 2-4 numbers plus this\n"
       "       reproduction's fig5-8 extensions as JSON artifacts.\n"
@@ -128,10 +119,9 @@ void PrintUsage(std::FILE* out) {
       "  hbft_cli run --workload=txnlog --iterations=8 --variant=new\n"
       "  hbft_cli run --workload=net-echo --iterations=4 --fail=phase=after-io-issue\n"
       "  hbft_cli run --workload=txnlog --disk-uncertain=0.3 --console-uncertain=0.3\n"
-      "  hbft_cli drill --variant=new --epoch-length=4096\n"
-      "  hbft_cli drill --backups=2 --fail=time-ms=6 --fail=phase=after-io-issue\n"
+      "  hbft_cli run --variant=new --fail=phase=after-send-tme,epoch=3\n"
+      "  hbft_cli run --backups=2 --fail=time-ms=6 --fail=phase=after-io-issue\n"
       "  hbft_cli run --workload=net-echo --backups=2 --loss=0.05 --reorder=0.05\n"
-      "  hbft_cli drill --repair --variant=new\n"
       "  hbft_cli run --workload=txnlog --iterations=20 --json \\\n"
       "      --fail=time-ms=40 --fail=rejoin-after-ms=20 --fail=after-resync-ms=10\n"
       "  hbft_cli bench --quick --out-dir=/tmp/hbft-bench\n"
@@ -194,9 +184,6 @@ int Main(int argc, char** argv) {
   }
   if (command == "run") {
     return RunCommand(flags);
-  }
-  if (command == "drill") {
-    return DrillCommand(flags);
   }
   if (command == "bench") {
     return BenchCommand(flags);

@@ -1,11 +1,13 @@
 // Entry point and argument parsing for the `hbft_cli` scenario driver.
 //
 // Subcommands:
-//   run    — execute one workload bare and/or replicated, print a report.
-//   drill  — kill the primary mid-run, report the failover and promotion
-//            latency breakdown.
-//   bench  — regenerate the paper's Table 1 / Fig 2-4 numbers and write
-//            them as JSON time-series artifacts under bench/.
+//   run    — execute one workload bare and/or replicated, print a report;
+//            with --fail, a failover drill with per-takeover promotion
+//            latency and a PASS/FAIL verdict.
+//   bench  — regenerate the paper's Table 1 / Fig 2-4 numbers and this
+//            reproduction's fig5-8 extensions as JSON artifacts under bench/.
+//   fleet  — co-simulate many protected chains across simulated hosts.
+//   serve  — front a protected guest with a real TCP listener.
 #ifndef HBFT_CLI_CLI_HPP_
 #define HBFT_CLI_CLI_HPP_
 

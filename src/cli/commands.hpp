@@ -12,7 +12,6 @@ namespace hbft {
 namespace cli {
 
 int RunCommand(FlagSet& flags);
-int DrillCommand(FlagSet& flags);
 int BenchCommand(FlagSet& flags);
 int FleetCommand(FlagSet& flags);
 int ServeCommand(FlagSet& flags);

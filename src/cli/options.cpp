@@ -425,7 +425,7 @@ bool ParseFailSpec(const std::string& spec, FailurePlan* out, std::string* descr
   return true;
 }
 
-std::optional<ScenarioFlags> ParseScenarioFlags(FlagSet& flags, uint32_t txnlog_iterations) {
+std::optional<ScenarioFlags> ParseScenarioFlags(FlagSet& flags) {
   std::string workload_name = flags.GetString("workload", "txnlog");
   auto kind = ParseWorkloadKind(workload_name);
   if (!kind) {
@@ -439,7 +439,7 @@ std::optional<ScenarioFlags> ParseScenarioFlags(FlagSet& flags, uint32_t txnlog_
   if (auto v = flags.GetU64("iterations", UINT32_MAX)) {
     workload.iterations = static_cast<uint32_t>(*v);
   } else if (*kind == WorkloadKind::kTxnLog) {
-    workload.iterations = txnlog_iterations;
+    workload.iterations = 10;
   } else if (*kind == WorkloadKind::kNetEcho) {
     workload.iterations = 4;
   }
@@ -543,16 +543,6 @@ std::optional<ScenarioFlags> ParseScenarioFlags(FlagSet& flags, uint32_t txnlog_
     link_faults.active_until = MillisToSimTime(*v);
   }
   scenario.LinkFaults(link_faults);
-  if (auto v = flags.GetU64("pipeline-depth", UINT32_MAX)) {
-    scenario.PipelineDepth(static_cast<uint32_t>(*v));
-  }
-  if (auto v = flags.GetU64("ack-batch", UINT32_MAX)) {
-    if (*v < 1) {
-      std::fprintf(stderr, "hbft_cli: --ack-batch must be >= 1\n");
-      return std::nullopt;
-    }
-    scenario.AckBatch(static_cast<uint32_t>(*v));
-  }
 
   // net-echo: the packets injected into the run (default: one per
   // iteration).

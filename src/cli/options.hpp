@@ -32,7 +32,7 @@ std::optional<uint64_t> ParseCount(const std::string& text, uint64_t max = UINT6
 // The value of a time key in either --fail grammar (run's and fleet's):
 // milliseconds, finite and in [0, kMaxMillis]. Prints the error itself.
 std::optional<double> ParseFailMillis(const std::string& key, const std::string& value);
-// The truncating millisecond-to-SimTime rounding of run, drill and serve.
+// The truncating millisecond-to-SimTime rounding of run and serve.
 SimTime MillisToSimTime(double ms);
 
 class FlagSet {
@@ -60,7 +60,7 @@ class FlagSet {
   std::set<std::string> consumed_;
 };
 
-// Name <-> enum maps shared by run/drill/bench.
+// Name <-> enum maps shared by run/serve/bench.
 std::optional<WorkloadKind> ParseWorkloadKind(const std::string& name);
 const char* WorkloadKindName(WorkloadKind kind);
 std::optional<ProtocolVariant> ParseVariant(const std::string& name);
@@ -80,19 +80,17 @@ void PrintFailPhaseNames(std::FILE* out);
 // Returns false after printing the offending part.
 bool ParseFailSpec(const std::string& spec, FailurePlan* out, std::string* description);
 
-// The scenario `run` and `drill` parse from their flags: workload
-// selection plus replication, topology, device fault plans, injected
-// packets, and the failure schedule. Its bare reference is
-// `scenario.AsBare()`, which keeps every environment knob, so the
-// transparency checks compare like with like.
+// The scenario `run` parses from its flags: workload selection plus
+// replication, topology, device fault plans, injected packets, and the
+// failure schedule. Its bare reference is `scenario.AsBare()`, which keeps
+// every environment knob, so the transparency checks compare like with like.
 struct ScenarioFlags {
   Scenario scenario;
   std::string failure_description = "none";
 };
 
-// `txnlog_iterations` is the txnlog workload's iteration count when
-// --iterations is absent. Returns nullopt after printing the offending flag.
-std::optional<ScenarioFlags> ParseScenarioFlags(FlagSet& flags, uint32_t txnlog_iterations = 10);
+// Returns nullopt after printing the offending flag.
+std::optional<ScenarioFlags> ParseScenarioFlags(FlagSet& flags);
 
 }  // namespace cli
 }  // namespace hbft

@@ -1,11 +1,15 @@
 // `hbft_cli run` — execute one workload bare, replicated, or both, and print
-// a comparison report (the paper's N'/N figure of merit when both ran).
-// With --json the same information is emitted as one machine-readable
-// document on stdout, so CI and scripts consume structured output instead of
-// scraping the text report.
+// a comparison report (the paper's N'/N figure of merit when both ran). A
+// --fail schedule makes it a failover drill: the report gives each promoted
+// node's takeover latency, and the verdict requires every scheduled kill to
+// fire and every rejoin to complete. With --json the same information is
+// emitted as one machine-readable document on stdout, so CI and scripts
+// consume structured output instead of scraping the text report.
+#include <algorithm>
 #include <cstdio>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "cli/commands.hpp"
 #include "cli/json.hpp"
@@ -18,6 +22,69 @@ namespace hbft {
 namespace cli {
 
 namespace {
+
+// A promoted node's takeover latency: its promotion time minus the latest
+// crash at or before it.
+double PromotionLatencyMs(const ScenarioResult& r, SimTime promotion_time) {
+  SimTime crash = SimTime::Zero();
+  for (SimTime t : r.crash_times) {
+    if (t <= promotion_time) {
+      crash = std::max(crash, t);
+    }
+  }
+  return (promotion_time - crash).seconds() * 1e3;
+}
+
+// The run's verdict: one reason per failed check, none when it passes.
+// `bare` and `ft` are null for the run --mode skipped; `env` is set when
+// both completed.
+std::vector<std::string> FailedChecks(const ScenarioFlags& parsed, const ScenarioResult* bare,
+                                      const ScenarioResult* ft,
+                                      const std::optional<ConsistencyResult>& env) {
+  std::vector<std::string> failed;
+  auto check_outcome = [&failed](const std::string& label, const ScenarioResult& r) {
+    if (!r.completed) {
+      failed.push_back(label + " run did not complete");
+    } else if (r.exited_flag != 1) {
+      failed.push_back(label + " guest did not exit cleanly");
+    }
+  };
+  if (bare != nullptr) {
+    check_outcome("bare", *bare);
+  }
+  if (ft == nullptr) {
+    return failed;
+  }
+  check_outcome("replicated", *ft);
+  const std::vector<FailurePlan>& schedule = parsed.scenario.failures();
+  const size_t rejoins = static_cast<size_t>(
+      std::count_if(schedule.begin(), schedule.end(),
+                    [](const FailurePlan& p) { return p.kind == FailurePlan::Kind::kRejoin; }));
+  const size_t kills = schedule.size() - rejoins;
+  if (ft->crash_times.size() < kills) {
+    failed.push_back("scheduled kill never fired: " + std::to_string(ft->crash_times.size()) +
+                     " of " + std::to_string(kills) + " fired (" + parsed.failure_description +
+                     ")");
+  }
+  const size_t resynced = static_cast<size_t>(
+      std::count_if(ft->resyncs.begin(), ft->resyncs.end(),
+                    [](const ResyncReport& resync) { return resync.completed; }));
+  if (resynced < rejoins) {
+    failed.push_back("scheduled rejoin never completed: " + std::to_string(resynced) + " of " +
+                     std::to_string(rejoins) + " completed (" + parsed.failure_description +
+                     ")");
+  }
+  if (bare != nullptr && bare->completed && ft->completed &&
+      ChecksumMatchesBare(parsed.scenario.workload().kind) &&
+      ft->guest_checksum != bare->guest_checksum) {
+    failed.push_back("guest checksum " + std::to_string(ft->guest_checksum) +
+                     " differs from bare " + std::to_string(bare->guest_checksum));
+  }
+  if (env.has_value() && !env->ok) {
+    failed.push_back("env consistency: " + env->detail);
+  }
+  return failed;
+}
 
 void ReportOutcome(const char* label, const ScenarioResult& r) {
   std::printf("-- %s --\n", label);
@@ -68,8 +135,9 @@ void ReportReplicationStats(const ScenarioResult& r) {
     }
     for (size_t i = 1; i < r.nodes.size(); ++i) {
       if (r.nodes[i].promoted) {
-        ReportF("promotion_time_ms_node" + std::to_string(r.nodes[i].id),
-                r.nodes[i].promotion_time.seconds() * 1e3);
+        const std::string id = std::to_string(r.nodes[i].id);
+        ReportF("promotion_time_ms_node" + id, r.nodes[i].promotion_time.seconds() * 1e3);
+        ReportF("promotion_latency_ms_node" + id, PromotionLatencyMs(r, r.nodes[i].promotion_time));
       }
     }
     ReportF("promotion_time_ms", r.promotion_time.seconds() * 1e3);
@@ -78,9 +146,8 @@ void ReportReplicationStats(const ScenarioResult& r) {
 }
 
 // Per-channel transport counters, printed when the run exercised the modeled
-// transport (lossy wire, pipelining, or ack batching): unique messages vs
-// wire sends, retransmits, wire discards, queue high-water, bytes on wire,
-// and effective goodput in Mbit/s.
+// transport (a faulty wire): unique messages vs wire sends, retransmits, wire
+// discards, queue high-water, bytes on wire, and effective goodput in Mbit/s.
 void ReportTransportStats(const ScenarioResult& r) {
   ReportLine("link_retransmits", std::to_string(r.TotalRetransmits()));
   ReportLine("link_wire_bytes", std::to_string(r.TotalWireBytes()));
@@ -146,18 +213,22 @@ JsonValue ReplicationJson(const ScenarioResult& r) {
   }
   JsonValue nodes = JsonValue::Array();
   for (const ScenarioResult::NodeReport& node : r.nodes) {
-    nodes.Push(JsonValue::Object()
-                   .Set("id", node.id)
-                   .Set("promoted", node.promoted)
-                   .Set("promotion_time_ms", node.promotion_time.seconds() * 1e3)
-                   .Set("rejoined", node.rejoined)
-                   .Set("joined", node.joined)
-                   .Set("join_epoch", node.join_epoch)
-                   .Set("epochs", node.stats.epochs)
-                   .Set("messages_sent", node.stats.messages_sent)
-                   .Set("acks_received", node.stats.acks_received)
-                   .Set("io_issued", node.stats.io_issued)
-                   .Set("uncertain_synthesised", node.stats.uncertain_synthesised));
+    JsonValue entry = JsonValue::Object()
+                          .Set("id", node.id)
+                          .Set("promoted", node.promoted)
+                          .Set("promotion_time_ms", node.promotion_time.seconds() * 1e3);
+    if (node.promoted) {
+      entry.Set("promotion_latency_ms", PromotionLatencyMs(r, node.promotion_time));
+    }
+    entry.Set("rejoined", node.rejoined)
+        .Set("joined", node.joined)
+        .Set("join_epoch", node.join_epoch)
+        .Set("epochs", node.stats.epochs)
+        .Set("messages_sent", node.stats.messages_sent)
+        .Set("acks_received", node.stats.acks_received)
+        .Set("io_issued", node.stats.io_issued)
+        .Set("uncertain_synthesised", node.stats.uncertain_synthesised);
+    nodes.Push(std::move(entry));
   }
   JsonValue resyncs = JsonValue::Array();
   for (const ResyncReport& resync : r.resyncs) {
@@ -228,6 +299,28 @@ int RunCommand(FlagSet& flags) {
   }
   const bool want_bare = mode != "replicated";
   const bool want_replicated = mode != "bare";
+  if (!want_replicated && !scenario.failures().empty()) {
+    std::fprintf(stderr, "hbft_cli: --fail needs a replicated run; --mode=bare has no replica\n");
+    return 2;
+  }
+
+  ScenarioResult bare;
+  ScenarioResult ft;
+  if (want_bare) {
+    bare = scenario.AsBare().Run();
+  }
+  if (want_replicated) {
+    ft = scenario.Run();
+  }
+  // One device-generic transparency check covering every attached device's
+  // output (disk, console, NIC).
+  std::optional<ConsistencyResult> env;
+  if (want_bare && want_replicated && bare.completed && ft.completed) {
+    env = CheckEnvConsistency(bare.env_trace, ft.env_trace, ft.issuer_chain());
+  }
+  const std::vector<std::string> failed = FailedChecks(
+      *parsed, want_bare ? &bare : nullptr, want_replicated ? &ft : nullptr, env);
+  const char* verdict = failed.empty() ? "PASS" : "FAIL";
 
   if (json) {
     // Machine-readable path: one document on stdout, nothing else.
@@ -241,38 +334,28 @@ int RunCommand(FlagSet& flags) {
                         .Set("backups", config.backups)
                         .Set("seed", config.seed)
                         .Set("failure", parsed->failure_description);
-    int rc = 0;
-    ScenarioResult bare;
     if (want_bare) {
-      bare = scenario.AsBare().Run();
       doc.Set("bare", OutcomeJson(bare));
-      if (!bare.completed || bare.exited_flag != 1) {
-        rc = 1;
-      }
     }
     if (want_replicated) {
-      ScenarioResult ft = scenario.Run();
       JsonValue rep = OutcomeJson(ft);
       rep.Set("replication", ReplicationJson(ft));
       rep.Set("transport", TransportJson(ft));
       doc.Set("replicated", std::move(rep));
-      if (!ft.completed || ft.exited_flag != 1) {
-        rc = 1;
-      }
-      if (want_bare && bare.completed && ft.completed) {
-        ConsistencyResult env = CheckEnvConsistency(bare.env_trace, ft.env_trace,
-                                                    ft.issuer_chain());
-        doc.Set("comparison", JsonValue::Object()
-                                  .Set("normalized_performance", NormalizedPerformance(ft, bare))
-                                  .Set("env_consistency", env.ok)
-                                  .Set("env_consistency_detail", env.ok ? "" : env.detail));
-        if (!env.ok) {
-          rc = 1;
-        }
-      }
     }
+    if (env.has_value()) {
+      doc.Set("comparison", JsonValue::Object()
+                                .Set("normalized_performance", NormalizedPerformance(ft, bare))
+                                .Set("env_consistency", env->ok)
+                                .Set("env_consistency_detail", env->ok ? "" : env->detail));
+    }
+    JsonValue failed_json = JsonValue::Array();
+    for (const std::string& reason : failed) {
+      failed_json.Push(reason);
+    }
+    doc.Set("failed_checks", std::move(failed_json)).Set("verdict", verdict);
     std::fputs(doc.Dump().c_str(), stdout);
-    return rc;
+    return failed.empty() ? 0 : 1;
   }
 
   std::printf("== hbft run report ==\n");
@@ -292,53 +375,33 @@ int RunCommand(FlagSet& flags) {
                     link_faults.retransmit_timeout.seconds() * 1e3);
       ReportLine("link_faults", link);
     }
-    if (replication.pipeline_depth > 0) {
-      ReportLine("pipeline_depth", std::to_string(replication.pipeline_depth));
-    }
-    if (replication.ack_batch > 1) {
-      ReportLine("ack_batch", std::to_string(replication.ack_batch));
-    }
   }
-
-  int rc = 0;
-  ScenarioResult bare;
   if (want_bare) {
-    bare = scenario.AsBare().Run();
     ReportOutcome("bare reference", bare);
-    if (!bare.completed || bare.exited_flag != 1) {
-      rc = 1;
-    }
   }
   if (want_replicated) {
-    ScenarioResult ft = scenario.Run();
     ReportOutcome("replicated", ft);
     ReportReplicationStats(ft);
     if (!ft.resyncs.empty()) {
       ReportResyncStats(ft);
     }
-    if (link_faults.Enabled() || replication.pipeline_depth > 0 || replication.ack_batch > 1) {
+    if (link_faults.Enabled()) {
       ReportTransportStats(ft);
     }
-    if (!ft.completed || ft.exited_flag != 1) {
-      rc = 1;
-    }
-    if (want_bare && bare.completed && ft.completed) {
-      std::printf("-- comparison --\n");
-      ReportF("normalized_performance", NormalizedPerformance(ft, bare), " (N'/N)");
-      // One device-generic transparency check covering every attached
-      // device's output (disk, console, NIC).
-      ConsistencyResult env = CheckEnvConsistency(bare.env_trace, ft.env_trace,
-                                                  ft.issuer_chain());
-      ReportLine("env_consistency", env.ok ? "ok" : "FAIL: " + env.detail);
-      // Back-compat aliases for scripts grepping the per-device verdicts.
-      ReportLine("disk_consistency", env.ok ? "ok" : "see env_consistency");
-      ReportLine("console_consistency", env.ok ? "ok" : "see env_consistency");
-      if (!env.ok) {
-        rc = 1;
-      }
-    }
   }
-  return rc;
+  if (env.has_value()) {
+    std::printf("-- comparison --\n");
+    ReportF("normalized_performance", NormalizedPerformance(ft, bare), " (N'/N)");
+    ReportLine("env_consistency", env->ok ? "ok" : "FAIL: " + env->detail);
+    // Back-compat aliases for scripts grepping the per-device verdicts.
+    ReportLine("disk_consistency", env->ok ? "ok" : "see env_consistency");
+    ReportLine("console_consistency", env->ok ? "ok" : "see env_consistency");
+  }
+  for (const std::string& reason : failed) {
+    ReportLine("failed_check", reason);
+  }
+  ReportLine("verdict", verdict);
+  return failed.empty() ? 0 : 1;
 }
 
 }  // namespace cli

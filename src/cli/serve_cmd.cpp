@@ -138,17 +138,20 @@ int ServeCommand(FlagSet& flags) {
   config.max_requests = flags.GetU64("max-requests").value_or(0);
   config.backup_wait_ms = flags.GetU64("backup-wait-ms", kMaxMillis).value_or(3000);
 
-  if (flags.Has("variant")) {
-    std::string variant = flags.GetString("variant", "new");
-    if (variant != "new") {
-      // Responses are released at the NIC TX latch, which only the revised
-      // protocol gates on all-acked; under the original variant (especially
-      // pipelined) a released response could outrun the backup's state.
-      std::fprintf(stderr,
-                   "hbft_cli: serve requires --variant=new — output commit at the socket "
-                   "boundary is the serving contract (see docs/PROTOCOL.md)\n");
-      return 2;
-    }
+  const std::string variant_name = flags.GetString("variant", "new");
+  const std::optional<ProtocolVariant> variant = ParseVariant(variant_name);
+  if (!variant) {
+    std::fprintf(stderr, "hbft_cli: unknown variant '%s' (old, new)\n", variant_name.c_str());
+    return 2;
+  }
+  if (*variant == ProtocolVariant::kOriginal) {
+    // Responses are released at the NIC TX latch, which only the revised
+    // protocol gates on all-acked; under the original variant a released
+    // response could outrun the backup's state by up to an epoch.
+    std::fprintf(stderr,
+                 "hbft_cli: serve requires --variant=new — output commit at the socket "
+                 "boundary is the serving contract (see docs/PROTOCOL.md)\n");
+    return 2;
   }
 
   for (const std::string& spec : flags.GetList("fail")) {

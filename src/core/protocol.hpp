@@ -67,21 +67,6 @@ struct ReplicationConfig {
   // all replicas (lockstep audit; used by tests, off for benchmarks).
   bool audit_lockstep = false;
 
-  // Epoch pipelining, generalising the original protocol's P2 ack wait: at
-  // the boundary of epoch E the active replica waits only until everything
-  // sent through epoch E - pipeline_depth is acknowledged, so up to
-  // pipeline_depth epochs of protocol traffic may be in flight while the
-  // guest runs ahead. 0 = the paper's exact rule (wait for everything,
-  // including epoch E's own messages). The revised variant's output-commit
-  // wait is never relaxed — device output still requires all-acked.
-  uint32_t pipeline_depth = 0;
-
-  // Ack batching (backup side): coalesce up to this many P4 acknowledgments
-  // into one cumulative ack. Boundary messages ([Tme_p], [end, E]) and any
-  // transition into a blocked state flush the batch, so no wait in the
-  // protocol can starve. 1 = ack every message (the paper's behaviour).
-  uint32_t ack_batch = 1;
-
   // Live state transfer (repair): pacing window, delta-convergence
   // threshold, and the pre-copy round cap.
   StateTransferConfig resync;

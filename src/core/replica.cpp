@@ -109,7 +109,6 @@ void ReplicaNode::RunSlice(SimTime until) {
             break;
 
           case GuestEvent::Kind::kHalted:
-            FlushPendingAcks();  // The upstream may still be waiting on these.
             halted_ = true;
             return;
         }
@@ -120,7 +119,6 @@ void ReplicaNode::RunSlice(SimTime until) {
       case State::kAwaitEnd:
         RetryStandingWait();
         if (state_ != State::kRun) {
-          FlushPendingAcks();  // Nothing else to do: don't sit on batched acks.
           runnable_ = false;
           return;
         }
@@ -240,7 +238,7 @@ void ReplicaNode::ActiveBoundary() {
   if (dead_) {
     return;
   }
-  if (replication_.variant == ProtocolVariant::kOriginal && !BoundaryAcksSatisfied()) {
+  if (replication_.variant == ProtocolVariant::kOriginal && !AllDownAcked()) {
     state_ = State::kAwaitDownAcks;
     ack_wait_started_ = hv_.clock();
     runnable_ = false;
@@ -265,7 +263,6 @@ void ReplicaNode::FinishActiveBoundary() {
     end.type = MsgType::kEpochEnd;
     end.epoch = epoch_;
     SendDown(std::move(end));
-    RecordEpochSentMark();
   }
   Phase(FailPhase::kAfterSendEnd);
   if (dead_) {
@@ -405,8 +402,6 @@ void ReplicaNode::TakeOver() {
   // [end, E] can have arrived — but it is cheap insurance.)
   hv_.PurgeBufferedAfter(epoch_);
   deferred_up_acks_.clear();  // The upstream that expected them is dead.
-  ack_pending_ = false;
-  pending_ack_count_ = 0;
 }
 
 void ReplicaNode::PromoteAtBoundary() {
@@ -531,8 +526,7 @@ void ReplicaNode::OnMessage(const Message& msg, SimTime now) {
     HBFT_CHECK(joining_) << "state chunk delivered to a non-joining replica";
     hv_.AdvanceClock(costs_.msg_receive_cpu_cost);
     ApplyStateChunk(msg, now);
-    // Ack immediately (never batched): the source's pre-copy window is paced
-    // by these, and a parked joiner has no boundary to flush a batch at.
+    // Ack every chunk: the source's pre-copy window is paced by these.
     SendAckUp(msg.seq);
     return;
   }
@@ -587,24 +581,15 @@ void ReplicaNode::OnMessage(const Message& msg, SimTime now) {
     }
     deferred_up_acks_.push_back(msg.seq);
   } else {
-    // P4. Boundary messages flush the batch: the sender's P2 wait begins
-    // right after them, and a withheld ack would stall it.
-    MaybeAckUp(msg.seq,
-               msg.type == MsgType::kTimeSync || msg.type == MsgType::kEpochEnd);
+    SendAckUp(msg.seq);  // P4.
   }
 
   RetryStandingWait();  // Unblock waits satisfied by this message.
-  if (state_ != State::kRun) {
-    // Still parked: no RunSlice flush point will come until the sender makes
-    // progress, and the sender may be waiting on exactly these acks.
-    FlushPendingAcks();
-  }
 }
 
 void ReplicaNode::ReleaseAckWait() {
-  const bool boundary = state_ == State::kAwaitDownAcks && BoundaryAcksSatisfied();
-  const bool gated = state_ == State::kIoAwaitDownAcks && AllDownAcked();
-  if (!boundary && !gated) {
+  const bool boundary = state_ == State::kAwaitDownAcks;
+  if ((!boundary && state_ != State::kIoAwaitDownAcks) || !AllDownAcked()) {
     return;
   }
   stats_.ack_wait_time += hv_.clock() - ack_wait_started_;
@@ -659,24 +644,12 @@ void ReplicaNode::ReleaseDeferredAcks() {
   // The i-th relay sent downstream releases the i-th deferred upstream ack
   // (both channels are FIFO, and once this node relays every downstream send
   // is a relay; `down_ack_base_` discounts the state-transfer chunks that a
-  // rejoin put on the channel first). With ack batching one cumulative ack
-  // covers every release in the batch.
-  const bool coalesce = replication_.ack_batch > 1;
-  bool released = false;
-  uint64_t last = 0;
+  // rejoin put on the channel first).
   while (!deferred_up_acks_.empty() && deferred_released_ + down_ack_base_ < down_acked_count_) {
     uint64_t seq = deferred_up_acks_.front();
     deferred_up_acks_.pop_front();
     ++deferred_released_;
-    if (coalesce) {
-      released = true;
-      last = seq;
-    } else {
-      SendAckUp(seq);
-    }
-  }
-  if (released) {
-    SendAckUp(last);
+    SendAckUp(seq);
   }
 }
 
@@ -687,28 +660,6 @@ void ReplicaNode::SendAckUp(uint64_t seq) {
   up_acked_any_ = true;
   last_up_ack_seq_ = seq;
   SendUp(std::move(ack));
-}
-
-void ReplicaNode::MaybeAckUp(uint64_t seq, bool force) {
-  if (replication_.ack_batch <= 1) {
-    SendAckUp(seq);
-    return;
-  }
-  ack_pending_ = true;
-  pending_ack_seq_ = seq;
-  ++pending_ack_count_;
-  if (force || pending_ack_count_ >= replication_.ack_batch) {
-    FlushPendingAcks();
-  }
-}
-
-void ReplicaNode::FlushPendingAcks() {
-  if (!ack_pending_ || dead_) {
-    return;
-  }
-  ack_pending_ = false;
-  pending_ack_count_ = 0;
-  SendAckUp(pending_ack_seq_);
 }
 
 void ReplicaNode::OnTransportReackNeeded(SimTime now) {
@@ -730,36 +681,6 @@ void ReplicaNode::NoteDownAck(uint64_t ack_seq) {
     down_out_->OnCumulativeAck(down_acked_count_, hv_.clock());
   }
   PumpStateTransfer();
-}
-
-bool ReplicaNode::BoundaryAcksSatisfied() const {
-  if (!replicating_down()) {
-    return true;
-  }
-  const uint32_t depth = replication_.pipeline_depth;
-  if (depth == 0) {
-    return AllDownAcked();
-  }
-  if (epoch_ < depth) {
-    return true;  // The pipeline has not filled yet.
-  }
-  auto it = epoch_sent_marks_.find(epoch_ - depth);
-  if (it == epoch_sent_marks_.end()) {
-    return AllDownAcked();
-  }
-  return down_acked_count_ >= it->second;
-}
-
-void ReplicaNode::RecordEpochSentMark() {
-  if (down_out_ == nullptr || replication_.pipeline_depth == 0) {
-    return;
-  }
-  epoch_sent_marks_[epoch_] = down_out_->messages_enqueued();
-  // Marks older than the pipeline window can never be consulted again.
-  while (!epoch_sent_marks_.empty() &&
-         epoch_sent_marks_.begin()->first + replication_.pipeline_depth < epoch_) {
-    epoch_sent_marks_.erase(epoch_sent_marks_.begin());
-  }
 }
 
 void ReplicaNode::EnsureRetransmitTimer() {
@@ -807,7 +728,6 @@ void ReplicaNode::AttachJoiningDownstream(Channel* down_out, Channel* down_in, S
   // downstream's channel are meaningless for the new one, and its deferred
   // acks were flushed when its failure was detected.
   down_acked_count_ = 0;
-  epoch_sent_marks_.clear();
   down_lost_ = false;
   deferred_up_acks_.clear();
   deferred_released_ = 0;

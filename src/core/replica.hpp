@@ -227,10 +227,6 @@ class ReplicaNode : public NodeActor {
   void SendUp(Message msg);
 
   void SendAckUp(uint64_t seq);
-  // Ack batching (ReplicationConfig::ack_batch): coalesces direct upstream
-  // acks; `force` (boundary messages, blocked-state entry) flushes.
-  void MaybeAckUp(uint64_t seq, bool force);
-  void FlushPendingAcks();
   void ReleaseDeferredAcks();
 
   // Whether this node replicates to a live downstream backup. False while a
@@ -252,17 +248,6 @@ class ReplicaNode : public NodeActor {
   // the channel's go-back-N window, and lets a paced state transfer send
   // its next chunks.
   void NoteDownAck(uint64_t ack_seq);
-
-  // The pipelined boundary ack rule (see ReplicationConfig::pipeline_depth).
-  // Falls back to the strict all-acked rule when no mark exists for the
-  // window's trailing epoch (e.g. pre-promotion epochs on a promoted
-  // backup) — running ahead is an optimisation, stalling is always safe.
-  bool BoundaryAcksSatisfied() const;
-
-  // Snapshot of messages enqueued downstream through this epoch's [end, E];
-  // the pipelined wait at epoch E compares acks against the mark of epoch
-  // E - pipeline_depth.
-  void RecordEpochSentMark();
 
   // Resumes a P2 boundary wait or an output-commit gate (issuing the gated
   // operation) once the downstream acknowledgments it waits for are in, or
@@ -391,10 +376,7 @@ class ReplicaNode : public NodeActor {
   bool failure_detected_ = false;
   SimTime promotion_time_ = SimTime::Zero();
 
-  // Downstream acks seen, and the per-epoch enqueue marks of the pipelined
-  // boundary wait.
-  uint64_t down_acked_count_ = 0;
-  std::map<uint64_t, uint64_t> epoch_sent_marks_;
+  uint64_t down_acked_count_ = 0;  // Downstream acks seen.
   bool retx_timer_armed_ = false;
 
   // Forwarded environment values, consumed in order.
@@ -419,11 +401,8 @@ class ReplicaNode : public NodeActor {
   uint64_t deferred_released_ = 0;  // Relays whose upstream ack went out.
   uint64_t down_ack_base_ = 0;      // Downstream enqueue count at the cut.
 
-  // Ack batching state (direct-ack path) and the cumulative high-water mark
-  // actually announced upstream (repeated on transport re-ack requests).
-  bool ack_pending_ = false;
-  uint64_t pending_ack_seq_ = 0;
-  uint32_t pending_ack_count_ = 0;
+  // The cumulative high-water mark actually announced upstream (repeated on
+  // transport re-ack requests).
   bool up_acked_any_ = false;
   uint64_t last_up_ack_seq_ = 0;
 

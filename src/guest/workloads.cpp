@@ -438,4 +438,6 @@ void PatchWorkloadParams(PhysicalMemory* memory, const WorkloadSpec& spec) {
   memory->Write32(kParamBlockBase + kParamVerbosity, spec.verbosity);
 }
 
+bool ChecksumMatchesBare(WorkloadKind kind) { return kind != WorkloadKind::kTime; }
+
 }  // namespace hbft

@@ -66,6 +66,11 @@ struct WorkloadSpec {
 // Writes the spec into the guest's parameter block.
 void PatchWorkloadParams(PhysicalMemory* memory, const WorkloadSpec& spec);
 
+// Whether a workload's guest checksum is timing-free, so a replicated run
+// must report the bare run's value. False for kTime, whose checksum is the
+// last time-of-day value it read.
+bool ChecksumMatchesBare(WorkloadKind kind);
+
 }  // namespace hbft
 
 #endif  // HBFT_GUEST_WORKLOADS_HPP_

@@ -28,7 +28,7 @@
 // can reproduce the state that generated it: kill -9 the primary and every
 // acknowledged write survives the promotion. This is why serve refuses the
 // original protocol variant: its boundary-ack rule makes the guarantee
-// epoch-granular, and with pipelining it would not hold at all.
+// epoch-granular.
 #ifndef HBFT_SERVE_SERVER_HPP_
 #define HBFT_SERVE_SERVER_HPP_
 

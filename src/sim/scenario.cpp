@@ -144,17 +144,6 @@ Scenario& Scenario::AuditLockstep(bool audit) {
   return *this;
 }
 
-Scenario& Scenario::PipelineDepth(uint32_t depth) {
-  config_.replication.pipeline_depth = depth;
-  return *this;
-}
-
-Scenario& Scenario::AckBatch(uint32_t batch) {
-  HBFT_CHECK(batch >= 1) << "ack batch must be at least 1";
-  config_.replication.ack_batch = batch;
-  return *this;
-}
-
 Scenario& Scenario::LinkFaults(const ::hbft::LinkFaults& faults) {
   config_.link_faults = faults;
   return *this;

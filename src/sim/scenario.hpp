@@ -137,10 +137,6 @@ class Scenario {
   Scenario& Variant(ProtocolVariant variant);
   Scenario& TlbTakeover(bool takeover);
   Scenario& AuditLockstep(bool audit = true);
-  // Epoch pipelining window (0 = the paper's strict boundary ack wait) and
-  // backup-side ack coalescing (1 = ack every message).
-  Scenario& PipelineDepth(uint32_t depth);
-  Scenario& AckBatch(uint32_t batch);
 
   // --- Interconnect ---------------------------------------------------------
   // Fault model for every channel of the replica mesh (drop/duplicate/

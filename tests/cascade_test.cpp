@@ -32,7 +32,7 @@ void VerifyAgainstBare(const WorkloadSpec& spec, const ScenarioResult& bare,
                             << " service_lost=" << ft.service_lost;
   ASSERT_EQ(ft.exited_flag, 1u) << "guest panic " << ft.panic_code;
   EXPECT_EQ(ft.exit_code, bare.exit_code);
-  if (spec.kind != WorkloadKind::kTime) {
+  if (ChecksumMatchesBare(spec.kind)) {
     EXPECT_EQ(ft.guest_checksum, bare.guest_checksum);
   }
   ConsistencyResult env = CheckEnvConsistency(bare.env_trace, ft.env_trace, ft.issuer_chain());

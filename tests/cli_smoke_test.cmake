@@ -1,6 +1,7 @@
 # Smoke test for the hbft_cli scenario driver, run via `cmake -P`.
-# Checks that `run`, `drill`, and `bench --quick` exit 0 and that their
-# reports contain the expected fields / artifacts.
+# Checks that `run`, `fleet`, `serve` and `bench --quick` exit 0 and that
+# their reports contain the expected fields / artifacts, and that malformed
+# or unsatisfiable requests exit non-zero.
 file(MAKE_DIRECTORY ${WORK_DIR})
 
 # Every command runs under a TIMEOUT, so a hung one fails fast and is named
@@ -55,22 +56,40 @@ expect_field("${bare_out}" "completed[ =:]+yes")
 run_cli(fail_out run --workload=txnlog --iterations=6 --fail=phase=after-send-tme,epoch=2)
 expect_field("${fail_out}" "promoted[ =:]+yes")
 
-# --- drill: primary-kill failover with promotion-latency report -------------
-run_cli(drill_out drill --variant=new)
+# --- failover drill: primary kill with promotion-latency report -------------
+run_cli(drill_out run --variant=new --fail=phase=after-send-tme,epoch=3)
 expect_field("${drill_out}" "promoted[ =:]+yes")
-expect_field("${drill_out}" "promotion_latency")
+expect_field("${drill_out}" "promotion_latency_ms_node2")
 expect_field("${drill_out}" "crash_time")
-expect_field("${drill_out}" "detection")
-run_cli(drill_old_out drill --variant=old --epoch-length=2048)
+expect_field("${drill_out}" "verdict[ =:]+PASS")
+run_cli(drill_old_out run --variant=old --epoch-length=2048
+        --fail=phase=after-send-tme,epoch=3)
 expect_field("${drill_old_out}" "promoted[ =:]+yes")
+expect_field("${drill_old_out}" "verdict[ =:]+PASS")
 
-# --- drill --repair: kill -> resync (live state transfer) -> kill again -----
-run_cli(repair_out drill --repair)
-expect_field("${repair_out}" "takeovers[ =:]+2")
+# --- repair drill: kill -> resync (live state transfer) -> kill again -------
+run_cli(repair_out run --iterations=40 --fail=phase=after-send-tme,epoch=3
+        --fail=rejoin-after-ms=20 --fail=after-resync-ms=10)
+expect_field("${repair_out}" "promotion_latency_ms_node3")
 expect_field("${repair_out}" "resync_completed[ =:]+yes")
 expect_field("${repair_out}" "resync_latency_ms")
 expect_field("${repair_out}" "resync_bytes")
 expect_field("${repair_out}" "verdict[ =:]+PASS")
+
+# --- a kill that never fires fails the run: the workload ends first ----------
+execute_process(COMMAND ${HBFT_CLI} run --workload=txnlog --iterations=6
+                        --fail=time-ms=100000
+                WORKING_DIRECTORY ${WORK_DIR}
+                OUTPUT_VARIABLE unfired_out
+                ERROR_VARIABLE unfired_out
+                RESULT_VARIABLE unfired_rc
+                TIMEOUT 300)
+if(NOT unfired_rc EQUAL 1)
+  message(FATAL_ERROR "run with a kill that never fires exited ${unfired_rc}, want 1:\n"
+                      "${unfired_out}")
+endif()
+expect_field("${unfired_out}" "scheduled kill never fired: 0 of 1 fired \\(at-time 100000 ms\\)")
+expect_field("${unfired_out}" "verdict[ =:]+FAIL")
 
 # --- run --json: machine-readable report with a fail->rejoin schedule --------
 run_cli(json_out run --workload=txnlog --iterations=12 --json
@@ -79,20 +98,21 @@ expect_field("${json_out}" "\"normalized_performance\"")
 expect_field("${json_out}" "\"env_consistency\": true")
 expect_field("${json_out}" "\"resyncs\"")
 expect_field("${json_out}" "\"completed\": true")
+expect_field("${json_out}" "\"promotion_latency_ms\"")
 
 # --- run --json: a seed above INT64_MAX prints unsigned, as it was given ------
 run_cli(seed_json_out run --workload=cpu --iterations=200 --mode=bare
         --seed=18446744073709551615 --json)
 expect_field("${seed_json_out}" "\"seed\": 18446744073709551615")
 
-# --- drill --backups=2: cascading failover through a backup chain -----------
-run_cli(cascade_out drill --backups=2 --fail=time-ms=6
+# --- run --backups=2: cascading failover through a backup chain -------------
+run_cli(cascade_out run --backups=2 --fail=time-ms=6
         --fail=phase=after-io-issue,crash-io=not-performed)
-expect_field("${cascade_out}" "takeovers[ =:]+2")
-expect_field("${cascade_out}" "promotion_latency_ms_stage2")
+expect_field("${cascade_out}" "promotion_latency_ms_node3")
 expect_field("${cascade_out}" "verdict[ =:]+PASS")
-run_cli(cascade_default_out drill --backups=2 --variant=new)
-expect_field("${cascade_default_out}" "takeovers[ =:]+2")
+run_cli(cascade_default_out run --backups=2 --variant=new
+        --fail=phase=after-send-tme,epoch=3 --fail=phase=after-io-issue)
+expect_field("${cascade_default_out}" "promotion_latency_ms_node3")
 expect_field("${cascade_default_out}" "verdict[ =:]+PASS")
 
 # --- run --backups=2: chain without failures, N'/N + consistency ------------
@@ -118,7 +138,7 @@ run_cli(faults_out run --workload=txnlog --iterations=6 --disk-uncertain=0.3
 expect_field("${faults_out}" "completed[ =:]+yes")
 
 # --- net-echo drill: promotion report over the three-device workload ---------
-run_cli(net_drill_out drill --workload=net-echo)
+run_cli(net_drill_out run --workload=net-echo --fail=phase=after-send-tme,epoch=3)
 expect_field("${net_drill_out}" "promoted[ =:]+yes")
 expect_field("${net_drill_out}" "verdict[ =:]+PASS")
 
@@ -192,15 +212,15 @@ expect_usage_error("time-ms expects milliseconds" run --fail=time-ms=1e30)
 expect_usage_error("time-ms expects milliseconds" run --fail=time-ms=-5)
 expect_usage_error("--loss expects a finite number" run --loss=nan)
 expect_usage_error("--loss-until-ms expects milliseconds" run --loss-until-ms=nan)
-expect_usage_error("--repair-delay-ms expects milliseconds" drill --repair
-                   --repair-delay-ms=-50)
-expect_usage_error("--refail-delay-ms expects milliseconds" drill --repair
-                   --refail-delay-ms=nan)
 expect_usage_error("--rate expects a finite number" fleet --rate=nan)
 expect_usage_error("--slo-ms expects milliseconds" fleet --slo-ms=-1)
 expect_usage_error("--epoch-length expects an integer" fleet --epoch-length=-5)
 expect_usage_error("--payload-bytes expects an integer" fleet --payload-bytes=4294967297)
 expect_usage_error("--max-time-ms expects milliseconds" fleet --max-time-ms=nan)
+
+# A bare run has no replica to kill: a --fail schedule would silently do
+# nothing.
+expect_usage_error("--fail needs a replicated run" run --mode=bare --fail=time-ms=5)
 
 # Every command runs the cached interpreter: there is no engine selector.
 expect_usage_error("unknown flag --interp" run --workload=cpu --iterations=3 --interp=cached)
@@ -246,7 +266,8 @@ expect_usage_error("--port must be a TCP port" serve --port=70000 --duration-ms=
 expect_usage_error("--repl-port must be a TCP port" serve --repl-port=70001 --duration-ms=100)
 
 # A short clientless session exits cleanly with a complete JSON report.
-run_cli(serve_out serve --port=28471 --duration-ms=400 --json)
+# `revised` names the same protocol as `new`, as it does for run.
+run_cli(serve_out serve --port=28471 --duration-ms=400 --variant=revised --json)
 expect_field("${serve_out}" "\"command\": \"serve\"")
 expect_field("${serve_out}" "\"stop_reason\": \"duration\"")
 expect_field("${serve_out}" "\"completed\": true")

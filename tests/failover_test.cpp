@@ -50,7 +50,7 @@ void VerifyFailover(const WorkloadSpec& spec, const ScenarioResult& bare,
     EXPECT_GE(ft.promotion_time.picos(), ft.crash_time.picos());
   }
   EXPECT_EQ(ft.exit_code, bare.exit_code);
-  if (spec.kind != WorkloadKind::kTime) {
+  if (ChecksumMatchesBare(spec.kind)) {
     EXPECT_EQ(ft.guest_checksum, bare.guest_checksum);
   }
   ConsistencyResult env = CheckEnvConsistency(bare.env_trace, ft.env_trace, ft.issuer_chain());

@@ -88,10 +88,9 @@ TEST_P(ReplicationLockstep, MatchesBareAndStaysInLockstep) {
   ASSERT_EQ(ft.exited_flag, 1u) << "panic " << ft.panic_code;
   EXPECT_FALSE(ft.promoted);
 
-  // Same application results as the unreplicated machine (kTime checksums
-  // depend on wall time and are exempt).
+  // Same application results as the unreplicated machine.
   EXPECT_EQ(ft.exit_code, bare.exit_code);
-  if (c.kind != WorkloadKind::kTime) {
+  if (ChecksumMatchesBare(c.kind)) {
     EXPECT_EQ(ft.guest_checksum, bare.guest_checksum);
   }
 

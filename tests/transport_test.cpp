@@ -1,8 +1,8 @@
 // Transport-subsystem tests: the lossy-link model (drop/duplicate/reorder +
 // bounded sender queue), go-back-N retransmission over the protocol's own
-// cumulative acks, ack batching, epoch pipelining, and the per-channel
-// counters — plus the seed matrix that CI runs so transport regressions fail
-// fast under both the ideal and the lossy wire.
+// cumulative acks, and the per-channel counters — plus the seed matrix that
+// CI runs so transport regressions fail fast under both the ideal and the
+// lossy wire.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -319,7 +319,7 @@ TEST(LossyScenario, NetEchoCascadeSurvivesLossAndReorder) {
 }
 
 // ---------------------------------------------------------------------------
-// Ack batching and epoch pipelining.
+// Per-channel counters across a break and a rejoin.
 // ---------------------------------------------------------------------------
 
 // Counters across Break -> reconnect (the rejoin path replaces a dead pair's
@@ -377,113 +377,6 @@ TEST(Transport, RejoinReportsFrozenBrokenChannelsAndFreshPair) {
   // The transfer rode the fresh ordered channel: at least the resync bytes.
   EXPECT_GE(rejoin_pair->counters.bytes_delivered, ft.resyncs[0].transfer.bytes_sent);
   EXPECT_GT(rejoin_pair->counters.messages_delivered, 0u);
-}
-
-TEST(Transport, AckBatchingCoalescesAcksWithoutChangingTheResult) {
-  // The time workload's dense env-value stream is acked while the backup
-  // runs, which is exactly where coalescing applies (a parked backup must
-  // flush: the sender's P2/output-commit waits cover everything enqueued).
-  WorkloadSpec spec;
-  spec.kind = WorkloadKind::kTime;
-  ScenarioResult strict = Scenario::Replicated(spec).Epoch(4096).Run();
-  ASSERT_TRUE(strict.completed);
-  ScenarioResult batched = Scenario::Replicated(spec).Epoch(4096).AckBatch(8).Run();
-  ASSERT_TRUE(batched.completed) << "timed_out=" << batched.timed_out
-                                 << " deadlocked=" << batched.deadlocked;
-  EXPECT_EQ(batched.exited_flag, 1u);
-  EXPECT_EQ(batched.exit_code, strict.exit_code);
-  // Same protocol stream, materially fewer acks on the wire.
-  EXPECT_EQ(batched.primary_stats().messages_sent, strict.primary_stats().messages_sent);
-  EXPECT_LT(batched.primary_stats().acks_received,
-            strict.primary_stats().acks_received / 2);
-  // Batching must not stall epochs: the run makes the same progress.
-  EXPECT_EQ(batched.primary_stats().epochs, strict.primary_stats().epochs);
-}
-
-TEST(Transport, AckBatchingStaysTransparentOnTxnLog) {
-  // Boundary-dominated workload: batching degenerates gracefully (parked
-  // flushes keep the protocol moving) and changes nothing observable.
-  WorkloadSpec spec = TxnSpec(8);
-  ScenarioResult strict = Scenario::Replicated(spec).Epoch(4096).Run();
-  ASSERT_TRUE(strict.completed);
-  ScenarioResult batched = Scenario::Replicated(spec).Epoch(4096).AckBatch(8).Run();
-  ASSERT_TRUE(batched.completed) << "timed_out=" << batched.timed_out
-                                 << " deadlocked=" << batched.deadlocked;
-  EXPECT_EQ(batched.guest_checksum, strict.guest_checksum);
-  EXPECT_LE(batched.primary_stats().acks_received, strict.primary_stats().acks_received);
-}
-
-TEST(Transport, AckBatchingHoldsUnderTheRevisedVariant) {
-  // Output commit gates I/O on all-acked mid-epoch: the backup must flush
-  // its batch whenever it blocks, or the primary would deadlock.
-  WorkloadSpec spec = TxnSpec(6);
-  ScenarioResult ft = Scenario::Replicated(spec)
-                          .Epoch(4096)
-                          .Variant(ProtocolVariant::kRevised)
-                          .AckBatch(16)
-                          .Run();
-  ASSERT_TRUE(ft.completed) << "timed_out=" << ft.timed_out
-                            << " deadlocked=" << ft.deadlocked;
-  EXPECT_EQ(ft.exited_flag, 1u);
-}
-
-TEST(Transport, EpochPipeliningRunsAheadAndCutsAckWait) {
-  WorkloadSpec spec;
-  spec.kind = WorkloadKind::kCpu;
-  spec.iterations = 4000;
-  ScenarioResult strict = Scenario::Replicated(spec).Epoch(2048).Run();
-  ASSERT_TRUE(strict.completed);
-  ScenarioResult piped = Scenario::Replicated(spec).Epoch(2048).PipelineDepth(2).Run();
-  ASSERT_TRUE(piped.completed) << "timed_out=" << piped.timed_out
-                               << " deadlocked=" << piped.deadlocked;
-  EXPECT_EQ(piped.guest_checksum, strict.guest_checksum);
-  // The pipelined primary stopped paying the full boundary round trip.
-  EXPECT_LT(piped.primary_stats().ack_wait_time.picos(),
-            strict.primary_stats().ack_wait_time.picos());
-  EXPECT_LT(piped.completion_time.picos(), strict.completion_time.picos());
-}
-
-TEST(Transport, PipeliningSurvivesFailover) {
-  WorkloadSpec spec = TxnSpec(8);
-  ScenarioResult bare = RunBare(spec);
-  ASSERT_TRUE(bare.completed);
-  ScenarioResult ft = Scenario::Replicated(spec)
-                          .Epoch(4096)
-                          .PipelineDepth(2)
-                          .FailAtPhase(FailPhase::kAfterSendTme, 2)
-                          .Run();
-  ASSERT_TRUE(ft.completed) << "timed_out=" << ft.timed_out
-                            << " deadlocked=" << ft.deadlocked;
-  EXPECT_TRUE(ft.promoted);
-  EXPECT_EQ(ft.guest_checksum, bare.guest_checksum);
-  ConsistencyResult env = CheckEnvConsistency(bare.env_trace, ft.env_trace, ft.issuer_chain());
-  EXPECT_TRUE(env.ok) << env.detail;
-}
-
-TEST(Transport, PipeliningSurvivesFailoverOverLossyLink) {
-  // The risky corner: pipelining widens how far the primary's device outputs
-  // can run ahead of acked state, and a lossy wire maximises the gap the
-  // backup promotes across (dropped relays the dead primary never
-  // retransmitted). The takeover must still present a single-machine
-  // environment: missing completions fall back to P7 re-drives, and disk
-  // re-writes are idempotent.
-  WorkloadSpec spec = TxnSpec(10);
-  ScenarioResult bare = RunBare(spec);
-  ASSERT_TRUE(bare.completed);
-  ScenarioResult ft = Scenario::Replicated(spec)
-                          .Epoch(4096)
-                          .PipelineDepth(2)
-                          .LinkFaults(Lossy(0.1))
-                          .FailAtPhase(FailPhase::kAfterIoIssue, 1,
-                                       FailurePlan::CrashIo::kNotPerformed)
-                          .Run();
-  ASSERT_TRUE(ft.completed) << "timed_out=" << ft.timed_out
-                            << " deadlocked=" << ft.deadlocked;
-  EXPECT_TRUE(ft.promoted);
-  EXPECT_EQ(ft.exited_flag, 1u) << "guest panic " << ft.panic_code;
-  EXPECT_EQ(ft.guest_checksum, bare.guest_checksum);
-  ConsistencyResult env = CheckEnvConsistency(bare.env_trace, ft.env_trace, ft.issuer_chain());
-  EXPECT_TRUE(env.ok) << env.detail;
 }
 
 // ---------------------------------------------------------------------------
