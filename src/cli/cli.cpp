@@ -27,8 +27,9 @@ void PrintUsage(std::FILE* out) {
       "       kill fired and every scheduled rejoin completed.\n"
       "  --workload=KIND       cpu|diskread|diskwrite|hello|txnlog|echo|heap|time|\n"
       "                        net-echo (txnlog). net-echo attaches the NIC and\n"
-      "                        echoes injected packets (see --packets).\n"
-      "  --iterations=N        workload operations / records / packets\n"
+      "                        echoes injected packets (see --packets); echo\n"
+      "                        echoes one typed console character per iteration.\n"
+      "  --iterations=N        workload operations / records / packets / characters\n"
       "  --mode=M              both|bare|replicated (both: prints N'/N and consistency)\n"
       "  --epoch-length=N      instructions per epoch (4096)\n"
       "  --variant=V           old (P2 ack wait) | new (output commit, section 4.3)\n"
@@ -48,16 +49,16 @@ void PrintUsage(std::FILE* out) {
       "                        repeatable. SPEC is comma-separated key=value:\n"
       "                          time-ms=X | phase=P[,epoch=N][,io-seq=N]\n"
       "                          target=active|backup:K   crash-io=random|performed|\n"
-      "                          not-performed\n"
+      "                          not-performed; backup:K counts live backups down\n"
+      "                            from the active replica when the kill is due\n"
       "                          rejoin-time-ms=X | rejoin-after-ms=X   spawn a fresh\n"
       "                            backup below the chain tail (live state transfer)\n"
       "                          after-resync-ms=X   kill the active replica X ms\n"
       "                            after the pending rejoin's transfer completes\n"
       "                        e.g. --fail=time-ms=40 --fail=rejoin-after-ms=20\n"
       "                             --fail=after-resync-ms=10\n"
-      "  --json                emit one machine-readable JSON document instead of\n"
-      "                        the text report (outcome, replication, transport,\n"
-      "                        resyncs, N'/N + consistency, verdict)\n"
+      "  --json                print the report as JSON; without it the same\n"
+      "                        document prints as one `path : value` line per leaf\n"
       "  --num-blocks=N --seed=N\n"
       "\n"
       "bench  Regenerate the paper's Table 1 / Fig 2-4 numbers plus this\n"
@@ -92,7 +93,7 @@ void PrintUsage(std::FILE* out) {
       "                        cross-chain state changes at the round barrier)\n"
       "  --quantum-ms=X --repair-retry-ms=X --start-ms=X --payload-bytes=B\n"
       "  --epoch-length=N --seed=N --max-time-ms=X\n"
-      "  --json                machine-readable fleet report\n"
+      "  --json                the fleet report as JSON (else `path : value` lines)\n"
       "\n"
       "serve  Run a protected guest behind a real TCP listener: client requests\n"
       "       become NIC RX packets, guest echoes are released at output commit.\n"
@@ -110,7 +111,7 @@ void PrintUsage(std::FILE* out) {
       "  --backups=N           single role: chain length (1)\n"
       "  --fail=SPEC           single role: in-process failure schedule, as in run\n"
       "  --epoch-length=N --seed=N\n"
-      "  --json                machine-readable session report on stdout\n"
+      "  --json                the session report as JSON (else `path : value` lines)\n"
       "\n"
       "help   Print this text. With --list-workloads or --list-phases, print\n"
       "       the valid enum names one per line (machine-readable).\n"

@@ -3,9 +3,9 @@
 #ifndef HBFT_CLI_COMMANDS_HPP_
 #define HBFT_CLI_COMMANDS_HPP_
 
-#include <cstdio>
-#include <string>
+#include <vector>
 
+#include "cli/json.hpp"
 #include "cli/options.hpp"
 
 namespace hbft {
@@ -16,19 +16,16 @@ int BenchCommand(FlagSet& flags);
 int FleetCommand(FlagSet& flags);
 int ServeCommand(FlagSet& flags);
 
-// Report line helpers: aligned "key : value" rows, greppable by the smoke
-// test and stable for transcripts in README.md.
-inline void ReportLine(const std::string& key, const std::string& value) {
-  std::printf("%-24s: %s\n", key.c_str(), value.c_str());
-}
-inline void ReportYesNo(const std::string& key, bool value) {
-  ReportLine(key, value ? "yes" : "no");
-}
-inline void ReportF(const std::string& key, double value, const char* unit = "") {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.4f%s", value, unit);
-  ReportLine(key, buf);
-}
+// Each command builds one report document and prints it on stdout: with
+// --json as the document, otherwise as its DumpText() lines.
+void PrintReport(const JsonValue& doc, bool json);
+
+// One renderer per stats struct, shared by the reports that carry it: an
+// object with one key per counter, durations in milliseconds.
+JsonValue StatsJson(const ReplicaNode::Stats& stats);
+JsonValue StatsJson(const Hypervisor::Stats& stats);
+// One row per channel: its chain positions, mode and Channel::Counters.
+JsonValue ChannelsJson(const std::vector<ScenarioResult::ChannelReport>& channels);
 
 }  // namespace cli
 }  // namespace hbft

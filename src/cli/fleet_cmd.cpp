@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "cli/commands.hpp"
-#include "cli/json.hpp"
 #include "cli/options.hpp"
 #include "fleet/fleet.hpp"
 #include "isa/isa.hpp"
@@ -105,15 +104,14 @@ bool ParseHostFailSpec(const std::string& spec, size_t fleet_hosts,
 }
 
 JsonValue LatencyJson(const LatencySummary& s) {
-  JsonValue out = JsonValue::Object();
-  out.Set("count", s.count);
-  out.Set("mean_ms", s.mean);
-  out.Set("p50_ms", s.p50);
-  out.Set("p90_ms", s.p90);
-  out.Set("p99_ms", s.p99);
-  out.Set("p999_ms", s.p999);
-  out.Set("max_ms", s.max);
-  return out;
+  return JsonValue::Object()
+      .Set("count", s.count)
+      .Set("mean_ms", s.mean)
+      .Set("p50_ms", s.p50)
+      .Set("p90_ms", s.p90)
+      .Set("p99_ms", s.p99)
+      .Set("p999_ms", s.p999)
+      .Set("max_ms", s.max);
 }
 
 }  // namespace
@@ -199,95 +197,64 @@ int FleetCommand(FlagSet& flags) {
   const bool healthy = result.chains_lost == 0 && result.all_env_consistent &&
                        result.chains_completed == result.chains.size();
 
-  if (as_json) {
-    JsonValue doc = JsonValue::Object();
-    JsonValue cfg = JsonValue::Object();
-    cfg.Set("chains", static_cast<uint64_t>(config.chains));
-    cfg.Set("hosts", static_cast<uint64_t>(config.hosts));
-    cfg.Set("backups", config.backups);
-    cfg.Set("placement", PlacementPolicyName(config.placement));
-    cfg.Set("requests_per_chain", config.traffic.requests_per_chain);
-    cfg.Set("interval_ms", config.traffic.interval.seconds() * 1e3);
-    cfg.Set("slo_ms", config.slo.seconds() * 1e3);
-    cfg.Set("repair_concurrency", static_cast<uint64_t>(config.repair_concurrency));
-    cfg.Set("seed", config.seed);
-    cfg.Set("verify", config.verify);
-    cfg.Set("threads", static_cast<uint64_t>(config.threads));
-    doc.Set("config", std::move(cfg));
+  JsonValue doc =
+      JsonValue::Object()
+          .Set("command", "fleet")
+          .Set("config",
+               JsonValue::Object()
+                   .Set("chains", static_cast<uint64_t>(config.chains))
+                   .Set("hosts", static_cast<uint64_t>(config.hosts))
+                   .Set("backups", config.backups)
+                   .Set("placement", PlacementPolicyName(config.placement))
+                   .Set("requests_per_chain", config.traffic.requests_per_chain)
+                   .Set("interval_ms", config.traffic.interval.seconds() * 1e3)
+                   .Set("slo_ms", config.slo.seconds() * 1e3)
+                   .Set("repair_concurrency", static_cast<uint64_t>(config.repair_concurrency))
+                   .Set("seed", config.seed)
+                   .Set("verify", config.verify)
+                   .Set("threads", static_cast<uint64_t>(config.threads)))
+          .Set("requests_total", result.requests_total)
+          .Set("requests_served", result.requests_served)
+          .Set("requests_within_slo", result.requests_within_slo)
+          .Set("availability", result.availability)
+          .Set("slo_attainment", result.slo_attainment)
+          .Set("latency", LatencyJson(result.latency_ms))
+          .Set("chains_completed", static_cast<uint64_t>(result.chains_completed))
+          .Set("chains_lost", static_cast<uint64_t>(result.chains_lost))
+          .Set("hosts_failed", static_cast<uint64_t>(result.hosts_failed))
+          .Set("failovers", static_cast<uint64_t>(result.failovers))
+          .Set("repairs", static_cast<uint64_t>(result.repairs))
+          .Set("all_env_consistent", result.all_env_consistent)
+          .Set("makespan_ms", result.makespan.seconds() * 1e3)
+          .Set("fingerprint", result.fingerprint)
+          .Set("healthy", healthy);
 
-    doc.Set("requests_total", result.requests_total);
-    doc.Set("requests_served", result.requests_served);
-    doc.Set("requests_within_slo", result.requests_within_slo);
-    doc.Set("availability", result.availability);
-    doc.Set("slo_attainment", result.slo_attainment);
-    doc.Set("latency", LatencyJson(result.latency_ms));
-    doc.Set("chains_completed", static_cast<uint64_t>(result.chains_completed));
-    doc.Set("chains_lost", static_cast<uint64_t>(result.chains_lost));
-    doc.Set("hosts_failed", static_cast<uint64_t>(result.hosts_failed));
-    doc.Set("failovers", static_cast<uint64_t>(result.failovers));
-    doc.Set("repairs", static_cast<uint64_t>(result.repairs));
-    doc.Set("all_env_consistent", result.all_env_consistent);
-    doc.Set("makespan_ms", result.makespan.seconds() * 1e3);
-    doc.Set("fingerprint", result.fingerprint);
-    doc.Set("healthy", healthy);
-
-    JsonValue chains = JsonValue::Array();
-    for (const FleetChainReport& chain : result.chains) {
-      JsonValue c = JsonValue::Object();
-      c.Set("chain", static_cast<uint64_t>(chain.chain));
-      c.Set("completed", chain.completed);
-      c.Set("service_lost", chain.service_lost);
-      c.Set("failovers", static_cast<uint64_t>(chain.failovers));
-      c.Set("repairs", static_cast<uint64_t>(chain.repairs));
-      c.Set("replicas_lost", static_cast<uint64_t>(chain.replicas_lost));
-      c.Set("requests_served", chain.requests_served);
-      c.Set("availability", chain.availability);
-      c.Set("env_consistent", chain.env_consistent);
-      chains.Push(std::move(c));
-    }
-    doc.Set("chains", std::move(chains));
-
-    JsonValue hosts = JsonValue::Array();
-    for (const FleetHostReport& host : result.hosts) {
-      JsonValue h = JsonValue::Object();
-      h.Set("host", static_cast<uint64_t>(host.host));
-      h.Set("failed", host.failed);
-      h.Set("replicas_killed", static_cast<uint64_t>(host.replicas_killed));
-      h.Set("repairs_hosted", static_cast<uint64_t>(host.repairs_hosted));
-      h.Set("repair_queue_peak", static_cast<uint64_t>(host.repair_queue_peak));
-      hosts.Push(std::move(h));
-    }
-    doc.Set("hosts", std::move(hosts));
-    std::fputs(doc.Dump().c_str(), stdout);
-    return healthy ? 0 : 1;
+  JsonValue chains = JsonValue::Array();
+  for (const FleetChainReport& chain : result.chains) {
+    chains.Push(JsonValue::Object()
+                    .Set("chain", static_cast<uint64_t>(chain.chain))
+                    .Set("completed", chain.completed)
+                    .Set("service_lost", chain.service_lost)
+                    .Set("failovers", static_cast<uint64_t>(chain.failovers))
+                    .Set("repairs", static_cast<uint64_t>(chain.repairs))
+                    .Set("replicas_lost", static_cast<uint64_t>(chain.replicas_lost))
+                    .Set("requests_served", chain.requests_served)
+                    .Set("availability", chain.availability)
+                    .Set("env_consistent", chain.env_consistent));
   }
+  doc.Set("chains", std::move(chains));
 
-  std::printf("fleet: %zu chains x %d replicas on %zu hosts (%s), %llu req/chain\n",
-              config.chains, config.backups + 1, config.hosts,
-              PlacementPolicyName(config.placement),
-              static_cast<unsigned long long>(config.traffic.requests_per_chain));
-  ReportLine("chains completed",
-             std::to_string(result.chains_completed) + "/" + std::to_string(config.chains));
-  ReportLine("chains lost", std::to_string(result.chains_lost));
-  ReportLine("hosts failed", std::to_string(result.hosts_failed));
-  ReportLine("failovers", std::to_string(result.failovers));
-  ReportLine("repairs", std::to_string(result.repairs));
-  ReportLine("requests served", std::to_string(result.requests_served) + "/" +
-                                    std::to_string(result.requests_total));
-  ReportF("availability", result.availability);
-  ReportF("slo attainment", result.slo_attainment);
-  ReportF("latency p50", result.latency_ms.p50, " ms");
-  ReportF("latency p99", result.latency_ms.p99, " ms");
-  ReportF("latency p99.9", result.latency_ms.p999, " ms");
-  ReportF("latency max", result.latency_ms.max, " ms");
-  if (config.verify) {
-    ReportYesNo("env consistent", result.all_env_consistent);
+  JsonValue hosts = JsonValue::Array();
+  for (const FleetHostReport& host : result.hosts) {
+    hosts.Push(JsonValue::Object()
+                   .Set("host", static_cast<uint64_t>(host.host))
+                   .Set("failed", host.failed)
+                   .Set("replicas_killed", static_cast<uint64_t>(host.replicas_killed))
+                   .Set("repairs_hosted", static_cast<uint64_t>(host.repairs_hosted))
+                   .Set("repair_queue_peak", static_cast<uint64_t>(host.repair_queue_peak)));
   }
-  ReportF("makespan", result.makespan.seconds() * 1e3, " ms");
-  char fp[32];
-  std::snprintf(fp, sizeof(fp), "%016llx", static_cast<unsigned long long>(result.fingerprint));
-  ReportLine("fingerprint", fp);
-  ReportYesNo("healthy", healthy);
+  doc.Set("hosts", std::move(hosts));
+  PrintReport(doc, as_json);
   return healthy ? 0 : 1;
 }
 

@@ -1,5 +1,6 @@
 #include "cli/json.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -52,6 +53,14 @@ JsonValue& JsonValue::Set(const std::string& key, JsonValue value) {
 JsonValue& JsonValue::Push(JsonValue value) {
   HBFT_CHECK(kind_ == Kind::kArray);
   elements_.push_back(std::move(value));
+  return *this;
+}
+
+JsonValue& JsonValue::Extend(JsonValue other) {
+  HBFT_CHECK(kind_ == Kind::kObject && other.kind_ == Kind::kObject);
+  for (auto& member : other.members_) {
+    members_.push_back(std::move(member));
+  }
   return *this;
 }
 
@@ -127,6 +136,40 @@ std::string JsonValue::Dump() const {
   std::string out;
   DumpTo(&out, 0);
   out.push_back('\n');
+  return out;
+}
+
+void JsonValue::CollectLeaves(const std::string& path,
+                              std::vector<std::pair<std::string, std::string>>* out) const {
+  auto child = [&path](const std::string& key) { return path.empty() ? key : path + "." + key; };
+  if (kind_ == Kind::kObject && !members_.empty()) {
+    for (const auto& [key, value] : members_) {
+      value.CollectLeaves(child(key), out);
+    }
+  } else if (kind_ == Kind::kArray && !elements_.empty()) {
+    for (size_t i = 0; i < elements_.size(); ++i) {
+      elements_[i].CollectLeaves(child(std::to_string(i)), out);
+    }
+  } else {
+    std::string value;
+    DumpTo(&value, 0);
+    out->emplace_back(path, std::move(value));
+  }
+}
+
+std::string JsonValue::DumpText() const {
+  std::vector<std::pair<std::string, std::string>> leaves;
+  CollectLeaves("", &leaves);
+  size_t width = 0;
+  for (const auto& leaf : leaves) {
+    width = std::max(width, leaf.first.size());
+  }
+  std::string out;
+  for (const auto& [path, value] : leaves) {
+    out += path;
+    out.append(width - path.size(), ' ');
+    out += " : " + value + "\n";
+  }
   return out;
 }
 

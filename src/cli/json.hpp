@@ -1,5 +1,5 @@
-// Minimal JSON value + serialiser for the CLI's bench artifacts. Only what
-// the artifacts need: objects with insertion-ordered keys, arrays, strings,
+// Minimal JSON value + serialiser for the CLI's reports and bench artifacts.
+// Only what they need: objects with insertion-ordered keys, arrays, strings,
 // numbers, and booleans.
 #ifndef HBFT_CLI_JSON_HPP_
 #define HBFT_CLI_JSON_HPP_
@@ -37,14 +37,25 @@ class JsonValue {
 
   JsonValue& Set(const std::string& key, JsonValue value);
   JsonValue& Push(JsonValue value);
+  // Appends every member of the object `other`, in order.
+  JsonValue& Extend(JsonValue other);
 
   // Pretty-prints with two-space indentation and a trailing newline.
   std::string Dump() const;
+  // The same document flattened: one `path : value` line per leaf, the
+  // paths padded to one width. A path joins object keys and array indices
+  // with '.' (`nodes.1.epochs`); the root's own path is empty. Each value
+  // prints as Dump prints it, so strings stay quoted and escaped, and empty
+  // objects and arrays are leaves printed `{}` and `[]`.
+  std::string DumpText() const;
 
  private:
   enum class Kind { kNull, kBool, kInt, kUint, kDouble, kString, kObject, kArray };
 
   void DumpTo(std::string* out, int indent) const;
+  // Appends (path, value) for every leaf at or below this value.
+  void CollectLeaves(const std::string& path,
+                     std::vector<std::pair<std::string, std::string>>* out) const;
 
   Kind kind_;
   bool bool_ = false;

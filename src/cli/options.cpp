@@ -273,8 +273,8 @@ bool ParseFailTarget(const std::string& value, FailurePlan* plan) {
   return false;
 }
 
-}  // namespace
-
+// Parses one --fail=SPEC value: comma-separated key=value pairs. Returns
+// false after printing the offending part.
 bool ParseFailSpec(const std::string& spec, FailurePlan* out, std::string* description) {
   FailurePlan plan;
   int time_keys = 0;    // time-ms / after-resync-ms occurrences.
@@ -425,6 +425,37 @@ bool ParseFailSpec(const std::string& spec, FailurePlan* out, std::string* descr
   return true;
 }
 
+}  // namespace
+
+bool ParseFailureSchedule(FlagSet& flags, int backups, FailureSchedule* schedule,
+                          std::string* description) {
+  bool seen_rejoin = false;
+  for (const std::string& spec : flags.GetList("fail")) {
+    FailurePlan plan;
+    std::string desc;
+    if (!ParseFailSpec(spec, &plan, &desc)) {
+      return false;
+    }
+    if (plan.target == FailurePlan::Target::kBackup && plan.backup_index >= backups) {
+      std::fprintf(stderr,
+                   "hbft_cli: failure targets backup %d but the chain has only %d backup(s) "
+                   "(see --backups)\n",
+                   plan.backup_index, backups);
+      return false;
+    }
+    seen_rejoin = seen_rejoin || plan.kind == FailurePlan::Kind::kRejoin;
+    if (plan.after_resync && !seen_rejoin) {
+      std::fprintf(stderr,
+                   "hbft_cli: --fail=after-resync-ms needs an earlier rejoin event "
+                   "(rejoin-time-ms / rejoin-after-ms) to wait for\n");
+      return false;
+    }
+    *description = schedule->empty() ? desc : *description + "; then " + desc;
+    schedule->push_back(plan);
+  }
+  return true;
+}
+
 std::optional<ScenarioFlags> ParseScenarioFlags(FlagSet& flags) {
   std::string workload_name = flags.GetString("workload", "txnlog");
   auto kind = ParseWorkloadKind(workload_name);
@@ -440,7 +471,7 @@ std::optional<ScenarioFlags> ParseScenarioFlags(FlagSet& flags) {
     workload.iterations = static_cast<uint32_t>(*v);
   } else if (*kind == WorkloadKind::kTxnLog) {
     workload.iterations = 10;
-  } else if (*kind == WorkloadKind::kNetEcho) {
+  } else if (*kind == WorkloadKind::kNetEcho || *kind == WorkloadKind::kEcho) {
     workload.iterations = 4;
   }
   if (auto v = flags.GetU64("num-blocks", UINT32_MAX)) {
@@ -572,33 +603,22 @@ std::optional<ScenarioFlags> ParseScenarioFlags(FlagSet& flags) {
     }
   }
 
-  for (const std::string& spec : flags.GetList("fail")) {
-    FailurePlan plan;
-    std::string desc;
-    if (!ParseFailSpec(spec, &plan, &desc)) {
-      return std::nullopt;
+  // echo: one console character per iteration (a-p, never the 'q' that
+  // ends the guest), then the 'q'.
+  if (workload.kind == WorkloadKind::kEcho) {
+    std::string input;
+    for (uint32_t i = 0; i < workload.iterations; ++i) {
+      input.push_back(static_cast<char>('a' + i % 16));
     }
-    out.failure_description =
-        scenario.failures().empty() ? desc : out.failure_description + "; then " + desc;
-    scenario.FailAt(plan);
+    scenario.ConsoleInput(input + "q");
   }
 
-  bool seen_rejoin = false;
-  for (const FailurePlan& plan : scenario.failures()) {
-    if (plan.target == FailurePlan::Target::kBackup && plan.backup_index >= backups) {
-      std::fprintf(stderr,
-                   "hbft_cli: failure targets backup %d but the chain has only %d backup(s) "
-                   "(see --backups)\n",
-                   plan.backup_index, backups);
-      return std::nullopt;
-    }
-    seen_rejoin = seen_rejoin || plan.kind == FailurePlan::Kind::kRejoin;
-    if (plan.after_resync && !seen_rejoin) {
-      std::fprintf(stderr,
-                   "hbft_cli: --fail=after-resync-ms needs an earlier rejoin event "
-                   "(rejoin-time-ms / rejoin-after-ms) to wait for\n");
-      return std::nullopt;
-    }
+  FailureSchedule schedule;
+  if (!ParseFailureSchedule(flags, backups, &schedule, &out.failure_description)) {
+    return std::nullopt;
+  }
+  for (const FailurePlan& plan : schedule) {
+    scenario.FailAt(plan);
   }
   return out;
 }

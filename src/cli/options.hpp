@@ -72,13 +72,19 @@ std::optional<FailPhase> ParseFailPhase(const std::string& name);
 void PrintWorkloadNames(std::FILE* out);
 void PrintFailPhaseNames(std::FILE* out);
 
-// Parses one --fail=SPEC value: comma-separated key=value pairs.
+// Parses every --fail=SPEC flag, in order, into `schedule` for a chain of
+// `backups` backups. Each SPEC is comma-separated key=value pairs:
 //   --fail=time-ms=40                          kill the active replica at 40ms
 //   --fail=phase=after-io-issue,epoch=2        kill at a protocol phase
 //   --fail=time-ms=60,target=backup:1          kill the second standing backup
+//                                              below the active replica
 //   --fail=phase=after-send-tme,crash-io=performed
-// Returns false after printing the offending part.
-bool ParseFailSpec(const std::string& spec, FailurePlan* out, std::string* description);
+// `description` joins the specs' descriptions with "; then " (it is left as
+// is for an empty schedule). Returns false after printing why a spec is
+// malformed or cannot run on the chain: a backup target beyond it, or an
+// after-resync kill with no earlier rejoin to wait for.
+bool ParseFailureSchedule(FlagSet& flags, int backups, FailureSchedule* schedule,
+                          std::string* description);
 
 // The scenario `run` parses from its flags: workload selection plus
 // replication, topology, device fault plans, injected packets, and the

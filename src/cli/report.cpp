@@ -1,0 +1,63 @@
+#include <cstdio>
+#include <string>
+
+#include "cli/commands.hpp"
+
+namespace hbft {
+namespace cli {
+
+void PrintReport(const JsonValue& doc, bool json) {
+  std::fputs((json ? doc.Dump() : doc.DumpText()).c_str(), stdout);
+}
+
+JsonValue StatsJson(const ReplicaNode::Stats& stats) {
+  return JsonValue::Object()
+      .Set("messages_sent", stats.messages_sent)
+      .Set("acks_received", stats.acks_received)
+      .Set("relays_forwarded", stats.relays_forwarded)
+      .Set("env_values", stats.env_values)
+      .Set("io_issued", stats.io_issued)
+      .Set("io_suppressed", stats.io_suppressed)
+      .Set("uncertain_synthesised", stats.uncertain_synthesised)
+      .Set("epochs", stats.epochs)
+      .Set("ack_wait_ms", stats.ack_wait_time.seconds() * 1e3)
+      .Set("boundary_ms", stats.boundary_time.seconds() * 1e3);
+}
+
+JsonValue StatsJson(const Hypervisor::Stats& stats) {
+  return JsonValue::Object()
+      .Set("privileged_simulated", stats.privileged_simulated)
+      .Set("traps_reflected", stats.traps_reflected)
+      .Set("tlb_fills", stats.tlb_fills)
+      .Set("interrupts_delivered", stats.interrupts_delivered);
+}
+
+JsonValue ChannelsJson(const std::vector<ScenarioResult::ChannelReport>& channels) {
+  JsonValue rows = JsonValue::Array();
+  for (const ScenarioResult::ChannelReport& ch : channels) {
+    const Channel::Counters& c = ch.counters;
+    rows.Push(JsonValue::Object()
+                  .Set("name", "r" + std::to_string(ch.from) + "->r" + std::to_string(ch.to))
+                  .Set("from", static_cast<uint64_t>(ch.from))
+                  .Set("to", static_cast<uint64_t>(ch.to))
+                  .Set("mode", ch.mode == ChannelMode::kOrdered ? "protocol" : "acks")
+                  .Set("messages_enqueued", c.messages_enqueued)
+                  .Set("wire_sends", c.wire_sends)
+                  .Set("retransmits", c.retransmits)
+                  .Set("link_drops", c.link_drops)
+                  .Set("link_duplicates", c.link_duplicates)
+                  .Set("link_reorders", c.link_reorders)
+                  .Set("queue_drops", c.queue_drops)
+                  .Set("queue_high_water", c.queue_high_water)
+                  // Stale and post-gap frames the receiver discarded.
+                  .Set("rx_discards", c.rx_duplicates + c.rx_gaps)
+                  .Set("messages_delivered", c.messages_delivered)
+                  .Set("bytes_on_wire", c.bytes_on_wire)
+                  .Set("bytes_delivered", c.bytes_delivered)
+                  .Set("wire_decode_errors", c.wire_decode_errors));
+  }
+  return rows;
+}
+
+}  // namespace cli
+}  // namespace hbft

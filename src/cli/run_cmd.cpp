@@ -2,9 +2,8 @@
 // a comparison report (the paper's N'/N figure of merit when both ran). A
 // --fail schedule makes it a failover drill: the report gives each promoted
 // node's takeover latency, and the verdict requires every scheduled kill to
-// fire and every rejoin to complete. With --json the same information is
-// emitted as one machine-readable document on stdout, so CI and scripts
-// consume structured output instead of scraping the text report.
+// fire and every rejoin to complete. The report is one document: --json
+// prints it as JSON, otherwise as one `path : value` line per leaf.
 #include <algorithm>
 #include <cstdio>
 #include <optional>
@@ -14,7 +13,6 @@
 #include "cli/commands.hpp"
 #include "cli/json.hpp"
 #include "cli/options.hpp"
-#include "perf/report.hpp"
 #include "sim/environment_observer.hpp"
 #include "sim/scenario.hpp"
 
@@ -86,124 +84,19 @@ std::vector<std::string> FailedChecks(const ScenarioFlags& parsed, const Scenari
   return failed;
 }
 
-void ReportOutcome(const char* label, const ScenarioResult& r) {
-  std::printf("-- %s --\n", label);
-  ReportYesNo("completed", r.completed);
-  if (r.timed_out) {
-    ReportYesNo("timed_out", true);
-  }
-  if (r.deadlocked) {
-    ReportYesNo("deadlocked", true);
-  }
-  if (r.service_lost) {
-    ReportYesNo("service_lost", true);
-  }
-  ReportF("runtime_s", r.completion_time.seconds());
-  ReportLine("exited_flag", r.exited_flag == 1 ? "clean" : std::to_string(r.exited_flag));
-  ReportLine("exit_code", std::to_string(r.exit_code));
-  ReportLine("guest_checksum", std::to_string(r.guest_checksum));
-  ReportLine("clock_ticks", std::to_string(r.ticks));
-  if (!r.console_output.empty()) {
-    std::string preview = r.console_output.substr(0, 60);
-    for (char& c : preview) {
-      if (c == '\n') {
-        c = ' ';
-      }
-    }
-    ReportLine("console_bytes", std::to_string(r.console_output.size()) + " (\"" + preview + "\")");
-  }
-}
-
-void ReportReplicationStats(const ScenarioResult& r) {
-  ReportLine("replicas", std::to_string(r.nodes.size()));
-  ReportLine("epochs", std::to_string(r.primary_stats().epochs));
-  ReportLine("messages_sent", std::to_string(r.primary_stats().messages_sent));
-  ReportLine("acks_received", std::to_string(r.primary_stats().acks_received));
-  ReportF("ack_wait_ms", r.primary_stats().ack_wait_time.seconds() * 1e3);
-  ReportF("boundary_ms", r.primary_stats().boundary_time.seconds() * 1e3);
-  ReportYesNo("promoted", r.promoted);
-  for (size_t i = 0; i + 1 < r.nodes.size(); ++i) {
-    if (r.backup_stats(i).relays_forwarded > 0) {
-      ReportLine("backup" + std::to_string(i) + "_relays",
-                 std::to_string(r.backup_stats(i).relays_forwarded));
-    }
-  }
-  if (r.promoted) {
-    for (size_t c = 0; c < r.crash_times.size(); ++c) {
-      ReportF("crash_time_ms" + (c == 0 ? std::string() : "_" + std::to_string(c + 1)),
-              r.crash_times[c].seconds() * 1e3);
-    }
-    for (size_t i = 1; i < r.nodes.size(); ++i) {
-      if (r.nodes[i].promoted) {
-        const std::string id = std::to_string(r.nodes[i].id);
-        ReportF("promotion_time_ms_node" + id, r.nodes[i].promotion_time.seconds() * 1e3);
-        ReportF("promotion_latency_ms_node" + id, PromotionLatencyMs(r, r.nodes[i].promotion_time));
-      }
-    }
-    ReportF("promotion_time_ms", r.promotion_time.seconds() * 1e3);
-    ReportLine("backup_io_redriven", std::to_string(r.backup_stats().io_issued));
-  }
-}
-
-// Per-channel transport counters, printed when the run exercised the modeled
-// transport (a faulty wire): unique messages vs wire sends, retransmits, wire
-// discards, queue high-water, bytes on wire, and effective goodput in Mbit/s.
-void ReportTransportStats(const ScenarioResult& r) {
-  ReportLine("link_retransmits", std::to_string(r.TotalRetransmits()));
-  ReportLine("link_wire_bytes", std::to_string(r.TotalWireBytes()));
-  ReportLine("link_delivered_bytes", std::to_string(r.TotalDeliveredBytes()));
-  ReportF("link_goodput_mbps", r.GoodputBps() / 1e6);
-  TableReporter table({"channel", "msgs", "wire_sends", "retx", "drops", "dups", "reord",
-                       "q_drop", "q_hwm", "rx_disc", "bytes_wire", "goodput_mbps"});
-  const double run_seconds = r.completion_time.seconds();
-  for (const ScenarioResult::ChannelReport& ch : r.channels) {
-    const Channel::Counters& c = ch.counters;
-    const double goodput_mbps =
-        run_seconds > 0.0 ? static_cast<double>(c.bytes_delivered) * 8.0 / run_seconds / 1e6
-                          : 0.0;
-    table.AddRow({std::to_string(ch.from) + "->" + std::to_string(ch.to) +
-                      (ch.mode == ChannelMode::kOrdered ? " (protocol)" : " (acks)"),
-                  std::to_string(c.messages_enqueued), std::to_string(c.wire_sends),
-                  std::to_string(c.retransmits), std::to_string(c.link_drops),
-                  std::to_string(c.link_duplicates), std::to_string(c.link_reorders),
-                  std::to_string(c.queue_drops), std::to_string(c.queue_high_water),
-                  std::to_string(c.rx_duplicates + c.rx_gaps), std::to_string(c.bytes_on_wire),
-                  TableReporter::Num(goodput_mbps, 3)});
-  }
-  std::fputs(table.Render().c_str(), stdout);
-}
-
-void ReportResyncStats(const ScenarioResult& r) {
-  for (size_t i = 0; i < r.resyncs.size(); ++i) {
-    const ResyncReport& resync = r.resyncs[i];
-    const std::string suffix = i == 0 ? std::string() : "_" + std::to_string(i + 1);
-    ReportYesNo("resync_completed" + suffix, resync.completed);
-    if (!resync.completed) {
-      continue;
-    }
-    ReportF("resync_latency_ms" + suffix, (resync.join_time - resync.start).seconds() * 1e3);
-    ReportLine("resync_bytes" + suffix, std::to_string(resync.transfer.bytes_sent));
-    ReportLine("resync_page_chunks" + suffix, std::to_string(resync.transfer.page_chunks));
-    ReportLine("resync_delta_pages" + suffix, std::to_string(resync.transfer.delta_pages));
-    ReportLine("resync_rounds" + suffix, std::to_string(resync.transfer.rounds));
-  }
-}
-
-// --- JSON assembly (run --json) ---------------------------------------------
-
 JsonValue OutcomeJson(const ScenarioResult& r) {
-  JsonValue doc = JsonValue::Object()
-                      .Set("completed", r.completed)
-                      .Set("timed_out", r.timed_out)
-                      .Set("deadlocked", r.deadlocked)
-                      .Set("service_lost", r.service_lost)
-                      .Set("runtime_s", r.completion_time.seconds())
-                      .Set("exited_flag", static_cast<uint64_t>(r.exited_flag))
-                      .Set("exit_code", static_cast<uint64_t>(r.exit_code))
-                      .Set("guest_checksum", static_cast<uint64_t>(r.guest_checksum))
-                      .Set("clock_ticks", static_cast<uint64_t>(r.ticks))
-                      .Set("console_bytes", static_cast<uint64_t>(r.console_output.size()));
-  return doc;
+  return JsonValue::Object()
+      .Set("completed", r.completed)
+      .Set("timed_out", r.timed_out)
+      .Set("deadlocked", r.deadlocked)
+      .Set("service_lost", r.service_lost)
+      .Set("runtime_s", r.completion_time.seconds())
+      .Set("exited_flag", static_cast<uint64_t>(r.exited_flag))
+      .Set("exit_code", static_cast<uint64_t>(r.exit_code))
+      .Set("guest_checksum", static_cast<uint64_t>(r.guest_checksum))
+      .Set("clock_ticks", static_cast<uint64_t>(r.ticks))
+      .Set("console_bytes", static_cast<uint64_t>(r.console_output.size()))
+      .Set("console_head", r.console_output.substr(0, 60));
 }
 
 JsonValue ReplicationJson(const ScenarioResult& r) {
@@ -223,11 +116,8 @@ JsonValue ReplicationJson(const ScenarioResult& r) {
     entry.Set("rejoined", node.rejoined)
         .Set("joined", node.joined)
         .Set("join_epoch", node.join_epoch)
-        .Set("epochs", node.stats.epochs)
-        .Set("messages_sent", node.stats.messages_sent)
-        .Set("acks_received", node.stats.acks_received)
-        .Set("io_issued", node.stats.io_issued)
-        .Set("uncertain_synthesised", node.stats.uncertain_synthesised);
+        .Extend(StatsJson(node.stats))
+        .Set("hypervisor", StatsJson(node.hv_stats));
     nodes.Push(std::move(entry));
   }
   JsonValue resyncs = JsonValue::Array();
@@ -258,26 +148,12 @@ JsonValue ReplicationJson(const ScenarioResult& r) {
 }
 
 JsonValue TransportJson(const ScenarioResult& r) {
-  JsonValue channels = JsonValue::Array();
-  for (const ScenarioResult::ChannelReport& ch : r.channels) {
-    channels.Push(JsonValue::Object()
-                      .Set("from", static_cast<uint64_t>(ch.from))
-                      .Set("to", static_cast<uint64_t>(ch.to))
-                      .Set("mode", ch.mode == ChannelMode::kOrdered ? "protocol" : "acks")
-                      .Set("messages_enqueued", ch.counters.messages_enqueued)
-                      .Set("wire_sends", ch.counters.wire_sends)
-                      .Set("retransmits", ch.counters.retransmits)
-                      .Set("rx_discards", ch.counters.rx_duplicates + ch.counters.rx_gaps)
-                      .Set("queue_drops", ch.counters.queue_drops)
-                      .Set("bytes_on_wire", ch.counters.bytes_on_wire)
-                      .Set("bytes_delivered", ch.counters.bytes_delivered));
-  }
   return JsonValue::Object()
       .Set("retransmits", r.TotalRetransmits())
       .Set("wire_bytes", r.TotalWireBytes())
       .Set("delivered_bytes", r.TotalDeliveredBytes())
       .Set("goodput_mbps", r.GoodputBps() / 1e6)
-      .Set("channels", std::move(channels));
+      .Set("channels", ChannelsJson(r.channels));
 }
 
 }  // namespace
@@ -291,7 +167,6 @@ int RunCommand(FlagSet& flags) {
   }
   const Scenario& scenario = parsed->scenario;
   const WorldConfig config = scenario.world_config();
-  const ReplicationConfig& replication = config.replication;
   const LinkFaults& link_faults = config.link_faults;
   if (mode != "both" && mode != "bare" && mode != "replicated") {
     std::fprintf(stderr, "hbft_cli: unknown --mode '%s' (both, bare, replicated)\n", mode.c_str());
@@ -320,87 +195,45 @@ int RunCommand(FlagSet& flags) {
   }
   const std::vector<std::string> failed = FailedChecks(
       *parsed, want_bare ? &bare : nullptr, want_replicated ? &ft : nullptr, env);
-  const char* verdict = failed.empty() ? "PASS" : "FAIL";
 
-  if (json) {
-    // Machine-readable path: one document on stdout, nothing else.
-    JsonValue doc = JsonValue::Object()
-                        .Set("command", "run")
-                        .Set("workload", WorkloadKindName(scenario.workload().kind))
-                        .Set("iterations", static_cast<uint64_t>(scenario.workload().iterations))
-                        .Set("mode", mode)
-                        .Set("variant", VariantName(replication.variant))
-                        .Set("epoch_length", replication.epoch_length)
-                        .Set("backups", config.backups)
-                        .Set("seed", config.seed)
-                        .Set("failure", parsed->failure_description);
-    if (want_bare) {
-      doc.Set("bare", OutcomeJson(bare));
-    }
-    if (want_replicated) {
-      JsonValue rep = OutcomeJson(ft);
-      rep.Set("replication", ReplicationJson(ft));
-      rep.Set("transport", TransportJson(ft));
-      doc.Set("replicated", std::move(rep));
-    }
-    if (env.has_value()) {
-      doc.Set("comparison", JsonValue::Object()
-                                .Set("normalized_performance", NormalizedPerformance(ft, bare))
-                                .Set("env_consistency", env->ok)
-                                .Set("env_consistency_detail", env->ok ? "" : env->detail));
-    }
-    JsonValue failed_json = JsonValue::Array();
-    for (const std::string& reason : failed) {
-      failed_json.Push(reason);
-    }
-    doc.Set("failed_checks", std::move(failed_json)).Set("verdict", verdict);
-    std::fputs(doc.Dump().c_str(), stdout);
-    return failed.empty() ? 0 : 1;
-  }
-
-  std::printf("== hbft run report ==\n");
-  ReportLine("workload", WorkloadKindName(scenario.workload().kind));
-  ReportLine("iterations", std::to_string(scenario.workload().iterations));
-  ReportLine("mode", mode);
-  if (want_replicated) {
-    ReportLine("variant", VariantName(replication.variant));
-    ReportLine("epoch_length", std::to_string(replication.epoch_length));
-    ReportLine("backups", std::to_string(config.backups));
-    ReportLine("failure", parsed->failure_description);
-    if (link_faults.Enabled()) {
-      char link[128];
-      std::snprintf(link, sizeof(link), "loss=%g dup=%g reorder=%g queue=%u rto_ms=%.3f",
-                    link_faults.drop_probability, link_faults.duplicate_probability,
-                    link_faults.reorder_probability, link_faults.sender_queue_limit,
-                    link_faults.retransmit_timeout.seconds() * 1e3);
-      ReportLine("link_faults", link);
-    }
-  }
+  JsonValue doc = JsonValue::Object()
+                      .Set("command", "run")
+                      .Set("workload", WorkloadKindName(scenario.workload().kind))
+                      .Set("iterations", static_cast<uint64_t>(scenario.workload().iterations))
+                      .Set("mode", mode)
+                      .Set("variant", VariantName(config.replication.variant))
+                      .Set("epoch_length", config.replication.epoch_length)
+                      .Set("backups", config.backups)
+                      .Set("seed", config.seed)
+                      .Set("failure", parsed->failure_description)
+                      .Set("link_faults",
+                           JsonValue::Object()
+                               .Set("loss", link_faults.drop_probability)
+                               .Set("dup", link_faults.duplicate_probability)
+                               .Set("reorder", link_faults.reorder_probability)
+                               .Set("queue", static_cast<uint64_t>(link_faults.sender_queue_limit))
+                               .Set("rto_ms", link_faults.retransmit_timeout.seconds() * 1e3));
   if (want_bare) {
-    ReportOutcome("bare reference", bare);
+    doc.Set("bare", OutcomeJson(bare));
   }
   if (want_replicated) {
-    ReportOutcome("replicated", ft);
-    ReportReplicationStats(ft);
-    if (!ft.resyncs.empty()) {
-      ReportResyncStats(ft);
-    }
-    if (link_faults.Enabled()) {
-      ReportTransportStats(ft);
-    }
+    doc.Set("replicated", OutcomeJson(ft)
+                              .Set("replication", ReplicationJson(ft))
+                              .Set("transport", TransportJson(ft)));
   }
   if (env.has_value()) {
-    std::printf("-- comparison --\n");
-    ReportF("normalized_performance", NormalizedPerformance(ft, bare), " (N'/N)");
-    ReportLine("env_consistency", env->ok ? "ok" : "FAIL: " + env->detail);
-    // Back-compat aliases for scripts grepping the per-device verdicts.
-    ReportLine("disk_consistency", env->ok ? "ok" : "see env_consistency");
-    ReportLine("console_consistency", env->ok ? "ok" : "see env_consistency");
+    doc.Set("comparison", JsonValue::Object()
+                              .Set("normalized_performance", NormalizedPerformance(ft, bare))
+                              .Set("env_consistency", env->ok)
+                              .Set("env_consistency_detail", env->ok ? "" : env->detail));
   }
+  JsonValue failed_json = JsonValue::Array();
   for (const std::string& reason : failed) {
-    ReportLine("failed_check", reason);
+    failed_json.Push(reason);
   }
-  ReportLine("verdict", verdict);
+  doc.Set("failed_checks", std::move(failed_json))
+      .Set("verdict", failed.empty() ? "PASS" : "FAIL");
+  PrintReport(doc, json);
   return failed.empty() ? 0 : 1;
 }
 

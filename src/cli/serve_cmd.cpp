@@ -1,14 +1,14 @@
 // `hbft_cli serve` — front a protected guest with a real TCP listener, in
 // one process (the simulated chain) or two (--role=primary / --role=backup
-// with the replication stream over a real socket). The final report mirrors
-// `run --json`'s shape: an outcome block plus per-channel transport counters.
+// with the replication stream over a real socket). The final report is one
+// document, like `run`'s: the session outcome, the first replica's protocol
+// counters and per-channel transport counters.
 #include <climits>
 #include <cstdio>
 #include <optional>
 #include <string>
 
 #include "cli/commands.hpp"
-#include "cli/json.hpp"
 #include "cli/options.hpp"
 #include "serve/server.hpp"
 
@@ -18,20 +18,6 @@ namespace cli {
 namespace {
 
 JsonValue ServeJson(const serve::ServeConfig& config, const serve::ServeReport& report) {
-  JsonValue channels = JsonValue::Array();
-  for (const serve::ServeReport::ChannelReport& ch : report.channels) {
-    channels.Push(JsonValue::Object()
-                      .Set("name", ch.name)
-                      .Set("mode", ch.mode)
-                      .Set("messages_enqueued", ch.counters.messages_enqueued)
-                      .Set("wire_sends", ch.counters.wire_sends)
-                      .Set("retransmits", ch.counters.retransmits)
-                      .Set("rx_discards", ch.counters.rx_duplicates + ch.counters.rx_gaps)
-                      .Set("queue_drops", ch.counters.queue_drops)
-                      .Set("wire_decode_errors", ch.counters.wire_decode_errors)
-                      .Set("bytes_on_wire", ch.counters.bytes_on_wire)
-                      .Set("bytes_delivered", ch.counters.bytes_delivered));
-  }
   return JsonValue::Object()
       .Set("command", "serve")
       .Set("role", report.role)
@@ -39,6 +25,7 @@ JsonValue ServeJson(const serve::ServeConfig& config, const serve::ServeReport& 
       .Set("port", static_cast<uint64_t>(config.port))
       .Set("epoch_length", config.epoch_length)
       .Set("seed", config.seed)
+      .Set("failure", config.failure_description)
       .Set("completed", report.ok)
       .Set("stop_reason", report.stop_reason)
       .Set("runtime_s", report.runtime_s)
@@ -55,48 +42,8 @@ JsonValue ServeJson(const serve::ServeConfig& config, const serve::ServeReport& 
       .Set("promotion_time_ms", report.promotion_latency_ms)
       .Set("repl_bytes_in", report.repl_bytes_in)
       .Set("repl_bytes_out", report.repl_bytes_out)
-      .Set("epochs", report.node.epochs)
-      .Set("messages_sent", report.node.messages_sent)
-      .Set("acks_received", report.node.acks_received)
-      .Set("uncertain_synthesised", report.node.uncertain_synthesised)
-      .Set("channels", std::move(channels));
-}
-
-void PrintServeReport(const serve::ServeReport& report) {
-  std::printf("== hbft serve report ==\n");
-  ReportLine("role", report.role);
-  ReportYesNo("completed", report.ok);
-  ReportLine("stop_reason", report.stop_reason);
-  ReportF("runtime_s", report.runtime_s);
-  ReportLine("connections", std::to_string(report.frontend.connections_accepted));
-  ReportLine("requests", std::to_string(report.frontend.requests));
-  ReportLine("responses", std::to_string(report.frontend.responses));
-  if (report.frontend.rejected_frames > 0) {
-    ReportLine("rejected_frames", std::to_string(report.frontend.rejected_frames));
-  }
-  ReportLine("client_bytes_in", std::to_string(report.frontend.bytes_in));
-  ReportLine("client_bytes_out", std::to_string(report.frontend.bytes_out));
-  ReportLine("failovers", std::to_string(report.failovers));
-  ReportYesNo("promoted", report.promoted);
-  if (report.promoted) {
-    ReportF("promotion_time_ms", report.promotion_latency_ms);
-  }
-  if (report.solo) {
-    ReportYesNo("solo", true);
-  }
-  ReportLine("epochs", std::to_string(report.node.epochs));
-  ReportLine("messages_sent", std::to_string(report.node.messages_sent));
-  ReportLine("acks_received", std::to_string(report.node.acks_received));
-  if (report.repl_bytes_in + report.repl_bytes_out > 0) {
-    ReportLine("repl_bytes_in", std::to_string(report.repl_bytes_in));
-    ReportLine("repl_bytes_out", std::to_string(report.repl_bytes_out));
-  }
-  for (const serve::ServeReport::ChannelReport& ch : report.channels) {
-    ReportLine("channel " + ch.name + " (" + ch.mode + ")",
-               "sent=" + std::to_string(ch.counters.wire_sends) +
-                   " retx=" + std::to_string(ch.counters.retransmits) +
-                   " bytes=" + std::to_string(ch.counters.bytes_on_wire));
-  }
+      .Extend(StatsJson(report.node))
+      .Set("channels", ChannelsJson(report.channels));
 }
 
 }  // namespace
@@ -154,16 +101,9 @@ int ServeCommand(FlagSet& flags) {
     return 2;
   }
 
-  for (const std::string& spec : flags.GetList("fail")) {
-    FailurePlan plan;
-    std::string description;
-    if (!ParseFailSpec(spec, &plan, &description)) {
-      return 2;
-    }
-    config.failures.push_back(plan);
-    config.failure_description =
-        config.failure_description == "none" ? description
-                                             : config.failure_description + "; " + description;
+  if (!ParseFailureSchedule(flags, config.backups, &config.failures,
+                            &config.failure_description)) {
+    return 2;
   }
   if (!config.failures.empty() && config.role != serve::ServeRole::kSingle) {
     std::fprintf(stderr,
@@ -190,11 +130,7 @@ int ServeCommand(FlagSet& flags) {
   if (!report.error.empty()) {
     std::fprintf(stderr, "hbft_cli: serve failed: %s\n", report.error.c_str());
   }
-  if (json) {
-    std::fputs(ServeJson(config, report).Dump().c_str(), stdout);
-  } else {
-    PrintServeReport(report);
-  }
+  PrintReport(ServeJson(config, report), json);
   return rc;
 }
 

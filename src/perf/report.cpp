@@ -2,57 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <sstream>
+#include <utility>
 
 #include "common/check.hpp"
 
 namespace hbft {
-
-TableReporter::TableReporter(std::vector<std::string> headers) : headers_(std::move(headers)) {}
-
-void TableReporter::AddRow(std::vector<std::string> cells) {
-  HBFT_CHECK_EQ(cells.size(), headers_.size());
-  rows_.push_back(std::move(cells));
-}
-
-std::string TableReporter::Num(double value, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", precision, value);
-  return buf;
-}
-
-std::string TableReporter::Render() const {
-  std::vector<size_t> widths(headers_.size());
-  for (size_t c = 0; c < headers_.size(); ++c) {
-    widths[c] = headers_[c].size();
-    for (const auto& row : rows_) {
-      widths[c] = std::max(widths[c], row[c].size());
-    }
-  }
-  std::ostringstream out;
-  auto emit_row = [&](const std::vector<std::string>& cells) {
-    for (size_t c = 0; c < cells.size(); ++c) {
-      out << (c == 0 ? "" : "  ");
-      out << cells[c];
-      for (size_t pad = cells[c].size(); pad < widths[c]; ++pad) {
-        out << ' ';
-      }
-    }
-    out << '\n';
-  };
-  emit_row(headers_);
-  std::vector<std::string> rule;
-  rule.reserve(headers_.size());
-  for (size_t c = 0; c < headers_.size(); ++c) {
-    rule.push_back(std::string(widths[c], '-'));
-  }
-  emit_row(rule);
-  for (const auto& row : rows_) {
-    emit_row(row);
-  }
-  return out.str();
-}
 
 double PercentileNearestRank(const std::vector<double>& sorted, double pct) {
   HBFT_CHECK(!sorted.empty());

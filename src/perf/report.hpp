@@ -1,31 +1,14 @@
-// Report building blocks for the CLI: aligned plain-text tables, and the
-// latency-percentile and availability arithmetic behind the fleet reports.
+// The latency-percentile and availability arithmetic behind the fleet
+// reports.
 #ifndef HBFT_PERF_REPORT_HPP_
 #define HBFT_PERF_REPORT_HPP_
 
-#include <string>
+#include <cstdint>
 #include <vector>
 
 #include "common/time.hpp"
 
 namespace hbft {
-
-class TableReporter {
- public:
-  explicit TableReporter(std::vector<std::string> headers);
-
-  void AddRow(std::vector<std::string> cells);
-  // Renders with aligned columns.
-  std::string Render() const;
-
-  static std::string Num(double value, int precision = 2);
-
- private:
-  std::vector<std::string> headers_;
-  std::vector<std::vector<std::string>> rows_;
-};
-
-// --- Latency percentiles & availability (fleet bench machinery) -------------
 
 // Exact nearest-rank percentile over `sorted` (ascending): the smallest
 // sample such that at least pct% of the samples are <= it — the ceil(pct/100

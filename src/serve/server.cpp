@@ -227,13 +227,7 @@ void ServeLoop(const ServeConfig& config, World* world, Frontend* frontend, Fram
   report->failovers = world->crash_times().size();
   report->solo = world->replica(world->active_index())->solo();
   report->node = world->replica(0)->stats();
-  for (const auto& [key, channel] : world->channel_map()) {
-    ServeReport::ChannelReport row;
-    row.name = "r" + std::to_string(key.first) + "->r" + std::to_string(key.second);
-    row.mode = channel->mode() == ChannelMode::kOrdered ? "protocol" : "acks";
-    row.counters = channel->counters();
-    report->channels.push_back(std::move(row));
-  }
+  report->channels = ChannelReports(*world);
   report->ok = stop.reason != "service-lost";
 }
 

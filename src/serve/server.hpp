@@ -40,8 +40,8 @@
 
 #include "core/replica.hpp"
 #include "devices/nic.hpp"
-#include "net/channel.hpp"
 #include "serve/frontend.hpp"
+#include "sim/scenario.hpp"
 #include "sim/world.hpp"
 
 namespace hbft {
@@ -89,12 +89,7 @@ struct ServeReport {
   // Protocol counters of the hosted (or first) replica.
   ReplicaNode::Stats node;
 
-  struct ChannelReport {
-    std::string name;  // Chain positions, e.g. "r0->r1".
-    std::string mode;  // "protocol" | "acks"
-    Channel::Counters counters;
-  };
-  std::vector<ChannelReport> channels;
+  std::vector<ScenarioResult::ChannelReport> channels;
 };
 
 // Runs one serve session to completion (signal, duration, request budget, or

@@ -361,17 +361,7 @@ void Scenario::CollectResult(World& world, ScenarioResult* out) const {
   result.env_trace = world.devices().EnvTrace();
   ReadBackGuestState(world.active_machine(), &result);
 
-  // Every channel of the mesh, in (from, to) key order — identical to the
-  // old adjacent-pair order for construction-time channels, with any rejoin
-  // pairs following their tail's position.
-  for (const auto& [key, ch_ptr] : world.channel_map()) {
-    ScenarioResult::ChannelReport ch;
-    ch.from = key.first;
-    ch.to = key.second;
-    ch.mode = ch_ptr->mode();
-    ch.counters = ch_ptr->counters();
-    result.channels.push_back(ch);
-  }
+  result.channels = ChannelReports(world);
 
   for (size_t i = 0; i < world.replica_count(); ++i) {
     ReplicaNode* replica = world.replica(i);
@@ -395,6 +385,14 @@ void Scenario::CollectResult(World& world, ScenarioResult* out) const {
 }
 
 ScenarioResult RunBare(const WorkloadSpec& workload) { return Scenario::Bare(workload).Run(); }
+
+std::vector<ScenarioResult::ChannelReport> ChannelReports(const World& world) {
+  std::vector<ScenarioResult::ChannelReport> reports;
+  for (const auto& [key, channel] : world.channel_map()) {
+    reports.push_back({key.first, key.second, channel->mode(), channel->counters()});
+  }
+  return reports;
+}
 
 double NormalizedPerformance(const ScenarioResult& replicated, const ScenarioResult& bare) {
   HBFT_CHECK(bare.completed && replicated.completed);

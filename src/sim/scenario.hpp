@@ -242,6 +242,9 @@ class Scenario {
 // Thin convenience for the ubiquitous default-configuration reference run.
 ScenarioResult RunBare(const WorkloadSpec& workload);
 
+// One report per channel of `world`'s mesh, in (from, to) key order.
+std::vector<ScenarioResult::ChannelReport> ChannelReports(const World& world);
+
 // The paper's figure of merit: N'/N.
 double NormalizedPerformance(const ScenarioResult& replicated, const ScenarioResult& bare);
 

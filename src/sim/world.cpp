@@ -213,12 +213,23 @@ void World::FireTimedFailure(size_t schedule_index, SimTime when) {
     return;
   }
   const FailurePlan& plan = schedule_[schedule_index];
-  size_t victim = plan.target == FailurePlan::Target::kBackup
-                      ? 1 + static_cast<size_t>(plan.backup_index)
-                      : active_index_;
+  // A backup target is the K-th live standing backup below the current
+  // active replica; when the chain has no such backup the kill does not fire.
+  size_t victim = active_index_;
+  if (plan.target == FailurePlan::Target::kBackup) {
+    victim = kNoChain;
+    int standing = 0;
+    for (size_t j = chain_next_[active_index_]; j != kNoChain; j = chain_next_[j]) {
+      if (!replicas_[j]->dead() && !replicas_[j]->joining() &&
+          standing++ == plan.backup_index) {
+        victim = j;
+        break;
+      }
+    }
+  }
   ++next_failure_;
-  ReplicaNode* node = replicas_[victim].get();
-  if (!node->dead() && !node->halted()) {
+  ReplicaNode* node = victim == kNoChain ? nullptr : replicas_[victim].get();
+  if (node != nullptr && !node->dead() && !node->halted()) {
     SimTime t = node->clock() > when ? node->clock() : when;
     last_event_time_ = t;
     KillReplica(victim, t, plan.crash_io);

@@ -60,7 +60,8 @@ struct FailurePlan {
   enum class Kind { kNone, kAtTime, kAtPhase, kRejoin };
   // kActive: whichever replica currently drives the devices — the primary,
   // or after a failover the most recently promoted backup. kBackup: the
-  // standing backup at `backup_index` (0 = the primary's immediate backup).
+  // `backup_index`-th live standing backup below the active replica when the
+  // event fires (0 = its immediate backup); none there, no kill.
   enum class Target { kActive, kBackup };
   Kind kind = Kind::kNone;
   Target target = Target::kActive;

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
 #include "core/failure_detector.hpp"
 #include "guest/workloads.hpp"
@@ -203,6 +204,27 @@ TEST(Cascade, MiddleBackupDeathTruncatesChain) {
   for (const auto& entry : ft.disk_trace) {
     EXPECT_EQ(entry.issuer, ft.primary_id);
   }
+}
+
+// After a failover a backup target names a live standing backup below the
+// promoted replica, never the promoted replica itself: "backup 0" of the
+// chain node 2 -> node 3 is node 3, and node 2 keeps serving.
+TEST(Cascade, BackupTargetResolvesBelowThePromotedReplica) {
+  WorkloadSpec spec = TxnSpec(20);
+  ScenarioResult bare = RunBare(spec);
+  ASSERT_TRUE(bare.completed);
+
+  ScenarioResult ft = Scenario::Replicated(spec)
+                          .Backups(2)
+                          .Epoch(4096)
+                          .FailAtTime(SimTime::Millis(6))
+                          .FailAtTime(SimTime::Millis(20), FailurePlan::Target::kBackup, 0)
+                          .Run();
+  VerifyAgainstBare(spec, bare, ft);
+  EXPECT_EQ(ft.crash_times, (std::vector<SimTime>{SimTime::Millis(6), SimTime::Millis(20)}));
+  ASSERT_EQ(ft.nodes.size(), 3u);
+  EXPECT_TRUE(ft.nodes[1].promoted);
+  EXPECT_FALSE(ft.nodes[2].promoted);
 }
 
 // The middle replica of a lossy three-replica chain reads everything its dead

@@ -1,7 +1,9 @@
 # Smoke test for the hbft_cli scenario driver, run via `cmake -P`.
 # Checks that `run`, `fleet`, `serve` and `bench --quick` exit 0 and that
 # their reports contain the expected fields / artifacts, and that malformed
-# or unsatisfiable requests exit non-zero.
+# or unsatisfiable requests exit non-zero. A text report is the --json
+# document flattened to one `path : value` line per leaf, so its checks
+# match document paths.
 file(MAKE_DIRECTORY ${WORK_DIR})
 
 # Every command runs under a TIMEOUT, so a hung one fails fast and is named
@@ -43,38 +45,38 @@ endfunction()
 
 # --- run: bare vs replicated comparison report ------------------------------
 run_cli(run_out run --workload=txnlog --iterations=6 --epoch-length=4096 --variant=new)
-expect_field("${run_out}" "workload")
-expect_field("${run_out}" "completed")
-expect_field("${run_out}" "normalized_performance")
-expect_field("${run_out}" "guest_checksum")
+expect_field("${run_out}" "workload +: \"txnlog\"")
+expect_field("${run_out}" "replicated\\.completed +: ")
+expect_field("${run_out}" "comparison\\.normalized_performance +: ")
+expect_field("${run_out}" "replicated\\.guest_checksum +: ")
 
 # --- run --mode=bare: no replication ----------------------------------------
 run_cli(bare_out run --workload=cpu --iterations=2000 --mode=bare)
-expect_field("${bare_out}" "completed[ =:]+yes")
+expect_field("${bare_out}" "bare\\.completed +: true")
 
 # --- run --fail: failure injection through the run subcommand ---------------
 run_cli(fail_out run --workload=txnlog --iterations=6 --fail=phase=after-send-tme,epoch=2)
-expect_field("${fail_out}" "promoted[ =:]+yes")
+expect_field("${fail_out}" "replicated\\.replication\\.promoted +: true")
 
 # --- failover drill: primary kill with promotion-latency report -------------
 run_cli(drill_out run --variant=new --fail=phase=after-send-tme,epoch=3)
-expect_field("${drill_out}" "promoted[ =:]+yes")
-expect_field("${drill_out}" "promotion_latency_ms_node2")
-expect_field("${drill_out}" "crash_time")
-expect_field("${drill_out}" "verdict[ =:]+PASS")
+expect_field("${drill_out}" "replicated\\.replication\\.promoted +: true")
+expect_field("${drill_out}" "nodes\\.1\\.promotion_latency_ms +: ")
+expect_field("${drill_out}" "crash_times_ms\\.0 +: ")
+expect_field("${drill_out}" "verdict +: \"PASS\"")
 run_cli(drill_old_out run --variant=old --epoch-length=2048
         --fail=phase=after-send-tme,epoch=3)
-expect_field("${drill_old_out}" "promoted[ =:]+yes")
-expect_field("${drill_old_out}" "verdict[ =:]+PASS")
+expect_field("${drill_old_out}" "replicated\\.replication\\.promoted +: true")
+expect_field("${drill_old_out}" "verdict +: \"PASS\"")
 
 # --- repair drill: kill -> resync (live state transfer) -> kill again -------
 run_cli(repair_out run --iterations=40 --fail=phase=after-send-tme,epoch=3
         --fail=rejoin-after-ms=20 --fail=after-resync-ms=10)
-expect_field("${repair_out}" "promotion_latency_ms_node3")
-expect_field("${repair_out}" "resync_completed[ =:]+yes")
-expect_field("${repair_out}" "resync_latency_ms")
-expect_field("${repair_out}" "resync_bytes")
-expect_field("${repair_out}" "verdict[ =:]+PASS")
+expect_field("${repair_out}" "nodes\\.2\\.promotion_latency_ms +: ")
+expect_field("${repair_out}" "resyncs\\.0\\.completed +: true")
+expect_field("${repair_out}" "resyncs\\.0\\.latency_ms +: ")
+expect_field("${repair_out}" "resyncs\\.0\\.bytes +: ")
+expect_field("${repair_out}" "verdict +: \"PASS\"")
 
 # --- a kill that never fires fails the run: the workload ends first ----------
 execute_process(COMMAND ${HBFT_CLI} run --workload=txnlog --iterations=6
@@ -88,8 +90,9 @@ if(NOT unfired_rc EQUAL 1)
   message(FATAL_ERROR "run with a kill that never fires exited ${unfired_rc}, want 1:\n"
                       "${unfired_out}")
 endif()
-expect_field("${unfired_out}" "scheduled kill never fired: 0 of 1 fired \\(at-time 100000 ms\\)")
-expect_field("${unfired_out}" "verdict[ =:]+FAIL")
+expect_field("${unfired_out}"
+             "failed_checks\\.0 +: \"scheduled kill never fired: 0 of 1 fired \\(at-time 100000 ms\\)\"")
+expect_field("${unfired_out}" "verdict +: \"FAIL\"")
 
 # --- run --json: machine-readable report with a fail->rejoin schedule --------
 run_cli(json_out run --workload=txnlog --iterations=12 --json
@@ -108,39 +111,47 @@ expect_field("${seed_json_out}" "\"seed\": 18446744073709551615")
 # --- run --backups=2: cascading failover through a backup chain -------------
 run_cli(cascade_out run --backups=2 --fail=time-ms=6
         --fail=phase=after-io-issue,crash-io=not-performed)
-expect_field("${cascade_out}" "promotion_latency_ms_node3")
-expect_field("${cascade_out}" "verdict[ =:]+PASS")
+expect_field("${cascade_out}" "nodes\\.2\\.promotion_latency_ms +: ")
+expect_field("${cascade_out}" "verdict +: \"PASS\"")
 run_cli(cascade_default_out run --backups=2 --variant=new
         --fail=phase=after-send-tme,epoch=3 --fail=phase=after-io-issue)
-expect_field("${cascade_default_out}" "promotion_latency_ms_node3")
-expect_field("${cascade_default_out}" "verdict[ =:]+PASS")
+expect_field("${cascade_default_out}" "nodes\\.2\\.promotion_latency_ms +: ")
+expect_field("${cascade_default_out}" "verdict +: \"PASS\"")
 
 # --- run --backups=2: chain without failures, N'/N + consistency ------------
 run_cli(chain_run_out run --workload=txnlog --iterations=6 --backups=2)
-expect_field("${chain_run_out}" "replicas[ =:]+3")
-expect_field("${chain_run_out}" "disk_consistency[ =:]+ok")
+expect_field("${chain_run_out}" "replicated\\.replication\\.replicas +: 3\n")
+expect_field("${chain_run_out}" "comparison\\.env_consistency +: true")
 
 # --- net-echo: NIC scenario through the run subcommand -----------------------
 run_cli(net_out run --workload=net-echo --iterations=3)
-expect_field("${net_out}" "workload[ =:]+net-echo")
-expect_field("${net_out}" "completed[ =:]+yes")
-expect_field("${net_out}" "env_consistency[ =:]+ok")
+expect_field("${net_out}" "workload +: \"net-echo\"")
+expect_field("${net_out}" "replicated\\.completed +: true")
+expect_field("${net_out}" "comparison\\.env_consistency +: true")
 
 # --- net-echo failover: NIC covered by P6/P7 ---------------------------------
 run_cli(net_fail_out run --workload=net-echo --iterations=3
         --fail=phase=after-io-issue,crash-io=not-performed)
-expect_field("${net_fail_out}" "promoted[ =:]+yes")
-expect_field("${net_fail_out}" "env_consistency[ =:]+ok")
+expect_field("${net_fail_out}" "replicated\\.replication\\.promoted +: true")
+expect_field("${net_fail_out}" "comparison\\.env_consistency +: true")
 
 # --- device fault-plan knobs: retry-after-uncertain on both legacy devices ---
 run_cli(faults_out run --workload=txnlog --iterations=6 --disk-uncertain=0.3
         --console-uncertain=0.3 --uncertain-performed=0.5 --mode=replicated)
-expect_field("${faults_out}" "completed[ =:]+yes")
+expect_field("${faults_out}" "replicated\\.completed +: true")
 
 # --- net-echo drill: promotion report over the three-device workload ---------
 run_cli(net_drill_out run --workload=net-echo --fail=phase=after-send-tme,epoch=3)
-expect_field("${net_drill_out}" "promoted[ =:]+yes")
-expect_field("${net_drill_out}" "verdict[ =:]+PASS")
+expect_field("${net_drill_out}" "replicated\\.replication\\.promoted +: true")
+expect_field("${net_drill_out}" "verdict +: \"PASS\"")
+
+# --- echo: the console workload reads one typed character per iteration ------
+run_cli(echo_out run --workload=echo --iterations=3)
+expect_field("${echo_out}" "comparison\\.env_consistency +: true")
+expect_field("${echo_out}" "verdict +: \"PASS\"")
+run_cli(echo_fail_out run --workload=echo --fail=phase=after-io-issue)
+expect_field("${echo_fail_out}" "replicated\\.replication\\.promoted +: true")
+expect_field("${echo_fail_out}" "verdict +: \"PASS\"")
 
 # --- help + enum discoverability --------------------------------------------
 run_cli(help_out help)
@@ -154,18 +165,22 @@ expect_field("${phases_out}" "before-io-issue")
 
 # --- fleet: chains across hosts, host failure, failover + repair ------------
 run_cli(fleet_out fleet --chains=4 --hosts=4 --requests=3 --fail=host-0,time-ms=120)
-expect_field("${fleet_out}" "chains completed[ =:]+4/4")
-expect_field("${fleet_out}" "chains lost[ =:]+0")
-expect_field("${fleet_out}" "env consistent[ =:]+yes")
-expect_field("${fleet_out}" "healthy[ =:]+yes")
+expect_field("${fleet_out}" "config\\.chains +: 4\n")
+expect_field("${fleet_out}" "chains_completed +: 4\n")
+expect_field("${fleet_out}" "chains_lost +: 0\n")
+expect_field("${fleet_out}" "all_env_consistent +: true")
+expect_field("${fleet_out}" "healthy +: true")
 run_cli(fleet_json_out fleet --chains=2 --hosts=2 --requests=2 --no-verify --json)
 expect_field("${fleet_json_out}" "\"availability\"")
 expect_field("${fleet_json_out}" "\"fingerprint\"")
 expect_field("${fleet_json_out}" "\"healthy\": true")
 
-# Parallel rounds keep the text report byte-identical to the serial path.
+# Parallel rounds keep the text report byte-identical to the serial path,
+# apart from the line echoing the thread count.
 run_cli(fleet_serial_out fleet --chains=4 --hosts=4 --requests=3 --fail=host-0,time-ms=120)
 run_cli(fleet_par_out fleet --chains=4 --hosts=4 --requests=3 --fail=host-0,time-ms=120 --threads=4)
+string(REGEX REPLACE "config\\.threads +: [0-9]+\n" "" fleet_serial_out "${fleet_serial_out}")
+string(REGEX REPLACE "config\\.threads +: [0-9]+\n" "" fleet_par_out "${fleet_par_out}")
 if(NOT fleet_par_out STREQUAL fleet_serial_out)
   message(FATAL_ERROR "fleet --threads=4 report differs from serial:\n--- serial ---\n${fleet_serial_out}\n--- threads=4 ---\n${fleet_par_out}")
 endif()
@@ -255,6 +270,13 @@ endif()
 if(NOT variant_err MATCHES "output commit")
   message(FATAL_ERROR "serve --variant=old missing contract message:\n${variant_err}")
 endif()
+
+# serve checks its --fail schedule as run does: an after-resync kill needs
+# an earlier rejoin, and a backup target must exist in the chain.
+expect_usage_error("needs an earlier rejoin event" serve --role=single
+                   --fail=after-resync-ms=5)
+expect_usage_error("targets backup 3 but the chain has only 1 backup" serve --role=single
+                   --fail=time-ms=5,target=backup:3)
 
 # Only --role=single builds a chain; a wire role given --backups would
 # silently serve as a plain pair.

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "perf/models.hpp"
-#include "perf/report.hpp"
 
 namespace hbft {
 namespace {
@@ -129,19 +128,6 @@ TEST(ModelShape, IoDelayTermLiftsVeryLargeEpochs) {
   double np32k = ModelNpWrite(32768, false);
   double np512k = ModelNpWrite(524288, false);
   EXPECT_GT(np512k, np32k);
-}
-
-// ---- Reporting ----------------------------------------------------------------
-
-TEST(Report, TableRendersAligned) {
-  TableReporter table({"A", "Bee"});
-  table.AddRow({"1", "2"});
-  table.AddRow({"333", "4"});
-  std::string out = table.Render();
-  EXPECT_NE(out.find("A    Bee"), std::string::npos);
-  EXPECT_NE(out.find("333  4"), std::string::npos);
-  EXPECT_EQ(TableReporter::Num(1.2345), "1.23");
-  EXPECT_EQ(TableReporter::Num(1.2345, 3), "1.234");
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
 // perf/report helper tests: exact nearest-rank percentiles on small samples
 // and time-based availability from outage windows — the fleet's measurement
 // arithmetic, checked against hand-computed values — plus the JSON printer
-// every --json report goes through.
+// every report goes through, as JSON and as flattened text.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "cli/json.hpp"
@@ -108,6 +110,83 @@ TEST(JsonValue, PrintsUint64AboveInt64MaxUnsigned) {
   cli::JsonValue doc = cli::JsonValue::Object();
   doc.Set("fingerprint", uint64_t{16216602067118716049ULL});
   EXPECT_EQ(doc.Dump(), "{\n  \"fingerprint\": 16216602067118716049\n}\n");
+}
+
+// The text report is the document flattened: one `path : value` line per
+// leaf, object keys and array indices joined with '.', paths padded to the
+// longest, values printed exactly as Dump prints them.
+TEST(JsonValueText, FlattensNestedObjectsAndArrays) {
+  cli::JsonValue node0 = cli::JsonValue::Object().Set("id", 1).Set("promoted", false);
+  cli::JsonValue node1 = cli::JsonValue::Object().Set("id", 2).Set("promoted", true);
+  cli::JsonValue doc = cli::JsonValue::Object();
+  doc.Set("verdict", "PASS")
+      .Set("replication",
+           cli::JsonValue::Object().Set("nodes", cli::JsonValue::Array().Push(node0).Push(node1)))
+      .Set("crash_times_ms", cli::JsonValue::Array().Push(6.0).Push(20.5))
+      .Set("seed", ~uint64_t{0})
+      .Set("ratio", 1.0 / 3.0)
+      .Set("missing", cli::JsonValue());
+  EXPECT_EQ(doc.DumpText(),
+            "verdict                      : \"PASS\"\n"
+            "replication.nodes.0.id       : 1\n"
+            "replication.nodes.0.promoted : false\n"
+            "replication.nodes.1.id       : 2\n"
+            "replication.nodes.1.promoted : true\n"
+            "crash_times_ms.0             : 6\n"
+            "crash_times_ms.1             : 20.5\n"
+            "seed                         : 18446744073709551615\n"
+            "ratio                        : 0.333333\n"
+            "missing                      : null\n");
+}
+
+TEST(JsonValueText, EmptyContainersAreLeaves) {
+  cli::JsonValue doc = cli::JsonValue::Object();
+  doc.Set("failed_checks", cli::JsonValue::Array())
+      .Set("config", cli::JsonValue::Object())
+      .Set("rows", cli::JsonValue::Array().Push(cli::JsonValue::Object()).Push(
+                       cli::JsonValue::Array()));
+  EXPECT_EQ(doc.DumpText(),
+            "failed_checks : []\n"
+            "config        : {}\n"
+            "rows.0        : {}\n"
+            "rows.1        : []\n");
+  EXPECT_EQ(cli::JsonValue::Object().DumpText(), " : {}\n");
+}
+
+// A string prints quoted and escaped, so no value can start a second line.
+TEST(JsonValueText, EscapedStringsKeepOneLinePerLeaf) {
+  cli::JsonValue doc = cli::JsonValue::Object();
+  doc.Set("detail", "line one\nline \"two\"\tand \\ three")
+      .Set("bell", std::string("a\x07") + "b")
+      .Set("reasons", cli::JsonValue::Array().Push("x\ny").Push("\r\n"));
+  const std::string text = doc.DumpText();
+  EXPECT_EQ(text,
+            "detail    : \"line one\\nline \\\"two\\\"\\tand \\\\ three\"\n"
+            "bell      : \"a\\u0007b\"\n"
+            "reasons.0 : \"x\\ny\"\n"
+            "reasons.1 : \"\\u000d\\n\"\n");
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 4);
+}
+
+// Every line of a wide document puts its ':' in one column.
+TEST(JsonValueText, AlignsEveryLineToTheLongestPath) {
+  cli::JsonValue rows = cli::JsonValue::Array();
+  for (int i = 0; i < 12; ++i) {
+    rows.Push(cli::JsonValue::Object().Set("n", i).Set("a_much_longer_key", i * 2));
+  }
+  cli::JsonValue doc = cli::JsonValue::Object();
+  doc.Set("k", "v").Set("rows", std::move(rows));
+  const std::string text = doc.DumpText();
+  const size_t column = std::string("rows.10.a_much_longer_key").size() + 1;
+  size_t lines = 0;
+  for (size_t start = 0; start < text.size(); ++lines) {
+    const size_t end = text.find('\n', start);
+    ASSERT_NE(end, std::string::npos);
+    const std::string line = text.substr(start, end - start);
+    EXPECT_EQ(line.find(" : "), column - 1) << line;
+    start = end + 1;
+  }
+  EXPECT_EQ(lines, 1u + 12u * 2u);
 }
 
 }  // namespace
