@@ -56,13 +56,14 @@ enum class Link { kEthernet10, kAtm155 };
 // Runs (and memoises) one replicated measurement. The table and figure
 // sweeps overlap heavily — fig2's Ethernet CPU points are table1's, fig4
 // repeats them again — so identical (workload, EL, variant, link)
-// configurations simulate once. Failed measurements are counted: the
-// artifacts still get written (with np = null) but the command exits
-// non-zero so CI cannot stay green on a corrupt perf trajectory.
+// configurations simulate once. A failed measurement counts in the bench's
+// failure count: the artifacts still get written (with np = null) but the
+// command exits non-zero so CI cannot stay green on a corrupt perf
+// trajectory.
 class Measurer {
  public:
-  Measurer(const WorkloadSpec* specs, const ScenarioResult* bares)
-      : specs_(specs), bares_(bares) {}
+  Measurer(const WorkloadSpec* specs, const ScenarioResult* bares, int* failures)
+      : specs_(specs), bares_(bares), failures_(failures) {}
 
   // `workload` indexes the shared specs/bares arrays (0 cpu, 1 write, 2 read).
   double Np(int workload, uint64_t epoch_len, ProtocolVariant variant,
@@ -84,7 +85,7 @@ class Measurer {
       std::fprintf(stderr, "hbft_cli: bench measurement failed (%s, EL=%llu)\n",
                    WorkloadKindName(specs_[workload].kind),
                    static_cast<unsigned long long>(epoch_len));
-      ++failures_;
+      ++*failures_;
     } else {
       np = NormalizedPerformance(ft, bares_[workload]);
     }
@@ -92,13 +93,11 @@ class Measurer {
     return np;
   }
 
-  int failures() const { return failures_; }
-
  private:
   const WorkloadSpec* specs_;
   const ScenarioResult* bares_;
+  int* failures_;
   std::map<std::tuple<int, uint64_t, int, int>, double> cache_;
-  int failures_ = 0;
 };
 
 // Paper-measured reference values at EL = 1K/2K/4K/8K (Table 1), or a
@@ -554,40 +553,40 @@ bool EmitFig6(const BenchConfig& cfg, int* failures) {
   return WriteBenchDoc(cfg, "fig6_interp_throughput", "fig6_throughput.json", std::move(rows));
 }
 
+// The storm fleet fig7 and fig8 run: `chains` chains of one backup each,
+// placed anti-affinity on `hosts` hosts, and `storm` hosts failing at
+// 120 ms. The storm lands mid-traffic (arrivals start at 100 ms, 20 ms
+// apart), so the latency tail contains failover-delayed requests. The
+// per-chain env-consistency check doubles the run for no extra data here;
+// the fleet tests exercise it.
+FleetConfig StormFleet(const BenchConfig& cfg, size_t chains, size_t hosts, size_t storm) {
+  FleetConfig fc;
+  fc.chains = chains;
+  fc.hosts = hosts;
+  fc.backups = 1;
+  fc.traffic.requests_per_chain = cfg.quick ? 4 : 8;
+  for (size_t h : StormHosts(hosts, storm)) {
+    fc.host_failures.push_back(HostFailure{h, SimTime::Millis(120)});
+  }
+  fc.verify = false;
+  return fc;
+}
+
 // Fig 7 (this reproduction's extension) — fleet: availability and request
 // latency percentiles for a fleet of protected chains under host failure
 // storms of increasing width. Placement is anti-affinity, so every affected
 // chain loses exactly one replica per storm and must fail over (and repair)
-// without losing service. Everything except `wall_ms` is simulated-time and
-// byte-diffed in CI; diff_bench.py additionally enforces sanity floors
-// (availability <= 1, p50 <= p99 <= p999) on the regenerated rows.
+// without losing service. Every field is simulated-time and byte-diffed in
+// CI; diff_bench.py additionally enforces sanity floors (availability <= 1,
+// p50 <= p99 <= p999) on the regenerated rows.
 bool EmitFig7(const BenchConfig& cfg, int* failures) {
   std::printf("bench: fig7 (fleet availability + latency vs host failure storm)\n");
   const size_t chains = cfg.quick ? 8 : 32;
   const size_t hosts = 8;
-  const uint64_t requests = cfg.quick ? 4 : 8;
   const size_t storm_widths[] = {0, 1, 2, 4};
   JsonValue rows = JsonValue::Array();
   for (size_t width : storm_widths) {
-    FleetConfig fc;
-    fc.chains = chains;
-    fc.hosts = hosts;
-    fc.backups = 1;
-    fc.traffic.requests_per_chain = requests;
-    // The storm lands mid-traffic (arrivals start at 100ms, 20ms apart) so
-    // the latency tail actually contains failover-delayed requests.
-    for (size_t h : StormHosts(hosts, width)) {
-      fc.host_failures.push_back(HostFailure{h, SimTime::Millis(120)});
-    }
-    // The per-chain env-consistency check doubles the run for no extra data
-    // here; the fleet tests exercise it.
-    fc.verify = false;
-    // hbft-lint: allow(wall-clock) — host-side bench timing, never feeds the simulation.
-    auto t0 = std::chrono::steady_clock::now();
-    FleetResult r = Fleet(fc).Run();
-    double wall_ms =
-        // hbft-lint: allow(wall-clock) — host-side bench timing, never feeds the simulation.
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
+    FleetResult r = Fleet(StormFleet(cfg, chains, hosts, width)).Run();
     if (r.chains_lost != 0 || r.chains_completed != chains) {
       std::fprintf(stderr, "hbft_cli: bench fig7 measurement failed (storm=%zu)\n", width);
       ++*failures;
@@ -608,8 +607,7 @@ bool EmitFig7(const BenchConfig& cfg, int* failures) {
                   .Set("max_ms", r.latency_ms.max)
                   .Set("failovers", static_cast<uint64_t>(r.failovers))
                   .Set("repairs", static_cast<uint64_t>(r.repairs))
-                  .Set("fingerprint", r.fingerprint)
-                  .Set("wall_ms", wall_ms));
+                  .Set("fingerprint", r.fingerprint));
   }
   return WriteBenchDoc(cfg, "fig7_fleet", "fig7_fleet.json", std::move(rows));
 }
@@ -642,15 +640,7 @@ bool EmitFig8(const BenchConfig& cfg, int* failures) {
     double serial_wall_ms = 0.0;
     uint64_t serial_fingerprint = 0;
     for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
-      FleetConfig fc;
-      fc.chains = fleet_case.chains;
-      fc.hosts = fleet_case.hosts;
-      fc.backups = 1;
-      fc.traffic.requests_per_chain = cfg.quick ? 4 : 8;
-      for (size_t h : StormHosts(fleet_case.hosts, fleet_case.storm)) {
-        fc.host_failures.push_back(HostFailure{h, SimTime::Millis(120)});
-      }
-      fc.verify = false;
+      FleetConfig fc = StormFleet(cfg, fleet_case.chains, fleet_case.hosts, fleet_case.storm);
       fc.threads = threads;
       // hbft-lint: allow(wall-clock) — host-side bench timing, never feeds the simulation.
       auto t0 = std::chrono::steady_clock::now();
@@ -775,44 +765,20 @@ int BenchCommand(FlagSet& flags) {
     }
   }
 
-  Measurer measurer(specs, bares);
-  int lossy_failures = 0;
-  int resync_failures = 0;
-  int fig6_failures = 0;
-  int fig7_failures = 0;
-  int fig8_failures = 0;
+  // Every failure site prints its own line; the command fails on the count.
+  int failures = 0;
+  Measurer measurer(specs, bares, &failures);
   bool ok = (!want("table1") || EmitTable1(cfg, specs, measurer)) &&
             (!want("fig2_cpu") || EmitFig2(cfg, bares[0], measurer)) &&
             (!want("fig3_io") || EmitFig3(cfg, measurer)) &&
             (!want("fig4_faster_comm") || EmitFig4(cfg, measurer)) &&
-            (!want("fig4_lossy_link") || EmitFig4Lossy(cfg, specs, bares, &lossy_failures)) &&
-            (!want("fig5_resync") || EmitFig5(cfg, &resync_failures)) &&
-            (!want("fig6_throughput") || EmitFig6(cfg, &fig6_failures)) &&
-            (!want("fig7_fleet") || EmitFig7(cfg, &fig7_failures)) &&
-            (!want("fig8_parallel") || EmitFig8(cfg, &fig8_failures));
-  if (ok && lossy_failures > 0) {
-    std::fprintf(stderr, "hbft_cli: %d fig4-lossy measurement(s) failed\n", lossy_failures);
-    ok = false;
-  }
-  if (ok && resync_failures > 0) {
-    std::fprintf(stderr, "hbft_cli: %d fig5 resync measurement(s) failed\n", resync_failures);
-    ok = false;
-  }
-  if (ok && fig6_failures > 0) {
-    std::fprintf(stderr, "hbft_cli: %d fig6 measurement(s) failed\n", fig6_failures);
-    ok = false;
-  }
-  if (ok && fig7_failures > 0) {
-    std::fprintf(stderr, "hbft_cli: %d fig7 fleet measurement(s) failed\n", fig7_failures);
-    ok = false;
-  }
-  if (ok && fig8_failures > 0) {
-    std::fprintf(stderr, "hbft_cli: %d fig8 parallel measurement(s) failed\n", fig8_failures);
-    ok = false;
-  }
-  if (ok && measurer.failures() > 0) {
-    std::fprintf(stderr, "hbft_cli: %d measurement(s) failed (null np in artifacts)\n",
-                 measurer.failures());
+            (!want("fig4_lossy_link") || EmitFig4Lossy(cfg, specs, bares, &failures)) &&
+            (!want("fig5_resync") || EmitFig5(cfg, &failures)) &&
+            (!want("fig6_throughput") || EmitFig6(cfg, &failures)) &&
+            (!want("fig7_fleet") || EmitFig7(cfg, &failures)) &&
+            (!want("fig8_parallel") || EmitFig8(cfg, &failures));
+  if (ok && failures > 0) {
+    std::fprintf(stderr, "hbft_cli: %d bench measurement(s) failed\n", failures);
     ok = false;
   }
   if (ok) {

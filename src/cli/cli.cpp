@@ -77,8 +77,7 @@ void PrintUsage(std::FILE* out) {
       "  --placement=P         round-robin | anti-affinity (anti-affinity: a host\n"
       "                        failure kills at most one replica per chain)\n"
       "  --requests=N          open-loop requests per chain (8)\n"
-      "  --rate=R              requests/second per chain (overrides --interval-ms)\n"
-      "  --interval-ms=X       open-loop inter-arrival gap (20)\n"
+      "  --interval-ms=X       open-loop inter-arrival gap per chain (20)\n"
       "  --slo-ms=X            request latency SLO for attainment (50)\n"
       "  --fail=SPEC           host-K,time-ms=X (one host) or\n"
       "                        host-storm,hosts=N,time-ms=X (N hosts, evenly\n"
@@ -91,7 +90,7 @@ void PrintUsage(std::FILE* out) {
       "  --threads=N           worker threads for round slices (1); results are\n"
       "                        bit-identical at any N (chains shard by id, all\n"
       "                        cross-chain state changes at the round barrier)\n"
-      "  --quantum-ms=X --repair-retry-ms=X --start-ms=X --payload-bytes=B\n"
+      "  --repair-retry-ms=X --start-ms=X --payload-bytes=B\n"
       "  --epoch-length=N --seed=N --max-time-ms=X\n"
       "  --json                the fleet report as JSON (else `path : value` lines)\n"
       "\n"

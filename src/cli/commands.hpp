@@ -20,6 +20,10 @@ int ServeCommand(FlagSet& flags);
 // --json as the document, otherwise as its DumpText() lines.
 void PrintReport(const JsonValue& doc, bool json);
 
+// A promoted replica's takeover latency, as `run` and `serve` report it:
+// its promotion time minus the latest crash at or before it.
+double PromotionLatencyMs(const ScenarioResult& r, SimTime promotion_time);
+
 // One renderer per stats struct, shared by the reports that carry it: an
 // object with one key per counter, durations in milliseconds.
 JsonValue StatsJson(const ReplicaNode::Stats& stats);

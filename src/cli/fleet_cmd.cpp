@@ -131,22 +131,11 @@ int FleetCommand(FlagSet& flags) {
   config.traffic.payload_bytes =
       static_cast<uint32_t>(flags.GetU64("payload-bytes", UINT32_MAX).value_or(32));
   config.traffic.start = millis("start-ms", 100.0);
-  if (auto rate = flags.GetDouble("rate")) {
-    // The request interval, 1000/rate ms, must fit a SimTime too.
-    if (!(*rate > 0.0) || 1e3 / *rate > static_cast<double>(kMaxMillis)) {
-      std::fprintf(stderr, "hbft_cli: --rate must be positive, at least %g per second\n",
-                   1e3 / static_cast<double>(kMaxMillis));
-      return 2;
-    }
-    config.traffic.interval = SimTime::MicrosF(1e6 / *rate);
-  } else {
-    config.traffic.interval = millis("interval-ms", 20.0);
-  }
+  config.traffic.interval = millis("interval-ms", 20.0);
   config.slo = millis("slo-ms", 50.0);
   config.repair_delay = millis("repair-delay-ms", 20.0);
   config.repair_retry = millis("repair-retry-ms", 10.0);
   config.repair_concurrency = flags.GetU64("repair-concurrency").value_or(1);
-  config.quantum = millis("quantum-ms", 10.0);
   if (flags.Has("max-time-ms")) {
     config.max_time = millis("max-time-ms", 0.0);
   }
@@ -165,10 +154,6 @@ int FleetCommand(FlagSet& flags) {
       std::fprintf(stderr, "hbft_cli: --%s must be >= 1\n", flag);
       return 2;
     }
-  }
-  if (!(config.quantum > SimTime::Zero())) {
-    std::fprintf(stderr, "hbft_cli: --quantum-ms must be positive\n");
-    return 2;
   }
   if (config.traffic.payload_bytes > kNicMaxPacketBytes) {
     std::fprintf(stderr, "hbft_cli: --payload-bytes must be <= %u\n", kNicMaxPacketBytes);

@@ -425,8 +425,12 @@ bool ParseFailSpec(const std::string& spec, FailurePlan* out, std::string* descr
   return true;
 }
 
-}  // namespace
-
+// Parses every --fail=SPEC flag, in order, into `schedule` for a chain of
+// `backups` backups. `description` joins the specs' descriptions with
+// "; then " (it is left as is for an empty schedule). Returns false after
+// printing why a spec is malformed or cannot run on the chain: a backup
+// target beyond it, or an after-resync kill with no earlier rejoin to wait
+// for.
 bool ParseFailureSchedule(FlagSet& flags, int backups, FailureSchedule* schedule,
                           std::string* description) {
   bool seen_rejoin = false;
@@ -456,6 +460,43 @@ bool ParseFailureSchedule(FlagSet& flags, int backups, FailureSchedule* schedule
   return true;
 }
 
+}  // namespace
+
+bool ParseChainFlags(FlagSet& flags, const char* default_variant, Scenario* scenario,
+                     std::string* failure_description) {
+  if (auto v = flags.GetU64("epoch-length")) {
+    scenario->Epoch(*v);
+  }
+  std::string variant_name = flags.GetString("variant", default_variant);
+  auto variant = ParseVariant(variant_name);
+  if (!variant) {
+    std::fprintf(stderr, "hbft_cli: unknown variant '%s' (old, new)\n", variant_name.c_str());
+    return false;
+  }
+  scenario->Variant(*variant);
+  if (auto v = flags.GetU64("seed")) {
+    scenario->Seed(*v);
+  }
+  int backups = 1;
+  if (auto v = flags.GetU64("backups", INT_MAX)) {
+    if (*v < 1) {
+      std::fprintf(stderr, "hbft_cli: --backups must be >= 1\n");
+      return false;
+    }
+    backups = static_cast<int>(*v);
+  }
+  scenario->Backups(backups);
+
+  FailureSchedule schedule;
+  if (!ParseFailureSchedule(flags, backups, &schedule, failure_description)) {
+    return false;
+  }
+  for (const FailurePlan& plan : schedule) {
+    scenario->FailAt(plan);
+  }
+  return true;
+}
+
 std::optional<ScenarioFlags> ParseScenarioFlags(FlagSet& flags) {
   std::string workload_name = flags.GetString("workload", "txnlog");
   auto kind = ParseWorkloadKind(workload_name);
@@ -481,29 +522,9 @@ std::optional<ScenarioFlags> ParseScenarioFlags(FlagSet& flags) {
   }
   ScenarioFlags out{Scenario::Replicated(workload)};
   Scenario& scenario = out.scenario;
-
-  if (auto v = flags.GetU64("epoch-length")) {
-    scenario.Epoch(*v);
-  }
-  std::string variant_name = flags.GetString("variant", "old");
-  auto variant = ParseVariant(variant_name);
-  if (!variant) {
-    std::fprintf(stderr, "hbft_cli: unknown variant '%s' (old, new)\n", variant_name.c_str());
+  if (!ParseChainFlags(flags, "old", &scenario, &out.failure_description)) {
     return std::nullopt;
   }
-  scenario.Variant(*variant);
-  if (auto v = flags.GetU64("seed")) {
-    scenario.Seed(*v);
-  }
-  int backups = 1;
-  if (auto v = flags.GetU64("backups", INT_MAX)) {
-    if (*v < 1) {
-      std::fprintf(stderr, "hbft_cli: --backups must be >= 1\n");
-      return std::nullopt;
-    }
-    backups = static_cast<int>(*v);
-  }
-  scenario.Backups(backups);
 
   // Per-device transient-fault knobs: uncertain-completion probabilities,
   // plus one shared performed-when-uncertain probability.
@@ -611,14 +632,6 @@ std::optional<ScenarioFlags> ParseScenarioFlags(FlagSet& flags) {
       input.push_back(static_cast<char>('a' + i % 16));
     }
     scenario.ConsoleInput(input + "q");
-  }
-
-  FailureSchedule schedule;
-  if (!ParseFailureSchedule(flags, backups, &schedule, &out.failure_description)) {
-    return std::nullopt;
-  }
-  for (const FailurePlan& plan : schedule) {
-    scenario.FailAt(plan);
   }
   return out;
 }

@@ -72,24 +72,26 @@ std::optional<FailPhase> ParseFailPhase(const std::string& name);
 void PrintWorkloadNames(std::FILE* out);
 void PrintFailPhaseNames(std::FILE* out);
 
-// Parses every --fail=SPEC flag, in order, into `schedule` for a chain of
-// `backups` backups. Each SPEC is comma-separated key=value pairs:
+// The replica chain every replicated command runs, from its flags, applied
+// to `scenario`: --epoch-length, --variant (`default_variant` when absent),
+// --seed, --backups and every --fail=SPEC, in order. Each SPEC is
+// comma-separated key=value pairs:
 //   --fail=time-ms=40                          kill the active replica at 40ms
 //   --fail=phase=after-io-issue,epoch=2        kill at a protocol phase
 //   --fail=time-ms=60,target=backup:1          kill the second standing backup
 //                                              below the active replica
 //   --fail=phase=after-send-tme,crash-io=performed
-// `description` joins the specs' descriptions with "; then " (it is left as
-// is for an empty schedule). Returns false after printing why a spec is
-// malformed or cannot run on the chain: a backup target beyond it, or an
-// after-resync kill with no earlier rejoin to wait for.
-bool ParseFailureSchedule(FlagSet& flags, int backups, FailureSchedule* schedule,
-                          std::string* description);
+// `failure_description` joins the specs' descriptions with "; then " (it is
+// left as is without --fail). Returns false after printing the offending
+// flag, or why a spec cannot run on the chain.
+bool ParseChainFlags(FlagSet& flags, const char* default_variant, Scenario* scenario,
+                     std::string* failure_description);
 
-// The scenario `run` parses from its flags: workload selection plus
-// replication, topology, device fault plans, injected packets, and the
-// failure schedule. Its bare reference is `scenario.AsBare()`, which keeps
-// every environment knob, so the transparency checks compare like with like.
+// The scenario `run` parses from its flags: workload selection, the chain
+// (ParseChainFlags, variant `old` by default), device fault plans, link
+// faults and injected input. Its bare reference is `scenario.AsBare()`,
+// which keeps every environment knob, so the transparency checks compare
+// like with like.
 struct ScenarioFlags {
   Scenario scenario;
   std::string failure_description = "none";

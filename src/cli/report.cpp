@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -8,6 +9,16 @@ namespace cli {
 
 void PrintReport(const JsonValue& doc, bool json) {
   std::fputs((json ? doc.Dump() : doc.DumpText()).c_str(), stdout);
+}
+
+double PromotionLatencyMs(const ScenarioResult& r, SimTime promotion_time) {
+  SimTime crash = SimTime::Zero();
+  for (SimTime t : r.crash_times) {
+    if (t <= promotion_time) {
+      crash = std::max(crash, t);
+    }
+  }
+  return (promotion_time - crash).seconds() * 1e3;
 }
 
 JsonValue StatsJson(const ReplicaNode::Stats& stats) {

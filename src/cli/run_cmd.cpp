@@ -21,18 +21,6 @@ namespace cli {
 
 namespace {
 
-// A promoted node's takeover latency: its promotion time minus the latest
-// crash at or before it.
-double PromotionLatencyMs(const ScenarioResult& r, SimTime promotion_time) {
-  SimTime crash = SimTime::Zero();
-  for (SimTime t : r.crash_times) {
-    if (t <= promotion_time) {
-      crash = std::max(crash, t);
-    }
-  }
-  return (promotion_time - crash).seconds() * 1e3;
-}
-
 // The run's verdict: one reason per failed check, none when it passes.
 // `bare` and `ft` are null for the run --mode skipped; `env` is set when
 // both completed.

@@ -1,12 +1,13 @@
 // `hbft_cli serve` — front a protected guest with a real TCP listener, in
 // one process (the simulated chain) or two (--role=primary / --role=backup
-// with the replication stream over a real socket). The final report is one
-// document, like `run`'s: the session outcome, the first replica's protocol
-// counters and per-channel transport counters.
-#include <climits>
+// with the replication stream over a real socket). The chain comes from
+// run's chain flags (ParseChainFlags, variant `new` by default), and the
+// final report is one document, like `run`'s: the session outcome, then,
+// from the session's ScenarioResult, its takeover, the first replica's
+// protocol counters and per-channel transport counters.
 #include <cstdio>
-#include <optional>
 #include <string>
+#include <utility>
 
 #include "cli/commands.hpp"
 #include "cli/options.hpp"
@@ -18,32 +19,36 @@ namespace cli {
 namespace {
 
 JsonValue ServeJson(const serve::ServeConfig& config, const serve::ServeReport& report) {
-  return JsonValue::Object()
-      .Set("command", "serve")
-      .Set("role", report.role)
-      .Set("workload", "net-echo")
-      .Set("port", static_cast<uint64_t>(config.port))
-      .Set("epoch_length", config.epoch_length)
-      .Set("seed", config.seed)
-      .Set("failure", config.failure_description)
-      .Set("completed", report.ok)
-      .Set("stop_reason", report.stop_reason)
-      .Set("runtime_s", report.runtime_s)
-      .Set("connections", report.frontend.connections_accepted)
-      .Set("requests", report.frontend.requests)
-      .Set("responses", report.frontend.responses)
-      .Set("responses_unroutable", report.frontend.responses_unroutable)
-      .Set("rejected_frames", report.frontend.rejected_frames)
-      .Set("client_bytes_in", report.frontend.bytes_in)
-      .Set("client_bytes_out", report.frontend.bytes_out)
-      .Set("failovers", report.failovers)
-      .Set("promoted", report.promoted)
-      .Set("solo", report.solo)
-      .Set("promotion_time_ms", report.promotion_latency_ms)
-      .Set("repl_bytes_in", report.repl_bytes_in)
+  const WorldConfig world = config.scenario.world_config();
+  const ScenarioResult& r = report.result;
+  JsonValue doc = JsonValue::Object()
+                      .Set("command", "serve")
+                      .Set("role", report.role)
+                      .Set("workload", "net-echo")
+                      .Set("port", static_cast<uint64_t>(config.port))
+                      .Set("epoch_length", world.replication.epoch_length)
+                      .Set("seed", world.seed)
+                      .Set("failure", config.failure_description)
+                      .Set("completed", report.ok)
+                      .Set("stop_reason", report.stop_reason)
+                      .Set("runtime_s", report.runtime_s)
+                      .Set("connections", report.frontend.connections_accepted)
+                      .Set("requests", report.frontend.requests)
+                      .Set("responses", report.frontend.responses)
+                      .Set("responses_unroutable", report.frontend.responses_unroutable)
+                      .Set("rejected_frames", report.frontend.rejected_frames)
+                      .Set("client_bytes_in", report.frontend.bytes_in)
+                      .Set("client_bytes_out", report.frontend.bytes_out)
+                      .Set("failovers", static_cast<uint64_t>(r.crash_times.size()))
+                      .Set("promoted", r.promoted)
+                      .Set("solo", report.solo);
+  if (r.promoted) {
+    doc.Set("promotion_latency_ms", PromotionLatencyMs(r, r.promotion_time));
+  }
+  return doc.Set("repl_bytes_in", report.repl_bytes_in)
       .Set("repl_bytes_out", report.repl_bytes_out)
-      .Extend(StatsJson(report.node))
-      .Set("channels", ChannelsJson(report.channels));
+      .Extend(StatsJson(r.primary_stats()))
+      .Set("channels", ChannelsJson(r.channels));
 }
 
 }  // namespace
@@ -77,21 +82,15 @@ int ServeCommand(FlagSet& flags) {
   config.port = static_cast<uint16_t>(port);
   config.repl_port = static_cast<uint16_t>(repl_port);
   config.peer_host = flags.GetString("peer", "127.0.0.1");
-  config.seed = flags.GetU64("seed").value_or(42);
-  config.epoch_length = flags.GetU64("epoch-length").value_or(4096);
-  const std::optional<uint64_t> backups = flags.GetU64("backups", INT_MAX);
-  config.backups = static_cast<int>(backups.value_or(1));
   config.duration_ms = flags.GetU64("duration-ms", kMaxMillis).value_or(0);
   config.max_requests = flags.GetU64("max-requests").value_or(0);
   config.backup_wait_ms = flags.GetU64("backup-wait-ms", kMaxMillis).value_or(3000);
 
-  const std::string variant_name = flags.GetString("variant", "new");
-  const std::optional<ProtocolVariant> variant = ParseVariant(variant_name);
-  if (!variant) {
-    std::fprintf(stderr, "hbft_cli: unknown variant '%s' (old, new)\n", variant_name.c_str());
+  const bool backups_given = flags.Has("backups");
+  if (!ParseChainFlags(flags, "new", &config.scenario, &config.failure_description)) {
     return 2;
   }
-  if (*variant == ProtocolVariant::kOriginal) {
+  if (config.scenario.world_config().replication.variant == ProtocolVariant::kOriginal) {
     // Responses are released at the NIC TX latch, which only the revised
     // protocol gates on all-acked; under the original variant a released
     // response could outrun the backup's state by up to an epoch.
@@ -101,27 +100,19 @@ int ServeCommand(FlagSet& flags) {
     return 2;
   }
 
-  if (!ParseFailureSchedule(flags, config.backups, &config.failures,
-                            &config.failure_description)) {
-    return 2;
-  }
-  if (!config.failures.empty() && config.role != serve::ServeRole::kSingle) {
+  if (!config.scenario.failures().empty() && config.role != serve::ServeRole::kSingle) {
     std::fprintf(stderr,
                  "hbft_cli: --fail applies to --role=single only (multi-process failures "
                  "are real: kill the primary process)\n");
     return 2;
   }
-  if (backups.has_value() && config.role != serve::ServeRole::kSingle) {
+  if (backups_given && config.role != serve::ServeRole::kSingle) {
     std::fprintf(stderr,
                  "hbft_cli: --backups applies to --role=single only (a multi-process pair "
                  "is one primary process and one backup process)\n");
     return 2;
   }
   if (!flags.Finish()) {
-    return 2;
-  }
-  if (config.backups < 1) {
-    std::fprintf(stderr, "hbft_cli: --backups must be at least 1\n");
     return 2;
   }
 

@@ -11,6 +11,14 @@
 
 namespace hbft {
 
+namespace {
+
+// The longest lockstep round: a round ends at the next fleet event or this
+// long after it began, whichever is earlier.
+constexpr SimTime kQuantum = SimTime::Millis(10);
+
+}  // namespace
+
 Fleet::Fleet(const FleetConfig& config)
     : config_(config),
       placement_(config.placement, config.hosts),
@@ -18,7 +26,6 @@ Fleet::Fleet(const FleetConfig& config)
   HBFT_CHECK_GT(config_.chains, 0u);
   HBFT_CHECK_GT(config_.hosts, 0u);
   HBFT_CHECK_GE(config_.backups, 1);
-  HBFT_CHECK(config_.quantum > SimTime::Zero());
   HBFT_CHECK_GE(config_.repair_concurrency, 1u);
   HBFT_CHECK_GE(config_.threads, 1u);
   hosts_.resize(config_.hosts);
@@ -108,7 +115,7 @@ void Fleet::RunLockstep() {
       return;  // Per-world max_time reports the timeout; this is the backstop.
     }
 
-    SimTime limit = cursor + config_.quantum;
+    SimTime limit = cursor + kQuantum;
     if (!fleet_queue_.empty() && fleet_queue_.PeekTime() < limit) {
       limit = fleet_queue_.PeekTime();
     }

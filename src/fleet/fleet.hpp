@@ -11,15 +11,14 @@
 // which world.
 //
 // Lockstep protocol: time is divided into rounds; a round's horizon is the
-// earlier of the next fleet event and the next quantum boundary. Every world
-// first advances until its next actionable instant is at or past the
-// horizon, then the fleet events at the horizon fire (kills, repair
-// admissions). A world's run is deterministic for a given sequence of
-// horizons, and that sequence is a function of the fleet configuration, so
-// results repeat exactly for a given config at any thread count. They are
-// not invariant to the slicing itself: a replicated world's results can
-// depend on where the horizons fall (see World::RunLoop), so --quantum-ms can
-// move a fleet's figures and fingerprint.
+// earlier of the next fleet event and the end of a fixed 10 ms round
+// (fleet.cpp). Every world first advances until its next actionable instant
+// is at or past the horizon, then the fleet events at the horizon fire
+// (kills, repair admissions). A world's run is deterministic for a given
+// sequence of horizons, and that sequence is a function of the fleet
+// configuration, so results repeat exactly for a given config at any thread
+// count. They are not invariant to the slicing itself: a replicated world's
+// results can depend on where the horizons fall (see World::RunLoop).
 //
 // Parallel rounds (FleetConfig::threads): chains are independent Worlds
 // between horizons, so a round's slices fan out across a fixed WorkerPool —
@@ -93,7 +92,6 @@ struct FleetConfig {
   // run per chain.
   bool verify = false;
 
-  SimTime quantum = SimTime::Millis(10);  // Lockstep rounding quantum.
   SimTime max_time = SimTime::Seconds(900);
   uint64_t epoch_length = 0;  // 0 = the scenario default.
 

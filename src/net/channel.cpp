@@ -47,9 +47,6 @@ std::optional<SimTime> Channel::PutOnWire(const Message& msg, SimTime now, bool 
     // modelled link; delivery happens when the peer process reads the frame
     // off its socket and injects it via InjectWireFrame.
     ++counters_.wire_sends;
-    if (retransmit) {
-      ++counters_.retransmits;
-    }
     counters_.bytes_on_wire += wire_bytes;
     SimTime start = busy_until_ > now ? busy_until_ : now;
     busy_until_ = start + link_.TransferTime(wire_bytes);
@@ -156,7 +153,7 @@ std::optional<SimTime> Channel::Send(Message msg, SimTime now) {
   // (busy_until_): a 9-frame block cannot be acked before it is even on the
   // wire, and ageing it from the accept instant would guarantee spurious
   // full-window re-sends for any message larger than timeout x bandwidth.
-  if (mode_ == ChannelMode::kOrdered && (faults_.Enabled() || wire_bound())) {
+  if (mode_ == ChannelMode::kOrdered && faults_.Enabled()) {
     retransmit_.Track(msg, busy_until_);
   }
   if (!arrival.has_value()) {
@@ -228,6 +225,11 @@ std::optional<SimTime> Channel::LastPendingArrival() const {
   return queue_.back().arrival;  // queue_ is arrival-sorted on every insertion path.
 }
 
+void Channel::BindWireSink(WireSink sink) {
+  HBFT_CHECK(!faults_.Enabled()) << "a socket-bound channel models no wire faults";
+  wire_sink_ = std::move(sink);
+}
+
 bool Channel::InjectWireFrame(const std::vector<uint8_t>& bytes, SimTime now) {
   if (broken_ && now >= break_time_) {
     return false;
@@ -257,8 +259,7 @@ Channel::RetransmitResult Channel::MaybeRetransmit(SimTime now) {
   if (broken_ && now >= break_time_) {
     return result;
   }
-  if (mode_ != ChannelMode::kOrdered || (!faults_.Enabled() && !wire_bound()) ||
-      retransmit_.empty()) {
+  if (mode_ != ChannelMode::kOrdered || !faults_.Enabled() || retransmit_.empty()) {
     return result;
   }
   if (!retransmit_.TimedOut(now, faults_.retransmit_timeout)) {

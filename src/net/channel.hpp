@@ -148,12 +148,9 @@ class Channel {
   };
   RetransmitResult MaybeRetransmit(SimTime now);
 
-  // Whether the sender should keep a retransmission timer armed. Wire-bound
-  // channels always track the window: TCP cannot lose bytes, but the peer
-  // connection can die with frames unacked.
+  // Whether the sender should keep a retransmission timer armed.
   bool NeedsRetransmitTimer() const {
-    return mode_ == ChannelMode::kOrdered && (faults_.Enabled() || wire_bound()) &&
-           !retransmit_.empty();
+    return mode_ == ChannelMode::kOrdered && faults_.Enabled() && !retransmit_.empty();
   }
   SimTime retransmit_timeout() const { return faults_.retransmit_timeout; }
   std::optional<SimTime> NextRetransmitDeadline() const {
@@ -165,16 +162,19 @@ class Channel {
 
   // --- Socket (wire) transport ----------------------------------------------
   // Multi-process serve mode: the channel endpoints live in different OS
-  // processes joined by a real TCP connection, and the go-back-N framing,
-  // cumulative acks, and retransmit buffer run unchanged on top of it.
+  // processes joined by a real TCP connection. While the connection lives,
+  // TCP delivers every frame in order, so a socket-bound channel keeps no
+  // go-back-N window, timer or retransmission; a dead connection is the
+  // peer's death (World::PeerLost), not a loss to repair. Sequence numbers
+  // and cumulative acks still run, since the protocol's ack rules count them.
   //
   // Sender side: BindWireSink reroutes every frame the link model would put
   // on the simulated wire out through `sink` as the message's canonical
   // serialized bytes (the caller length-prefixes them onto the stream). The
   // local delivery queue is bypassed; occupancy is still charged so pacing
   // matches the modelled link. A sink returning false (peer connection down)
-  // counts as a link drop — recovery rides the ordinary retransmission path
-  // until the failure detector declares the peer dead.
+  // counts as a link drop. A socket models no wire faults, so the channel
+  // must have none.
   //
   // Receiver side: InjectWireFrame enters a frame read off the socket into
   // the delivery queue at `now`, so Receive() runs the identical ordered
@@ -183,8 +183,7 @@ class Channel {
   // bytes never completely arrived (partial TCP write at peer death) is held
   // by the stream dissector and never injected — no phantom delivery.
   using WireSink = std::function<bool(const std::vector<uint8_t>&)>;
-  void BindWireSink(WireSink sink) { wire_sink_ = std::move(sink); }
-  bool wire_bound() const { return static_cast<bool>(wire_sink_); }
+  void BindWireSink(WireSink sink);
   bool InjectWireFrame(const std::vector<uint8_t>& bytes, SimTime now);
 
   // True once per stale/post-gap discard batch: the receiver should repeat

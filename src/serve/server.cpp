@@ -19,10 +19,6 @@ namespace serve {
 
 namespace {
 
-// The guest halts after `iterations` packets; a serving session ends on a
-// signal or budget instead, so the count is effectively infinite.
-constexpr uint32_t kServeForever = 1000000000u;
-
 volatile std::sig_atomic_t g_stop = 0;
 void OnStopSignal(int) { g_stop = 1; }
 
@@ -42,31 +38,6 @@ void Note(const char* fmt, ...) {
   std::fputc('\n', stderr);
   std::fflush(stderr);
   va_end(args);
-}
-
-// The served chain, one description for all three roles: --role=single
-// builds its whole chain from it, each wire role one position of it.
-Scenario ServeScenario(const ServeConfig& config) {
-  // Output commit is the serving contract (see server.hpp); the original
-  // variant's boundary-ack rule does not provide it per-response.
-  Scenario scenario = Scenario::Replicated(WorkloadSpec::NetEcho(kServeForever))
-                          .Backups(config.backups)
-                          .Variant(ProtocolVariant::kRevised)
-                          .Epoch(config.epoch_length)
-                          .Seed(config.seed)
-                          .MaxTime(SimTime::Seconds(100000));
-  for (const FailurePlan& plan : config.failures) {
-    scenario.FailAt(plan);
-  }
-  if (config.role != ServeRole::kSingle) {
-    // TCP does not drop frames, but a peer that dies leaves the go-back-N
-    // window unacked; a generous timer keeps retransmit probes from racing
-    // the 5 ms failure detector while still bounding recovery.
-    LinkFaults wire;
-    wire.retransmit_timeout = SimTime::Millis(50);
-    scenario.LinkFaults(wire);
-  }
-  return scenario;
 }
 
 // Drains the replication socket: complete frames enter the world at `now`;
@@ -188,11 +159,9 @@ void ServeLoop(const ServeConfig& config, World* world, Frontend* frontend, Fram
     if (const ReplicaNode* node = Promoted(*world)) {
       if (!promotion_noted) {
         promotion_noted = true;
-        report->promoted = true;
-        report->promotion_latency_ms =
-            (node->promotion_time() - world->crash_times().front()).seconds() * 1e3;
         Note("promoted at t=%.3f ms (%.3f ms after peer loss)",
-             node->promotion_time().seconds() * 1e3, report->promotion_latency_ms);
+             node->promotion_time().seconds() * 1e3,
+             (node->promotion_time() - world->crash_times().front()).seconds() * 1e3);
       }
       if (!frontend->listening()) {
         std::string error;
@@ -224,25 +193,25 @@ void ServeLoop(const ServeConfig& config, World* world, Frontend* frontend, Fram
     report->repl_bytes_in = repl->bytes_in();
     report->repl_bytes_out = repl->bytes_out();
   }
-  report->failovers = world->crash_times().size();
   report->solo = world->replica(world->active_index())->solo();
-  report->node = world->replica(0)->stats();
-  report->channels = ChannelReports(*world);
+  world->Finish(&report->result);
+  config.scenario.CollectResult(*world, &report->result);
   report->ok = stop.reason != "service-lost";
 }
 
 // --- Per-role setup ------------------------------------------------------------
 
 int RunSingle(const ServeConfig& config, ServeReport* report) {
-  std::unique_ptr<World> world = ServeScenario(config).BuildWorld();
+  std::unique_ptr<World> world = config.scenario.BuildWorld();
   Frontend frontend(config.port);
   std::string error;
   if (!frontend.OpenListener(&error)) {
     report->error = "client listener: " + error;
     return 1;
   }
-  Note("listening on 127.0.0.1:%u (single-process chain, %d backup%s)", config.port,
-       config.backups, config.backups == 1 ? "" : "s");
+  const int backups = config.scenario.world_config().backups;
+  Note("listening on 127.0.0.1:%u (single-process chain, %d backup%s)", config.port, backups,
+       backups == 1 ? "" : "s");
   RealtimePump pump;
   ServeLoop(config, world.get(), &frontend, nullptr, &pump, report);
   return report->ok ? 0 : 1;
@@ -257,7 +226,7 @@ int RunPrimary(const ServeConfig& config, ServeReport* report) {
   }
 
   RealtimePump wait_clock;
-  std::unique_ptr<World> world = ServeScenario(config).BuildWirePosition(0);
+  std::unique_ptr<World> world = config.scenario.BuildWirePosition(0);
 
   // Hold the guest until the backup is attached (or the wait expires): every
   // protocol message must ship through the wire from the first epoch, or the
@@ -309,7 +278,7 @@ int RunPrimary(const ServeConfig& config, ServeReport* report) {
   Note("listening on 127.0.0.1:%u (primary)", config.port);
   ServeLoop(config, world.get(), &frontend, repl.get(), &pump, report);
   if (repl == nullptr) {
-    report->failovers = 0;  // No backup ever attached, so none was lost.
+    report->result.crash_times.clear();  // No backup ever attached, so none was lost.
   }
   return report->ok ? 0 : 1;
 }
@@ -337,7 +306,7 @@ int RunBackup(const ServeConfig& config, ServeReport* report) {
     return 0;
   }
 
-  std::unique_ptr<World> world = ServeScenario(config).BuildWirePosition(1);
+  std::unique_ptr<World> world = config.scenario.BuildWirePosition(1);
   auto repl = std::make_unique<FrameStream>(fd, kMaxReplFrameBytes);
   BindReplSink(world.get(), repl.get());
   Note("connected to primary at %s:%u; standing by", config.peer_host.c_str(),

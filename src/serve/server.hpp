@@ -36,9 +36,7 @@
 #include <set>
 #include <string>
 #include <utility>
-#include <vector>
 
-#include "core/replica.hpp"
 #include "devices/nic.hpp"
 #include "serve/frontend.hpp"
 #include "sim/scenario.hpp"
@@ -49,23 +47,28 @@ namespace serve {
 
 enum class ServeRole { kSingle, kPrimary, kBackup };
 
+// The guest halts after `iterations` packets; a serving session ends on a
+// signal or budget instead, so the count is effectively infinite.
+constexpr uint32_t kServeForever = 1000000000u;
+
 struct ServeConfig {
   ServeRole role = ServeRole::kSingle;
   uint16_t port = 7070;       // Client listener.
   uint16_t repl_port = 7071;  // Replication transport (multi-process roles).
   std::string peer_host = "127.0.0.1";
-  uint64_t seed = 42;
-  uint64_t epoch_length = 4096;
-  int backups = 1;  // Chain length for kSingle.
+  // The served chain: kSingle builds all of it, each wire role one position
+  // of its two-replica form (its failure schedule is kSingle's only). Output
+  // commit is the serving contract, so the variant must be the revised one.
+  Scenario scenario = Scenario::Replicated(WorkloadSpec::NetEcho(kServeForever))
+                          .Variant(ProtocolVariant::kRevised)
+                          .MaxTime(SimTime::Seconds(100000));
+  std::string failure_description = "none";
   // Session bounds; 0 = unbounded (run until a signal).
   uint64_t duration_ms = 0;
   uint64_t max_requests = 0;
   // kPrimary: how long to hold the guest for a backup before going solo.
   // kBackup: how long to keep redialing the primary before giving up.
   uint64_t backup_wait_ms = 3000;
-  // kSingle only: in-process failure schedule (--fail specs).
-  FailureSchedule failures;
-  std::string failure_description = "none";
 };
 
 struct ServeReport {
@@ -79,17 +82,14 @@ struct ServeReport {
   Frontend::Stats frontend;
 
   // Replication.
-  uint64_t failovers = 0;  // Peer/active-replica deaths observed.
-  bool promoted = false;
   bool solo = false;  // The serving replica ended without a live backup.
-  double promotion_latency_ms = 0.0;  // Peer death -> promotion complete.
   uint64_t repl_bytes_in = 0;
   uint64_t repl_bytes_out = 0;
 
-  // Protocol counters of the hosted (or first) replica.
-  ReplicaNode::Stats node;
-
-  std::vector<ScenarioResult::ChannelReport> channels;
+  // The session's World as `run` reports one (World::Finish, then
+  // Scenario::CollectResult): crashes, promotions, per-replica and
+  // per-channel counters. Empty if the session never started serving.
+  ScenarioResult result;
 };
 
 // Runs one serve session to completion (signal, duration, request budget, or

@@ -1,42 +1,34 @@
 #include "sim/event_queue.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
 
 namespace hbft {
 
 void EventQueue::Push(uint32_t partition, SimTime time, std::function<void()> fn) {
-  Partition& p = partitions_[partition];
-  p.heap.push(Event{time, p.next_seq++, std::move(fn)});
-  ++size_;
+  HBFT_CHECK(partition < (1u << (64 - kSeqBits)) && next_seq_ < (uint64_t{1} << kSeqBits));
+  const uint64_t order = static_cast<uint64_t>(partition) << kSeqBits | next_seq_++;
+  heap_.push_back(Event{time, order, std::move(fn)});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
-std::map<uint32_t, EventQueue::Partition>::const_iterator EventQueue::NextPartition() const {
-  HBFT_CHECK(size_ > 0);
-  auto best = partitions_.end();
-  for (auto it = partitions_.begin(); it != partitions_.end(); ++it) {
-    if (it->second.heap.empty()) {
-      continue;
-    }
-    // Strictly-earlier wins; an equal timestamp keeps the earlier iterator,
-    // which is the lower partition id (rule 2 of the pop order).
-    if (best == partitions_.end() || it->second.heap.top().time < best->second.heap.top().time) {
-      best = it;
-    }
-  }
-  HBFT_CHECK(best != partitions_.end());
-  return best;
+SimTime EventQueue::PeekTime() const {
+  HBFT_CHECK(!heap_.empty());
+  return heap_.front().time;
 }
 
-SimTime EventQueue::PeekTime() const { return NextPartition()->second.heap.top().time; }
-
-uint32_t EventQueue::PeekPartition() const { return NextPartition()->first; }
+uint32_t EventQueue::PeekPartition() const {
+  HBFT_CHECK(!heap_.empty());
+  return static_cast<uint32_t>(heap_.front().order >> kSeqBits);
+}
 
 void EventQueue::RunNext() {
-  auto it = partitions_.find(NextPartition()->first);
-  // Copy out before popping: the handler may push new events.
-  std::function<void()> fn = it->second.heap.top().fn;
-  it->second.heap.pop();
-  --size_;
+  HBFT_CHECK(!heap_.empty());
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  // Move out before running: the handler may push new events.
+  std::function<void()> fn = std::move(heap_.back().fn);
+  heap_.pop_back();
   fn();
 }
 

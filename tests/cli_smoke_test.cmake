@@ -198,7 +198,6 @@ endif()
 expect_usage_error("--hosts must be >= 1" fleet --requests=2 --hosts=0)
 expect_usage_error("--chains must be >= 1" fleet --requests=2 --chains=0)
 expect_usage_error("--backups must be >= 1" fleet --requests=2 --backups=0)
-expect_usage_error("--quantum-ms must be positive" fleet --requests=2 --quantum-ms=0)
 expect_usage_error("--repair-concurrency must be >= 1" fleet --requests=2
                    --repair-concurrency=0)
 expect_usage_error("--payload-bytes must be <= 256" fleet --requests=2 --payload-bytes=5000)
@@ -227,7 +226,7 @@ expect_usage_error("time-ms expects milliseconds" run --fail=time-ms=1e30)
 expect_usage_error("time-ms expects milliseconds" run --fail=time-ms=-5)
 expect_usage_error("--loss expects a finite number" run --loss=nan)
 expect_usage_error("--loss-until-ms expects milliseconds" run --loss-until-ms=nan)
-expect_usage_error("--rate expects a finite number" fleet --rate=nan)
+expect_usage_error("--interval-ms expects milliseconds" fleet --interval-ms=nan)
 expect_usage_error("--slo-ms expects milliseconds" fleet --slo-ms=-1)
 expect_usage_error("--epoch-length expects an integer" fleet --epoch-length=-5)
 expect_usage_error("--payload-bytes expects an integer" fleet --payload-bytes=4294967297)

@@ -405,7 +405,7 @@ TEST(BackupFailure, SoloPrimaryIsFasterThanReplicatedPair) {
 // Mid-epoch promotion: the backup stalls awaiting a forwarded environment
 // value that the dead primary never sent. The missing value proves the
 // primary died before executing that instruction, so the backup may promote
-// mid-epoch and serve the environment locally (DESIGN.md, protocol notes).
+// mid-epoch and serve the environment locally (docs/PROTOCOL.md, P6).
 // ---------------------------------------------------------------------------
 
 class TodStallPromotionSweep : public testing::TestWithParam<int> {};

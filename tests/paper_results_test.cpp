@@ -1,6 +1,6 @@
-// Paper-shape assertions on MEASURED simulation results (DESIGN.md section 7
-// item 4): the qualitative claims of the paper's evaluation must hold in the
-// simulated system, not just in the closed-form models. Workloads are scaled
+// Paper-shape assertions on MEASURED simulation results: the qualitative
+// claims of the paper's evaluation must hold in the simulated system, not
+// just in the closed-form models. Workloads are scaled
 // down to keep the suite fast; shape, not absolute time, is asserted.
 #include <gtest/gtest.h>
 

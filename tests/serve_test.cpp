@@ -4,8 +4,8 @@
 // length prefix, NIC request header, fleet request header), the length-prefix
 // stream dissector (a partial trailing frame is held and never delivered —
 // the socket analogue of Channel::Break pruning a mid-serialisation frame),
-// the Channel socket transport (go-back-N framing and retransmits over a
-// WireSink), and the two wire roles' Worlds joined by in-memory byte queues
+// the Channel socket transport (ordered framing over a WireSink, with no
+// retransmit window), and the two wire roles' Worlds joined by in-memory byte queues
 // standing in for the TCP connection: each boots its World twin's machine
 // byte for byte, the pair runs the guest time its twin runs, and a lost peer
 // promotes the backup as a killed primary promotes the twin's. Then the serve
@@ -343,8 +343,8 @@ TEST(ChannelWire, InjectedFramesRunOrderedDedup) {
   Channel rx(LinkModel::Ethernet10(), ChannelMode::kOrdered);
   SimTime t = SimTime::Millis(1);
   EXPECT_TRUE(rx.InjectWireFrame(shipped[0], t));
-  EXPECT_TRUE(rx.InjectWireFrame(shipped[0], t));  // TCP cannot dup, but a
-  EXPECT_TRUE(rx.InjectWireFrame(shipped[1], t));  // retransmit race can.
+  EXPECT_TRUE(rx.InjectWireFrame(shipped[0], t));  // The ordered receiver's
+  EXPECT_TRUE(rx.InjectWireFrame(shipped[1], t));  // dedup runs on the socket.
 
   auto first = rx.Receive(t);
   ASSERT_TRUE(first.has_value());
@@ -380,7 +380,7 @@ TEST(ChannelWire, BrokenChannelRefusesInjection) {
   EXPECT_FALSE(rx.Receive(SimTime::Seconds(1)).has_value());
 }
 
-TEST(ChannelWire, RetransmitTimerRunsOverTheSink) {
+TEST(ChannelWire, SocketBoundChannelKeepsNoRetransmitWindow) {
   Channel tx(LinkModel::Ethernet10(), ChannelMode::kOrdered);
   uint64_t sink_calls = 0;
   tx.BindWireSink([&sink_calls](const std::vector<uint8_t>&) {
@@ -388,21 +388,14 @@ TEST(ChannelWire, RetransmitTimerRunsOverTheSink) {
     return true;
   });
 
-  // Wire-bound ordered channels always keep the go-back-N window: TCP does
-  // not lose bytes, but the peer process can die with frames unacked.
+  // TCP delivers every frame while the connection lives, and a dead
+  // connection is the peer's death: an unacked frame is never re-sent.
   tx.Send(EpochEndMessage(1), SimTime::Zero());
-  EXPECT_TRUE(tx.NeedsRetransmitTimer());
-
-  SimTime late = tx.retransmit_timeout() + SimTime::Millis(1);
-  auto result = tx.MaybeRetransmit(late);
-  EXPECT_EQ(result.frames, 1u);
-  EXPECT_EQ(sink_calls, 2u);
-  EXPECT_EQ(tx.counters().retransmits, 1u);
-
-  // A cumulative ack releases the window and stops the timer.
-  tx.OnCumulativeAck(1, late);
   EXPECT_FALSE(tx.NeedsRetransmitTimer());
-  EXPECT_EQ(tx.MaybeRetransmit(late + tx.retransmit_timeout() * 2).frames, 0u);
+  EXPECT_FALSE(tx.NextRetransmitDeadline().has_value());
+  EXPECT_EQ(tx.MaybeRetransmit(SimTime::Seconds(10)).frames, 0u);
+  EXPECT_EQ(sink_calls, 1u);
+  EXPECT_EQ(tx.counters().retransmits, 0u);
 }
 
 TEST(ChannelWire, SinkFailureCountsAsLinkDrop) {
@@ -410,20 +403,15 @@ TEST(ChannelWire, SinkFailureCountsAsLinkDrop) {
   tx.BindWireSink([](const std::vector<uint8_t>&) { return false; });
   ASSERT_TRUE(tx.Send(EpochEndMessage(1), SimTime::Zero()).has_value());
   EXPECT_EQ(tx.counters().link_drops, 1u);
-  // The frame stays in the retransmit window until an ack or peer death.
-  EXPECT_TRUE(tx.NeedsRetransmitTimer());
 }
 
 // --- Wire positions over an in-memory "socket" ------------------------------
 
 Scenario LockstepConfig() {
-  LinkFaults wire;
-  wire.retransmit_timeout = SimTime::Millis(50);
   return Scenario::Replicated(WorkloadSpec::NetEcho(1000000))
       .Variant(ProtocolVariant::kRevised)
       .Epoch(4096)
-      .Seed(42)
-      .LinkFaults(wire);
+      .Seed(42);
 }
 
 std::vector<uint8_t> CaptureBytes(const Machine& machine) {

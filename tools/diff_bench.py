@@ -1,22 +1,21 @@
 #!/usr/bin/env python3
 """Diff regenerated bench artifacts against the committed baselines.
 
-The simulation is deterministic, so every artifact except fig6, fig7, and
-fig8 must match byte-for-byte: any diff is a genuine behavior change —
-either fix it or consciously re-baseline. fig6_throughput.json,
-fig7_fleet.json, and fig8_parallel.json mix deterministic simulated results
-(instruction counts, checksums, latency percentiles, availability,
-fingerprints) with host-dependent measurements (host_ms, mips, wall_ms,
-speedup, host_cpus) that vary run to run and machine to machine; those
-volatile keys are stripped before comparing. On top of the byte diff the
-regenerated artifacts must clear sanity checks: fig6's cached dispatch has
-to beat slow dispatch by a floor, fig7's rows must be internally coherent
-(availability <= 1.0, p50 <= p99 <= p999), and fig8's rows must carry
-identical deterministic results at every thread count — plus, when the
-regenerating machine actually has >= 4 CPUs, a >= 2x wall-clock speedup at
-4 threads on the large case (on fewer CPUs the floor is skipped with a loud
-warning, because parallel speedup is unmeasurable there, but the
-determinism identity is enforced everywhere).
+The simulation is deterministic, so every artifact except fig6 and fig8
+must match byte-for-byte: any diff is a genuine behavior change — either
+fix it or consciously re-baseline. fig6_throughput.json and
+fig8_parallel.json mix deterministic simulated results (instruction counts,
+checksums, availability, fingerprints) with host-dependent measurements
+(host_ms, mips, wall_ms, speedup, host_cpus) that vary run to run and
+machine to machine; those volatile keys are stripped before comparing. On
+top of the diff the regenerated artifacts must clear sanity checks: fig6's
+cached dispatch has to beat slow dispatch by a floor, fig7's rows must be
+internally coherent (availability <= 1.0, p50 <= p99 <= p999), and fig8's
+rows must carry identical deterministic results at every thread count —
+plus, when the regenerating machine actually has >= 4 CPUs, a >= 2x
+wall-clock speedup at 4 threads on the large case (on fewer CPUs the floor
+is skipped with a loud warning, because parallel speedup is unmeasurable
+there, but the determinism identity is enforced everywhere).
 
 usage: diff_bench.py <baseline_dir> <regenerated_dir>
                      [--speedup-floor=X] [--only=NAME]
@@ -38,7 +37,6 @@ DEFAULT_SPEEDUP_FLOOR = 2.0
 # treatment instead of the plain byte comparison.
 VOLATILE_ARTIFACTS = {
     "fig6_throughput.json",
-    "fig7_fleet.json",
     "fig8_parallel.json",
 }
 
@@ -207,19 +205,13 @@ def main(argv):
             print(f"missing regenerated artifact: {regen}", file=sys.stderr)
             status = 1
             continue
+        regen_doc = json.loads(regen.read_text())
         if name in VOLATILE_ARTIFACTS:
             base_doc = json.loads(baseline.read_text())
-            regen_doc = json.loads(regen.read_text())
             if strip_volatile(base_doc) != strip_volatile(regen_doc):
                 print(f"bench baseline drift in {name} (deterministic fields):")
                 show_diff(name, render(strip_volatile(base_doc)),
                           render(strip_volatile(regen_doc)))
-                status = 1
-            if name == "fig6_throughput.json" and not check_fig6_speedup(regen_doc, floor):
-                status = 1
-            if name == "fig7_fleet.json" and not check_fig7_sanity(regen_doc):
-                status = 1
-            if name == "fig8_parallel.json" and not check_fig8_parallel(regen_doc, floor):
                 status = 1
         else:
             base_text = baseline.read_text()
@@ -229,6 +221,12 @@ def main(argv):
                 show_diff(name, base_text.splitlines(keepends=True),
                           regen_text.splitlines(keepends=True))
                 status = 1
+        if name == "fig6_throughput.json" and not check_fig6_speedup(regen_doc, floor):
+            status = 1
+        if name == "fig7_fleet.json" and not check_fig7_sanity(regen_doc):
+            status = 1
+        if name == "fig8_parallel.json" and not check_fig8_parallel(regen_doc, floor):
+            status = 1
     if status == 0:
         print(f"{len(baselines)} bench artifact(s) match the committed baselines")
     return status
