@@ -234,12 +234,11 @@ bool EmitFig4Lossy(const BenchConfig& cfg, const WorkloadSpec specs[3],
       ideal_goodput = goodput_mbps;
     }
     // Per-channel counters, summed over the mesh.
-    uint64_t wire_sends = 0, rx_discards = 0, queue_hwm = 0, queue_drops = 0;
+    uint64_t wire_sends = 0, rx_discards = 0, queue_hwm = 0;
     for (const ScenarioResult::ChannelReport& ch : ft.channels) {
       wire_sends += ch.counters.wire_sends;
       rx_discards += ch.counters.rx_duplicates + ch.counters.rx_gaps;
       queue_hwm = std::max(queue_hwm, ch.counters.queue_high_water);
-      queue_drops += ch.counters.queue_drops;
     }
     rows.Push(JsonValue::Object()
                   .Set("epoch_length", el)
@@ -251,7 +250,6 @@ bool EmitFig4Lossy(const BenchConfig& cfg, const WorkloadSpec specs[3],
                   .Set("retransmits", ft.TotalRetransmits())
                   .Set("wire_sends", wire_sends)
                   .Set("rx_discards", rx_discards)
-                  .Set("queue_drops", queue_drops)
                   .Set("queue_high_water", queue_hwm)
                   .Set("bytes_on_wire", ft.TotalWireBytes())
                   .Set("bytes_delivered", ft.TotalDeliveredBytes())

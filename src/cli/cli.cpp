@@ -41,9 +41,7 @@ void PrintUsage(std::FILE* out) {
       "  --loss=P --dup=P --reorder=P  replica-link fault probabilities (0):\n"
       "                        the protocol stream recovers via go-back-N\n"
       "                        retransmission driven by the cumulative P4 acks\n"
-      "  --link-queue=N        bounded sender queue; overflow tail-drops (0=inf)\n"
       "  --rto-ms=X            go-back-N retransmission timeout (2)\n"
-      "  --loss-until-ms=X     confine link faults to a burst ending at X\n"
       "  --packets=N           net-echo: packets injected (default: iterations)\n"
       "  --fail=SPEC           append a failure/repair event to the ordered schedule;\n"
       "                        repeatable. SPEC is comma-separated key=value:\n"
@@ -110,7 +108,10 @@ void PrintUsage(std::FILE* out) {
       "  --backups=N           single role: chain length (1)\n"
       "  --fail=SPEC           single role: in-process failure schedule, as in run\n"
       "  --epoch-length=N --seed=N\n"
-      "  --json                the session report as JSON (else `path : value` lines)\n"
+      "  --json                the session report as JSON (else `path : value` lines);\n"
+      "                        its top-level replica counters are chain position\n"
+      "                        0's (in a wire role, the hosted replica's), and\n"
+      "                        replication.nodes lists every replica\n"
       "\n"
       "help   Print this text. With --list-workloads or --list-phases, print\n"
       "       the valid enum names one per line (machine-readable).\n"

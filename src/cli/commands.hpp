@@ -28,6 +28,8 @@ double PromotionLatencyMs(const ScenarioResult& r, SimTime promotion_time);
 // object with one key per counter, durations in milliseconds.
 JsonValue StatsJson(const ReplicaNode::Stats& stats);
 JsonValue StatsJson(const Hypervisor::Stats& stats);
+// Every replica's takeover, join and counters, plus crashes and resyncs.
+JsonValue ReplicationJson(const ScenarioResult& r);
 // One row per channel: its chain positions, mode and Channel::Counters.
 JsonValue ChannelsJson(const std::vector<ScenarioResult::ChannelReport>& channels);
 

@@ -560,8 +560,8 @@ std::optional<ScenarioFlags> ParseScenarioFlags(FlagSet& flags) {
   }
   scenario.DiskFaults(disk_faults).ConsoleFaults(console_faults).NicFaults(nic_faults);
 
-  // Interconnect fault knobs: lossy-wire probabilities, bounded sender
-  // queue, retransmission timeout, and an optional burst window.
+  // Interconnect fault knobs: lossy-wire probabilities and the
+  // retransmission timeout.
   LinkFaults link_faults;
   struct LinkProbFlag {
     const char* flag;
@@ -581,18 +581,12 @@ std::optional<ScenarioFlags> ParseScenarioFlags(FlagSet& flags) {
       *f.field = *v;
     }
   }
-  if (auto v = flags.GetU64("link-queue", UINT32_MAX)) {
-    link_faults.sender_queue_limit = static_cast<uint32_t>(*v);
-  }
   if (auto v = flags.GetMillis("rto-ms")) {
     if (*v <= 0.0) {
       std::fprintf(stderr, "hbft_cli: --rto-ms expects a positive duration\n");
       return std::nullopt;
     }
     link_faults.retransmit_timeout = MillisToSimTime(*v);
-  }
-  if (auto v = flags.GetMillis("loss-until-ms")) {
-    link_faults.active_until = MillisToSimTime(*v);
   }
   scenario.LinkFaults(link_faults);
 

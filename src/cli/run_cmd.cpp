@@ -87,54 +87,6 @@ JsonValue OutcomeJson(const ScenarioResult& r) {
       .Set("console_head", r.console_output.substr(0, 60));
 }
 
-JsonValue ReplicationJson(const ScenarioResult& r) {
-  JsonValue crash_times = JsonValue::Array();
-  for (SimTime t : r.crash_times) {
-    crash_times.Push(t.seconds() * 1e3);
-  }
-  JsonValue nodes = JsonValue::Array();
-  for (const ScenarioResult::NodeReport& node : r.nodes) {
-    JsonValue entry = JsonValue::Object()
-                          .Set("id", node.id)
-                          .Set("promoted", node.promoted)
-                          .Set("promotion_time_ms", node.promotion_time.seconds() * 1e3);
-    if (node.promoted) {
-      entry.Set("promotion_latency_ms", PromotionLatencyMs(r, node.promotion_time));
-    }
-    entry.Set("rejoined", node.rejoined)
-        .Set("joined", node.joined)
-        .Set("join_epoch", node.join_epoch)
-        .Extend(StatsJson(node.stats))
-        .Set("hypervisor", StatsJson(node.hv_stats));
-    nodes.Push(std::move(entry));
-  }
-  JsonValue resyncs = JsonValue::Array();
-  for (const ResyncReport& resync : r.resyncs) {
-    resyncs.Push(JsonValue::Object()
-                     .Set("source", static_cast<uint64_t>(resync.source))
-                     .Set("joined", static_cast<uint64_t>(resync.joined))
-                     .Set("completed", resync.completed)
-                     .Set("start_ms", resync.start.seconds() * 1e3)
-                     .Set("cut_ms", resync.transfer.cut_time.seconds() * 1e3)
-                     .Set("join_ms", resync.join_time.seconds() * 1e3)
-                     .Set("latency_ms", (resync.join_time - resync.start).seconds() * 1e3)
-                     .Set("join_epoch", resync.transfer.cut_epoch)
-                     .Set("bytes", resync.transfer.bytes_sent)
-                     .Set("page_chunks", resync.transfer.page_chunks)
-                     .Set("zero_run_chunks", resync.transfer.zero_run_chunks)
-                     .Set("full_pages", resync.transfer.full_pages)
-                     .Set("delta_pages", resync.transfer.delta_pages)
-                     .Set("rounds", resync.transfer.rounds));
-  }
-  return JsonValue::Object()
-      .Set("replicas", static_cast<uint64_t>(r.nodes.size()))
-      .Set("promoted", r.promoted)
-      .Set("promotion_time_ms", r.promotion_time.seconds() * 1e3)
-      .Set("crash_times_ms", std::move(crash_times))
-      .Set("nodes", std::move(nodes))
-      .Set("resyncs", std::move(resyncs));
-}
-
 JsonValue TransportJson(const ScenarioResult& r) {
   return JsonValue::Object()
       .Set("retransmits", r.TotalRetransmits())
@@ -199,7 +151,6 @@ int RunCommand(FlagSet& flags) {
                                .Set("loss", link_faults.drop_probability)
                                .Set("dup", link_faults.duplicate_probability)
                                .Set("reorder", link_faults.reorder_probability)
-                               .Set("queue", static_cast<uint64_t>(link_faults.sender_queue_limit))
                                .Set("rto_ms", link_faults.retransmit_timeout.seconds() * 1e3));
   if (want_bare) {
     doc.Set("bare", OutcomeJson(bare));

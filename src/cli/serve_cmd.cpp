@@ -3,8 +3,10 @@
 // with the replication stream over a real socket). The chain comes from
 // run's chain flags (ParseChainFlags, variant `new` by default), and the
 // final report is one document, like `run`'s: the session outcome, then,
-// from the session's ScenarioResult, its takeover, the first replica's
-// protocol counters and per-channel transport counters.
+// from the session's ScenarioResult, its takeover, the top-level protocol
+// counters of `nodes[0]` (chain position 0, or the hosted replica in a wire
+// role), every replica as `run` reports it, and per-channel transport
+// counters.
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -48,6 +50,7 @@ JsonValue ServeJson(const serve::ServeConfig& config, const serve::ServeReport& 
   return doc.Set("repl_bytes_in", report.repl_bytes_in)
       .Set("repl_bytes_out", report.repl_bytes_out)
       .Extend(StatsJson(r.primary_stats()))
+      .Set("replication", ReplicationJson(r))
       .Set("channels", ChannelsJson(r.channels));
 }
 

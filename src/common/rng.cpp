@@ -32,8 +32,4 @@ bool DeterministicRng::NextBool(double p) {
   return NextDouble() < p;
 }
 
-DeterministicRng DeterministicRng::Fork() {
-  return DeterministicRng(Next() ^ 0xA5A5A5A55A5A5A5AULL);
-}
-
 }  // namespace hbft

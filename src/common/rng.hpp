@@ -27,9 +27,6 @@ class DeterministicRng {
   // Bernoulli trial with success probability p (clamped to [0,1]).
   bool NextBool(double p);
 
-  // Creates an independent stream derived from this one (for sub-components).
-  DeterministicRng Fork();
-
   // Raw generator state, exposed so snapshots can clone a stream exactly
   // (restoring it reproduces the identical draw sequence).
   uint64_t state() const { return state_; }

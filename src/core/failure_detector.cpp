@@ -3,22 +3,14 @@
 namespace hbft {
 
 SimTime FailureDetector::DetectionTime(const Channel& dead_to_survivor, SimTime crash_time,
-                                       SimTime timeout) {
+                                       SimTime timeout, const LinkFaults& faults) {
   SimTime base = crash_time;
   if (auto drain = dead_to_survivor.LastPendingArrival(); drain.has_value() && *drain > base) {
     base = *drain;
   }
-  return base + timeout;
-}
-
-SimTime FailureDetector::DetectionTime(const Channel& dead_to_survivor, SimTime crash_time,
-                                       SimTime timeout, const LinkFaults& faults) {
-  SimTime detect = DetectionTime(dead_to_survivor, crash_time, timeout);
-  // Allow one repair round first — but only while the faults can still bite:
-  // after a burst window has closed (active_until in the past) the wire is
-  // ideal again and silence means what it always meant.
-  if (faults.Enabled() && crash_time < faults.active_until) {
-    detect += faults.retransmit_timeout;
+  SimTime detect = base + timeout;
+  if (faults.Enabled()) {
+    detect += faults.retransmit_timeout;  // One repair round first.
   }
   return detect;
 }

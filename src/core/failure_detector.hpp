@@ -26,17 +26,14 @@ class FailureDetector {
   // backup in a chain, or the primary when a backup dies). If nothing is in
   // flight at the crash, detection counts from the crash instant: a message
   // that was already delivered must not postpone detection.
-  static SimTime DetectionTime(const Channel& dead_to_survivor, SimTime crash_time,
-                               SimTime timeout);
-
-  // Loss-calibrated variant: over a faulty link, silence for one detection
-  // timeout is not proof of death — a dropped frame looks identical until
-  // the sender's retransmission would have repaired it. A detector tuned
-  // for a lossy wire therefore waits one extra retransmission round before
-  // declaring the peer crashed, which is exactly what keeps "lossy but
-  // alive" (delayed or dropped acks/relays) from triggering a spurious
-  // promotion inside the paper's detection bound. With faults disabled this
-  // is the plain bound above.
+  //
+  // Over a faulty link, silence for one detection timeout is not proof of
+  // death — a dropped frame looks identical until the sender's
+  // retransmission would have repaired it. So with `faults` enabled the
+  // detector waits one extra retransmission round before declaring the peer
+  // crashed, which keeps "lossy but alive" (delayed or dropped acks/relays)
+  // from triggering a spurious promotion. With `LinkFaults{}` (the ideal
+  // link) it is the plain bound.
   static SimTime DetectionTime(const Channel& dead_to_survivor, SimTime crash_time,
                                SimTime timeout, const LinkFaults& faults);
 };

@@ -702,8 +702,8 @@ void ReplicaNode::OnRetransmitTimer(SimTime t) {
     return;
   }
   Channel::RetransmitResult result = down_out_->MaybeRetransmit(t);
-  if (result.frames > 0 && result.last_arrival.has_value() && schedule_down_poll_) {
-    schedule_down_poll_(*result.last_arrival);
+  if (result.frames > 0 && schedule_down_poll_) {
+    schedule_down_poll_(result.last_arrival);
   }
   EnsureRetransmitTimer();  // Re-arm while the unacked window is non-empty.
 }

@@ -147,8 +147,6 @@ class ReplicaNode : public NodeActor {
   void StartAsJoiner();
 
   bool transfer_active() const { return transfer_active_; }
-  // Non-null from AttachJoiningDownstream on; the report survives the cut.
-  const StateTransferSource* transfer_source() const { return transfer_.get(); }
 
   // Whether this node can adopt a joiner right now: no downstream, or the
   // old one's failure already detected. A node whose downstream died but

@@ -108,7 +108,6 @@ class NicDevice : public VirtualDevice {
   bool RestoreState(SnapshotReader& r) override;
 
   const State& state() const { return state_; }
-  size_t queued_rx_packets() const { return rx_queue_.size(); }
 
  private:
   // Delivers the front queued packet into the guest RX buffer if the guest

@@ -27,7 +27,6 @@ struct CpuState {
   uint32_t priv() const { return StatusBits::Priv(cr[kCrStatus]); }
   bool interrupts_enabled() const { return (cr[kCrStatus] & StatusBits::kIe) != 0; }
   bool vm_enabled() const { return (cr[kCrStatus] & StatusBits::kVmEn) != 0; }
-  bool rctr_enabled() const { return (cr[kCrStatus] & StatusBits::kRctrEn) != 0; }
 
   void set_gpr(uint8_t idx, uint32_t value) {
     if (idx != 0) {

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdio>
 #include <initializer_list>
 #include <limits>
 #include <utility>
 
 #include "common/check.hpp"
-#include "isa/disassembler.hpp"
 
 namespace hbft {
 
@@ -54,27 +52,6 @@ void Machine::ConfigureIdleLoop(uint32_t begin_pc, uint32_t end_pc) {
   // Superblocks built before the loop was registered may span its boundaries;
   // the builder clips at them, so force a rebuild.
   tcache_.InvalidateAll();
-}
-
-void Machine::EnableTrace(size_t depth) {
-  trace_ring_.assign(depth, TraceEntry{});
-  trace_next_ = 0;
-  trace_wrapped_ = false;
-}
-
-std::vector<std::string> Machine::RecentTrace() const {
-  std::vector<std::string> out;
-  size_t count = trace_wrapped_ ? trace_ring_.size() : trace_next_;
-  out.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    size_t idx = trace_wrapped_ ? (trace_next_ + i) % trace_ring_.size() : i;
-    const TraceEntry& entry = trace_ring_[idx];
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "%08x: %s", entry.pc,
-                  Disassemble(entry.word, entry.pc).c_str());
-    out.emplace_back(buf);
-  }
-  return out;
 }
 
 void Machine::VectorTrap(TrapCause cause, uint32_t epc, uint32_t vaddr, uint32_t handler_priv) {
@@ -364,11 +341,7 @@ MachineExit Machine::RunSlow(uint64_t max_instructions) {
       }
       continue;
     }
-    uint32_t word = memory_.Read32(fetch.paddr);
-    if (!trace_ring_.empty()) {
-      RecordTrace(pc, word);
-    }
-    auto decoded = Decode(word);
+    auto decoded = Decode(memory_.Read32(fetch.paddr));
     if (!decoded.has_value()) {
       if (!DeliverTrap(TrapCause::kIllegalInstruction, pc, 0, nullptr, &exit, &executed)) {
         exit.executed = executed;
@@ -836,11 +809,8 @@ MachineExit Machine::RunSlow(uint64_t max_instructions) {
       block = tcache_.Claim(pc, fetch.paddr);
       BuildSuperblock(memory_, pc, fetch.paddr, idle_configured_, idle_begin_, idle_end_, block);
       if (!block->valid) {
-        // The entry word itself is undecodable: mirror the slow path (trace
-        // the raw word, then take the illegal-instruction trap).
-        if (!trace_ring_.empty()) {
-          RecordTrace(pc, memory_.Read32(fetch.paddr));
-        }
+        // The entry word itself is undecodable: take the illegal-instruction
+        // trap, as the slow path does.
         if (!DeliverTrap(TrapCause::kIllegalInstruction, pc, 0, nullptr, &exit, &executed)) {
           exit.executed = executed;
           return exit;
@@ -889,7 +859,6 @@ Machine::BlockOutcome Machine::ExecuteBlock(const Superblock& block, uint64_t ma
   // the block, and the slow path looked up that instruction's fetch under the
   // old state.
   const bool credit_fetch = cpu_.vm_enabled();
-  const bool trace_on = !trace_ring_.empty();
   // Instructions retired in this block and not yet committed; also the
   // position of the instruction running.
   uint64_t index = 0;
@@ -926,9 +895,6 @@ front:
     goto stop;
   }
   p = &code[index];
-  if (trace_on) {
-    RecordTrace(pc, p->word);
-  }
   if (p->privileged && cpu_.priv() != 0) {
     trap_cause = TrapCause::kPrivilegeViolation;
     trap_vaddr = 0;

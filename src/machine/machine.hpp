@@ -24,9 +24,6 @@
 #define HBFT_MACHINE_MACHINE_HPP_
 
 #include <cstdint>
-#include <memory>
-#include <string>
-#include <vector>
 
 #include "isa/assembler.hpp"
 #include "isa/isa.hpp"
@@ -145,15 +142,6 @@ class Machine {
   const TranslationCache::Stats& tcache_stats() const { return tcache_.stats(); }
   uint32_t tcache_capacity() const { return tcache_.capacity(); }
 
-  // --- Execution tracing (debugging aid) ------------------------------------
-
-  // Keeps a ring buffer of the last `depth` executed instructions (0
-  // disables). Idle-skipped instructions are not recorded individually.
-  void EnableTrace(size_t depth);
-
-  // The recent instructions, oldest first, rendered as "pc: disassembly".
-  std::vector<std::string> RecentTrace() const;
-
   // --- Snapshot (uniform Snapshotable shape, plus a memory-less variant) ----
   //
   // Captures the complete virtual-machine state: registers, TLB, recovery
@@ -226,14 +214,6 @@ class Machine {
     tlb_.CreditLookups(fetch_credits);
   }
 
-  void RecordTrace(uint32_t pc, uint32_t word) {
-    trace_ring_[trace_next_] = TraceEntry{pc, word};
-    if (++trace_next_ == trace_ring_.size()) {
-      trace_next_ = 0;
-      trace_wrapped_ = true;
-    }
-  }
-
   MachineConfig config_;  // hbft-lint: derived-state — construction-time config; identical on every replica.
   CpuState cpu_;
   PhysicalMemory memory_;
@@ -254,16 +234,6 @@ class Machine {
   uint64_t idle_entry_instret_ = 0;
   uint64_t idle_skipped_ = 0;
 
-  // Execution trace ring buffer.
-  struct TraceEntry {
-    uint32_t pc = 0;
-    uint32_t word = 0;
-  };
-  // hbft-lint: derived-state — post-mortem debug ring; never read by execution.
-  std::vector<TraceEntry> trace_ring_;
-  size_t trace_next_ = 0;  // hbft-lint: derived-state — see trace_ring_ above.
-  bool trace_wrapped_ = false;  // hbft-lint: derived-state — see trace_ring_ above.
-
   uint64_t RegisterFingerprint() const { return cpu_.Fingerprint(); }
 
   // Purity fingerprint for idle-loop detection: general registers only.
@@ -277,8 +247,6 @@ class Machine {
     return hasher.digest();
   }
 };
-
-const char* ControlRegName(uint8_t cr);
 
 }  // namespace hbft
 

@@ -59,7 +59,6 @@ void BuildSuperblock(const PhysicalMemory& memory, uint32_t vaddr, uint32_t padd
     }
     PredecodedInstr pi;
     pi.instr = *Decode(word);
-    pi.word = word;
     pi.imm_u = static_cast<uint32_t>(pi.instr.imm);
     pi.privileged = traits.privileged;
     switch (pi.instr.op) {

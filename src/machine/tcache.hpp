@@ -23,12 +23,10 @@
 namespace hbft {
 
 // One predecoded instruction: the decoded fields plus everything the dispatch
-// loop would otherwise recompute per execution (raw word for the trace ring,
-// the immediate as the execute stage consumes it, static branch targets, and
-// the memory-access class).
+// loop would otherwise recompute per execution (the immediate as the execute
+// stage consumes it, static branch targets, and the memory-access class).
 struct PredecodedInstr {
   DecodedInstr instr;
-  uint32_t word = 0;
   uint32_t imm_u = 0;      // static_cast<uint32_t>(instr.imm).
   uint32_t target = 0;     // pc + 4 + imm*4 for B/J formats.
   uint8_t mem_bytes = 0;   // Access width; 0 = not a memory instruction.

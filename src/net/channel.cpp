@@ -38,44 +38,8 @@ SimTime LinkModel::TransferTime(size_t bytes) const {
   return per_frame_overhead * frames + SimTime::Picos(static_cast<int64_t>(wire_seconds * 1e12));
 }
 
-std::optional<SimTime> Channel::PutOnWire(const Message& msg, SimTime now, bool retransmit) {
+SimTime Channel::PutOnWire(const Message& msg, SimTime now, bool retransmit) {
   size_t wire_bytes = msg.WireSize();
-
-  if (wire_sink_) {
-    // Socket transport: the frame leaves the process as canonical bytes.
-    // Sender-side occupancy is still charged so protocol pacing matches the
-    // modelled link; delivery happens when the peer process reads the frame
-    // off its socket and injects it via InjectWireFrame.
-    ++counters_.wire_sends;
-    counters_.bytes_on_wire += wire_bytes;
-    SimTime start = busy_until_ > now ? busy_until_ : now;
-    busy_until_ = start + link_.TransferTime(wire_bytes);
-    if (!wire_sink_(msg.Serialize())) {
-      ++counters_.link_drops;  // Peer connection down: the wire ate it.
-    }
-    return busy_until_ + link_.propagation;
-  }
-
-  const bool faulty = faults_.Enabled() && faults_.ActiveAt(now);
-
-  // The sender's transmit ring holds frames still on the wire at `now`
-  // (arrival in the future). Frames that already landed but have not been
-  // polled belong to the receiver and must not occupy the ring — counting
-  // them would let one stale duplicate wedge a small queue forever.
-  auto in_flight_at = [this](SimTime t) {
-    auto first = std::upper_bound(queue_.begin(), queue_.end(), t,
-                                  [](SimTime v, const InFlight& f) { return v < f.arrival; });
-    return static_cast<size_t>(queue_.end() - first);
-  };
-
-  // Bounded sender queue: a full transmit ring tail-drops before the frame
-  // ever reaches the wire (no occupancy charged).
-  if (faulty && faults_.sender_queue_limit > 0 &&
-      in_flight_at(now) >= faults_.sender_queue_limit) {
-    ++counters_.queue_drops;
-    return std::nullopt;
-  }
-
   ++counters_.wire_sends;
   if (retransmit) {
     ++counters_.retransmits;
@@ -86,26 +50,33 @@ std::optional<SimTime> Channel::PutOnWire(const Message& msg, SimTime now, bool 
   SimTime send_end = busy_until_;
   SimTime arrival = send_end + link_.propagation;
 
-  auto insert_sorted = [this](InFlight frame) {
-    auto it = std::upper_bound(
-        queue_.begin(), queue_.end(), frame.arrival,
-        [](SimTime t, const InFlight& f) { return t < f.arrival; });
-    queue_.insert(it, std::move(frame));
+  if (wire_sink_) {
+    // Socket transport: the frame leaves the process as canonical bytes.
+    // Sender-side occupancy is still charged so protocol pacing matches the
+    // modelled link; delivery happens when the peer process reads the frame
+    // off its socket and injects it via InjectWireFrame.
+    if (!wire_sink_(msg.Serialize())) {
+      ++counters_.link_drops;  // Peer connection down: the wire ate it.
+    }
+    return arrival;
+  }
+
+  // The queue high-water mark counts frames still on the wire at `now`
+  // (arrival in the future); frames that already landed but have not been
+  // polled belong to the receiver.
+  auto note_high_water = [this, now] {
+    auto first = std::upper_bound(queue_.begin(), queue_.end(), now,
+                                  [](SimTime v, const InFlight& f) { return v < f.arrival; });
+    counters_.queue_high_water =
+        std::max(counters_.queue_high_water, static_cast<uint64_t>(queue_.end() - first));
   };
 
-  if (!faulty) {
-    if (!faults_.Enabled()) {
-      // Truly ideal wire: arrivals are monotone because busy_until_ is.
-      HBFT_CHECK(arrival >= last_arrival_);
-      queue_.push_back(InFlight{arrival, send_end, msg});
-    } else {
-      // Clean send on a faultable wire (e.g. after a burst window): an
-      // earlier reordered frame may still be in flight behind this one.
-      insert_sorted(InFlight{arrival, send_end, msg});
-    }
-    last_arrival_ = std::max(last_arrival_, arrival);
-    counters_.queue_high_water =
-        std::max<uint64_t>(counters_.queue_high_water, in_flight_at(now));
+  if (!faults_.Enabled()) {
+    // Ideal wire: arrivals are monotone because busy_until_ is.
+    HBFT_CHECK(arrival >= last_arrival_);
+    queue_.push_back(InFlight{arrival, send_end, msg});
+    last_arrival_ = arrival;
+    note_high_water();
     return arrival;
   }
 
@@ -123,20 +94,23 @@ std::optional<SimTime> Channel::PutOnWire(const Message& msg, SimTime now, bool 
     arrival = arrival + link_.TransferTime(link_.mtu_bytes);
   }
 
+  auto insert_sorted = [this](InFlight frame) {
+    auto it = std::upper_bound(
+        queue_.begin(), queue_.end(), frame.arrival,
+        [](SimTime t, const InFlight& f) { return t < f.arrival; });
+    last_arrival_ = std::max(last_arrival_, frame.arrival);
+    queue_.insert(it, std::move(frame));
+  };
   insert_sorted(InFlight{arrival, send_end, msg});
-  last_arrival_ = std::max(last_arrival_, arrival);
 
   if (fault_rng_.NextBool(faults_.duplicate_probability)) {
     ++counters_.link_duplicates;
     ++counters_.wire_sends;
     counters_.bytes_on_wire += wire_bytes;
-    SimTime dup_arrival = arrival + link_.per_frame_overhead;
-    insert_sorted(InFlight{dup_arrival, send_end, msg});
-    last_arrival_ = std::max(last_arrival_, dup_arrival);
+    insert_sorted(InFlight{arrival + link_.per_frame_overhead, send_end, msg});
   }
 
-  counters_.queue_high_water =
-      std::max<uint64_t>(counters_.queue_high_water, in_flight_at(now));
+  note_high_water();
   return arrival;
 }
 
@@ -146,7 +120,7 @@ std::optional<SimTime> Channel::Send(Message msg, SimTime now) {
   }
   msg.seq = next_seq_++;
   ++counters_.messages_enqueued;
-  auto arrival = PutOnWire(msg, now, /*retransmit=*/false);
+  SimTime arrival = PutOnWire(msg, now, /*retransmit=*/false);
   // Ordered channels over a faulty link keep the message until the peer's
   // cumulative ack covers it; the wire may eat the first copy. The
   // retransmission clock starts at the frame's serialisation end
@@ -155,11 +129,6 @@ std::optional<SimTime> Channel::Send(Message msg, SimTime now) {
   // full-window re-sends for any message larger than timeout x bandwidth.
   if (mode_ == ChannelMode::kOrdered && faults_.Enabled()) {
     retransmit_.Track(msg, busy_until_);
-  }
-  if (!arrival.has_value()) {
-    // Sender-queue tail drop: the frame never hit the wire. The sender's
-    // view is a completed send; recovery rides the retransmission path.
-    return busy_until_ + link_.propagation;
   }
   return arrival;
 }
@@ -266,17 +235,12 @@ Channel::RetransmitResult Channel::MaybeRetransmit(SimTime now) {
     return result;
   }
   for (const Message& msg : retransmit_.pending()) {
-    auto arrival = PutOnWire(msg, now, /*retransmit=*/true);
-    if (arrival.has_value()) {
-      result.last_arrival = arrival;
-    }
+    result.last_arrival = PutOnWire(msg, now, /*retransmit=*/true);
     ++result.frames;
   }
-  // Age the window from the end of the re-sent burst's serialisation — but
-  // never from before `now`: if every resend was tail-dropped by the bounded
-  // sender queue, busy_until_ did not advance, and re-arming the timer at a
-  // stale deadline would spin the event queue at one sim timestamp forever.
-  retransmit_.MarkResent(std::max(busy_until_, now));
+  // Age the window from the end of the re-sent burst's serialisation, which
+  // every resend pushed past `now`.
+  retransmit_.MarkResent(busy_until_);
   return result;
 }
 

@@ -20,9 +20,9 @@
 //     retransmission of the data they covered.
 //
 // LinkFaults (net/link_faults.hpp) injects per-message drop / duplicate /
-// reorder faults and bounds the sender queue; with the default all-zero
-// configuration every fault path is dead and the channel behaves exactly as
-// the ideal reliable-FIFO link.
+// reorder faults for the whole run; with the default all-zero configuration
+// every fault path is dead and the channel behaves exactly as the ideal
+// reliable-FIFO link.
 //
 // Channels are FIFO and reliable until broken. Break(t) models the sender's
 // processor crash: frames whose serialisation finished by `t` still arrive
@@ -91,7 +91,6 @@ class Channel {
     uint64_t link_drops = 0;         // Frames the wire lost.
     uint64_t link_duplicates = 0;    // Copies the wire injected.
     uint64_t link_reorders = 0;      // Frames the wire delayed out of order.
-    uint64_t queue_drops = 0;        // Sender-queue backpressure tail drops.
     uint64_t queue_high_water = 0;   // Max frames in flight at once.
     uint64_t rx_duplicates = 0;      // Receiver-discarded stale frames.
     uint64_t rx_gaps = 0;            // Receiver-discarded post-gap frames.
@@ -140,11 +139,11 @@ class Channel {
 
   // Re-sends the whole unacked window if its head has waited a full
   // retransmission timeout. Returns the number of frames re-sent and, when
-  // any survived the wire, the arrival time of the last (for receiver-poll
+  // there were any, the arrival time of the last (for receiver-poll
   // scheduling).
   struct RetransmitResult {
     uint64_t frames = 0;
-    std::optional<SimTime> last_arrival;
+    SimTime last_arrival = SimTime::Zero();
   };
   RetransmitResult MaybeRetransmit(SimTime now);
 
@@ -198,7 +197,6 @@ class Channel {
   const LinkModel& link() const { return link_; }
   ChannelMode mode() const { return mode_; }
   const LinkFaults& faults() const { return faults_; }
-  bool faults_enabled() const { return faults_.Enabled(); }
   const Counters& counters() const { return counters_; }
 
   // Unique messages accepted from the sender — the protocol's ack universe
@@ -216,9 +214,8 @@ class Channel {
   };
 
   // Pushes one frame onto the wire (occupancy, faults, sorted enqueue).
-  // Returns the arrival time the sender observes (nullopt only for
-  // sender-queue tail drops, which consume no wire occupancy).
-  std::optional<SimTime> PutOnWire(const Message& msg, SimTime now, bool retransmit);
+  // Returns the arrival time the sender observes.
+  SimTime PutOnWire(const Message& msg, SimTime now, bool retransmit);
 
   LinkModel link_;
   ChannelMode mode_;

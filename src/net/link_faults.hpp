@@ -2,18 +2,16 @@
 //
 // The ideal channel of the paper's prototype is a reliable FIFO wire; real
 // links (the 10 Mbps Ethernet the prototype used, and the ATM alternative of
-// Figure 4) lose, duplicate, and reorder frames, and their send queues are
-// finite. LinkFaults parameterises those behaviours so the protocol can be
-// exercised against an unreliable wire; with every probability at zero (the
-// default) the channel is exactly the ideal link and every code path is
-// byte-identical to the fault-free model.
+// Figure 4) lose, duplicate, and reorder frames. LinkFaults parameterises
+// those behaviours so the protocol can be exercised against an unreliable
+// wire. A channel is ideal or lossy for the whole run: with every
+// probability at zero (the default) it is exactly the ideal link and every
+// code path is byte-identical to the fault-free model.
 //
-// All randomness flows through the channel's DeterministicRng fork, so a
-// lossy run is exactly reproducible from its scenario seed.
+// All randomness flows through the channel's own DeterministicRng, seeded
+// from the scenario seed, so a lossy run is exactly reproducible.
 #ifndef HBFT_NET_LINK_FAULTS_HPP_
 #define HBFT_NET_LINK_FAULTS_HPP_
-
-#include <cstdint>
 
 #include "common/time.hpp"
 
@@ -33,27 +31,15 @@ struct LinkFaults {
   // full-MTU serialisation time, letting later sends overtake it.
   double reorder_probability = 0.0;
 
-  // Bounded sender queue: frames enqueued while this many are already in
-  // flight are tail-dropped (backpressure). 0 = unbounded (ideal).
-  uint32_t sender_queue_limit = 0;
-
   // Go-back-N retransmission timeout: an ordered channel re-sends every
   // unacknowledged message once the oldest has waited this long.
   SimTime retransmit_timeout = SimTime::Millis(2);
 
-  // Fault window: faults apply only to sends before `active_until`. A
-  // bounded window models a transient loss burst from the start of the run;
-  // the default covers the whole run.
-  SimTime active_until = SimTime::Max();
-
   // Whether this configuration can perturb the wire at all. When false the
   // channel takes the ideal fast path (no retransmit buffer, no timers).
   bool Enabled() const {
-    return drop_probability > 0.0 || duplicate_probability > 0.0 ||
-           reorder_probability > 0.0 || sender_queue_limit > 0;
+    return drop_probability > 0.0 || duplicate_probability > 0.0 || reorder_probability > 0.0;
   }
-
-  bool ActiveAt(SimTime t) const { return t < active_until; }
 
   // The canonical symmetric lossy profile used by the bench artifacts and
   // tests: drop and reorder at `p`, duplicates at half that.

@@ -75,7 +75,6 @@ class Frontend {
     uint64_t bytes_out = 0;
   };
   const Stats& stats() const { return stats_; }
-  size_t connection_count() const { return conns_.size(); }
 
  private:
   void CloseConnection(int fd);

@@ -226,7 +226,6 @@ int RunPrimary(const ServeConfig& config, ServeReport* report) {
   }
 
   RealtimePump wait_clock;
-  std::unique_ptr<World> world = config.scenario.BuildWirePosition(0);
 
   // Hold the guest until the backup is attached (or the wait expires): every
   // protocol message must ship through the wire from the first epoch, or the
@@ -252,23 +251,21 @@ int RunPrimary(const ServeConfig& config, ServeReport* report) {
     return 0;
   }
 
-  // The held guest's time 0 is the instant serving begins, not launch. A
-  // clock anchored at launch would have the guest run the whole wait in one
-  // burst on the first iteration, firing retransmit timers for frames the
-  // backup never had a chance to ack, and leaving the backup that far behind.
-  RealtimePump pump;
-
+  // Built once the wait is over: with no backup, the primary is a chain of
+  // one and runs unreplicated from the start.
+  std::unique_ptr<World> world = config.scenario.BuildWirePosition(0, repl != nullptr);
   if (repl != nullptr) {
     BindReplSink(world.get(), repl.get());
     Note("backup connected; replication active");
   } else {
-    // No backup came: run unprotected, via the same failure-detection path a
-    // mid-session backup loss takes (the primary's OnDownstreamFailureDetected
-    // releases every ack wait).
-    world->PeerLost(pump.Now());
     Note("no backup within %llu ms; running solo",
          static_cast<unsigned long long>(config.backup_wait_ms));
   }
+
+  // The held guest's time 0 is the instant serving begins, not launch. A
+  // clock anchored at launch would have the guest run the whole wait in one
+  // burst on the first iteration, leaving the backup that far behind.
+  RealtimePump pump;
 
   Frontend frontend(config.port);
   if (!frontend.OpenListener(&error)) {
@@ -277,9 +274,6 @@ int RunPrimary(const ServeConfig& config, ServeReport* report) {
   }
   Note("listening on 127.0.0.1:%u (primary)", config.port);
   ServeLoop(config, world.get(), &frontend, repl.get(), &pump, report);
-  if (repl == nullptr) {
-    report->result.crash_times.clear();  // No backup ever attached, so none was lost.
-  }
   return report->ok ? 0 : 1;
 }
 

@@ -341,10 +341,10 @@ std::unique_ptr<World> Scenario::BuildWorld() const {
   return world;
 }
 
-std::unique_ptr<World> Scenario::BuildWirePosition(size_t position) const {
+std::unique_ptr<World> Scenario::BuildWirePosition(size_t position, bool peer) const {
   HBFT_CHECK(replicated_) << "a wire position hosts a replica";
   auto world = std::make_unique<World>(guest().program, world_config(),
-                                       World::WirePosition{position});
+                                       World::WirePosition{position, peer});
   // The same parameter block every replica of BuildWorld's chain boots with.
   PatchWorkloadParams(&world->replica(0)->hypervisor().machine().memory(), workload_);
   return world;

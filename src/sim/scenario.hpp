@@ -139,9 +139,9 @@ class Scenario {
   Scenario& AuditLockstep(bool audit = true);
 
   // --- Interconnect ---------------------------------------------------------
-  // Fault model for every channel of the replica mesh (drop/duplicate/
-  // reorder probabilities, bounded sender queue, retransmission timeout,
-  // optional burst window). Defaults to the ideal wire.
+  // Fault model for every channel of the replica mesh, for the whole run
+  // (drop/duplicate/reorder probabilities, retransmission timeout).
+  // Defaults to the ideal wire.
   Scenario& LinkFaults(const ::hbft::LinkFaults& faults);
 
   // --- Machine & environment ------------------------------------------------
@@ -210,8 +210,9 @@ class Scenario {
   // two-replica chain, in World's wire-position form: it boots the machine
   // BuildWorld's chain boots at that position. Its inputs come through the
   // World's wire and injection calls, so the scenario's failure schedule,
-  // console input and packets are not applied.
-  std::unique_ptr<World> BuildWirePosition(size_t position) const;
+  // console input and packets are not applied. Without a `peer`, position 0
+  // is built as a chain of one, with no link pair.
+  std::unique_ptr<World> BuildWirePosition(size_t position, bool peer = true) const;
 
   const WorkloadSpec& workload() const { return workload_; }
   const FailureSchedule& failures() const { return failures_; }

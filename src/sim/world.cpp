@@ -56,10 +56,14 @@ World::World(const GuestProgram& guest, const WorldConfig& config, WirePosition 
       guest_(guest),
       crash_rng_(config.seed ^ 0xC4A5BEEFULL),
       wire_position_(wire.position) {
-  HBFT_CHECK(wire.position <= 1) << "a wire position is one end of a two-replica chain";
+  const size_t chain_length = wire.peer ? 2 : 1;
+  HBFT_CHECK(wire.position < chain_length)
+      << "a wire position is one end of a two-replica chain, or a chain of one";
   devices_ = std::make_unique<DeviceSet>(config.devices, config.costs, config.seed);
-  AddLinkPair(0, 1, kMeshLinkSalt, 0);
-  replicas_.push_back(MakeReplica(wire.position, ChainLinks(wire.position, 2)));
+  if (wire.peer) {
+    AddLinkPair(0, 1, kMeshLinkSalt, 0);
+  }
+  replicas_.push_back(MakeReplica(wire.position, ChainLinks(wire.position, chain_length)));
   chain_next_.assign(1, kNoChain);
   chain_prev_.assign(1, kNoChain);
 }

@@ -31,7 +31,9 @@
 // WireSink and enter through InjectWireFrame, and a dead connection enters
 // through PeerLost as a kill of the neighbour would. The hosted replica is
 // `replica(0)`; the channel keys stay chain positions. Everything else —
-// RunLoop, environment input, promotion — is the whole-chain code.
+// RunLoop, environment input, promotion — is the whole-chain code. A primary
+// whose backup never came is position 0 of a chain of one: no link pair, so
+// it runs unreplicated from the start, as a chain's last replica does.
 #ifndef HBFT_SIM_WORLD_HPP_
 #define HBFT_SIM_WORLD_HPP_
 
@@ -126,9 +128,11 @@ class World : public EventScheduler {
   ~World() override;
 
   // Wire-position form (see the header): hosts chain position `position`
-  // of a two-replica chain whose other position runs elsewhere.
+  // of a two-replica chain whose other position runs elsewhere, or, without
+  // a `peer`, position 0 of a chain of one.
   struct WirePosition {
     size_t position = 0;
+    bool peer = true;
   };
   World(const GuestProgram& guest, const WorldConfig& config, WirePosition wire);
 

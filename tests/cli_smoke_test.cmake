@@ -225,7 +225,6 @@ expect_usage_error("time-ms expects milliseconds" run --fail=time-ms=nan)
 expect_usage_error("time-ms expects milliseconds" run --fail=time-ms=1e30)
 expect_usage_error("time-ms expects milliseconds" run --fail=time-ms=-5)
 expect_usage_error("--loss expects a finite number" run --loss=nan)
-expect_usage_error("--loss-until-ms expects milliseconds" run --loss-until-ms=nan)
 expect_usage_error("--interval-ms expects milliseconds" fleet --interval-ms=nan)
 expect_usage_error("--slo-ms expects milliseconds" fleet --slo-ms=-1)
 expect_usage_error("--epoch-length expects an integer" fleet --epoch-length=-5)
@@ -238,6 +237,10 @@ expect_usage_error("--fail needs a replicated run" run --mode=bare --fail=time-m
 
 # Every command runs the cached interpreter: there is no engine selector.
 expect_usage_error("unknown flag --interp" run --workload=cpu --iterations=3 --interp=cached)
+
+# A link is ideal or lossy for the whole run, with an unbounded sender queue.
+expect_usage_error("unknown flag --loss-until-ms" run --loss=0.05 --loss-until-ms=1)
+expect_usage_error("unknown flag --link-queue" run --loss=0.05 --link-queue=1)
 
 # --- bench: JSON artifacts under bench/ -------------------------------------
 run_cli(bench_out bench --quick --out-dir=${WORK_DIR}/bench)

@@ -679,7 +679,6 @@ void ExpectSameScenarioResults(const ScenarioResult& a, const ScenarioResult& b)
     EXPECT_EQ(x.link_drops, y.link_drops) << "channel " << i;
     EXPECT_EQ(x.link_duplicates, y.link_duplicates) << "channel " << i;
     EXPECT_EQ(x.link_reorders, y.link_reorders) << "channel " << i;
-    EXPECT_EQ(x.queue_drops, y.queue_drops) << "channel " << i;
     EXPECT_EQ(x.queue_high_water, y.queue_high_water) << "channel " << i;
     EXPECT_EQ(x.rx_duplicates, y.rx_duplicates) << "channel " << i;
     EXPECT_EQ(x.rx_gaps, y.rx_gaps) << "channel " << i;

@@ -588,47 +588,6 @@ TEST(MachineFingerprint, EnvironmentRegistersExcluded) {
   EXPECT_NE(a.Fingerprint(), b.Fingerprint());
 }
 
-TEST(MachineTrace, RecordsRecentInstructionsInOrder) {
-  auto assembled = Assemble(R"(
-    li r1, 1
-    li r2, 2
-    add r3, r1, r2
-    halt
-  )");
-  ASSERT_TRUE(assembled.ok());
-  MachineConfig config;
-  Machine machine(config);
-  machine.LoadImage(assembled.value());
-  machine.cpu().pc = 0;
-  machine.EnableTrace(16);
-  machine.Run(100);
-  auto trace = machine.RecentTrace();
-  ASSERT_EQ(trace.size(), 6u);  // 2x li (2 instructions each) + add + halt.
-  EXPECT_NE(trace[4].find("add r3, r1, r2"), std::string::npos);
-  EXPECT_NE(trace[5].find("halt"), std::string::npos);
-  EXPECT_EQ(trace[0].substr(0, 8), "00000000");
-}
-
-TEST(MachineTrace, RingBufferKeepsOnlyLastN) {
-  auto assembled = Assemble(R"(
-    li r1, 10
-loop:
-    addi r1, r1, -1
-    bnez r1, loop
-    halt
-  )");
-  ASSERT_TRUE(assembled.ok());
-  MachineConfig config;
-  Machine machine(config);
-  machine.LoadImage(assembled.value());
-  machine.cpu().pc = 0;
-  machine.EnableTrace(4);
-  machine.Run(1000);
-  auto trace = machine.RecentTrace();
-  ASSERT_EQ(trace.size(), 4u);
-  EXPECT_NE(trace[3].find("halt"), std::string::npos);  // Newest last.
-}
-
 TEST(MachineMmio, DirectModeExitsForDeviceAccess) {
   auto assembled = Assemble(R"(
     li r1, 0xF0000000

@@ -3,13 +3,16 @@
 
 Usage: serve_integration_test.py <path-to-hbft_cli>
 
-Three phases:
+Four phases:
   1. Single-process serve: a client commits writes through the full
      simulated chain and every echo matches.
   2. Single-process failover (--fail=time-ms=...): the primary replica is
      killed in-simulation mid-traffic; the backup promotes and the session
-     report says so; the client loses nothing.
-  3. Multi-process: --role=primary and --role=backup processes joined by a
+     report says so, for the session and for each replica; the client loses
+     nothing.
+  3. Solo primary: a --role=primary whose backup never comes serves as a
+     chain of one, with no failover, no protocol messages and no channels.
+  4. Multi-process: --role=primary and --role=backup processes joined by a
      real TCP replication link. The primary is SIGKILLed mid-traffic; the
      backup detects the dead socket, promotes via the failure detector,
      rebinds the client port, and the client finishes with zero lost
@@ -128,7 +131,35 @@ def phase_single_failover(cli):
     check(report["promoted"], "single-failover: backup never promoted")
     check(report["promotion_latency_ms"] > 0,
           "single-failover: promotion_latency_ms %s" % report["promotion_latency_ms"])
+    # The top-level counters are chain position 0's; every replica's are in
+    # replication.nodes, the promoted backup's takeover latency included.
+    nodes = report["replication"]["nodes"]
+    check([n["promoted"] for n in nodes] == [False, True],
+          "single-failover: promoted per node %s" % [n["promoted"] for n in nodes])
+    check(nodes[1]["promotion_latency_ms"] == report["promotion_latency_ms"],
+          "single-failover: node 1 promotion_latency_ms %s" % nodes[1]["promotion_latency_ms"])
+    check(report["epochs"] == nodes[0]["epochs"],
+          "single-failover: top-level epochs %d, node 0's %d" %
+          (report["epochs"], nodes[0]["epochs"]))
     print("phase 2 (in-process failover): OK —", s)
+
+
+def phase_solo_primary(cli):
+    primary = subprocess.Popen(
+        [cli, "serve", "--role=primary", "--port=%d" % free_port(),
+         "--repl-port=%d" % free_port(), "--backup-wait-ms=100", "--duration-ms=300", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    out, err = finish(primary, 30, "solo primary")
+    check(primary.returncode == 0, "solo: primary exited %d:\n%s" % (primary.returncode, err))
+    report = parse_report(out, err, "solo primary")
+    check(report["stop_reason"] == "duration", "solo: stop_reason %s" % report["stop_reason"])
+    check(report["solo"], "solo: report not solo")
+    check(report["failovers"] == 0, "solo: failovers %d" % report["failovers"])
+    check(report["messages_sent"] == 0, "solo: messages_sent %d" % report["messages_sent"])
+    check(report["channels"] == [], "solo: channels %s" % report["channels"])
+    check(report["replication"]["replicas"] == 1,
+          "solo: replicas %d" % report["replication"]["replicas"])
+    print("phase 3 (solo primary): OK")
 
 
 def phase_multiprocess_kill9(cli):
@@ -173,7 +204,10 @@ def phase_multiprocess_kill9(cli):
     check(report["requests"] > 0, "multi: promoted backup served no requests")
     check(report["stop_reason"] == "signal", "multi: stop_reason %s" % report["stop_reason"])
     check("promoted" in err, "multi: no promotion note on backup stderr:\n%s" % err)
-    print("phase 3 (kill -9 failover): OK —", s,
+    nodes = report["replication"]["nodes"]
+    check(len(nodes) == 1 and nodes[0]["promoted"],
+          "multi: backup's hosted replica %s" % nodes)
+    print("phase 4 (kill -9 failover): OK —", s,
           "promotion_latency_ms=%.1f" % report["promotion_latency_ms"])
 
 
@@ -183,6 +217,7 @@ def main():
     cli = sys.argv[1]
     phase_single(cli)
     phase_single_failover(cli)
+    phase_solo_primary(cli)
     phase_multiprocess_kill9(cli)
     print("serve_integration_test: all phases passed")
 
