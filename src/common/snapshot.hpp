@@ -164,12 +164,6 @@ inline bool ReadSnapshotHeader(SnapshotReader& r) {
          version == kSnapshotVersion;
 }
 
-// Whole-object helpers: a headered snapshot of one Snapshotable. Restore
-// demands the header and full consumption, so a truncated or padded image is
-// rejected at every prefix.
-Snapshot CaptureSnapshot(const Snapshotable& source);
-bool RestoreSnapshot(const Snapshot& snapshot, Snapshotable* target);
-
 }  // namespace hbft
 
 #endif  // HBFT_COMMON_SNAPSHOT_HPP_

@@ -1,31 +1,19 @@
 #include "devices/console.hpp"
 
+#include <utility>
+
 #include "common/check.hpp"
 #include "isa/isa.hpp"
 #include "machine/machine.hpp"
 
 namespace hbft {
 
-void Console::Latch(const IoDescriptor& io, int issuer) {
-  Transmit(static_cast<char>(io.payload[0]), issuer);
+void Console::Latch(const std::vector<uint8_t>& payload, EnvTraceEntry entry) {
+  entry.op_hash = payload[0];  // The character is the whole operation.
+  Record(std::move(entry));
 }
 
 uint32_t Console::completion_irq() const { return kIrqConsoleTx; }
-
-std::vector<EnvTraceEntry> Console::EnvTrace() const {
-  std::vector<EnvTraceEntry> out;
-  out.reserve(trace_.size());
-  for (const ConsoleTraceEntry& e : trace_) {
-    EnvTraceEntry entry;
-    entry.device_id = DeviceId::kConsole;
-    entry.issuer = e.issuer;
-    entry.performed = true;  // Trace records latched (environment-seen) chars.
-    entry.op_hash = static_cast<uint64_t>(static_cast<uint8_t>(e.ch));
-    entry.label = std::string(1, e.ch);
-    out.push_back(std::move(entry));
-  }
-  return out;
-}
 
 // --- ConsoleDevice -----------------------------------------------------------
 

@@ -1,5 +1,5 @@
 // Remote console device: byte-oriented TX (environment output) and RX input
-// injection with interrupt semantics.
+// with interrupt semantics.
 //
 // In the paper's prototype the remote console sits on the Ethernet and is the
 // second I/O device besides the SCSI disk. Console output is the clearest
@@ -8,10 +8,12 @@
 // duplicated output across failover.
 //
 // Console (the DeviceBackend) latches each character into the environment at
-// issue and completes the TX latch after a UART character time. Its fault
-// plan mirrors the disk's (IO2): a completion may come back uncertain, in
-// which case the character may or may not have reached the terminal and the
-// guest driver retransmits — the environment tolerates the duplicate.
+// issue — one trace entry per character, whose op_hash is the character, so
+// the terminal's text is the console entries' op_hash values in order — and
+// completes the TX latch after a UART character time. Its fault plan mirrors
+// the disk's (IO2): a completion may come back uncertain, in which case the
+// character may or may not have reached the terminal and the guest driver
+// retransmits — the environment tolerates the duplicate.
 // ConsoleDevice (the VirtualDevice) is the per-node register model; console
 // RX input reaches the guest through the same generic completion path as
 // every other device interrupt.
@@ -19,8 +21,6 @@
 #define HBFT_DEVICES_CONSOLE_HPP_
 
 #include <cstdint>
-#include <deque>
-#include <string>
 #include <vector>
 
 #include "devices/latched_output.hpp"
@@ -34,50 +34,16 @@ inline constexpr uint32_t kConsoleOpTx = 1;
 inline constexpr uint32_t kConsoleResultOk = 0;
 inline constexpr uint32_t kConsoleResultUncertain = 1;
 
-struct ConsoleTraceEntry {
-  char ch = 0;
-  int issuer = 0;
-};
-
 class Console : public LatchedOutputBackend {
  public:
   explicit Console(uint64_t seed = 0) : LatchedOutputBackend(seed, 0xC0501EULL) {}
 
-  // --- DeviceBackend ---------------------------------------------------------
   DeviceId device_id() const override { return DeviceId::kConsole; }
-  std::vector<EnvTraceEntry> EnvTrace() const override;
-
-  // Environment-visible output (direct form, used by tests).
-  void Transmit(char c, int issuer) {
-    output_.push_back(c);
-    trace_.push_back(ConsoleTraceEntry{c, issuer});
-  }
-
-  // Input path (host injects; guest pops via the RX register).
-  void InjectInput(const std::string& text) {
-    for (char c : text) {
-      rx_fifo_.push_back(c);
-    }
-  }
-  bool HasRx() const { return !rx_fifo_.empty(); }
-  char PopRx() {
-    char c = rx_fifo_.front();
-    rx_fifo_.pop_front();
-    return c;
-  }
-
-  const std::string& output() const { return output_; }
-  const std::vector<ConsoleTraceEntry>& trace() const { return trace_; }
 
  protected:
-  void Latch(const IoDescriptor& io, int issuer) override;
+  void Latch(const std::vector<uint8_t>& payload, EnvTraceEntry entry) override;
   uint32_t completion_irq() const override;
   uint32_t accepted_opcode() const override { return kConsoleOpTx; }
-
- private:
-  std::string output_;
-  std::deque<char> rx_fifo_;
-  std::vector<ConsoleTraceEntry> trace_;
 };
 
 // The per-node console register model.

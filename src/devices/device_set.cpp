@@ -40,12 +40,10 @@ std::unique_ptr<DeviceRegistry> DeviceSet::BuildRegistry() const {
   return registry;
 }
 
-std::vector<EnvTraceEntry> DeviceSet::EnvTrace() const {
+std::vector<EnvTraceEntry> DeviceSet::trace() const {
   std::vector<EnvTraceEntry> out;
   for (const DeviceBackend* backend : backends_) {
-    std::vector<EnvTraceEntry> trace = backend->EnvTrace();
-    out.insert(out.end(), std::make_move_iterator(trace.begin()),
-               std::make_move_iterator(trace.end()));
+    out.insert(out.end(), backend->trace().begin(), backend->trace().end());
   }
   return out;
 }

@@ -6,8 +6,8 @@
 // replicas and the bare reference machine alike — gets its own
 // DeviceRegistry of per-node register models built by BuildRegistry(), all
 // bound to these shared backends. The sim and core layers talk to the set
-// through DeviceBackend/DeviceRegistry; the typed accessors below exist for
-// scenario result extraction and tests.
+// through DeviceBackend/DeviceRegistry; the one typed accessor, nic(), lets
+// the serve frontend hook the NIC's output-commit latch.
 #ifndef HBFT_DEVICES_DEVICE_SET_HPP_
 #define HBFT_DEVICES_DEVICE_SET_HPP_
 
@@ -42,13 +42,10 @@ class DeviceSet {
   // A fresh per-node registry bound to this set's backends.
   std::unique_ptr<DeviceRegistry> BuildRegistry() const;
 
-  // The concatenated device-tagged environment trace (per-device order
+  // Every backend's trace concatenated in backend order (per-device order
   // preserved; the checker splits by device anyway).
-  std::vector<EnvTraceEntry> EnvTrace() const;
+  std::vector<EnvTraceEntry> trace() const;
 
-  // Typed accessors for result extraction and tests.
-  Disk& disk() { return *disk_; }
-  Console& console() { return *console_; }
   Nic* nic() { return nic_.get(); }  // Null when not configured.
 
  private:

@@ -1,6 +1,6 @@
 #include "devices/disk.hpp"
 
-#include <sstream>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/hash.hpp"
@@ -23,110 +23,66 @@ std::vector<uint8_t> Disk::DefaultBlockContent(uint32_t block) const {
   return data;
 }
 
-void Disk::ApplyWrite(uint32_t block, const std::vector<uint8_t>& data) {
-  blocks_[block] = data;
-}
-
-uint64_t Disk::IssueWrite(uint32_t block, std::vector<uint8_t> data, int issuer) {
-  HBFT_CHECK_LT(block, num_blocks_);
-  HBFT_CHECK_EQ(data.size(), kDiskBlockBytes);
-  uint64_t id = next_op_id_++;
-  in_flight_[id] = InFlightOp{true, block, issuer, std::move(data)};
-  return id;
-}
-
-uint64_t Disk::IssueRead(uint32_t block, int issuer) {
-  HBFT_CHECK_LT(block, num_blocks_);
-  uint64_t id = next_op_id_++;
-  in_flight_[id] = InFlightOp{false, block, issuer, {}};
-  return id;
-}
-
 DeviceBackend::Issued Disk::Issue(const IoDescriptor& io, int issuer) {
   HBFT_CHECK(io.opcode == kDiskOpRead || io.opcode == kDiskOpWrite)
       << "bad disk opcode " << io.opcode;
-  Issued issued;
-  if (io.opcode == kDiskOpWrite) {
-    issued.op_id = IssueWrite(io.arg0, io.payload, issuer);
-    issued.latency = write_latency_;
-  } else {
-    issued.op_id = IssueRead(io.arg0, issuer);
-    issued.latency = read_latency_;
+  HBFT_CHECK_LT(io.arg0, num_blocks_);
+  InFlightOp op{io.opcode == kDiskOpWrite, io.arg0, issuer, {}};
+  if (op.is_write) {
+    HBFT_CHECK_EQ(io.payload.size(), kDiskBlockBytes);
+    op.data = io.payload;
   }
+  Issued issued;
+  issued.op_id = next_op_id_++;
+  issued.latency = op.is_write ? write_latency_ : read_latency_;
+  in_flight_[issued.op_id] = std::move(op);
   return issued;
 }
 
 IoCompletionPayload Disk::Complete(uint64_t op_id, const IoDescriptor& io) {
-  Completion completion = Complete(op_id);
+  auto node = in_flight_.extract(op_id);
+  HBFT_CHECK(!node.empty()) << "completing unknown disk op " << op_id;
+  const InFlightOp& op = node.mapped();
+  const bool uncertain = rng_.NextBool(fault_plan_.uncertain_probability);
   IoCompletionPayload payload;
   payload.device_irq = kIrqDisk;
   payload.guest_op_seq = io.guest_op_seq;
-  payload.result_code =
-      completion.status == DiskStatus::kUncertain ? kDiskResultCheckCondition : kDiskResultOk;
-  if (io.opcode == kDiskOpRead && completion.status == DiskStatus::kOk) {
+  payload.result_code = uncertain ? kDiskResultCheckCondition : kDiskResultOk;
+  if (!op.is_write && !uncertain) {
     payload.has_dma_data = true;
     payload.dma_guest_paddr = io.arg1;
-    payload.dma_data = std::move(completion.data);
+    payload.dma_data = PeekBlock(op.block);
   }
+  Settle(op, !uncertain || rng_.NextBool(fault_plan_.performed_when_uncertain));
   return payload;
 }
 
-Disk::Completion Disk::Complete(uint64_t op_id) {
-  auto it = in_flight_.find(op_id);
-  HBFT_CHECK(it != in_flight_.end()) << "completing unknown disk op " << op_id;
-  InFlightOp op = std::move(it->second);
-  in_flight_.erase(it);
-
-  Completion completion;
-  bool uncertain = rng_.NextBool(fault_plan_.uncertain_probability);
-  if (uncertain) {
-    completion.status = DiskStatus::kUncertain;
-    completion.performed = rng_.NextBool(fault_plan_.performed_when_uncertain);
-  } else {
-    completion.status = DiskStatus::kOk;
-    completion.performed = true;
+void Disk::ResolveAtCrash(uint64_t op_id, bool performed) {
+  auto node = in_flight_.extract(op_id);
+  HBFT_CHECK(!node.empty()) << "resolving unknown disk op " << op_id;
+  if (performed) {
+    Settle(node.mapped(), true);  // Done at the device; interrupt lost.
   }
-
-  DiskTraceEntry entry;
-  entry.op_id = op_id;
-  entry.is_write = op.is_write;
-  entry.block = op.block;
-  entry.issuer = op.issuer;
-  entry.performed = completion.performed;
-  entry.status = completion.status;
-
-  if (completion.performed) {
-    if (op.is_write) {
-      entry.content_hash = Fnv1a(op.data.data(), op.data.size());
-      ApplyWrite(op.block, op.data);
-    } else {
-      completion.data = PeekBlock(op.block);
-    }
-  }
-  trace_.push_back(entry);
-  return completion;
+  // Otherwise the environment never saw the operation.
 }
 
-void Disk::ResolveInFlightAtCrash(uint64_t op_id, bool performed) {
-  auto it = in_flight_.find(op_id);
-  HBFT_CHECK(it != in_flight_.end()) << "resolving unknown disk op " << op_id;
-  InFlightOp op = std::move(it->second);
-  in_flight_.erase(it);
-  if (!performed) {
-    return;  // The environment never saw the operation.
-  }
-  DiskTraceEntry entry;
-  entry.op_id = op_id;
-  entry.is_write = op.is_write;
-  entry.block = op.block;
+void Disk::Settle(const InFlightOp& op, bool performed) {
+  EnvTraceEntry entry;
   entry.issuer = op.issuer;
-  entry.performed = true;
-  entry.status = DiskStatus::kOk;  // Completed at the device; interrupt lost.
+  entry.performed = performed;
+  entry.opcode = op.is_write ? kDiskOpWrite : kDiskOpRead;
+  entry.block = op.block;
+  Fnv1aHasher hasher;
+  hasher.UpdateU32(op.is_write ? 1u : 0u);
+  hasher.UpdateU32(op.block);
   if (op.is_write) {
-    entry.content_hash = Fnv1a(op.data.data(), op.data.size());
-    ApplyWrite(op.block, op.data);
+    hasher.UpdateU64(Fnv1a(op.data.data(), op.data.size()));
+    if (performed) {
+      blocks_[op.block] = op.data;
+    }
   }
-  trace_.push_back(entry);
+  entry.op_hash = hasher.digest();
+  Record(std::move(entry));
 }
 
 std::vector<uint8_t> Disk::PeekBlock(uint32_t block) const {
@@ -135,30 +91,6 @@ std::vector<uint8_t> Disk::PeekBlock(uint32_t block) const {
     return it->second;
   }
   return DefaultBlockContent(block);
-}
-
-std::vector<EnvTraceEntry> Disk::EnvTrace() const {
-  std::vector<EnvTraceEntry> out;
-  out.reserve(trace_.size());
-  for (const DiskTraceEntry& e : trace_) {
-    EnvTraceEntry entry;
-    entry.device_id = DeviceId::kDisk;
-    entry.issuer = e.issuer;
-    entry.performed = e.performed;
-    Fnv1aHasher hasher;
-    hasher.UpdateU32(e.is_write ? 1u : 0u);
-    hasher.UpdateU32(e.block);
-    if (e.is_write) {
-      hasher.UpdateU64(e.content_hash);
-    }
-    entry.op_hash = hasher.digest();
-    std::ostringstream label;
-    label << (e.is_write ? "write" : "read") << "(block=" << e.block
-          << ", hash=" << e.content_hash << ")";
-    entry.label = label.str();
-    out.push_back(std::move(entry));
-  }
-  return out;
 }
 
 // --- DiskDevice --------------------------------------------------------------

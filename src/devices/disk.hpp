@@ -17,7 +17,7 @@
 // The disk is passive with respect to time: the simulation issues operations,
 // decides when they complete (transfer-time model), and calls Complete(). A
 // crash of the issuing processor mid-operation is resolved explicitly with
-// ResolveInFlightAtCrash(performed) — the "may or may not" of IO2 made
+// ResolveAtCrash(op_id, performed) — the "may or may not" of IO2 made
 // concrete and testable.
 #ifndef HBFT_DEVICES_DISK_HPP_
 #define HBFT_DEVICES_DISK_HPP_
@@ -46,25 +46,6 @@ inline constexpr uint32_t kDiskStatusCheck = 1u << 2;
 inline constexpr uint32_t kDiskResultOk = 0;
 inline constexpr uint32_t kDiskResultCheckCondition = 1;
 
-enum class DiskStatus : uint32_t {
-  kOk = 0,
-  kUncertain = 1,  // CHECK_CONDITION: operation may or may not have happened.
-};
-
-// One environment-visible disk event, recorded for consistency checking.
-struct DiskTraceEntry {
-  uint64_t op_id = 0;
-  bool is_write = false;
-  uint32_t block = 0;
-  int issuer = 0;           // Node id that issued the operation.
-  bool performed = false;   // Whether the medium changed / data was read.
-  DiskStatus status = DiskStatus::kOk;
-  uint64_t content_hash = 0;  // Hash of written data (writes only).
-};
-
-// Back-compat name for the generic fault plan (devices/io.hpp).
-using DiskFaultPlan = FaultPlan;
-
 class Disk : public DeviceBackend {
  public:
   Disk(uint32_t num_blocks, uint64_t seed);
@@ -76,43 +57,16 @@ class Disk : public DeviceBackend {
   }
 
   // --- DeviceBackend ---------------------------------------------------------
+  // Write data is captured at issue (the DMA snapshot); completion applies
+  // the fault plan and traces the operation, performed or not.
   DeviceId device_id() const override { return DeviceId::kDisk; }
   Issued Issue(const IoDescriptor& io, int issuer) override;
   IoCompletionPayload Complete(uint64_t op_id, const IoDescriptor& io) override;
   bool crash_resolvable() const override { return true; }
-  void ResolveAtCrash(uint64_t op_id, bool performed) override {
-    ResolveInFlightAtCrash(op_id, performed);
-  }
-  std::vector<EnvTraceEntry> EnvTrace() const override;
-
-  // --- Typed operations (tests and the generic methods above) ---------------
-
-  // Issues an operation on behalf of node `issuer`; returns the op id.
-  // Write data is captured at issue time (the DMA snapshot).
-  uint64_t IssueWrite(uint32_t block, std::vector<uint8_t> data, int issuer);
-  uint64_t IssueRead(uint32_t block, int issuer);
-
-  struct Completion {
-    DiskStatus status = DiskStatus::kOk;
-    bool performed = false;
-    std::vector<uint8_t> data;  // Read data when performed.
-  };
-
-  // Completes an in-flight operation, applying the fault plan. Records the
-  // environment trace entry.
-  Completion Complete(uint64_t op_id);
-
-  // Resolves an operation whose issuer crashed before completion: the
-  // environment either saw it or did not. No interrupt is ever delivered.
-  void ResolveInFlightAtCrash(uint64_t op_id, bool performed);
-
-  bool HasInFlight(uint64_t op_id) const { return in_flight_.count(op_id) != 0; }
+  void ResolveAtCrash(uint64_t op_id, bool performed) override;
 
   // Direct content access for verification (not a device operation).
   std::vector<uint8_t> PeekBlock(uint32_t block) const;
-
-  const std::vector<DiskTraceEntry>& trace() const { return trace_; }
-  uint32_t num_blocks() const { return num_blocks_; }
 
  private:
   struct InFlightOp {
@@ -122,10 +76,12 @@ class Disk : public DeviceBackend {
     std::vector<uint8_t> data;
   };
 
+  // Applies a performed write to the medium and traces the operation.
+  void Settle(const InFlightOp& op, bool performed);
+
   // Unwritten blocks hold a deterministic per-block pattern so reads are
   // verifiable without priming the disk.
   std::vector<uint8_t> DefaultBlockContent(uint32_t block) const;
-  void ApplyWrite(uint32_t block, const std::vector<uint8_t>& data);
 
   uint32_t num_blocks_ = 0;
   DeterministicRng rng_;
@@ -135,7 +91,6 @@ class Disk : public DeviceBackend {
   uint64_t next_op_id_ = 1;
   std::map<uint64_t, InFlightOp> in_flight_;
   std::map<uint32_t, std::vector<uint8_t>> blocks_;
-  std::vector<DiskTraceEntry> trace_;
 };
 
 // The per-node disk controller model.

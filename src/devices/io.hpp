@@ -15,10 +15,10 @@
 #define HBFT_DEVICES_IO_HPP_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/snapshot.hpp"
+#include "common/time.hpp"
 
 namespace hbft {
 
@@ -72,18 +72,23 @@ struct FaultPlan {
   double performed_when_uncertain = 0.5;
 };
 
-// One environment-visible event in a device's output trace, device-tagged so
-// a single generalised checker can verify the paper's transparency criterion
-// per device (sim/environment_observer.hpp). `op_hash` identifies the
-// operation including its content: two entries with equal hashes are the
-// same operation repeated (which IO1/IO2 license inside the in-flight
-// window); unequal hashes are different operations.
+// One environment-visible event, device-tagged so a single generalised
+// checker can verify the paper's transparency criterion per device
+// (sim/environment_observer.hpp). Backends append these as the environment
+// sees their operations (DeviceBackend::trace()); it is the only record of
+// device output. `op_hash` identifies the operation including its content:
+// two entries with equal hashes are the same operation repeated (which
+// IO1/IO2 license inside the in-flight window); unequal hashes are different
+// operations.
 struct EnvTraceEntry {
   DeviceId device_id = DeviceId::kNone;
-  int issuer = 0;          // Node id that drove the operation.
-  bool performed = false;  // Whether the environment actually saw it.
-  uint64_t op_hash = 0;    // Operation identity incl. content.
-  std::string label;       // Human-readable form for failure diagnostics.
+  int issuer = 0;                  // Node id that drove the operation.
+  bool performed = false;          // Whether the environment actually saw it.
+  uint32_t opcode = 0;             // IoDescriptor::opcode (disk: read or write).
+  uint32_t block = 0;              // Disk block.
+  SimTime time = SimTime::Zero();  // Console/NIC: the issuer's clock at the latch.
+  std::vector<uint8_t> bytes;      // NIC: the latched packet.
+  uint64_t op_hash = 0;            // Operation identity incl. content (console: the char).
 };
 
 // Canonical snapshot codecs for the I/O vocabulary, shared by the hypervisor

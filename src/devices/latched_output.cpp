@@ -1,5 +1,7 @@
 #include "devices/latched_output.hpp"
 
+#include <utility>
+
 #include "common/check.hpp"
 
 namespace hbft {
@@ -24,7 +26,12 @@ DeviceBackend::Issued LatchedOutputBackend::Issue(const IoDescriptor& io, int is
     performed = rng_.NextBool(fault_plan_.performed_when_uncertain);
   }
   if (performed) {
-    Latch(io, issuer);
+    EnvTraceEntry entry;
+    entry.issuer = issuer;
+    entry.performed = true;
+    entry.opcode = io.opcode;
+    entry.time = issue_clock();
+    Latch(io.payload, std::move(entry));
   }
   Issued issued;
   issued.op_id = next_op_id_++;

@@ -39,8 +39,10 @@ class LatchedOutputBackend : public DeviceBackend {
  protected:
   LatchedOutputBackend(uint64_t seed, uint64_t salt) : rng_(seed ^ salt) {}
 
-  // Commits the operation's payload to the environment (trace + output).
-  virtual void Latch(const IoDescriptor& io, int issuer) = 0;
+  // Commits `payload` to the environment: completes `entry` (issuer, opcode
+  // and latch time are filled) with the device's identity of the output and
+  // records it.
+  virtual void Latch(const std::vector<uint8_t>& payload, EnvTraceEntry entry) = 0;
   // The EIRR line completions of this device raise.
   virtual uint32_t completion_irq() const = 0;
   // The single opcode this device accepts.

@@ -1,6 +1,6 @@
 #include "devices/nic.hpp"
 
-#include <sstream>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/hash.hpp"
@@ -9,31 +9,16 @@
 
 namespace hbft {
 
-void Nic::Latch(const IoDescriptor& io, int issuer) {
-  trace_.push_back(NicTraceEntry{io.payload, issuer, issue_clock()});
+void Nic::Latch(const std::vector<uint8_t>& payload, EnvTraceEntry entry) {
+  entry.bytes = payload;
+  entry.op_hash = Fnv1a(payload.data(), payload.size());
+  const EnvTraceEntry& latched = Record(std::move(entry));
   if (on_latch_) {
-    on_latch_(trace_.back());
+    on_latch_(latched);
   }
 }
 
 uint32_t Nic::completion_irq() const { return kIrqNicTx; }
-
-std::vector<EnvTraceEntry> Nic::EnvTrace() const {
-  std::vector<EnvTraceEntry> out;
-  out.reserve(trace_.size());
-  for (const NicTraceEntry& e : trace_) {
-    EnvTraceEntry entry;
-    entry.device_id = DeviceId::kNic;
-    entry.issuer = e.issuer;
-    entry.performed = true;
-    entry.op_hash = Fnv1a(e.bytes.data(), e.bytes.size());
-    std::ostringstream label;
-    label << "pkt(len=" << e.bytes.size() << ", hash=" << entry.op_hash << ")";
-    entry.label = label.str();
-    out.push_back(std::move(entry));
-  }
-  return out;
-}
 
 // --- NicDevice ---------------------------------------------------------------
 

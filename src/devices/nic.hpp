@@ -40,40 +40,25 @@ inline constexpr uint32_t kNicOpTx = 1;
 inline constexpr uint32_t kNicResultOk = 0;
 inline constexpr uint32_t kNicResultUncertain = 1;
 
-// One transmitted (environment-visible) packet. `time` is the issuing node's
-// virtual clock at the latch (zero when the issuer never set its clock, e.g.
-// backend-only unit tests) — the commit instant the fleet's request-latency
-// measurements are taken against.
-struct NicTraceEntry {
-  std::vector<uint8_t> bytes;
-  int issuer = 0;
-  SimTime time = SimTime::Zero();
-};
-
 class Nic : public LatchedOutputBackend {
  public:
   explicit Nic(uint64_t seed = 0) : LatchedOutputBackend(seed, 0x21C0FFEEULL) {}
 
-  // --- DeviceBackend ---------------------------------------------------------
   DeviceId device_id() const override { return DeviceId::kNic; }
-  std::vector<EnvTraceEntry> EnvTrace() const override;
-
-  const std::vector<NicTraceEntry>& trace() const { return trace_; }
 
   // Serve-frontend hook: fires at every TX latch with the entry just
-  // appended. Under the revised protocol a latch is already gated on
+  // recorded. Under the revised protocol a latch is already gated on
   // all-acked, so the callback instant IS the output-commit instant — the
   // earliest moment a reply may leave for a real client.
-  void set_on_latch(std::function<void(const NicTraceEntry&)> fn) { on_latch_ = std::move(fn); }
+  void set_on_latch(std::function<void(const EnvTraceEntry&)> fn) { on_latch_ = std::move(fn); }
 
  protected:
-  void Latch(const IoDescriptor& io, int issuer) override;
+  void Latch(const std::vector<uint8_t>& payload, EnvTraceEntry entry) override;
   uint32_t completion_irq() const override;
   uint32_t accepted_opcode() const override { return kNicOpTx; }
 
  private:
-  std::vector<NicTraceEntry> trace_;
-  std::function<void(const NicTraceEntry&)> on_latch_;
+  std::function<void(const EnvTraceEntry&)> on_latch_;
 };
 
 // The per-node NIC register model.

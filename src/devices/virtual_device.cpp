@@ -1,5 +1,7 @@
 #include "devices/virtual_device.hpp"
 
+#include <utility>
+
 #include "common/check.hpp"
 #include "devices/console.hpp"
 #include "devices/disk.hpp"
@@ -19,6 +21,12 @@ const char* DeviceIdName(DeviceId id) {
       return "nic";
   }
   return "unknown";
+}
+
+const EnvTraceEntry& DeviceBackend::Record(EnvTraceEntry entry) {
+  entry.device_id = device_id();
+  trace_.push_back(std::move(entry));
+  return trace_.back();
 }
 
 void CaptureIoDescriptor(SnapshotWriter& w, const IoDescriptor& io) {

@@ -372,7 +372,7 @@ FleetResult Fleet::Collect() {
     chain.world->Finish(&r);
     chain.scenario.CollectResult(*chain.world, &r);
     chain_outcomes[c] =
-        MatchRequests(static_cast<uint32_t>(c), config_.traffic, r.nic_trace);
+        MatchRequests(static_cast<uint32_t>(c), config_.traffic, r.env_trace);
     if (config_.verify && r.completed && r.exited_flag == 1) {
       ScenarioResult bare = chain.scenario.AsBare().Run();
       ConsistencyResult consistency =
@@ -431,7 +431,7 @@ FleetResult Fleet::Collect() {
     }
     report.availability = AvailabilityFromOutages(windows, makespan);
 
-    // Request outcomes matched from the chain's NIC TX trace in phase 1.
+    // Request outcomes matched from the chain's NIC entries in phase 1.
     for (const RequestOutcome& outcome : chain_outcomes[c]) {
       ++result.requests_total;
       if (!outcome.served) {

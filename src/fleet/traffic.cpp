@@ -34,7 +34,7 @@ SimTime RequestArrival(const TrafficConfig& traffic, uint64_t seq) {
 }
 
 std::vector<RequestOutcome> MatchRequests(uint32_t chain, const TrafficConfig& traffic,
-                                          const std::vector<NicTraceEntry>& tx_trace) {
+                                          const std::vector<EnvTraceEntry>& trace) {
   std::vector<RequestOutcome> out;
   out.reserve(traffic.requests_per_chain);
   for (uint64_t seq = 0; seq < traffic.requests_per_chain; ++seq) {
@@ -43,7 +43,10 @@ std::vector<RequestOutcome> MatchRequests(uint32_t chain, const TrafficConfig& t
     r.arrival = RequestArrival(traffic, seq);
     out.push_back(r);
   }
-  for (const NicTraceEntry& entry : tx_trace) {
+  for (const EnvTraceEntry& entry : trace) {
+    if (entry.device_id != DeviceId::kNic) {
+      continue;
+    }
     // Decode the header back rather than re-encoding every candidate: the
     // trace can hold duplicates (P7 redrive) and, in principle, non-request
     // traffic.

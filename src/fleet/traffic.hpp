@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "common/time.hpp"
-#include "devices/nic.hpp"
+#include "devices/io.hpp"
 
 namespace hbft {
 
@@ -42,11 +42,11 @@ struct RequestOutcome {
   SimTime latency = SimTime::Zero();  // Echo latch time - arrival.
 };
 
-// Matches a chain's requests against its NIC TX trace (echo latch times).
-// Trace entries are matched in order; duplicates of an already-served
-// request are ignored.
+// Matches a chain's requests against the NIC entries of its environment
+// trace (echo latch times). Entries are matched in order; duplicates of an
+// already-served request are ignored.
 std::vector<RequestOutcome> MatchRequests(uint32_t chain, const TrafficConfig& traffic,
-                                          const std::vector<NicTraceEntry>& tx_trace);
+                                          const std::vector<EnvTraceEntry>& trace);
 
 }  // namespace hbft
 

@@ -25,7 +25,6 @@ namespace hbft {
 
 struct CostModel {
   // Bare processor.
-  double mips = 50.0;
   SimTime instruction_cost = SimTime::Nanos(20);
 
   // Hypervisor costs (paper section 4.1).

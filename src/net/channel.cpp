@@ -137,7 +137,6 @@ std::optional<Message> Channel::Receive(SimTime now) {
   while (!queue_.empty() && queue_.front().arrival <= now) {
     InFlight frame = std::move(queue_.front());
     queue_.pop_front();
-    delivered_high_water_ = std::max(delivered_high_water_, frame.arrival);
     if (mode_ == ChannelMode::kDatagram) {
       ++counters_.messages_delivered;
       counters_.bytes_delivered += frame.msg.WireSize();
@@ -180,12 +179,7 @@ void Channel::Break(SimTime t) {
   if (busy_until_ > t) {
     busy_until_ = t;
   }
-  // queue_ is arrival-sorted on every insertion path.
-  last_arrival_ = queue_.empty() ? delivered_high_water_
-                                 : std::max(delivered_high_water_, queue_.back().arrival);
 }
-
-SimTime Channel::DrainTime() const { return last_arrival_; }
 
 std::optional<SimTime> Channel::LastPendingArrival() const {
   if (queue_.empty()) {

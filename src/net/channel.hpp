@@ -122,12 +122,9 @@ class Channel {
   void Break(SimTime t);
   bool broken() const { return broken_; }
 
-  // Time after which the receiver can have seen every message ever sent.
-  SimTime DrainTime() const;
-
-  // Arrival time of the newest message still in flight (undelivered), if any.
-  // Unlike DrainTime(), an already-delivered history does not push this into
-  // the past-but-later-than-now: an empty queue means nothing is pending.
+  // Arrival time of the newest message still in flight (undelivered), if any;
+  // an empty queue means nothing is pending. The failure detector waits for
+  // it before declaring the sender dead.
   std::optional<SimTime> LastPendingArrival() const;
 
   // --- Go-back-N (ordered mode over a faulty link) --------------------------
@@ -226,7 +223,6 @@ class Channel {
   RetransmitBuffer retransmit_;
   SimTime busy_until_ = SimTime::Zero();
   SimTime last_arrival_ = SimTime::Zero();
-  SimTime delivered_high_water_ = SimTime::Zero();
   uint64_t next_seq_ = 0;
   uint64_t rx_next_seq_ = 0;  // Ordered mode: next in-sequence delivery.
   bool reack_requested_ = false;

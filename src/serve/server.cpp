@@ -315,7 +315,7 @@ int RunBackup(const ServeConfig& config, ServeReport* report) {
 }  // namespace
 
 void AttachLatchRelease(Nic* nic, Frontend* frontend, ReleasedResponses* released) {
-  nic->set_on_latch([frontend, released](const NicTraceEntry& entry) {
+  nic->set_on_latch([frontend, released](const EnvTraceEntry& entry) {
     std::optional<NicRequest> req = DecodeNicPacket(entry.bytes);
     if (!req.has_value()) {
       return;  // Not client traffic (nothing else transmits today).

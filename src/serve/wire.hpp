@@ -118,7 +118,7 @@ struct NicRequest {
 std::vector<uint8_t> EncodeNicRequest(const NicRequest& request);
 
 // nullopt for packets that are not serve requests (wrong magic, short,
-// oversized) — the TX trace may hold non-serve traffic.
+// oversized) — the NIC may transmit non-serve traffic.
 std::optional<NicRequest> DecodeNicPacket(const std::vector<uint8_t>& bytes);
 
 }  // namespace serve

@@ -2,6 +2,7 @@
 
 #include <set>
 #include <sstream>
+#include <string>
 
 namespace hbft {
 
@@ -52,6 +53,14 @@ bool MatchSegments(const std::vector<EnvTraceEntry>& reference,
   return false;
 }
 
+// One entry, rendered for a failure message.
+std::string Describe(const EnvTraceEntry& e) {
+  std::ostringstream out;
+  out << "op " << e.opcode << " (block " << e.block << ", " << e.bytes.size()
+      << " bytes, hash " << e.op_hash << ")";
+  return out.str();
+}
+
 // Per-device driver: split `observed` by issuer, check issuer interleaving
 // follows the chain order, then match windows against the reference.
 ConsistencyResult CheckDevice(DeviceId device, const std::vector<EnvTraceEntry>& reference,
@@ -72,12 +81,12 @@ ConsistencyResult CheckDevice(DeviceId device, const std::vector<EnvTraceEntry>&
     }
     if (pos == issuer_chain.size()) {
       detail << DeviceIdName(device) << ": operation from unknown issuer " << e.issuer << ": "
-             << e.label;
+             << Describe(e);
       return {false, detail.str()};
     }
     if (pos < furthest) {
       detail << DeviceIdName(device) << ": issuer " << e.issuer
-             << " operated after its successor took over: " << e.label;
+             << " operated after its successor took over: " << Describe(e);
       return {false, detail.str()};
     }
     furthest = pos > furthest ? pos : furthest;
@@ -138,12 +147,6 @@ ConsistencyResult CheckEnvConsistency(const std::vector<EnvTraceEntry>& referenc
     }
   }
   return {true, ""};
-}
-
-ConsistencyResult CheckEnvConsistency(const std::vector<EnvTraceEntry>& reference,
-                                      const std::vector<EnvTraceEntry>& observed, int primary_id,
-                                      int backup_id) {
-  return CheckEnvConsistency(reference, observed, std::vector<int>{primary_id, backup_id});
 }
 
 }  // namespace hbft

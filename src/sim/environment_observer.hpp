@@ -49,11 +49,6 @@ ConsistencyResult CheckEnvConsistency(const std::vector<EnvTraceEntry>& referenc
                                       const std::vector<EnvTraceEntry>& observed,
                                       const std::vector<int>& issuer_chain);
 
-// Pair convenience (a chain of exactly primary -> backup).
-ConsistencyResult CheckEnvConsistency(const std::vector<EnvTraceEntry>& reference,
-                                      const std::vector<EnvTraceEntry>& observed, int primary_id,
-                                      int backup_id);
-
 }  // namespace hbft
 
 #endif  // HBFT_SIM_ENVIRONMENT_OBSERVER_HPP_

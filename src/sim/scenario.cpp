@@ -352,13 +352,13 @@ std::unique_ptr<World> Scenario::BuildWirePosition(size_t position, bool peer) c
 
 void Scenario::CollectResult(World& world, ScenarioResult* out) const {
   ScenarioResult& result = *out;
-  result.console_output = world.devices().console().output();
-  result.console_trace = world.devices().console().trace();
-  result.disk_trace = world.devices().disk().trace();
-  if (world.devices().nic() != nullptr) {
-    result.nic_trace = world.devices().nic()->trace();
+  result.env_trace = world.devices().trace();
+  result.console_output.clear();
+  for (const EnvTraceEntry& e : result.env_trace) {
+    if (e.device_id == DeviceId::kConsole && e.performed) {
+      result.console_output.push_back(static_cast<char>(e.op_hash));
+    }
   }
-  result.env_trace = world.devices().EnvTrace();
   ReadBackGuestState(world.active_machine(), &result);
 
   result.channels = ChannelReports(world);

@@ -61,14 +61,13 @@ struct ScenarioResult {
   uint32_t panic_code = 0;
   uint32_t ticks = 0;
 
-  // Environment. `env_trace` is the device-tagged trace the generalized
-  // consistency checker consumes; the typed traces remain for device-level
-  // assertions (durability, content checks).
+  // Environment. `env_trace` is everything the environment saw, device by
+  // device (DeviceSet::trace()): the generalized consistency checker, the
+  // fleet's request matching and device-level assertions all read it.
+  // `console_output` is the performed console entries' characters (their
+  // op_hash), in order.
   std::string console_output;
   std::vector<EnvTraceEntry> env_trace;
-  std::vector<DiskTraceEntry> disk_trace;
-  std::vector<ConsoleTraceEntry> console_trace;
-  std::vector<NicTraceEntry> nic_trace;
 
   // Transport: one report per channel of the mesh, in chain order (for each
   // adjacent pair: the downstream protocol stream, then the upstream ack

@@ -201,8 +201,8 @@ TEST(Cascade, MiddleBackupDeathTruncatesChain) {
   VerifyAgainstBare(spec, bare, ft);
   EXPECT_FALSE(ft.promoted);  // The primary never lost service.
   // Only the primary touched the devices.
-  for (const auto& entry : ft.disk_trace) {
-    EXPECT_EQ(entry.issuer, ft.primary_id);
+  for (const EnvTraceEntry& entry : ft.env_trace) {
+    EXPECT_EQ(entry.issuer, ft.primary_id) << DeviceIdName(entry.device_id);
   }
 }
 

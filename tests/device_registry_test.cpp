@@ -102,7 +102,8 @@ TEST(ConsoleBackend, FaultPlanMakesTxUncertain) {
   auto issued = console.Issue(io, /*issuer=*/1);
   IoCompletionPayload payload = console.Complete(issued.op_id, io);
   EXPECT_EQ(payload.result_code, kConsoleResultUncertain);
-  EXPECT_EQ(console.output(), "x");  // Performed: latched despite uncertainty.
+  ASSERT_EQ(console.trace().size(), 1u);  // Performed: latched despite uncertainty.
+  EXPECT_EQ(console.trace()[0].op_hash, static_cast<uint64_t>('x'));
 
   // performed_when_uncertain = 0: the character never reaches the terminal.
   plan.performed_when_uncertain = 0.0;
@@ -110,7 +111,7 @@ TEST(ConsoleBackend, FaultPlanMakesTxUncertain) {
   auto issued2 = console.Issue(io, 1);
   IoCompletionPayload payload2 = console.Complete(issued2.op_id, io);
   EXPECT_EQ(payload2.result_code, kConsoleResultUncertain);
-  EXPECT_EQ(console.output(), "x");  // Unchanged.
+  EXPECT_EQ(console.trace().size(), 1u);  // Unchanged.
 }
 
 TEST(NicBackend, TracesTransmittedPackets) {
@@ -125,15 +126,25 @@ TEST(NicBackend, TracesTransmittedPackets) {
   EXPECT_EQ(payload.device_irq, static_cast<uint32_t>(kIrqNicTx));
   EXPECT_EQ(payload.result_code, kNicResultOk);
   ASSERT_EQ(nic.trace().size(), 1u);
+  EXPECT_EQ(nic.trace()[0].device_id, DeviceId::kNic);
   EXPECT_EQ(nic.trace()[0].bytes, io.payload);
   EXPECT_EQ(nic.trace()[0].issuer, 2);
-  ASSERT_EQ(nic.EnvTrace().size(), 1u);
-  EXPECT_EQ(nic.EnvTrace()[0].device_id, DeviceId::kNic);
 }
 
 // ---------------------------------------------------------------------------
 // Replicated NIC scenarios.
 // ---------------------------------------------------------------------------
+
+// The NIC entries of a run's environment trace, in latch order.
+std::vector<EnvTraceEntry> NicTrace(const ScenarioResult& result) {
+  std::vector<EnvTraceEntry> out;
+  for (const EnvTraceEntry& e : result.env_trace) {
+    if (e.device_id == DeviceId::kNic) {
+      out.push_back(e);
+    }
+  }
+  return out;
+}
 
 // Builds the three-device workload: per packet, the guest logs to disk,
 // prints a progress digit, and echoes the packet over the NIC.
@@ -156,9 +167,9 @@ TEST(NicReplication, TxSuppressedOnBackups) {
   // touched a backend.
   EXPECT_GT(ft.backup_stats().io_suppressed, 0u);
   EXPECT_EQ(ft.backup_stats().io_issued, 0u);
-  ASSERT_EQ(ft.nic_trace.size(), 3u);
-  for (const NicTraceEntry& e : ft.nic_trace) {
-    EXPECT_EQ(e.issuer, ft.primary_id);
+  ASSERT_EQ(NicTrace(ft).size(), 3u);
+  for (const EnvTraceEntry& e : ft.env_trace) {
+    EXPECT_EQ(e.issuer, ft.primary_id) << DeviceIdName(e.device_id);
   }
 }
 
@@ -169,9 +180,11 @@ TEST(NicReplication, EchoMatchesBareReference) {
   ASSERT_TRUE(bare.completed);
   ASSERT_TRUE(ft.completed);
   EXPECT_EQ(ft.guest_checksum, bare.guest_checksum);
-  ASSERT_EQ(ft.nic_trace.size(), bare.nic_trace.size());
-  for (size_t i = 0; i < ft.nic_trace.size(); ++i) {
-    EXPECT_EQ(ft.nic_trace[i].bytes, bare.nic_trace[i].bytes) << "packet " << i;
+  std::vector<EnvTraceEntry> ft_packets = NicTrace(ft);
+  std::vector<EnvTraceEntry> bare_packets = NicTrace(bare);
+  ASSERT_EQ(ft_packets.size(), bare_packets.size());
+  for (size_t i = 0; i < ft_packets.size(); ++i) {
+    EXPECT_EQ(ft_packets[i].bytes, bare_packets[i].bytes) << "packet " << i;
   }
   ConsistencyResult env = CheckEnvConsistency(bare.env_trace, ft.env_trace, ft.issuer_chain());
   EXPECT_TRUE(env.ok) << env.detail;
@@ -235,9 +248,9 @@ TEST(NicReplication, DuplicatedPacketWindowBoundedAtHandover) {
 
   // At most one extra copy per re-driven operation: the window is bounded by
   // what was in flight (one synchronous op at a time in MiniOS).
-  EXPECT_GE(ft.nic_trace.size(), bare.nic_trace.size());
-  EXPECT_LE(ft.nic_trace.size(),
-            bare.nic_trace.size() + ft.backup_stats().uncertain_synthesised);
+  EXPECT_GE(NicTrace(ft).size(), NicTrace(bare).size());
+  EXPECT_LE(NicTrace(ft).size(),
+            NicTrace(bare).size() + ft.backup_stats().uncertain_synthesised);
   ConsistencyResult env = CheckEnvConsistency(bare.env_trace, ft.env_trace, ft.issuer_chain());
   EXPECT_TRUE(env.ok) << env.detail;
 }
@@ -263,7 +276,7 @@ TEST(NicReplication, CascadingFailoverAcrossThreeDevices) {
   EXPECT_TRUE(env.ok) << env.detail;
   // The final survivor drove NIC output too.
   bool backup2_sent_packet = false;
-  for (const NicTraceEntry& e : ft.nic_trace) {
+  for (const EnvTraceEntry& e : NicTrace(ft)) {
     if (e.issuer == ft.nodes[2].id) {
       backup2_sent_packet = true;
     }
@@ -291,6 +304,15 @@ TEST(NicReplication, RetryAfterUncertainOnLegacyDevices) {
   // 8 digits + newline, minus never-performed attempts, plus retries: with
   // retry-until-ok semantics every logical char eventually appears.
   EXPECT_GE(ft.console_output.size(), 9u);
+  // The console text is exactly the performed console entries' characters,
+  // in order.
+  std::string latched;
+  for (const EnvTraceEntry& e : ft.env_trace) {
+    if (e.device_id == DeviceId::kConsole && e.performed) {
+      latched.push_back(static_cast<char>(e.op_hash));
+    }
+  }
+  EXPECT_EQ(ft.console_output, latched);
 }
 
 }  // namespace

@@ -1,12 +1,19 @@
 // Device tests: the dual-ported disk's IO1/IO2 semantics, crash resolution,
-// fault injection, tracing; console TX/RX.
+// fault injection and environment trace; console TX — all driven through the
+// DeviceBackend surface the replicas use (Issue, Complete, ResolveAtCrash).
 #include <gtest/gtest.h>
+
+#include <deque>
+#include <string>
 
 #include "devices/console.hpp"
 #include "devices/disk.hpp"
+#include "isa/isa.hpp"
 
 namespace hbft {
 namespace {
+
+constexpr uint32_t kDmaPaddr = 0x4000;
 
 std::vector<uint8_t> Pattern(uint8_t seed) {
   std::vector<uint8_t> data(kDiskBlockBytes);
@@ -16,18 +23,37 @@ std::vector<uint8_t> Pattern(uint8_t seed) {
   return data;
 }
 
+IoDescriptor DiskIo(uint32_t opcode, uint32_t block, std::vector<uint8_t> data = {}) {
+  IoDescriptor io;
+  io.device_id = DeviceId::kDisk;
+  io.opcode = opcode;
+  io.arg0 = block;
+  io.arg1 = kDmaPaddr;
+  io.payload = std::move(data);
+  return io;
+}
+
+// Issues `io` on behalf of node `issuer` and completes it at once.
+IoCompletionPayload Drive(DeviceBackend& backend, const IoDescriptor& io, int issuer) {
+  return backend.Complete(backend.Issue(io, issuer).op_id, io);
+}
+
 TEST(Disk, WriteThenReadRoundTrip) {
   Disk disk(32, 1);
   auto data = Pattern(7);
-  uint64_t w = disk.IssueWrite(3, data, 1);
-  auto wc = disk.Complete(w);
-  EXPECT_EQ(wc.status, DiskStatus::kOk);
-  EXPECT_TRUE(wc.performed);
+  IoCompletionPayload wc = Drive(disk, DiskIo(kDiskOpWrite, 3, data), 1);
+  EXPECT_EQ(wc.device_irq, static_cast<uint32_t>(kIrqDisk));
+  EXPECT_EQ(wc.result_code, kDiskResultOk);
+  EXPECT_FALSE(wc.has_dma_data);
 
-  uint64_t r = disk.IssueRead(3, 1);
-  auto rc = disk.Complete(r);
-  EXPECT_EQ(rc.status, DiskStatus::kOk);
-  EXPECT_EQ(rc.data, data);
+  IoCompletionPayload rc = Drive(disk, DiskIo(kDiskOpRead, 3), 1);
+  EXPECT_EQ(rc.result_code, kDiskResultOk);
+  ASSERT_TRUE(rc.has_dma_data);
+  EXPECT_EQ(rc.dma_guest_paddr, kDmaPaddr);
+  EXPECT_EQ(rc.dma_data, data);
+  ASSERT_EQ(disk.trace().size(), 2u);
+  EXPECT_TRUE(disk.trace()[0].performed);
+  EXPECT_TRUE(disk.trace()[1].performed);
 }
 
 TEST(Disk, UnwrittenBlocksHaveDeterministicContent) {
@@ -41,87 +67,110 @@ TEST(Disk, WritesAreIdempotent) {
   // IO2 tolerance: repeating a write leaves the same state.
   Disk disk(32, 1);
   auto data = Pattern(9);
-  disk.Complete(disk.IssueWrite(4, data, 1));
-  disk.Complete(disk.IssueWrite(4, data, 2));  // Re-driven after failover.
+  Drive(disk, DiskIo(kDiskOpWrite, 4, data), 1);
+  Drive(disk, DiskIo(kDiskOpWrite, 4, data), 2);  // Re-driven after failover.
   EXPECT_EQ(disk.PeekBlock(4), data);
 }
 
 TEST(Disk, FaultPlanInjectsUncertainCompletions) {
   Disk disk(32, 1);
-  DiskFaultPlan plan;
+  FaultPlan plan;
   plan.uncertain_probability = 1.0;
   plan.performed_when_uncertain = 1.0;
   disk.set_fault_plan(plan);
   auto data = Pattern(3);
-  auto completion = disk.Complete(disk.IssueWrite(1, data, 1));
-  EXPECT_EQ(completion.status, DiskStatus::kUncertain);
-  EXPECT_TRUE(completion.performed);  // Performed, but the host can't know.
+  IoCompletionPayload completion = Drive(disk, DiskIo(kDiskOpWrite, 1, data), 1);
+  EXPECT_EQ(completion.result_code, kDiskResultCheckCondition);
+  ASSERT_EQ(disk.trace().size(), 1u);
+  EXPECT_TRUE(disk.trace()[0].performed);  // Performed, but the host can't know.
   EXPECT_EQ(disk.PeekBlock(1), data);
 
   plan.performed_when_uncertain = 0.0;
   disk.set_fault_plan(plan);
   auto data2 = Pattern(4);
-  auto completion2 = disk.Complete(disk.IssueWrite(2, data2, 1));
-  EXPECT_EQ(completion2.status, DiskStatus::kUncertain);
-  EXPECT_FALSE(completion2.performed);
+  IoCompletionPayload completion2 = Drive(disk, DiskIo(kDiskOpWrite, 2, data2), 1);
+  EXPECT_EQ(completion2.result_code, kDiskResultCheckCondition);
+  ASSERT_EQ(disk.trace().size(), 2u);
+  EXPECT_FALSE(disk.trace()[1].performed);
   EXPECT_NE(disk.PeekBlock(2), data2);
+
+  // An uncertain read carries no data, performed or not.
+  IoCompletionPayload read = Drive(disk, DiskIo(kDiskOpRead, 1), 1);
+  EXPECT_EQ(read.result_code, kDiskResultCheckCondition);
+  EXPECT_FALSE(read.has_dma_data);
 }
 
 TEST(Disk, CrashResolutionPerformedOrNot) {
   Disk disk(32, 1);
+  ASSERT_TRUE(disk.crash_resolvable());
   auto data = Pattern(5);
-  uint64_t op1 = disk.IssueWrite(7, data, 1);
-  uint64_t op2 = disk.IssueWrite(8, data, 1);
-  EXPECT_TRUE(disk.HasInFlight(op1));
-  disk.ResolveInFlightAtCrash(op1, /*performed=*/true);
-  disk.ResolveInFlightAtCrash(op2, /*performed=*/false);
-  EXPECT_FALSE(disk.HasInFlight(op1));
+  uint64_t op1 = disk.Issue(DiskIo(kDiskOpWrite, 7, data), 1).op_id;
+  uint64_t op2 = disk.Issue(DiskIo(kDiskOpWrite, 8, data), 1).op_id;
+  EXPECT_TRUE(disk.trace().empty());  // Nothing reaches the medium at issue.
+  disk.ResolveAtCrash(op1, /*performed=*/true);
+  disk.ResolveAtCrash(op2, /*performed=*/false);
   EXPECT_EQ(disk.PeekBlock(7), data);
   EXPECT_NE(disk.PeekBlock(8), data);
-  // Trace records only the performed one.
-  int performed_entries = 0;
-  for (const auto& e : disk.trace()) {
-    if (e.performed) {
-      ++performed_entries;
-    }
-  }
-  EXPECT_EQ(performed_entries, 1);
+  // The trace records only the performed one.
+  ASSERT_EQ(disk.trace().size(), 1u);
+  EXPECT_EQ(disk.trace()[0].block, 7u);
+  EXPECT_TRUE(disk.trace()[0].performed);
+  // Resolution retires the operation: no completion can follow.
+  EXPECT_DEATH(disk.Complete(op1, DiskIo(kDiskOpWrite, 7, data)), "unknown disk op");
 }
 
 TEST(Disk, TraceRecordsIssuerAndContentHash) {
   Disk disk(32, 1);
-  disk.Complete(disk.IssueWrite(1, Pattern(1), /*issuer=*/1));
-  disk.Complete(disk.IssueRead(1, /*issuer=*/2));
-  ASSERT_EQ(disk.trace().size(), 2u);
-  EXPECT_TRUE(disk.trace()[0].is_write);
-  EXPECT_EQ(disk.trace()[0].issuer, 1);
-  EXPECT_NE(disk.trace()[0].content_hash, 0u);
-  EXPECT_FALSE(disk.trace()[1].is_write);
-  EXPECT_EQ(disk.trace()[1].issuer, 2);
-  // Identical content -> identical hash (used by the consistency checker).
-  disk.Complete(disk.IssueWrite(2, Pattern(1), 1));
-  EXPECT_EQ(disk.trace()[0].content_hash, disk.trace()[2].content_hash);
+  Drive(disk, DiskIo(kDiskOpWrite, 1, Pattern(1)), /*issuer=*/1);
+  Drive(disk, DiskIo(kDiskOpRead, 1), /*issuer=*/2);
+  const std::deque<EnvTraceEntry>& trace = disk.trace();
+  ASSERT_EQ(trace.size(), 2u);
+  EXPECT_EQ(trace[0].device_id, DeviceId::kDisk);
+  EXPECT_EQ(trace[0].opcode, kDiskOpWrite);
+  EXPECT_EQ(trace[0].block, 1u);
+  EXPECT_EQ(trace[0].issuer, 1);
+  EXPECT_EQ(trace[1].opcode, kDiskOpRead);
+  EXPECT_EQ(trace[1].issuer, 2);
+  EXPECT_NE(trace[0].op_hash, trace[1].op_hash);
+  // Identity by content (what the consistency checker compares): the same
+  // write repeated by another issuer is the same operation; other content or
+  // another block is not.
+  Drive(disk, DiskIo(kDiskOpWrite, 1, Pattern(1)), 2);
+  Drive(disk, DiskIo(kDiskOpWrite, 1, Pattern(2)), 1);
+  Drive(disk, DiskIo(kDiskOpWrite, 2, Pattern(1)), 1);
+  ASSERT_EQ(trace.size(), 5u);
+  EXPECT_EQ(trace[0].op_hash, trace[2].op_hash);
+  EXPECT_NE(trace[0].op_hash, trace[3].op_hash);
+  EXPECT_NE(trace[0].op_hash, trace[4].op_hash);
 }
 
 TEST(Console, OutputAndTrace) {
   Console console;
-  console.Transmit('h', 1);
-  console.Transmit('i', 1);
-  console.Transmit('!', 2);
-  EXPECT_EQ(console.output(), "hi!");
-  ASSERT_EQ(console.trace().size(), 3u);
-  EXPECT_EQ(console.trace()[2].issuer, 2);
-}
-
-TEST(Console, RxFifoOrder) {
-  Console console;
-  EXPECT_FALSE(console.HasRx());
-  console.InjectInput("abc");
-  EXPECT_TRUE(console.HasRx());
-  EXPECT_EQ(console.PopRx(), 'a');
-  EXPECT_EQ(console.PopRx(), 'b');
-  EXPECT_EQ(console.PopRx(), 'c');
-  EXPECT_FALSE(console.HasRx());
+  const struct {
+    char ch;
+    int issuer;
+  } sent[] = {{'h', 1}, {'i', 1}, {'!', 2}};
+  for (size_t i = 0; i < 3; ++i) {
+    IoDescriptor io;
+    io.device_id = DeviceId::kConsole;
+    io.opcode = kConsoleOpTx;
+    io.payload = {static_cast<uint8_t>(sent[i].ch)};
+    console.SetIssueClock(SimTime::Micros(static_cast<int64_t>(10 * i)));
+    IoCompletionPayload completion = Drive(console, io, sent[i].issuer);
+    EXPECT_EQ(completion.device_irq, static_cast<uint32_t>(kIrqConsoleTx));
+    EXPECT_EQ(completion.result_code, kConsoleResultOk);
+  }
+  const std::deque<EnvTraceEntry>& trace = console.trace();
+  ASSERT_EQ(trace.size(), 3u);
+  std::string text;
+  for (const EnvTraceEntry& e : trace) {
+    EXPECT_EQ(e.device_id, DeviceId::kConsole);
+    EXPECT_TRUE(e.performed);
+    text.push_back(static_cast<char>(e.op_hash));  // A character is its own identity.
+  }
+  EXPECT_EQ(text, "hi!");
+  EXPECT_EQ(trace[2].issuer, 2);
+  EXPECT_EQ(trace[1].time, SimTime::Micros(10));  // Stamped at the latch.
 }
 
 }  // namespace

@@ -24,16 +24,25 @@ WorkloadSpec TxnSpec(uint32_t records) {
   return spec;
 }
 
+// The disk writes the environment saw performed, in order.
+std::vector<EnvTraceEntry> PerformedWrites(const ScenarioResult& result) {
+  std::vector<EnvTraceEntry> out;
+  for (const EnvTraceEntry& e : result.env_trace) {
+    if (e.device_id == DeviceId::kDisk && e.opcode == kDiskOpWrite && e.performed) {
+      out.push_back(e);
+    }
+  }
+  return out;
+}
+
 // Durability check against the medium itself: for a txn-log run with
 // records <= blocks, block i must end holding record i ([i, i^0x5EC0,...])
 // regardless of crashes, retries, or device faults along the way.
-void ExpectAllRecordsDurable(const std::vector<DiskTraceEntry>& trace, uint32_t records) {
+void ExpectAllRecordsDurable(const ScenarioResult& result, uint32_t records) {
   // Reconstruct final block contents from the performed-write trace.
   std::map<uint32_t, uint64_t> last_hash;
-  for (const auto& e : trace) {
-    if (e.is_write && e.performed) {
-      last_hash[e.block] = e.content_hash;
-    }
+  for (const EnvTraceEntry& e : PerformedWrites(result)) {
+    last_hash[e.block] = e.op_hash;
   }
   for (uint32_t record = 0; record < records; ++record) {
     EXPECT_TRUE(last_hash.count(record)) << "record " << record << " never reached the disk";
@@ -221,19 +230,7 @@ TEST(Failover, CrashedWriteThatReachedDiskIsDuplicatedNotLost) {
   EXPECT_TRUE(ft.promoted);
   // The op performed by the dead primary is re-driven by the backup:
   // the same write appears twice, which the consistency model allows.
-  size_t performed_writes = 0;
-  for (const auto& e : ft.disk_trace) {
-    if (e.is_write && e.performed) {
-      ++performed_writes;
-    }
-  }
-  size_t bare_writes = 0;
-  for (const auto& e : bare.disk_trace) {
-    if (e.is_write && e.performed) {
-      ++bare_writes;
-    }
-  }
-  EXPECT_GT(performed_writes, bare_writes);
+  EXPECT_GT(PerformedWrites(ft).size(), PerformedWrites(bare).size());
   VerifyFailover(spec, bare, ft);
 }
 
@@ -252,13 +249,7 @@ TEST(Failover, FinalDiskStateHasEveryTransaction) {
   VerifyFailover(spec, bare, ft);
   // Every transaction record must be durable despite the crash: block i
   // holds [i, i ^ 0x5EC0, ...].
-  size_t write_count = 0;
-  for (const auto& e : ft.disk_trace) {
-    if (e.is_write && e.performed) {
-      ++write_count;
-    }
-  }
-  EXPECT_GE(write_count, records);
+  EXPECT_GE(PerformedWrites(ft).size(), records);
 }
 
 TEST(Failover, PromotionTransfersConsoleInput) {
@@ -318,7 +309,7 @@ TEST_P(FailoverWithDeviceFaults, RecordsDurableDespiteEverything) {
   WorkloadSpec spec = TxnSpec(records);
   spec.num_blocks = 8;
 
-  DiskFaultPlan faults;
+  FaultPlan faults;
   faults.uncertain_probability = 0.25;
   faults.performed_when_uncertain = 0.5;
   ScenarioResult ft =
@@ -332,7 +323,7 @@ TEST_P(FailoverWithDeviceFaults, RecordsDurableDespiteEverything) {
   ASSERT_EQ(ft.exited_flag, 1u) << "guest panic " << ft.panic_code;
   EXPECT_TRUE(ft.promoted);
   EXPECT_EQ(ft.guest_checksum, records);  // Every transaction committed.
-  ExpectAllRecordsDurable(ft.disk_trace, records);
+  ExpectAllRecordsDurable(ft, records);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FailoverWithDeviceFaults, testing::Values(1, 2, 3, 4, 5, 6));

@@ -106,14 +106,24 @@ TEST(Traffic, MatchSkipsDuplicatesAndForeignTraffic) {
   traffic.interval = SimTime::Millis(5);
   traffic.payload_bytes = 16;
 
-  std::vector<NicTraceEntry> trace;
-  trace.push_back({EncodeRequest(3, 0, 16), 0, SimTime::Millis(12)});
+  std::vector<EnvTraceEntry> trace;
+  auto latch = [&trace](DeviceId device, std::vector<uint8_t> bytes, SimTime time) {
+    EnvTraceEntry entry;
+    entry.device_id = device;
+    entry.performed = true;
+    entry.time = time;
+    entry.bytes = std::move(bytes);
+    trace.push_back(std::move(entry));
+  };
+  latch(DeviceId::kNic, EncodeRequest(3, 0, 16), SimTime::Millis(12));
   // P7 redrive: the same echo again later must not overwrite the latency.
-  trace.push_back({EncodeRequest(3, 0, 16), 0, SimTime::Millis(13)});
-  // Another chain's echo and a non-request frame are both ignored.
-  trace.push_back({EncodeRequest(4, 1, 16), 0, SimTime::Millis(14)});
-  trace.push_back({{0xDE, 0xAD}, 0, SimTime::Millis(14)});
-  trace.push_back({EncodeRequest(3, 1, 16), 0, SimTime::Millis(20)});
+  latch(DeviceId::kNic, EncodeRequest(3, 0, 16), SimTime::Millis(13));
+  // Another chain's echo, a non-request frame and another device's output
+  // carrying request bytes are all ignored.
+  latch(DeviceId::kNic, EncodeRequest(4, 1, 16), SimTime::Millis(14));
+  latch(DeviceId::kNic, {0xDE, 0xAD}, SimTime::Millis(14));
+  latch(DeviceId::kConsole, EncodeRequest(3, 1, 16), SimTime::Millis(15));
+  latch(DeviceId::kNic, EncodeRequest(3, 1, 16), SimTime::Millis(20));
 
   std::vector<RequestOutcome> outcomes = MatchRequests(3, traffic, trace);
   ASSERT_EQ(outcomes.size(), 2u);

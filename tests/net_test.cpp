@@ -369,15 +369,16 @@ TEST(Channel, BreakDropsFutureSendsButDeliversInFlight) {
   // Break after the frame finished serialising (arrival minus propagation)
   // but before it arrives: a genuinely-sent frame still lands.
   channel.Break(*arrival - LinkModel::Ethernet10().propagation);
+  EXPECT_EQ(channel.LastPendingArrival(), *arrival);
   EXPECT_TRUE(channel.Receive(*arrival).has_value());
   // Sent after the break: vanishes.
   EXPECT_FALSE(channel.Send(SampleMessage(MsgType::kEpochEnd), *arrival).has_value());
-  EXPECT_EQ(channel.DrainTime(), *arrival);
+  EXPECT_FALSE(channel.LastPendingArrival().has_value());
 }
 
 // Regression (Break/occupancy carryover): a crash mid-serialisation
 // truncates the frame on the wire — it must not arrive, and it must not
-// leave phantom occupancy (busy_until_/DrainTime) behind for whoever
+// leave phantom occupancy (busy_until_/LastPendingArrival) behind for whoever
 // consults the channel afterwards (the failure detector, a promoted
 // backup's re-protection path).
 TEST(Channel, BreakMidSerializationTruncatesAndClearsOccupancy) {
@@ -392,12 +393,12 @@ TEST(Channel, BreakMidSerializationTruncatesAndClearsOccupancy) {
   SimTime crash = *a1 - prop + SimTime::Micros(1);
   ASSERT_LT(crash, *a2 - prop);
   channel.Break(crash);
+  // The drain view reflects only what was genuinely sent: no stale
+  // occupancy from the truncated frame.
+  EXPECT_EQ(channel.LastPendingArrival(), *a1);
   // Frame 1 arrives; frame 2 was truncated and never does.
   EXPECT_TRUE(channel.Receive(*a1).has_value());
   EXPECT_FALSE(channel.Receive(*a2 + SimTime::Seconds(1)).has_value());
-  // The drain view reflects only what was genuinely sent: no stale
-  // occupancy from the truncated frame.
-  EXPECT_EQ(channel.DrainTime(), *a1);
   EXPECT_FALSE(channel.LastPendingArrival().has_value());
 }
 
@@ -413,11 +414,11 @@ TEST(Channel, BreakWithQueuedFramesKeepsSerialisedPrefix) {
   }
   // Crash after the second frame's serialisation completes.
   channel.Break(arrivals[1] - prop);
+  EXPECT_EQ(channel.LastPendingArrival(), arrivals[1]);
   SimTime late = arrivals[3] + SimTime::Seconds(1);
   EXPECT_TRUE(channel.Receive(late).has_value());
   EXPECT_TRUE(channel.Receive(late).has_value());
   EXPECT_FALSE(channel.Receive(late).has_value());  // Frames 3 and 4 truncated.
-  EXPECT_EQ(channel.DrainTime(), arrivals[1]);
 }
 
 // Property fuzz: deserialisation of arbitrarily mutated bytes must never

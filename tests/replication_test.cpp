@@ -103,7 +103,7 @@ TEST_P(ReplicationLockstep, MatchesBareAndStaysInLockstep) {
 
   // The environment saw only the primary, with the reference sequence.
   ConsistencyResult env =
-      CheckEnvConsistency(bare.env_trace, ft.env_trace, ft.primary_id, ft.backup_id);
+      CheckEnvConsistency(bare.env_trace, ft.env_trace, {ft.primary_id, ft.backup_id});
   EXPECT_TRUE(env.ok) << env.detail;
   EXPECT_EQ(ft.console_output, bare.console_output);
 }
@@ -149,11 +149,8 @@ TEST(Replication, BackupSuppressesAllIo) {
   ASSERT_TRUE(ft.completed);
   EXPECT_GT(ft.backup_stats().io_suppressed, 0u);
   EXPECT_EQ(ft.backup_stats().io_issued, 0u);
-  for (const auto& entry : ft.disk_trace) {
-    EXPECT_EQ(entry.issuer, ft.primary_id);
-  }
-  for (const auto& entry : ft.console_trace) {
-    EXPECT_EQ(entry.issuer, ft.primary_id);
+  for (const EnvTraceEntry& entry : ft.env_trace) {
+    EXPECT_EQ(entry.issuer, ft.primary_id) << DeviceIdName(entry.device_id);
   }
 }
 

@@ -292,8 +292,11 @@ TEST(WireGolden, FleetRequestHeader) {
   EXPECT_EQ(Hex(EncodeRequest(3, 5, 16)), packet);
   TrafficConfig traffic;
   traffic.requests_per_chain = 6;
-  std::vector<RequestOutcome> outcomes =
-      MatchRequests(3, traffic, {NicTraceEntry{Unhex(packet), 0, SimTime::Seconds(1)}});
+  EnvTraceEntry echo;
+  echo.device_id = DeviceId::kNic;
+  echo.time = SimTime::Seconds(1);
+  echo.bytes = Unhex(packet);
+  std::vector<RequestOutcome> outcomes = MatchRequests(3, traffic, {echo});
   ASSERT_EQ(outcomes.size(), 6u);
   for (const RequestOutcome& outcome : outcomes) {
     EXPECT_EQ(outcome.served, outcome.seq == 5) << "seq " << outcome.seq;
@@ -506,13 +509,13 @@ TEST(WirePositionLockstep, EchoThenFailover) {
   World& backup = *pair.backup;
 
   std::vector<NicRequest> primary_released;
-  primary.devices().nic()->set_on_latch([&primary_released](const NicTraceEntry& entry) {
+  primary.devices().nic()->set_on_latch([&primary_released](const EnvTraceEntry& entry) {
     if (auto req = DecodeNicPacket(entry.bytes)) {
       primary_released.push_back(*req);
     }
   });
   std::vector<NicRequest> backup_released;
-  backup.devices().nic()->set_on_latch([&backup_released](const NicTraceEntry& entry) {
+  backup.devices().nic()->set_on_latch([&backup_released](const EnvTraceEntry& entry) {
     if (auto req = DecodeNicPacket(entry.bytes)) {
       backup_released.push_back(*req);
     }
@@ -669,8 +672,8 @@ TEST(WirePositionLockstep, PairRunsTheGuestTimeItsWorldTwinRuns) {
     EXPECT_NEAR(retired, twin_retired, twin_retired * 0.001);
   }
 
-  const std::vector<NicTraceEntry>& echoes = pair.primary->devices().nic()->trace();
-  const std::vector<NicTraceEntry>& twin_echoes = world->devices().nic()->trace();
+  const std::deque<EnvTraceEntry>& echoes = pair.primary->devices().nic()->trace();
+  const std::deque<EnvTraceEntry>& twin_echoes = world->devices().nic()->trace();
   ASSERT_EQ(twin_echoes.size(), static_cast<size_t>(kRequests));
   ASSERT_EQ(echoes.size(), twin_echoes.size());
   const double step_us = step.micros_f();
@@ -693,7 +696,7 @@ TEST(WirePositionLockstep, StandingBackupQueuesInputUntilPromotion) {
   backup->BindWireSink([](const std::vector<uint8_t>&) { return true; });
 
   std::vector<NicRequest> released;
-  backup->devices().nic()->set_on_latch([&released](const NicTraceEntry& entry) {
+  backup->devices().nic()->set_on_latch([&released](const EnvTraceEntry& entry) {
     if (auto req = DecodeNicPacket(entry.bytes)) {
       released.push_back(*req);
     }
@@ -777,7 +780,7 @@ TEST(ReleasedResponses, FailoverReReleaseCountsOnce) {
   world->RunLoop(SimTime::Max());
   ASSERT_TRUE(world->finished());
 
-  const std::vector<NicTraceEntry>& latches = world->devices().nic()->trace();
+  const std::deque<EnvTraceEntry>& latches = world->devices().nic()->trace();
   ASSERT_EQ(latches.size(), kRequests + 1);  // One echo latched twice...
   EXPECT_EQ(latches[0].bytes, latches[1].bytes);
   EXPECT_EQ(frontend.stats().responses_unroutable, kRequests + 1);

@@ -143,7 +143,7 @@ TEST(Determinism, IdenticalRunsAreBitIdentical) {
   EXPECT_EQ(a.completion_time.picos(), b.completion_time.picos());
   EXPECT_EQ(a.guest_checksum, b.guest_checksum);
   EXPECT_EQ(a.console_output, b.console_output);
-  EXPECT_EQ(a.disk_trace.size(), b.disk_trace.size());
+  EXPECT_EQ(a.env_trace.size(), b.env_trace.size());
   EXPECT_EQ(a.primary_stats().messages_sent, b.primary_stats().messages_sent);
 }
 
@@ -176,7 +176,7 @@ TEST(Determinism, SeedChangesCrashIoResolution) {
           .FailAtPhase(FailPhase::kAfterIoIssue, 0, FailurePlan::CrashIo::kRandom);
   ScenarioResult a1 = scenario.Run();
   ScenarioResult a2 = scenario.Run();
-  EXPECT_EQ(a1.disk_trace.size(), a2.disk_trace.size());
+  EXPECT_EQ(a1.env_trace.size(), a2.env_trace.size());
 }
 
 TEST(World, TimeLimitDetectsRunaway) {
