@@ -126,7 +126,8 @@ int FleetCommand(FlagSet& flags) {
   config.hosts = flags.GetU64("hosts").value_or(4);
   config.backups = static_cast<int>(flags.GetU64("backups", INT_MAX).value_or(1));
   config.seed = flags.GetU64("seed").value_or(42);
-  config.epoch_length = flags.GetU64("epoch-length").value_or(0);
+  const std::optional<uint64_t> epoch_length = flags.GetU64("epoch-length");
+  config.epoch_length = epoch_length.value_or(0);
   config.traffic.requests_per_chain = flags.GetU64("requests").value_or(8);
   config.traffic.payload_bytes =
       static_cast<uint32_t>(flags.GetU64("payload-bytes", UINT32_MAX).value_or(32));
@@ -148,12 +149,17 @@ int FleetCommand(FlagSet& flags) {
       {"backups", config.backups >= 1},
       {"repair-concurrency", config.repair_concurrency >= 1},
       {"threads", config.threads >= 1},
+      {"epoch-length", epoch_length.value_or(1) >= 1},
   };
   for (const auto& [flag, ok] : at_least_one) {
     if (!ok) {
       std::fprintf(stderr, "hbft_cli: --%s must be >= 1\n", flag);
       return 2;
     }
+  }
+  if (config.threads > WorkerPool::kMaxThreads) {
+    std::fprintf(stderr, "hbft_cli: --threads must be <= %zu\n", WorkerPool::kMaxThreads);
+    return 2;
   }
   if (config.traffic.payload_bytes > kNicMaxPacketBytes) {
     std::fprintf(stderr, "hbft_cli: --payload-bytes must be <= %u\n", kNicMaxPacketBytes);

@@ -465,6 +465,10 @@ bool ParseFailureSchedule(FlagSet& flags, int backups, FailureSchedule* schedule
 bool ParseChainFlags(FlagSet& flags, const char* default_variant, Scenario* scenario,
                      std::string* failure_description) {
   if (auto v = flags.GetU64("epoch-length")) {
+    if (*v < 1) {
+      std::fprintf(stderr, "hbft_cli: --epoch-length must be >= 1\n");
+      return false;
+    }
     scenario->Epoch(*v);
   }
   std::string variant_name = flags.GetString("variant", default_variant);

@@ -134,12 +134,6 @@ struct NodeLinks {
   Channel* down_in = nullptr;   // Acknowledgments from the downstream replica.
 };
 
-// A real-device operation in flight at a crash, for IO2 resolution.
-struct PendingRealOp {
-  DeviceId device_id = DeviceId::kNone;
-  uint64_t op_id = 0;
-};
-
 }  // namespace hbft
 
 #endif  // HBFT_CORE_PROTOCOL_HPP_

@@ -53,15 +53,6 @@ ReplicaNode::ReplicaNode(int id, const GuestProgram& guest, const MachineConfig&
   hv_.BeginEpoch();
 }
 
-std::vector<PendingRealOp> ReplicaNode::PendingRealOps() const {
-  std::vector<PendingRealOp> ops;
-  ops.reserve(pending_real_.size());
-  for (const auto& [key, io] : pending_real_) {
-    ops.push_back(PendingRealOp{key.first, key.second});
-  }
-  return ops;
-}
-
 void ReplicaNode::RunSlice(SimTime until) {
   while (!dead_ && !halted_ && runnable_ && hv_.clock() < until) {
     switch (state_) {
@@ -88,10 +79,11 @@ void ReplicaNode::RunSlice(SimTime until) {
 
           case GuestEvent::Kind::kIoCommand: {
             if (active_) {
-              HandleIoInitiation(event.io);
+              HandleIoInitiation(std::move(event.io));
             } else {
               // P3 / section 2.2 case (i): suppress, record as outstanding.
-              outstanding_io_[event.io.guest_op_seq] = event.io;
+              const uint64_t seq = event.io.guest_op_seq;
+              outstanding_io_[seq] = std::move(event.io);
               ++stats_.io_suppressed;
               hv_.CompleteIoCommand();
             }
@@ -283,7 +275,7 @@ void ReplicaNode::BeginNextEpoch() {
 
 // --- Real devices (active) ---------------------------------------------------
 
-void ReplicaNode::HandleIoInitiation(const IoDescriptor& io) {
+void ReplicaNode::HandleIoInitiation(IoDescriptor io) {
   Phase(FailPhase::kBeforeIoIssue, io.guest_op_seq);
   if (dead_) {
     return;
@@ -292,45 +284,34 @@ void ReplicaNode::HandleIoInitiation(const IoDescriptor& io) {
     // Output commit: the environment must not observe effects that depend on
     // messages the backup has not confirmed (section 4.3).
     state_ = State::kIoAwaitDownAcks;
-    gated_io_ = io;
+    gated_io_ = std::move(io);
     ack_wait_started_ = hv_.clock();
     runnable_ = false;
     return;
   }
-  IssueRealIo(io);
+  IssueRealIo(std::move(io));
 }
 
-void ReplicaNode::IssueRealIo(const IoDescriptor& io) {
+void ReplicaNode::IssueRealIo(IoDescriptor io) {
   ++stats_.io_issued;
   VirtualDevice* device = hv_.devices().by_id(io.device_id);
   HBFT_CHECK(device != nullptr) << "I/O for unregistered device "
                                 << static_cast<uint32_t>(io.device_id);
   DeviceBackend* backend = device->backend();
   HBFT_CHECK(backend != nullptr) << device->name() << " has no backend";
-  backend->SetIssueClock(hv_.clock());
-  DeviceBackend::Issued issued = backend->Issue(io, id_);
-  pending_real_[{io.device_id, issued.op_id}] = io;
+  const uint64_t seq = io.guest_op_seq;
+  DeviceBackend::Issued issued = backend->Issue(std::move(io), id_, hv_.clock());
   SimTime completion = hv_.clock() + issued.latency;
-  const DeviceId device_id = io.device_id;
   const uint64_t op_id = issued.op_id;
-  scheduler_->ScheduleAt(completion, [this, device_id, op_id, completion] {
+  scheduler_->ScheduleAt(completion, [this, backend, op_id, completion] {
     if (!dead_ && !halted_) {
-      OnRealOpComplete(device_id, op_id, completion);
+      HandleIoCompletion(backend->Complete(op_id), completion);
     }
   });
-  Phase(FailPhase::kAfterIoIssue, io.guest_op_seq);
+  Phase(FailPhase::kAfterIoIssue, seq);
   if (!dead_) {
     hv_.CompleteIoCommand();
   }
-}
-
-void ReplicaNode::OnRealOpComplete(DeviceId device_id, uint64_t op_id, SimTime event_time) {
-  auto it = pending_real_.find({device_id, op_id});
-  HBFT_CHECK(it != pending_real_.end());
-  IoDescriptor io = std::move(it->second);
-  pending_real_.erase(it);
-  DeviceBackend* backend = hv_.devices().by_id(device_id)->backend();
-  HandleIoCompletion(backend->Complete(op_id, io), event_time);
 }
 
 void ReplicaNode::HandleIoCompletion(IoCompletionPayload payload, SimTime event_time) {
@@ -600,9 +581,9 @@ void ReplicaNode::ReleaseAckWait() {
     return;
   }
   HBFT_CHECK(gated_io_.has_value());
-  IoDescriptor io = *gated_io_;
+  IoDescriptor io = std::move(*gated_io_);
   gated_io_.reset();
-  IssueRealIo(io);
+  IssueRealIo(std::move(io));
 }
 
 void ReplicaNode::RetryStandingWait() {
@@ -857,11 +838,15 @@ void ReplicaNode::CaptureResyncNodeState(SnapshotWriter& w) const {
   }
   // Outstanding operations, in guest order (the joiner's P7 re-drive set on
   // a later failover): real in-flight operations while active — its guest
-  // has issued them — and suppressed initiations while standing.
+  // has issued them, and the backends hold them — and suppressed
+  // initiations while standing.
   std::vector<const IoDescriptor*> outstanding;
   if (active_) {
-    for (const auto& [key, io] : pending_real_) {
-      outstanding.push_back(&io);
+    for (const auto& device : hv_.devices().devices()) {
+      if (device->backend() != nullptr) {
+        std::vector<const IoDescriptor*> in_flight = device->backend()->InFlight(id_);
+        outstanding.insert(outstanding.end(), in_flight.begin(), in_flight.end());
+      }
     }
   } else {
     for (const auto& [seq, io] : outstanding_io_) {

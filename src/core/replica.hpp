@@ -94,9 +94,6 @@ class ReplicaNode : public NodeActor {
   // Active with no live downstream: replication off, service continues.
   bool solo() const { return active_ && !replicating_down(); }
 
-  // Pending real-device operations (world resolves them at a crash).
-  std::vector<PendingRealOp> PendingRealOps() const;
-
   // Environment input bound for the guest (console characters, NIC
   // packets), shaped by the owning device model into the one generic
   // completion path. The active replica buffers and relays it like any
@@ -272,16 +269,14 @@ class ReplicaNode : public NodeActor {
   // Closes an epoch boundary on every path (P2, P5, P6): starts epoch E+1
   // and lets a streaming state transfer run its delta round or cut.
   void BeginNextEpoch();
-  void HandleIoInitiation(const IoDescriptor& io);
+  void HandleIoInitiation(IoDescriptor io);
   uint32_t DeliverForEpoch(uint64_t tme);
 
-  // Issues a guest I/O command against the real device backend, schedules
-  // the completion event, and lets the guest continue past the command.
-  // Only the active replica calls this.
-  void IssueRealIo(const IoDescriptor& io);
-  // Completion event for a scheduled real operation: completes it at the
-  // backend and hands the payload to HandleIoCompletion.
-  void OnRealOpComplete(DeviceId device_id, uint64_t op_id, SimTime event_time);
+  // Issues a guest I/O command against the real device backend, which owns
+  // it until its completion event (HandleIoCompletion) or this node's crash,
+  // and lets the guest continue past the command. Only the active replica
+  // calls this.
+  void IssueRealIo(IoDescriptor io);
   // P1 for a completion on the active replica — a real device's, or
   // environment input shaped by its device — uniformly for every device.
   void HandleIoCompletion(IoCompletionPayload payload, SimTime event_time);
@@ -409,10 +404,6 @@ class ReplicaNode : public NodeActor {
   SimTime boundary_started_ = SimTime::Zero();
   SimTime ack_wait_started_ = SimTime::Zero();
   std::optional<IoDescriptor> gated_io_;
-
-  // In-flight real-device operations (active): (device, backend op id) ->
-  // initiating descriptor.
-  std::map<std::pair<DeviceId, uint64_t>, IoDescriptor> pending_real_;
 
   // I/O initiations executed (and suppressed) while standing but whose
   // completion has not been delivered: candidates for P7 uncertain

@@ -8,12 +8,13 @@
 
 namespace hbft {
 
+Console::Console(uint64_t seed)
+    : LatchedOutputBackend(seed, 0xC0501EULL, kConsoleOpTx, kIrqConsoleTx) {}
+
 void Console::Latch(const std::vector<uint8_t>& payload, EnvTraceEntry entry) {
   entry.op_hash = payload[0];  // The character is the whole operation.
   Record(std::move(entry));
 }
-
-uint32_t Console::completion_irq() const { return kIrqConsoleTx; }
 
 // --- ConsoleDevice -----------------------------------------------------------
 

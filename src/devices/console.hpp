@@ -36,14 +36,12 @@ inline constexpr uint32_t kConsoleResultUncertain = 1;
 
 class Console : public LatchedOutputBackend {
  public:
-  explicit Console(uint64_t seed = 0) : LatchedOutputBackend(seed, 0xC0501EULL) {}
+  explicit Console(uint64_t seed = 0);
 
   DeviceId device_id() const override { return DeviceId::kConsole; }
 
  protected:
   void Latch(const std::vector<uint8_t>& payload, EnvTraceEntry entry) override;
-  uint32_t completion_irq() const override;
-  uint32_t accepted_opcode() const override { return kConsoleOpTx; }
 };
 
 // The per-node console register model.

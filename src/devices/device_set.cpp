@@ -21,15 +21,6 @@ DeviceSet::DeviceSet(const DeviceSetConfig& config, const CostModel& costs, uint
   }
 }
 
-DeviceBackend* DeviceSet::backend(DeviceId id) {
-  for (DeviceBackend* backend : backends_) {
-    if (backend->device_id() == id) {
-      return backend;
-    }
-  }
-  return nullptr;
-}
-
 std::unique_ptr<DeviceRegistry> DeviceSet::BuildRegistry() const {
   auto registry = std::make_unique<DeviceRegistry>();
   registry->Add(std::make_unique<DiskDevice>(disk_.get()));
@@ -38,6 +29,12 @@ std::unique_ptr<DeviceRegistry> DeviceSet::BuildRegistry() const {
     registry->Add(std::make_unique<NicDevice>(nic_.get()));
   }
   return registry;
+}
+
+void DeviceSet::ResolveCrash(int issuer, const std::function<bool()>& performed) {
+  for (DeviceBackend* backend : backends_) {
+    backend->ResolveCrash(issuer, performed);
+  }
 }
 
 std::vector<EnvTraceEntry> DeviceSet::trace() const {

@@ -5,12 +5,15 @@
 // device (the dual-ported disk, the remote console, the NIC). Each node —
 // replicas and the bare reference machine alike — gets its own
 // DeviceRegistry of per-node register models built by BuildRegistry(), all
-// bound to these shared backends. The sim and core layers talk to the set
-// through DeviceBackend/DeviceRegistry; the one typed accessor, nic(), lets
-// the serve frontend hook the NIC's output-commit latch.
+// bound to these shared backends. Each backend owns the operations issued
+// to it until they complete or their issuer crashes, so a crash is resolved
+// here, in one call. The sim and core layers talk to the set through
+// DeviceBackend/DeviceRegistry; the one typed accessor, nic(), lets the
+// serve frontend hook the NIC's output-commit latch.
 #ifndef HBFT_DEVICES_DEVICE_SET_HPP_
 #define HBFT_DEVICES_DEVICE_SET_HPP_
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -35,12 +38,13 @@ class DeviceSet {
  public:
   DeviceSet(const DeviceSetConfig& config, const CostModel& costs, uint64_t seed);
 
-  // Generic access (null when the device is not configured).
-  DeviceBackend* backend(DeviceId id);
-  const std::vector<DeviceBackend*>& backends() const { return backends_; }
-
   // A fresh per-node registry bound to this set's backends.
   std::unique_ptr<DeviceRegistry> BuildRegistry() const;
+
+  // Node `issuer` crashed: every backend, in set order (disk, console, NIC),
+  // retires the operations it still had in flight for it, by op id
+  // (DeviceBackend::ResolveCrash). Only the disk asks `performed`.
+  void ResolveCrash(int issuer, const std::function<bool()>& performed);
 
   // Every backend's trace concatenated in backend order (per-device order
   // preserved; the checker splits by device anyway).

@@ -23,62 +23,54 @@ std::vector<uint8_t> Disk::DefaultBlockContent(uint32_t block) const {
   return data;
 }
 
-DeviceBackend::Issued Disk::Issue(const IoDescriptor& io, int issuer) {
+SimTime Disk::Start(Op& op, SimTime /*now*/) {
+  const IoDescriptor& io = op.io;
   HBFT_CHECK(io.opcode == kDiskOpRead || io.opcode == kDiskOpWrite)
       << "bad disk opcode " << io.opcode;
   HBFT_CHECK_LT(io.arg0, num_blocks_);
-  InFlightOp op{io.opcode == kDiskOpWrite, io.arg0, issuer, {}};
-  if (op.is_write) {
+  if (io.opcode == kDiskOpWrite) {
     HBFT_CHECK_EQ(io.payload.size(), kDiskBlockBytes);
-    op.data = io.payload;
+    return write_latency_;
   }
-  Issued issued;
-  issued.op_id = next_op_id_++;
-  issued.latency = op.is_write ? write_latency_ : read_latency_;
-  in_flight_[issued.op_id] = std::move(op);
-  return issued;
+  return read_latency_;
 }
 
-IoCompletionPayload Disk::Complete(uint64_t op_id, const IoDescriptor& io) {
-  auto node = in_flight_.extract(op_id);
-  HBFT_CHECK(!node.empty()) << "completing unknown disk op " << op_id;
-  const InFlightOp& op = node.mapped();
+IoCompletionPayload Disk::Finish(const Op& op) {
   const bool uncertain = rng_.NextBool(fault_plan_.uncertain_probability);
   IoCompletionPayload payload;
   payload.device_irq = kIrqDisk;
-  payload.guest_op_seq = io.guest_op_seq;
+  payload.guest_op_seq = op.io.guest_op_seq;
   payload.result_code = uncertain ? kDiskResultCheckCondition : kDiskResultOk;
-  if (!op.is_write && !uncertain) {
+  if (op.io.opcode == kDiskOpRead && !uncertain) {
     payload.has_dma_data = true;
-    payload.dma_guest_paddr = io.arg1;
-    payload.dma_data = PeekBlock(op.block);
+    payload.dma_guest_paddr = op.io.arg1;
+    payload.dma_data = PeekBlock(op.io.arg0);
   }
   Settle(op, !uncertain || rng_.NextBool(fault_plan_.performed_when_uncertain));
   return payload;
 }
 
-void Disk::ResolveAtCrash(uint64_t op_id, bool performed) {
-  auto node = in_flight_.extract(op_id);
-  HBFT_CHECK(!node.empty()) << "resolving unknown disk op " << op_id;
-  if (performed) {
-    Settle(node.mapped(), true);  // Done at the device; interrupt lost.
+void Disk::Abandon(const Op& op, const std::function<bool()>& performed) {
+  if (performed()) {
+    Settle(op, true);  // Done at the device; interrupt lost.
   }
   // Otherwise the environment never saw the operation.
 }
 
-void Disk::Settle(const InFlightOp& op, bool performed) {
+void Disk::Settle(const Op& op, bool performed) {
+  const bool is_write = op.io.opcode == kDiskOpWrite;
   EnvTraceEntry entry;
   entry.issuer = op.issuer;
   entry.performed = performed;
-  entry.opcode = op.is_write ? kDiskOpWrite : kDiskOpRead;
-  entry.block = op.block;
+  entry.opcode = op.io.opcode;
+  entry.block = op.io.arg0;
   Fnv1aHasher hasher;
-  hasher.UpdateU32(op.is_write ? 1u : 0u);
-  hasher.UpdateU32(op.block);
-  if (op.is_write) {
-    hasher.UpdateU64(Fnv1a(op.data.data(), op.data.size()));
+  hasher.UpdateU32(is_write ? 1u : 0u);
+  hasher.UpdateU32(op.io.arg0);
+  if (is_write) {
+    hasher.UpdateU64(Fnv1a(op.io.payload.data(), op.io.payload.size()));
     if (performed) {
-      blocks_[op.block] = op.data;
+      blocks_[op.io.arg0] = op.io.payload;
     }
   }
   entry.op_hash = hasher.digest();

@@ -15,10 +15,12 @@
 // uncertain interrupts for all outstanding operations.
 //
 // The disk is passive with respect to time: the simulation issues operations,
-// decides when they complete (transfer-time model), and calls Complete(). A
-// crash of the issuing processor mid-operation is resolved explicitly with
-// ResolveAtCrash(op_id, performed) — the "may or may not" of IO2 made
-// concrete and testable.
+// decides when they complete (transfer-time model), and calls Complete().
+// Until then the backend owns each operation, write data included. A crash of
+// the issuing processor mid-operation is resolved by ResolveCrash, whose
+// verdict says whether each abandoned operation was performed — the "may or
+// may not" of IO2 made concrete and testable. The disk is the only device
+// that asks for that verdict.
 #ifndef HBFT_DEVICES_DISK_HPP_
 #define HBFT_DEVICES_DISK_HPP_
 
@@ -56,28 +58,21 @@ class Disk : public DeviceBackend {
     write_latency_ = write;
   }
 
-  // --- DeviceBackend ---------------------------------------------------------
-  // Write data is captured at issue (the DMA snapshot); completion applies
-  // the fault plan and traces the operation, performed or not.
   DeviceId device_id() const override { return DeviceId::kDisk; }
-  Issued Issue(const IoDescriptor& io, int issuer) override;
-  IoCompletionPayload Complete(uint64_t op_id, const IoDescriptor& io) override;
-  bool crash_resolvable() const override { return true; }
-  void ResolveAtCrash(uint64_t op_id, bool performed) override;
 
   // Direct content access for verification (not a device operation).
   std::vector<uint8_t> PeekBlock(uint32_t block) const;
 
  private:
-  struct InFlightOp {
-    bool is_write = false;
-    uint32_t block = 0;
-    int issuer = 0;
-    std::vector<uint8_t> data;
-  };
+  // Completion applies the fault plan and traces the operation, performed
+  // or not; an abandoned operation is traced only if the verdict says it
+  // was performed.
+  SimTime Start(Op& op, SimTime now) override;
+  IoCompletionPayload Finish(const Op& op) override;
+  void Abandon(const Op& op, const std::function<bool()>& performed) override;
 
   // Applies a performed write to the medium and traces the operation.
-  void Settle(const InFlightOp& op, bool performed);
+  void Settle(const Op& op, bool performed);
 
   // Unwritten blocks hold a deterministic per-block pattern so reads are
   // verifiable without priming the disk.
@@ -88,8 +83,6 @@ class Disk : public DeviceBackend {
   FaultPlan fault_plan_;
   SimTime read_latency_ = SimTime::Zero();
   SimTime write_latency_ = SimTime::Zero();
-  uint64_t next_op_id_ = 1;
-  std::map<uint64_t, InFlightOp> in_flight_;
   std::map<uint32_t, std::vector<uint8_t>> blocks_;
 };
 

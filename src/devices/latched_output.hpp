@@ -7,13 +7,15 @@
 // latch: the fault plan can make the completion uncertain, deciding then
 // whether the output actually reached the environment — the driver
 // retransmits, and the environment tolerates the bounded duplicate window
-// (at a transient fault or at failover alike). Subclasses provide only the
-// latch itself and the completion IRQ line.
+// (at a transient fault or at failover alike). The backend owns each
+// operation until it completes or its issuer crashes; a crash poses no IO2
+// question, since the latch already decided what the environment saw, so
+// the vanished completion is just dropped. Subclasses provide only the latch
+// itself, plus their opcode and completion IRQ line as constructor values.
 #ifndef HBFT_DEVICES_LATCHED_OUTPUT_HPP_
 #define HBFT_DEVICES_LATCHED_OUTPUT_HPP_
 
 #include <cstdint>
-#include <map>
 
 #include "common/rng.hpp"
 #include "devices/virtual_device.hpp"
@@ -25,35 +27,26 @@ class LatchedOutputBackend : public DeviceBackend {
   void set_fault_plan(const FaultPlan& plan) { fault_plan_ = plan; }
   void set_tx_latency(SimTime latency) { tx_latency_ = latency; }
 
-  Issued Issue(const IoDescriptor& io, int issuer) final;
-  IoCompletionPayload Complete(uint64_t op_id, const IoDescriptor& io) final;
-
-  // Output already committed at issue: a crash poses no IO2 question
-  // (crash_resolvable stays false, so the world draws no resolution), but
-  // the latch result of the vanished completion is dropped here.
-  void ResolveAtCrash(uint64_t op_id, bool performed) override {
-    (void)performed;
-    in_flight_result_.erase(op_id);
-  }
-
  protected:
-  LatchedOutputBackend(uint64_t seed, uint64_t salt) : rng_(seed ^ salt) {}
+  // `opcode` is the single opcode the device accepts; `completion_irq` the
+  // EIRR line its completions raise.
+  LatchedOutputBackend(uint64_t seed, uint64_t salt, uint32_t opcode, uint32_t completion_irq)
+      : rng_(seed ^ salt), opcode_(opcode), completion_irq_(completion_irq) {}
 
   // Commits `payload` to the environment: completes `entry` (issuer, opcode
   // and latch time are filled) with the device's identity of the output and
   // records it.
   virtual void Latch(const std::vector<uint8_t>& payload, EnvTraceEntry entry) = 0;
-  // The EIRR line completions of this device raise.
-  virtual uint32_t completion_irq() const = 0;
-  // The single opcode this device accepts.
-  virtual uint32_t accepted_opcode() const = 0;
 
  private:
+  SimTime Start(Op& op, SimTime now) final;
+  IoCompletionPayload Finish(const Op& op) final;
+
   DeterministicRng rng_;
   FaultPlan fault_plan_;
   SimTime tx_latency_ = SimTime::Zero();
-  uint64_t next_op_id_ = 1;
-  std::map<uint64_t, uint32_t> in_flight_result_;  // op id -> result code.
+  const uint32_t opcode_;
+  const uint32_t completion_irq_;
 };
 
 }  // namespace hbft

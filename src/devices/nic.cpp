@@ -9,6 +9,8 @@
 
 namespace hbft {
 
+Nic::Nic(uint64_t seed) : LatchedOutputBackend(seed, 0x21C0FFEEULL, kNicOpTx, kIrqNicTx) {}
+
 void Nic::Latch(const std::vector<uint8_t>& payload, EnvTraceEntry entry) {
   entry.bytes = payload;
   entry.op_hash = Fnv1a(payload.data(), payload.size());
@@ -17,8 +19,6 @@ void Nic::Latch(const std::vector<uint8_t>& payload, EnvTraceEntry entry) {
     on_latch_(latched);
   }
 }
-
-uint32_t Nic::completion_irq() const { return kIrqNicTx; }
 
 // --- NicDevice ---------------------------------------------------------------
 

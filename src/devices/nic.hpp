@@ -42,7 +42,7 @@ inline constexpr uint32_t kNicResultUncertain = 1;
 
 class Nic : public LatchedOutputBackend {
  public:
-  explicit Nic(uint64_t seed = 0) : LatchedOutputBackend(seed, 0x21C0FFEEULL) {}
+  explicit Nic(uint64_t seed = 0);
 
   DeviceId device_id() const override { return DeviceId::kNic; }
 
@@ -54,8 +54,6 @@ class Nic : public LatchedOutputBackend {
 
  protected:
   void Latch(const std::vector<uint8_t>& payload, EnvTraceEntry entry) override;
-  uint32_t completion_irq() const override;
-  uint32_t accepted_opcode() const override { return kNicOpTx; }
 
  private:
   std::function<void(const EnvTraceEntry&)> on_latch_;

@@ -23,6 +23,40 @@ const char* DeviceIdName(DeviceId id) {
   return "unknown";
 }
 
+DeviceBackend::Issued DeviceBackend::Issue(IoDescriptor io, int issuer, SimTime now) {
+  const uint64_t op_id = next_op_id_++;
+  Op& op = in_flight_.emplace(op_id, Op{issuer, std::move(io)}).first->second;
+  return Issued{op_id, Start(op, now)};
+}
+
+IoCompletionPayload DeviceBackend::Complete(uint64_t op_id) {
+  auto node = in_flight_.extract(op_id);
+  HBFT_CHECK(!node.empty()) << "completing unknown " << DeviceIdName(device_id()) << " op "
+                            << op_id;
+  return Finish(node.mapped());
+}
+
+void DeviceBackend::ResolveCrash(int issuer, const std::function<bool()>& performed) {
+  for (auto it = in_flight_.begin(); it != in_flight_.end();) {
+    if (it->second.issuer == issuer) {
+      Abandon(it->second, performed);
+      it = in_flight_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+}
+
+std::vector<const IoDescriptor*> DeviceBackend::InFlight(int issuer) const {
+  std::vector<const IoDescriptor*> ops;
+  for (const auto& [op_id, op] : in_flight_) {
+    if (op.issuer == issuer) {
+      ops.push_back(&op.io);
+    }
+  }
+  return ops;
+}
+
 const EnvTraceEntry& DeviceBackend::Record(EnvTraceEntry entry) {
   entry.device_id = device_id();
   trace_.push_back(std::move(entry));

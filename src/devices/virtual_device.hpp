@@ -12,9 +12,11 @@
 //
 //   * DeviceBackend — the SHARED, environment-facing real device. One
 //     instance per world, touched only by the replica that currently drives
-//     the devices. It performs operations, applies the fault plan (IO2's
-//     uncertain completions), appends what the environment saw to its one
-//     EnvTraceEntry trace, and resolves operations left in flight by a crash.
+//     the devices. It owns every real operation from issue until the
+//     operation completes or its issuer crashes: it performs operations,
+//     applies the fault plan (IO2's uncertain completions), appends what the
+//     environment saw to its one EnvTraceEntry trace, and resolves the
+//     operations a crashed issuer left in flight.
 //
 // The DeviceRegistry holds a node's VirtualDevice instances and dispatches
 // by MMIO window, IRQ line, or DeviceId. The hypervisor, the replica roles,
@@ -24,6 +26,8 @@
 #define HBFT_DEVICES_VIRTUAL_DEVICE_HPP_
 
 #include <deque>
+#include <functional>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -35,7 +39,9 @@ namespace hbft {
 
 class Machine;
 
-// The environment side of a device (shared per world).
+// The environment side of a device (shared per world). Its one table holds
+// each operation from Issue until Complete or ResolveCrash retires it; a
+// device supplies only its start, finish and crash-abandon steps.
 class DeviceBackend {
  public:
   virtual ~DeviceBackend() = default;
@@ -47,29 +53,25 @@ class DeviceBackend {
     SimTime latency;      // Virtual time until the completion event.
   };
 
-  // Starts a real operation on behalf of node `issuer`. Environment-visible
-  // output (console characters, NIC packets) is latched here, at issue.
-  virtual Issued Issue(const IoDescriptor& io, int issuer) = 0;
-
-  // The issuing node's virtual clock, set immediately before each Issue call
-  // so latched output is stamped with its latch time (the fleet's
-  // per-request latency measurements read NIC entry timestamps). Purely
-  // observational: no backend behaviour depends on it.
-  void SetIssueClock(SimTime t) { issue_clock_ = t; }
-  SimTime issue_clock() const { return issue_clock_; }
+  // Starts a real operation on behalf of node `issuer`, whose clock reads
+  // `now`. Environment-visible output (console characters, NIC packets) is
+  // latched here and stamped with `now`, its latch time (the fleet's
+  // per-request latency measurements read NIC entry timestamps).
+  Issued Issue(IoDescriptor io, int issuer, SimTime now);
 
   // Finishes an in-flight operation, applying the fault plan, and builds the
   // completion the device model will apply at delivery.
-  virtual IoCompletionPayload Complete(uint64_t op_id, const IoDescriptor& io) = 0;
+  IoCompletionPayload Complete(uint64_t op_id);
 
-  // Whether a crash of the issuing node leaves a genuine "may or may not
-  // have been performed" question (IO2). Disk yes; console/NIC output is
-  // latched at issue, so their in-flight completions simply vanish.
-  virtual bool crash_resolvable() const { return false; }
+  // Retires every operation `issuer` still has in flight, in op-id order:
+  // the issuer crashed, so no completion interrupt will follow. Where the
+  // crash leaves IO2's "may or may not have been performed" open (the disk),
+  // `performed` is asked once per operation for the environment's verdict;
+  // output latched at issue (console, NIC) already reached the environment.
+  void ResolveCrash(int issuer, const std::function<bool()>& performed);
 
-  // Resolves an operation whose issuer crashed before completion: the
-  // environment either saw it or did not. No interrupt is ever delivered.
-  virtual void ResolveAtCrash(uint64_t op_id, bool performed) { (void)op_id, (void)performed; }
+  // The descriptors of `issuer`'s in-flight operations, in op-id order.
+  std::vector<const IoDescriptor*> InFlight(int issuer) const;
 
   // Everything the environment saw this device do, in order: the record the
   // transparency checker, the fleet's request matching and the serve
@@ -77,11 +79,25 @@ class DeviceBackend {
   const std::deque<EnvTraceEntry>& trace() const { return trace_; }
 
  protected:
+  struct Op {
+    int issuer = 0;
+    IoDescriptor io;      // Moved in at issue: a write's payload exists once.
+    uint32_t result = 0;  // Set at issue by devices that decide it then.
+  };
+
+  // The device's steps. Start validates the operation, may latch output and
+  // decide `op.result`, and returns the latency until completion. Finish
+  // builds the completion. Abandon settles an operation whose issuer crashed.
+  virtual SimTime Start(Op& op, SimTime now) = 0;
+  virtual IoCompletionPayload Finish(const Op& op) = 0;
+  virtual void Abandon(const Op& /*op*/, const std::function<bool()>& /*performed*/) {}
+
   // Tags `entry` with this device's id and appends it to the trace.
   const EnvTraceEntry& Record(EnvTraceEntry entry);
 
  private:
-  SimTime issue_clock_ = SimTime::Zero();
+  uint64_t next_op_id_ = 1;
+  std::map<uint64_t, Op> in_flight_;
   // A deque: entries never move, so Record's reference stays valid, and
   // growth leaves no outgrown buffers behind (with a vector, the fleet-storm
   // benchmark's 32 chains peaked about 0.3 MB higher).

@@ -22,7 +22,7 @@ constexpr SimTime kQuantum = SimTime::Millis(10);
 Fleet::Fleet(const FleetConfig& config)
     : config_(config),
       placement_(config.placement, config.hosts),
-      pool_(config.threads) {  // WorkerPool itself rejects threads == 0.
+      pool_(config.threads) {  // WorkerPool itself bounds threads to [1, kMaxThreads].
   HBFT_CHECK_GT(config_.chains, 0u);
   HBFT_CHECK_GT(config_.hosts, 0u);
   HBFT_CHECK_GE(config_.backups, 1);

@@ -95,9 +95,10 @@ struct FleetConfig {
   SimTime max_time = SimTime::Seconds(900);
   uint64_t epoch_length = 0;  // 0 = the scenario default.
 
-  // Worker threads for round slices (and world build / result collection).
-  // 1 = the serial path, with no threads spawned; any K produces the same
-  // result fingerprint (see "Parallel rounds" above).
+  // Worker threads for round slices (and world build / result collection),
+  // at most WorkerPool::kMaxThreads. 1 = the serial path, with no threads
+  // spawned; any K produces the same result fingerprint (see "Parallel
+  // rounds" above).
   size_t threads = 1;
 };
 

@@ -9,6 +9,7 @@ namespace hbft {
 
 WorkerPool::WorkerPool(size_t threads) : threads_(threads) {
   HBFT_CHECK_GE(threads_, 1u);
+  HBFT_CHECK_LE(threads_, kMaxThreads);
   workers_.reserve(threads_ - 1);
   for (size_t w = 1; w < threads_; ++w) {
     workers_.emplace_back([this, w] { WorkerMain(w); });

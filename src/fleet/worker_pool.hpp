@@ -31,7 +31,12 @@ namespace hbft {
 
 class WorkerPool {
  public:
-  // threads >= 1; the pool spawns threads-1 workers (the caller is worker 0).
+  // The most threads a pool takes: the spawn happens at construction, all
+  // at once, so an unbounded count would ask the OS for that many threads.
+  static constexpr size_t kMaxThreads = 256;
+
+  // 1 <= threads <= kMaxThreads; the pool spawns threads-1 workers (the
+  // caller is worker 0).
   explicit WorkerPool(size_t threads);
   ~WorkerPool();
   WorkerPool(const WorkerPool&) = delete;

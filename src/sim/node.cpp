@@ -117,40 +117,27 @@ void BareNode::HandleMmio(const MachineExit& exit) {
     VirtualDevice::StoreResult result = device->MmioStore(offset, exit.mmio_value, machine_);
     HBFT_CHECK(!result.fault) << "bad " << device->name() << " register store offset " << offset;
     if (result.initiate) {
-      IoDescriptor io = std::move(result.io);
-      io.guest_op_seq = next_op_seq_++;
+      result.io.guest_op_seq = next_op_seq_++;
       DeviceBackend* backend = device->backend();
       HBFT_CHECK(backend != nullptr) << device->name() << " has no backend";
-      backend->SetIssueClock(clock_);
-      DeviceBackend::Issued issued = backend->Issue(io, id_);
-      const DeviceId device_id = io.device_id;
+      DeviceBackend::Issued issued = backend->Issue(std::move(result.io), id_, clock_);
       const uint64_t op_id = issued.op_id;
-      pending_real_[{device_id, op_id}] = std::move(io);
       SimTime completion = clock_ + issued.latency;
-      scheduler_->ScheduleAt(completion, [this, device_id, op_id, completion] {
-        if (!halted_) {
-          OnRealOpComplete(device_id, op_id, completion);
+      scheduler_->ScheduleAt(completion, [this, device, backend, op_id, completion] {
+        if (halted_) {
+          return;
         }
+        if (clock_ < completion) {
+          clock_ = completion;
+        }
+        // Applied immediately: the bare machine has no epoch boundaries.
+        device->ApplyCompletion(backend->Complete(op_id), machine_);
       });
     }
   } else {
     machine_.cpu().set_gpr(instr.rd, device->MmioLoad(offset));
   }
   Retire(exit.pc + 4);
-}
-
-void BareNode::OnRealOpComplete(DeviceId device_id, uint64_t op_id, SimTime t) {
-  auto it = pending_real_.find({device_id, op_id});
-  HBFT_CHECK(it != pending_real_.end());
-  IoDescriptor io = std::move(it->second);
-  pending_real_.erase(it);
-  if (clock_ < t) {
-    clock_ = t;
-  }
-  VirtualDevice* device = devices_->by_id(device_id);
-  IoCompletionPayload payload = device->backend()->Complete(op_id, io);
-  // Applied immediately: the bare machine has no epoch boundaries.
-  device->ApplyCompletion(payload, machine_);
 }
 
 void BareNode::InjectInput(DeviceId device_id, const std::vector<uint8_t>& payload, SimTime t) {

@@ -11,9 +11,7 @@
 #ifndef HBFT_SIM_NODE_HPP_
 #define HBFT_SIM_NODE_HPP_
 
-#include <map>
 #include <memory>
-#include <utility>
 
 #include "core/protocol.hpp"
 #include "devices/virtual_device.hpp"
@@ -42,7 +40,6 @@ class BareNode : public NodeActor {
  private:
   void HandleEnvCr(const MachineExit& exit);
   void HandleMmio(const MachineExit& exit);
-  void OnRealOpComplete(DeviceId device_id, uint64_t op_id, SimTime t);
   void Retire(uint32_t next_pc) {
     machine_.RetireSimulated(next_pc);
     clock_ += costs_.instruction_cost;
@@ -60,9 +57,6 @@ class BareNode : public NodeActor {
   bool timer_armed_ = false;
   uint64_t timer_generation_ = 0;
   uint64_t next_op_seq_ = 1;
-
-  // In-flight real operations: (device, backend op id) -> descriptor.
-  std::map<std::pair<DeviceId, uint64_t>, IoDescriptor> pending_real_;
 };
 
 }  // namespace hbft

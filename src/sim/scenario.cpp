@@ -125,6 +125,7 @@ Scenario& Scenario::Backups(int count) {
 }
 
 Scenario& Scenario::Epoch(uint64_t epoch_length) {
+  HBFT_CHECK(epoch_length >= 1) << "an epoch is at least one instruction";
   config_.replication.epoch_length = epoch_length;
   return *this;
 }

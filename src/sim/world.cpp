@@ -341,32 +341,14 @@ void World::KillReplica(size_t index, SimTime t, FailurePlan::CrashIo crash_io) 
   ReplicaNode* node = replicas_[index].get();
   HBFT_CHECK(!node->dead());
   crash_times_.push_back(t);
-  std::vector<PendingRealOp> in_flight = node->PendingRealOps();
   node->Kill(t);
-  // Resolve each in-flight device operation. Only backends that leave a
-  // genuine IO2 question at a crash (the disk) draw a performed/not verdict;
-  // output latched at issue (console, NIC) already reached the environment,
-  // and ResolveAtCrash just retires the vanished completion.
-  for (const PendingRealOp& op : in_flight) {
-    DeviceBackend* backend = devices_->backend(op.device_id);
-    HBFT_CHECK(backend != nullptr);
-    bool performed = false;
-    if (backend->crash_resolvable()) {
-      switch (crash_io) {
-        case FailurePlan::CrashIo::kPerformed:
-          performed = true;
-          break;
-        case FailurePlan::CrashIo::kNotPerformed:
-          performed = false;
-          break;
-        case FailurePlan::CrashIo::kRandom:
-        default:
-          performed = crash_rng_.NextBool(0.5);
-          break;
-      }
-    }
-    backend->ResolveAtCrash(op.op_id, performed);
-  }
+  // The backends retire the node's in-flight operations. Only the disk asks
+  // for a performed/not verdict; output latched at issue (console, NIC)
+  // already reached the environment, and its completion just vanishes.
+  devices_->ResolveCrash(node->id(), [this, crash_io] {
+    return crash_io == FailurePlan::CrashIo::kRandom ? crash_rng_.NextBool(0.5)
+                                                     : crash_io == FailurePlan::CrashIo::kPerformed;
+  });
 
   if (index == active_index_) {
     // The active replica died: the next surviving backup detects the silence

@@ -112,10 +112,10 @@ struct WorldConfig {
   DeviceSetConfig devices;
   int backups = 1;  // Chain length: 1 primary + `backups` backups.
   uint64_t seed = 42;
-  // Interconnect fault model (drop/duplicate/reorder + bounded sender
-  // queue), applied to every channel of the mesh. Protocol-direction
-  // channels run go-back-N recovery on top; ack channels are datagrams.
-  // Default: ideal wire, byte-identical to the fault-free model.
+  // Interconnect fault model (drop/duplicate/reorder), applied to every
+  // channel of the mesh. Protocol-direction channels run go-back-N recovery
+  // on top; ack channels are datagrams. Default: ideal wire, byte-identical
+  // to the fault-free model.
   LinkFaults link_faults;
   SimTime max_time = SimTime::Seconds(900);
 };
@@ -229,9 +229,10 @@ class World : public EventScheduler {
   NodeActor& active_node();
   size_t active_index() const { return active_index_; }
 
-  // Fail-stop kill of a replica by chain position, resolving its in-flight
-  // device operations per `crash_io` and scheduling failure detection on the
-  // surviving neighbour.
+  // Fail-stop kill of a replica by chain position and scheduling of failure
+  // detection on the surviving neighbour. The device backends own the
+  // replica's in-flight operations, so one DeviceSet::ResolveCrash call
+  // retires them all, with `crash_io` as the disk's performed/not verdict.
   void KillReplica(size_t index, SimTime t, FailurePlan::CrashIo crash_io);
 
  private:

@@ -231,6 +231,21 @@ expect_usage_error("--epoch-length expects an integer" fleet --epoch-length=-5)
 expect_usage_error("--payload-bytes expects an integer" fleet --payload-bytes=4294967297)
 expect_usage_error("--max-time-ms expects milliseconds" fleet --max-time-ms=nan)
 
+# An epoch is at least one instruction. Taken as given, 0 would expire the
+# recovery counter after every instruction in `run` and `serve`, and mean the
+# 4096 default in `fleet`.
+expect_usage_error("--epoch-length must be >= 1" run --workload=txnlog --iterations=2
+                   --epoch-length=0)
+expect_usage_error("--epoch-length must be >= 1" fleet --chains=2 --hosts=2 --requests=2
+                   --epoch-length=0)
+expect_usage_error("--epoch-length must be >= 1" serve --role=single --epoch-length=0
+                   --duration-ms=100)
+
+# The worker pool spawns all its threads when the fleet starts, so their
+# number is bounded (a usage error, not a request for that many OS threads).
+expect_usage_error("--threads must be <= 256" fleet --chains=2 --hosts=2 --requests=2
+                   --threads=257)
+
 # A bare run has no replica to kill: a --fail schedule would silently do
 # nothing.
 expect_usage_error("--fail needs a replicated run" run --mode=bare --fail=time-ms=5)

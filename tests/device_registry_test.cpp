@@ -99,8 +99,8 @@ TEST(ConsoleBackend, FaultPlanMakesTxUncertain) {
   io.opcode = kConsoleOpTx;
   io.guest_op_seq = 5;
   io.payload = {'x'};
-  auto issued = console.Issue(io, /*issuer=*/1);
-  IoCompletionPayload payload = console.Complete(issued.op_id, io);
+  auto issued = console.Issue(io, /*issuer=*/1, SimTime::Zero());
+  IoCompletionPayload payload = console.Complete(issued.op_id);
   EXPECT_EQ(payload.result_code, kConsoleResultUncertain);
   ASSERT_EQ(console.trace().size(), 1u);  // Performed: latched despite uncertainty.
   EXPECT_EQ(console.trace()[0].op_hash, static_cast<uint64_t>('x'));
@@ -108,8 +108,8 @@ TEST(ConsoleBackend, FaultPlanMakesTxUncertain) {
   // performed_when_uncertain = 0: the character never reaches the terminal.
   plan.performed_when_uncertain = 0.0;
   console.set_fault_plan(plan);
-  auto issued2 = console.Issue(io, 1);
-  IoCompletionPayload payload2 = console.Complete(issued2.op_id, io);
+  auto issued2 = console.Issue(io, 1, SimTime::Zero());
+  IoCompletionPayload payload2 = console.Complete(issued2.op_id);
   EXPECT_EQ(payload2.result_code, kConsoleResultUncertain);
   EXPECT_EQ(console.trace().size(), 1u);  // Unchanged.
 }
@@ -121,8 +121,8 @@ TEST(NicBackend, TracesTransmittedPackets) {
   io.opcode = kNicOpTx;
   io.guest_op_seq = 9;
   io.payload = {1, 2, 3, 4};
-  auto issued = nic.Issue(io, /*issuer=*/2);
-  IoCompletionPayload payload = nic.Complete(issued.op_id, io);
+  auto issued = nic.Issue(io, /*issuer=*/2, SimTime::Zero());
+  IoCompletionPayload payload = nic.Complete(issued.op_id);
   EXPECT_EQ(payload.device_irq, static_cast<uint32_t>(kIrqNicTx));
   EXPECT_EQ(payload.result_code, kNicResultOk);
   ASSERT_EQ(nic.trace().size(), 1u);

@@ -1,12 +1,17 @@
-// Device tests: the dual-ported disk's IO1/IO2 semantics, crash resolution,
-// fault injection and environment trace; console TX — all driven through the
-// DeviceBackend surface the replicas use (Issue, Complete, ResolveAtCrash).
+// Device tests: the dual-ported disk's IO1/IO2 semantics, crash resolution
+// (one disk, and a whole device set), fault injection and environment trace;
+// console TX — all driven through the DeviceBackend surface the replicas use
+// (Issue, Complete, ResolveCrash, InFlight).
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "devices/console.hpp"
+#include "devices/device_set.hpp"
 #include "devices/disk.hpp"
 #include "isa/isa.hpp"
 
@@ -33,9 +38,10 @@ IoDescriptor DiskIo(uint32_t opcode, uint32_t block, std::vector<uint8_t> data =
   return io;
 }
 
-// Issues `io` on behalf of node `issuer` and completes it at once.
-IoCompletionPayload Drive(DeviceBackend& backend, const IoDescriptor& io, int issuer) {
-  return backend.Complete(backend.Issue(io, issuer).op_id, io);
+// Issues `io` on behalf of node `issuer` at `now` and completes it at once.
+IoCompletionPayload Drive(DeviceBackend& backend, IoDescriptor io, int issuer,
+                          SimTime now = SimTime::Zero()) {
+  return backend.Complete(backend.Issue(std::move(io), issuer, now).op_id);
 }
 
 TEST(Disk, WriteThenReadRoundTrip) {
@@ -102,13 +108,12 @@ TEST(Disk, FaultPlanInjectsUncertainCompletions) {
 
 TEST(Disk, CrashResolutionPerformedOrNot) {
   Disk disk(32, 1);
-  ASSERT_TRUE(disk.crash_resolvable());
   auto data = Pattern(5);
-  uint64_t op1 = disk.Issue(DiskIo(kDiskOpWrite, 7, data), 1).op_id;
-  uint64_t op2 = disk.Issue(DiskIo(kDiskOpWrite, 8, data), 1).op_id;
+  uint64_t op1 = disk.Issue(DiskIo(kDiskOpWrite, 7, data), 1, SimTime::Zero()).op_id;
+  disk.Issue(DiskIo(kDiskOpWrite, 8, data), 1, SimTime::Zero());
   EXPECT_TRUE(disk.trace().empty());  // Nothing reaches the medium at issue.
-  disk.ResolveAtCrash(op1, /*performed=*/true);
-  disk.ResolveAtCrash(op2, /*performed=*/false);
+  bool verdict = true;  // Performed, then not: asked once per op, in issue order.
+  disk.ResolveCrash(1, [&verdict] { return std::exchange(verdict, false); });
   EXPECT_EQ(disk.PeekBlock(7), data);
   EXPECT_NE(disk.PeekBlock(8), data);
   // The trace records only the performed one.
@@ -116,7 +121,69 @@ TEST(Disk, CrashResolutionPerformedOrNot) {
   EXPECT_EQ(disk.trace()[0].block, 7u);
   EXPECT_TRUE(disk.trace()[0].performed);
   // Resolution retires the operation: no completion can follow.
-  EXPECT_DEATH(disk.Complete(op1, DiskIo(kDiskOpWrite, 7, data)), "unknown disk op");
+  EXPECT_DEATH(disk.Complete(op1), "unknown disk op");
+}
+
+IoDescriptor TxIo(DeviceId device, uint32_t opcode, std::vector<uint8_t> payload) {
+  IoDescriptor io;
+  io.device_id = device;
+  io.opcode = opcode;
+  io.arg0 = static_cast<uint32_t>(payload.size());
+  io.payload = std::move(payload);
+  return io;
+}
+
+TEST(DeviceSet, ResolveCrashRetiresOnlyTheCrashedIssuersOps) {
+  DeviceSetConfig config;
+  config.with_nic = true;
+  DeviceSet set(config, CostModel{}, /*seed=*/1);
+  std::unique_ptr<DeviceRegistry> registry = set.BuildRegistry();
+  auto* disk = static_cast<Disk*>(registry->by_id(DeviceId::kDisk)->backend());
+  DeviceBackend* console = registry->by_id(DeviceId::kConsole)->backend();
+  DeviceBackend* nic = registry->by_id(DeviceId::kNic)->backend();
+  const SimTime t0 = SimTime::Zero();
+
+  // Node 1 crashes with ops in flight on every device; node 2 survives.
+  uint64_t write1 = disk->Issue(DiskIo(kDiskOpWrite, 1, Pattern(1)), 1, t0).op_id;
+  uint64_t survivor = disk->Issue(DiskIo(kDiskOpRead, 2), 2, t0).op_id;
+  uint64_t tx = console->Issue(TxIo(DeviceId::kConsole, kConsoleOpTx, {'x'}), 1, t0).op_id;
+  nic->Issue(TxIo(DeviceId::kNic, kNicOpTx, {1, 2, 3}), 1, t0);
+  disk->Issue(DiskIo(kDiskOpRead, 3), 1, t0);
+  disk->Issue(DiskIo(kDiskOpWrite, 4, Pattern(4)), 1, t0);
+  ASSERT_EQ(disk->InFlight(1).size(), 3u);
+  EXPECT_EQ(disk->InFlight(1)[0]->arg0, 1u);  // In op-id order.
+  EXPECT_EQ(disk->InFlight(1)[2]->arg0, 4u);
+
+  // Only the disk asks for a verdict: once per op, in issue order.
+  std::deque<bool> verdicts = {false, true, true};
+  set.ResolveCrash(1, [&verdicts] {
+    const bool performed = verdicts.front();
+    verdicts.pop_front();
+    return performed;
+  });
+  EXPECT_TRUE(verdicts.empty());
+  EXPECT_TRUE(disk->InFlight(1).empty());
+  EXPECT_TRUE(console->InFlight(1).empty());
+  EXPECT_TRUE(nic->InFlight(1).empty());
+  ASSERT_EQ(disk->InFlight(2).size(), 1u);  // The survivor's op is untouched.
+  EXPECT_EQ(disk->InFlight(2)[0]->arg0, 2u);
+
+  // The verdicts landed on the ops in issue order: the block-1 write was not
+  // performed; the block-3 read and the block-4 write were.
+  ASSERT_EQ(disk->trace().size(), 2u);
+  EXPECT_EQ(disk->trace()[0].block, 3u);
+  EXPECT_EQ(disk->trace()[1].block, 4u);
+  EXPECT_NE(disk->PeekBlock(1), Pattern(1));
+  EXPECT_EQ(disk->PeekBlock(4), Pattern(4));
+  // Output latched at issue stays in the environment.
+  EXPECT_EQ(console->trace().size(), 1u);
+  EXPECT_EQ(nic->trace().size(), 1u);
+
+  // A resolved op cannot complete; the survivor's still can.
+  EXPECT_DEATH(disk->Complete(write1), "unknown disk op");
+  EXPECT_DEATH(console->Complete(tx), "unknown console op");
+  EXPECT_TRUE(disk->Complete(survivor).has_dma_data);
+  EXPECT_TRUE(disk->InFlight(2).empty());
 }
 
 TEST(Disk, TraceRecordsIssuerAndContentHash) {
@@ -155,8 +222,8 @@ TEST(Console, OutputAndTrace) {
     io.device_id = DeviceId::kConsole;
     io.opcode = kConsoleOpTx;
     io.payload = {static_cast<uint8_t>(sent[i].ch)};
-    console.SetIssueClock(SimTime::Micros(static_cast<int64_t>(10 * i)));
-    IoCompletionPayload completion = Drive(console, io, sent[i].issuer);
+    IoCompletionPayload completion =
+        Drive(console, io, sent[i].issuer, SimTime::Micros(static_cast<int64_t>(10 * i)));
     EXPECT_EQ(completion.device_irq, static_cast<uint32_t>(kIrqConsoleTx));
     EXPECT_EQ(completion.result_code, kConsoleResultOk);
   }
@@ -170,7 +237,9 @@ TEST(Console, OutputAndTrace) {
   }
   EXPECT_EQ(text, "hi!");
   EXPECT_EQ(trace[2].issuer, 2);
-  EXPECT_EQ(trace[1].time, SimTime::Micros(10));  // Stamped at the latch.
+  for (size_t i = 0; i < 3; ++i) {  // Stamped at the latch with Issue's `now`.
+    EXPECT_EQ(trace[i].time, SimTime::Micros(static_cast<int64_t>(10 * i)));
+  }
 }
 
 }  // namespace

@@ -242,6 +242,38 @@ TEST(Rejoin, SoloPrimaryStreamsToAJoinerThatLaterTakesOver) {
   EXPECT_TRUE(env.ok) << env.detail;
 }
 
+// A solo transfer source ships the real operations it has in flight at the
+// cut — the device backends hold them — so the joiner can re-drive them (P7)
+// if it takes over. Here the primary's disk write is in flight at the cut
+// (13.75 ms), and the primary dies the moment the joiner joins: the joiner
+// never suppressed an initiation of its own, so its one uncertain completion
+// re-drives the shipped write. Without it the guest would wait forever on
+// that write's interrupt.
+TEST(Rejoin, SoloSourceShipsItsInFlightWriteAtTheCut) {
+  WorkloadSpec spec;
+  spec.kind = WorkloadKind::kDiskWrite;
+  spec.iterations = 30;
+  Scenario scenario = Scenario::Replicated(spec)
+                          .FailAtTime(SimTime::Millis(3), FailurePlan::Target::kBackup)
+                          .RejoinAfterFail(SimTime::Millis(10))
+                          .FailAfterResync(SimTime::Zero());
+  ScenarioResult ft = scenario.Run();
+  ASSERT_TRUE(ft.completed) << "timed_out=" << ft.timed_out << " deadlocked=" << ft.deadlocked;
+  ASSERT_EQ(ft.resyncs.size(), 1u);
+  EXPECT_EQ(ft.resyncs[0].source, 0u);  // The solo primary streamed the snapshot.
+  ASSERT_TRUE(ft.resyncs[0].completed);
+  ASSERT_EQ(ft.nodes.size(), 3u);
+  EXPECT_TRUE(ft.nodes[2].promoted);
+  EXPECT_EQ(ft.nodes[2].stats.io_suppressed, 0u);
+  EXPECT_EQ(ft.nodes[2].stats.uncertain_synthesised, 1u);
+
+  ScenarioResult bare = scenario.AsBare().Run();
+  ASSERT_TRUE(bare.completed);
+  EXPECT_EQ(ft.guest_checksum, bare.guest_checksum);
+  ConsistencyResult env = CheckEnvConsistency(bare.env_trace, ft.env_trace, ft.issuer_chain());
+  EXPECT_TRUE(env.ok) << env.detail;
+}
+
 // Killing the transfer source before the cut: the joiner holds an
 // incomplete snapshot and cannot take over — the service is (correctly)
 // lost, and the run ends without wedging or deadlocking.
