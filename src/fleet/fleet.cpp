@@ -22,7 +22,9 @@ constexpr SimTime kQuantum = SimTime::Millis(10);
 Fleet::Fleet(const FleetConfig& config)
     : config_(config),
       placement_(config.placement, config.hosts),
-      pool_(config.threads) {  // WorkerPool itself bounds threads to [1, kMaxThreads].
+      // Sharding is by chain index, so a worker past the last chain would
+      // only wake at every barrier; WorkerPool bounds threads to [1, kMaxThreads].
+      pool_(std::min(config.threads, config.chains)) {
   HBFT_CHECK_GT(config_.chains, 0u);
   HBFT_CHECK_GT(config_.hosts, 0u);
   HBFT_CHECK_GE(config_.backups, 1);

@@ -98,7 +98,7 @@ struct FleetConfig {
   // Worker threads for round slices (and world build / result collection),
   // at most WorkerPool::kMaxThreads. 1 = the serial path, with no threads
   // spawned; any K produces the same result fingerprint (see "Parallel
-  // rounds" above).
+  // rounds" above). The pool runs min(threads, chains) workers.
   size_t threads = 1;
 };
 

@@ -95,9 +95,12 @@ void Machine::CaptureState(SnapshotWriter& w, bool include_memory) const {
   // emulation, but capturing them keeps a restored machine's timing (and the
   // round-trip bytes) identical to the original's. The configured loop
   // bounds come from the guest program at construction, not the snapshot.
+  // The entry registers are written as their IdleFingerprint, one u64: that
+  // keeps the snapshot's length (and the live transfer's control chunk)
+  // unchanged, and a restored machine needs no more for its one check.
   w.Bool(idle_observing_);
   w.Bool(idle_clean_);
-  w.U64(idle_entry_fp_);
+  w.U64(idle_entry_fp_.has_value() ? *idle_entry_fp_ : IdleFingerprint(idle_entry_gpr_));
   w.U64(idle_entry_instret_);
   w.U64(idle_skipped_);
   w.Bool(include_memory);
@@ -113,10 +116,12 @@ bool Machine::RestoreState(SnapshotReader& r, bool include_memory) {
   if (!r.I64(&rctr_) || !r.Bool(&rctr_enabled_)) {
     return false;
   }
-  if (!r.Bool(&idle_observing_) || !r.Bool(&idle_clean_) || !r.U64(&idle_entry_fp_) ||
+  uint64_t idle_entry_fp = 0;
+  if (!r.Bool(&idle_observing_) || !r.Bool(&idle_clean_) || !r.U64(&idle_entry_fp) ||
       !r.U64(&idle_entry_instret_) || !r.U64(&idle_skipped_)) {
     return false;
   }
+  idle_entry_fp_ = idle_entry_fp;
   bool has_memory = false;
   if (!r.Bool(&has_memory) || has_memory != include_memory) {
     return false;
@@ -221,13 +226,18 @@ bool Machine::DeliverTrap(TrapCause cause, uint32_t pc, uint32_t vaddr, const De
   return true;
 }
 
+bool Machine::RestoredIdleEntryMatches() const {
+  return IdleFingerprint(cpu_.gpr) == *idle_entry_fp_;
+}
+
 inline Machine::IdleOutcome Machine::IdleCheck(uint64_t max_instructions, uint64_t* executed,
                                                MachineExit* exit) {
   // Idle-loop fast-forward: after one observed pure iteration, skip whole
   // iterations in bulk (bounded by budget and recovery counter).
   if (idle_configured_ && cpu_.pc == idle_begin_) {
-    uint64_t now_fp = IdleFingerprint();
-    if (idle_observing_ && idle_clean_ && now_fp == idle_entry_fp_) {
+    if (idle_observing_ && idle_clean_ &&
+        (idle_entry_fp_.has_value() ? RestoredIdleEntryMatches()
+                                    : cpu_.gpr == idle_entry_gpr_)) {
       uint64_t loop_len = cpu_.instret - idle_entry_instret_;
       if (loop_len > 0) {
         uint64_t budget_iters = (max_instructions - *executed) / loop_len;
@@ -263,7 +273,8 @@ inline Machine::IdleOutcome Machine::IdleCheck(uint64_t max_instructions, uint64
     } else {
       idle_observing_ = true;
       idle_clean_ = true;
-      idle_entry_fp_ = now_fp;
+      idle_entry_gpr_ = cpu_.gpr;
+      idle_entry_fp_.reset();
       idle_entry_instret_ = cpu_.instret;
     }
   } else if (idle_observing_ && (cpu_.pc < idle_begin_ || cpu_.pc >= idle_end_)) {

@@ -23,7 +23,9 @@
 #ifndef HBFT_MACHINE_MACHINE_HPP_
 #define HBFT_MACHINE_MACHINE_HPP_
 
+#include <array>
 #include <cstdint>
+#include <optional>
 
 #include "isa/assembler.hpp"
 #include "isa/isa.hpp"
@@ -128,9 +130,10 @@ class Machine {
 
   // Registers the guest's idle spin loop [begin,end) for exact fast-forward.
   // A loop iteration is skipped in bulk only after one fully-emulated
-  // iteration is observed to be a pure fixed point (no stores, no CR writes,
-  // no traps, registers unchanged), so skipping is exactly equivalent to
-  // emulation.
+  // iteration is observed to be a pure fixed point: no stores, no CR writes,
+  // no traps, and general registers exactly equal at its start and end
+  // (compared word for word, not by hash). So skipping is exactly equivalent
+  // to emulation.
   void ConfigureIdleLoop(uint32_t begin_pc, uint32_t end_pc);
 
   // Combined memory+register fingerprint of the coordinated VM state.
@@ -181,6 +184,10 @@ class Machine {
   enum class IdleOutcome { kProceed, kBudgetExhausted, kRecoveryExit };
   [[gnu::always_inline]] IdleOutcome IdleCheck(uint64_t max_instructions, uint64_t* executed,
                                                MachineExit* exit);
+  // The purity test of a machine restored mid-observation, which knows the
+  // entry registers only by their fingerprint. Kept out of line so neither
+  // interpreter loop grows by a hash that runs at most once per restore.
+  [[gnu::cold, gnu::noinline]] bool RestoredIdleEntryMatches() const;
 
   // Executes one superblock. kReturn: `exit` is filled and Run must return;
   // kContinue: dispatch again at the (updated) PC.
@@ -230,18 +237,24 @@ class Machine {
   bool idle_configured_ = false;  // hbft-lint: derived-state — see idle_begin_ above.
   bool idle_observing_ = false;
   bool idle_clean_ = false;
-  uint64_t idle_entry_fp_ = 0;
+  // The general registers at the observed iteration's entry: the next arrival
+  // at idle_begin_ skips only if cpu_.gpr equals them exactly.
+  std::array<uint32_t, kNumGprs> idle_entry_gpr_{};
+  // Set while the entry registers are known only by their IdleFingerprint:
+  // 0 before the first observation, the snapshot's value after RestoreState.
+  // Cleared when an observation copies the registers.
+  std::optional<uint64_t> idle_entry_fp_ = 0;
   uint64_t idle_entry_instret_ = 0;
   uint64_t idle_skipped_ = 0;
 
   uint64_t RegisterFingerprint() const { return cpu_.Fingerprint(); }
 
-  // Purity fingerprint for idle-loop detection: general registers only.
-  // instret/pc necessarily advance per iteration and are excluded; control-
-  // register writes already mark the iteration unclean.
-  uint64_t IdleFingerprint() const {
+  // The idle loop's entry registers as the snapshot carries them: general
+  // registers only. instret/pc necessarily advance per iteration and are
+  // excluded; control-register writes already mark the iteration unclean.
+  static uint64_t IdleFingerprint(const std::array<uint32_t, kNumGprs>& gpr) {
     Fnv1aHasher hasher;
-    for (uint32_t r : cpu_.gpr) {
+    for (uint32_t r : gpr) {
       hasher.UpdateU32(r);
     }
     return hasher.digest();

@@ -3,6 +3,11 @@
 // branch-and-link privilege quirk, and idle-loop fast-forward exactness.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
+#include "common/hash.hpp"
+#include "common/snapshot.hpp"
 #include "isa/assembler.hpp"
 #include "machine/machine.hpp"
 
@@ -469,37 +474,72 @@ TEST(MachineRecovery, HostSimulatedInstructionsCount) {
   EXPECT_EQ(machine.cpu().instret, 2u);
 }
 
-TEST(MachineIdleSkip, ExactlyMatchesEmulation) {
-  const char* source = R"(
-    li r1, 0x2000       ; flag address (zero)
+// A guest spinning on a flag that stays zero. With `impure`, the body also
+// counts iterations in r3, so no iteration is a fixed point.
+AssembledImage SpinImage(bool impure) {
+  std::string source = R"(
+    li r1, 0x2000
 wait:
     lw r2, 0(r1)
+)";
+  if (impure) {
+    source += "    addi r3, r3, 1\n";
+  }
+  source += R"(
     bnez r2, done
     j wait
 done:
     halt
   )";
   auto assembled = Assemble(source);
-  ASSERT_TRUE(assembled.ok());
+  EXPECT_TRUE(assembled.ok());
+  return assembled.value();
+}
 
-  auto run = [&](bool configure_skip, uint64_t budget) {
-    MachineConfig config;
-    Machine machine(config);
-    machine.LoadImage(assembled.value());
-    machine.cpu().pc = 0;
-    if (configure_skip) {
-      uint32_t begin = assembled.value().SymbolOrDie("wait");
-      uint32_t end = assembled.value().SymbolOrDie("done");
-      machine.ConfigureIdleLoop(begin, end);
+std::unique_ptr<Machine> SpinMachine(const AssembledImage& image, InterpMode interp,
+                                     bool configure_idle) {
+  MachineConfig config;
+  config.interp = interp;
+  auto machine = std::make_unique<Machine>(config);
+  machine->LoadImage(image);
+  machine->cpu().pc = 0;
+  if (configure_idle) {
+    machine->ConfigureIdleLoop(image.SymbolOrDie("wait"), image.SymbolOrDie("done"));
+  }
+  return machine;
+}
+
+std::vector<uint8_t> CaptureBytes(const Machine& machine, bool include_memory) {
+  Snapshot snap;
+  SnapshotWriter w(&snap);
+  machine.CaptureState(w, include_memory);
+  return snap.bytes;
+}
+
+TEST(MachineIdleSkip, ExactlyMatchesEmulation) {
+  for (bool impure : {false, true}) {
+    const AssembledImage image = SpinImage(impure);
+    for (InterpMode interp : {InterpMode::kSlow, InterpMode::kCached}) {
+      for (uint64_t budget : {6ull, 7ull, 100ull, 1001ull, 99998ull}) {
+        SCOPED_TRACE(::testing::Message() << (impure ? "impure" : "pure") << " spin, budget "
+                                          << budget);
+        auto plain = SpinMachine(image, interp, /*configure_idle=*/false);
+        auto idle = SpinMachine(image, interp, /*configure_idle=*/true);
+        MachineExit plain_exit = plain->Run(budget);
+        MachineExit idle_exit = idle->Run(budget);
+        EXPECT_EQ(idle_exit.kind, plain_exit.kind);
+        EXPECT_EQ(idle_exit.executed, plain_exit.executed);
+        EXPECT_EQ(idle->cpu().instret, plain->cpu().instret);
+        EXPECT_EQ(idle->cpu().pc, plain->cpu().pc);
+        EXPECT_EQ(idle->cpu().gpr, plain->cpu().gpr);
+        // A spin that changes a register every iteration is never skipped.
+        if (impure) {
+          EXPECT_EQ(idle->idle_skipped_instructions(), 0u);
+        } else if (budget >= 100) {
+          EXPECT_GT(idle->idle_skipped_instructions(), 0u);
+        }
+      }
     }
-    MachineExit exit = machine.Run(budget);
-    return std::make_tuple(exit.kind, exit.executed, machine.cpu().instret, machine.cpu().pc);
-  };
-
-  for (uint64_t budget : {7ull, 100ull, 1001ull, 99998ull}) {
-    auto slow = run(false, budget);
-    auto fast = run(true, budget);
-    EXPECT_EQ(slow, fast) << "budget " << budget;
   }
 }
 
@@ -561,6 +601,99 @@ handler:
   exit = machine.Run(10000);
   EXPECT_EQ(exit.kind, ExitKind::kHalt);
   EXPECT_EQ(machine.cpu().gpr[9], 42u);
+}
+
+// A machine restored mid-observation knows the iteration's entry registers
+// only by the snapshot's fingerprint, so its next arrival at the loop head
+// compares hashes where the original compares registers. Both must go on
+// identically, skipping the pure spin and never the impure one.
+void ExpectRestoreMidObservationContinuesExactly(bool impure, InterpMode interp) {
+  SCOPED_TRACE(impure ? "impure spin" : "pure spin");
+  const AssembledImage image = SpinImage(impure);
+  const uint32_t wait = image.SymbolOrDie("wait");
+  auto original = SpinMachine(image, interp, /*configure_idle=*/true);
+  // The instructions before the loop, then the first two of the iteration.
+  original->Run(wait / 4 + 2);
+  ASSERT_GT(original->cpu().pc, wait);
+  ASSERT_LT(original->cpu().pc, image.SymbolOrDie("done"));
+
+  Snapshot snap;
+  snap.bytes = CaptureBytes(*original, /*include_memory=*/true);
+  auto restored = SpinMachine(image, interp, /*configure_idle=*/true);
+  SnapshotReader r(snap);
+  ASSERT_TRUE(restored->RestoreState(r, /*include_memory=*/true));
+  ASSERT_TRUE(r.AtEnd());
+
+  for (uint64_t budget : {1000ull, 7ull, 99998ull}) {
+    original->Run(budget);
+    restored->Run(budget);
+    EXPECT_EQ(restored->cpu().instret, original->cpu().instret) << "budget " << budget;
+    EXPECT_EQ(restored->cpu().pc, original->cpu().pc) << "budget " << budget;
+    EXPECT_EQ(restored->cpu().gpr, original->cpu().gpr) << "budget " << budget;
+    EXPECT_EQ(restored->idle_skipped_instructions(), original->idle_skipped_instructions())
+        << "budget " << budget;
+    EXPECT_EQ(CaptureBytes(*restored, true), CaptureBytes(*original, true))
+        << "budget " << budget;
+  }
+  EXPECT_EQ(original->idle_skipped_instructions() > 0, !impure);
+}
+
+TEST(MachineIdleSkip, RestoreMidObservationContinuesExactly) {
+  for (bool impure : {false, true}) {
+    for (InterpMode interp : {InterpMode::kSlow, InterpMode::kCached}) {
+      ExpectRestoreMidObservationContinuesExactly(impure, interp);
+    }
+  }
+}
+
+// The idle fields end a memory-less snapshot: the observing and clean flags,
+// then Fnv1a over the general registers at the observed iteration's entry
+// (0 before the machine ever reached the loop), the entry's instret, the
+// skipped count, and the has-memory flag.
+TEST(MachineIdleSkip, SnapshotCarriesEntryRegisterFingerprint) {
+  struct IdleFields {
+    bool observing = false;
+    bool clean = false;
+    uint64_t entry_fp = 0;
+    uint64_t entry_instret = 0;
+    uint64_t skipped = 0;
+  };
+  auto read_idle_fields = [](const Machine& machine) {
+    const std::vector<uint8_t> bytes = CaptureBytes(machine, /*include_memory=*/false);
+    constexpr size_t kTail = 2 + 3 * 8 + 1;
+    const std::vector<uint8_t> tail(bytes.end() - kTail, bytes.end());
+    SnapshotReader r(tail);
+    IdleFields f;
+    bool has_memory = true;
+    EXPECT_TRUE(r.Bool(&f.observing) && r.Bool(&f.clean) && r.U64(&f.entry_fp) &&
+                r.U64(&f.entry_instret) && r.U64(&f.skipped) && r.Bool(&has_memory));
+    EXPECT_FALSE(has_memory);
+    return f;
+  };
+
+  const AssembledImage image = SpinImage(/*impure=*/true);
+  const uint32_t wait = image.SymbolOrDie("wait");
+  auto machine = SpinMachine(image, InterpMode::kCached, /*configure_idle=*/true);
+  IdleFields before = read_idle_fields(*machine);
+  EXPECT_FALSE(before.observing);
+  EXPECT_EQ(before.entry_fp, 0u);
+
+  // Stop after the iteration's load and increment: r3 is already 1, but the
+  // entry registers had r1 = 0x2000 and every other register 0.
+  machine->Run(wait / 4 + 2);
+  ASSERT_EQ(machine->cpu().gpr[3], 1u);
+  std::array<uint32_t, kNumGprs> entry{};
+  entry[1] = 0x2000;
+  Fnv1aHasher hasher;
+  for (uint32_t reg : entry) {
+    hasher.UpdateU32(reg);
+  }
+  IdleFields during = read_idle_fields(*machine);
+  EXPECT_TRUE(during.observing);
+  EXPECT_TRUE(during.clean);
+  EXPECT_EQ(during.entry_fp, hasher.digest());
+  EXPECT_EQ(during.entry_instret, wait / 4);
+  EXPECT_EQ(during.skipped, 0u);
 }
 
 TEST(MachineFingerprint, SensitiveToStateChanges) {
