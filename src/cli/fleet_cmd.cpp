@@ -157,6 +157,10 @@ int FleetCommand(FlagSet& flags) {
       return 2;
     }
   }
+  if (config.repair_retry <= SimTime::Zero()) {
+    std::fprintf(stderr, "hbft_cli: --repair-retry-ms must be > 0\n");
+    return 2;
+  }
   if (config.threads > WorkerPool::kMaxThreads) {
     std::fprintf(stderr, "hbft_cli: --threads must be <= %zu\n", WorkerPool::kMaxThreads);
     return 2;

@@ -513,6 +513,12 @@ std::optional<ScenarioFlags> ParseScenarioFlags(FlagSet& flags) {
   WorkloadSpec workload;
   workload.kind = *kind;
   if (auto v = flags.GetU64("iterations", UINT32_MAX)) {
+    // 0 would not mean an empty run: cpu's loop counter would wrap to 2^32
+    // iterations, and other workloads hang or panic.
+    if (*v < 1) {
+      std::fprintf(stderr, "hbft_cli: --iterations must be >= 1\n");
+      return std::nullopt;
+    }
     workload.iterations = static_cast<uint32_t>(*v);
   } else if (*kind == WorkloadKind::kTxnLog) {
     workload.iterations = 10;
@@ -520,6 +526,13 @@ std::optional<ScenarioFlags> ParseScenarioFlags(FlagSet& flags) {
     workload.iterations = 4;
   }
   if (auto v = flags.GetU64("num-blocks", UINT32_MAX)) {
+    // Disk workloads address blocks [0, num_blocks) of the run's disk.
+    const uint32_t disk_blocks = DeviceSetConfig{}.disk_blocks;
+    if (*v < 1 || *v > disk_blocks) {
+      std::fprintf(stderr, "hbft_cli: --num-blocks must be in [1, %u] (the disk's blocks)\n",
+                   disk_blocks);
+      return std::nullopt;
+    }
     workload.num_blocks = static_cast<uint32_t>(*v);
   } else if (*kind == WorkloadKind::kTxnLog) {
     workload.num_blocks = 16;

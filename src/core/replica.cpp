@@ -33,7 +33,6 @@ ReplicaNode::ReplicaNode(int id, const GuestProgram& guest, const MachineConfig&
                          EventScheduler* scheduler)
     : id_(id),
       replication_(replication),
-      costs_(costs),
       hv_(WithHostFirst(machine_config, id), HvConfigFrom(replication), costs,
           std::move(devices)),
       up_in_(links.up_in),
@@ -54,71 +53,54 @@ ReplicaNode::ReplicaNode(int id, const GuestProgram& guest, const MachineConfig&
 }
 
 void ReplicaNode::RunSlice(SimTime until) {
-  while (!dead_ && !halted_ && runnable_ && hv_.clock() < until) {
-    switch (state_) {
-      case State::kRun: {
-        // Cap the horizon by events this node scheduled mid-slice.
-        SimTime horizon = scheduler_->NextEventTime();
-        if (horizon > until) {
-          horizon = until;
-        }
-        if (hv_.clock() >= horizon) {
-          return;
-        }
-        GuestEvent event = hv_.RunGuest(horizon);
-        if (dead_) {
-          return;
-        }
-        switch (event.kind) {
-          case GuestEvent::Kind::kNone:
-            return;  // Horizon reached.
+  // A handler that enters a wait leaves kRun, which ends the slice; the
+  // message, ack or failure verdict that satisfies the wait resumes it.
+  while (runnable() && hv_.clock() < until) {
+    // Cap the horizon by events this node scheduled mid-slice.
+    SimTime horizon = scheduler_->NextEventTime();
+    if (horizon > until) {
+      horizon = until;
+    }
+    if (hv_.clock() >= horizon) {
+      return;
+    }
+    GuestEvent event = hv_.RunGuest(horizon);
+    if (dead_) {
+      return;
+    }
+    switch (event.kind) {
+      case GuestEvent::Kind::kNone:
+        return;  // Horizon reached.
 
-          case GuestEvent::Kind::kTodRead:
-            ServeTodRead();
-            break;
+      case GuestEvent::Kind::kTodRead:
+        ServeTodRead();
+        break;
 
-          case GuestEvent::Kind::kIoCommand: {
-            if (active_) {
-              HandleIoInitiation(std::move(event.io));
-            } else {
-              // P3 / section 2.2 case (i): suppress, record as outstanding.
-              const uint64_t seq = event.io.guest_op_seq;
-              outstanding_io_[seq] = std::move(event.io);
-              ++stats_.io_suppressed;
-              hv_.CompleteIoCommand();
-            }
-            break;
-          }
-
-          case GuestEvent::Kind::kEpochEnd:
-            RecordBoundaryFingerprint();
-            if (active_) {
-              ActiveBoundary();
-            } else {
-              state_ = State::kAwaitTme;
-              TryAdvanceBoundary();
-            }
-            break;
-
-          case GuestEvent::Kind::kHalted:
-            halted_ = true;
-            return;
+      case GuestEvent::Kind::kIoCommand: {
+        if (active_) {
+          HandleIoInitiation(std::move(event.io));
+        } else {
+          // P3 / section 2.2 case (i): suppress, record as outstanding.
+          const uint64_t seq = event.io.guest_op_seq;
+          outstanding_io_[seq] = std::move(event.io);
+          ++stats_.io_suppressed;
+          hv_.CompleteIoCommand();
         }
         break;
       }
-      case State::kStallTod:
-      case State::kAwaitTme:
-      case State::kAwaitEnd:
-        RetryStandingWait();
-        if (state_ != State::kRun) {
-          runnable_ = false;
-          return;
+
+      case GuestEvent::Kind::kEpochEnd:
+        RecordBoundaryFingerprint();
+        if (active_) {
+          ActiveBoundary();
+        } else {
+          state_ = State::kAwaitTme;
+          TryAdvanceBoundary();
         }
         break;
-      case State::kAwaitDownAcks:
-      case State::kIoAwaitDownAcks:
-        // ReleaseAckWait resolves these (an ack, or the downstream's death).
-        runnable_ = false;
+
+      case GuestEvent::Kind::kHalted:
+        halted_ = true;
         return;
     }
   }
@@ -137,7 +119,6 @@ void ReplicaNode::ServeTodRead() {
     hv_.CompleteTodRead(msg.env_value);
     env_values_.pop_front();
     state_ = State::kRun;
-    runnable_ = true;
     return;
   }
   if (active_) {
@@ -171,7 +152,6 @@ void ReplicaNode::ServeTodLocally() {
   }
   hv_.CompleteTodRead(value);
   state_ = State::kRun;
-  runnable_ = true;
 }
 
 // --- Epoch boundaries (P2 active, P5 standing) -------------------------------
@@ -187,7 +167,7 @@ uint32_t ReplicaNode::DeliverForEpoch(uint64_t tme) {
 void ReplicaNode::TryAdvanceBoundary() {
   if (state_ == State::kAwaitTme) {
     if (!tme_queue_.empty()) {
-      hv_.AdvanceClock(costs_.backup_boundary_cost);
+      hv_.AdvanceClock(hv_.costs().backup_boundary_cost);
       boundary_tme_ = tme_queue_.front();
       boundary_tme_valid_ = true;
       tme_queue_.pop_front();
@@ -217,7 +197,7 @@ void ReplicaNode::ActiveBoundary() {
   if (dead_) {
     return;
   }
-  hv_.AdvanceClock(costs_.epoch_boundary_fixed_cost);
+  hv_.AdvanceClock(hv_.costs().epoch_boundary_fixed_cost);
   active_tme_ = TodNow();
   if (replicating_down()) {
     Message msg;
@@ -233,7 +213,6 @@ void ReplicaNode::ActiveBoundary() {
   if (replication_.variant == ProtocolVariant::kOriginal && !AllDownAcked()) {
     state_ = State::kAwaitDownAcks;
     ack_wait_started_ = hv_.clock();
-    runnable_ = false;
     return;
   }
   FinishActiveBoundary();
@@ -269,7 +248,6 @@ void ReplicaNode::BeginNextEpoch() {
   ++stats_.epochs;
   hv_.BeginEpoch();
   state_ = State::kRun;
-  runnable_ = true;
   TransferBoundaryHook();
 }
 
@@ -286,7 +264,6 @@ void ReplicaNode::HandleIoInitiation(IoDescriptor io) {
     state_ = State::kIoAwaitDownAcks;
     gated_io_ = std::move(io);
     ack_wait_started_ = hv_.clock();
-    runnable_ = false;
     return;
   }
   IssueRealIo(std::move(io));
@@ -317,7 +294,7 @@ void ReplicaNode::IssueRealIo(IoDescriptor io) {
 void ReplicaNode::HandleIoCompletion(IoCompletionPayload payload, SimTime event_time) {
   HBFT_CHECK(active_);  // Only the active replica drives the real devices.
   CatchUpClock(event_time);
-  hv_.AdvanceClock(costs_.hv_interrupt_deliver_cost);  // Host interrupt entry.
+  hv_.AdvanceClock(hv_.costs().hv_interrupt_deliver_cost);  // Host interrupt entry.
   BufferAndRelay(std::move(payload));
 }
 
@@ -455,7 +432,7 @@ void ReplicaNode::OnDownstreamFailureDetected(SimTime t) {
   // Upstream acknowledgments deferred on the dead node's acks must go out
   // now or the active replica stalls forever; one cumulative ack suffices.
   if (!deferred_up_acks_.empty()) {
-    uint64_t last = deferred_up_acks_.back();
+    uint64_t last = deferred_up_acks_.back().up_seq;
     deferred_up_acks_.clear();
     SendAckUp(last);
   }
@@ -505,7 +482,7 @@ void ReplicaNode::OnMessage(const Message& msg, SimTime now) {
     // Live state transfer: only a joining replica consumes chunks, and FIFO
     // order means everything before the control chunk is a chunk.
     HBFT_CHECK(joining_) << "state chunk delivered to a non-joining replica";
-    hv_.AdvanceClock(costs_.msg_receive_cpu_cost);
+    hv_.AdvanceClock(hv_.costs().msg_receive_cpu_cost);
     ApplyStateChunk(msg, now);
     // Ack every chunk: the source's pre-copy window is paced by these.
     SendAckUp(msg.seq);
@@ -516,15 +493,16 @@ void ReplicaNode::OnMessage(const Message& msg, SimTime now) {
   if (msg.type == MsgType::kAck) {
     // Acknowledgment from this node's own downstream backup: pays the
     // (cheap) ack-processing interrupt.
-    hv_.AdvanceClock(costs_.ack_receive_cpu_cost);
+    hv_.AdvanceClock(hv_.costs().ack_receive_cpu_cost);
     ++stats_.acks_received;
-    NoteDownAck(msg.ack_seq);
+    down_out_->OnCumulativeAck(msg.ack_seq + 1, hv_.clock());  // Frees its go-back-N window.
+    PumpStateTransfer();  // A paced state transfer may send its next chunks.
     ReleaseDeferredAcks();
     ReleaseAckWait();
     return;
   }
 
-  hv_.AdvanceClock(costs_.msg_receive_cpu_cost);
+  hv_.AdvanceClock(hv_.costs().msg_receive_cpu_cost);
 
   switch (msg.type) {
     case MsgType::kInterrupt: {
@@ -554,13 +532,14 @@ void ReplicaNode::OnMessage(const Message& msg, SimTime now) {
     // Chain: pass the protocol stream on, and ack upstream only once the
     // downstream backup has acknowledged the relay (cascaded acks), so the
     // active replica's output-commit wait covers every surviving replica.
+    // The relay takes the downstream channel's next sequence number.
+    deferred_up_acks_.push_back({msg.seq, down_out_->messages_enqueued()});
     SendDown(msg);  // A copy: the channel re-assigns the sequence number.
     ++stats_.relays_forwarded;
     if (msg.type == MsgType::kEnvValue) {
       HBFT_CHECK_EQ(msg.env_seq, down_env_seq_);
       ++down_env_seq_;
     }
-    deferred_up_acks_.push_back(msg.seq);
   } else {
     SendAckUp(msg.seq);  // P4.
   }
@@ -575,7 +554,6 @@ void ReplicaNode::ReleaseAckWait() {
   }
   stats_.ack_wait_time += hv_.clock() - ack_wait_started_;
   state_ = State::kRun;
-  runnable_ = true;
   if (boundary) {
     FinishActiveBoundary();
     return;
@@ -596,7 +574,7 @@ void ReplicaNode::RetryStandingWait() {
 
 void ReplicaNode::SendDown(Message msg) {
   HBFT_CHECK(down_out_ != nullptr);
-  hv_.AdvanceClock(costs_.msg_send_cpu_cost);
+  hv_.AdvanceClock(hv_.costs().msg_send_cpu_cost);
   auto arrival = down_out_->Send(std::move(msg), hv_.clock());
   if (!arrival.has_value()) {
     return;  // Channel broken: the message vanishes with the receiver.
@@ -610,7 +588,7 @@ void ReplicaNode::SendDown(Message msg) {
 
 void ReplicaNode::SendUp(Message msg) {
   HBFT_CHECK(up_out_ != nullptr);
-  hv_.AdvanceClock(costs_.msg_send_cpu_cost);
+  hv_.AdvanceClock(hv_.costs().msg_send_cpu_cost);
   auto arrival = up_out_->Send(std::move(msg), hv_.clock());
   if (!arrival.has_value()) {
     return;
@@ -622,14 +600,12 @@ void ReplicaNode::SendUp(Message msg) {
 }
 
 void ReplicaNode::ReleaseDeferredAcks() {
-  // The i-th relay sent downstream releases the i-th deferred upstream ack
-  // (both channels are FIFO, and once this node relays every downstream send
-  // is a relay; `down_ack_base_` discounts the state-transfer chunks that a
-  // rejoin put on the channel first).
-  while (!deferred_up_acks_.empty() && deferred_released_ + down_ack_base_ < down_acked_count_) {
-    uint64_t seq = deferred_up_acks_.front();
+  // A deferred ack goes upstream once the downstream's cumulative ack covers
+  // its relay's sequence number. After a rejoin the state-transfer chunks
+  // hold the fresh channel's first numbers, and the relays' follow them.
+  while (!deferred_up_acks_.empty() && deferred_up_acks_.front().relay_seq < down_out_->acked()) {
+    uint64_t seq = deferred_up_acks_.front().up_seq;
     deferred_up_acks_.pop_front();
-    ++deferred_released_;
     SendAckUp(seq);
   }
 }
@@ -652,16 +628,6 @@ void ReplicaNode::OnTransportReackNeeded(SimTime now) {
   }
   CatchUpClock(now);
   SendAckUp(last_up_ack_seq_);
-}
-
-void ReplicaNode::NoteDownAck(uint64_t ack_seq) {
-  if (ack_seq + 1 > down_acked_count_) {
-    down_acked_count_ = ack_seq + 1;
-  }
-  if (down_out_ != nullptr) {
-    down_out_->OnCumulativeAck(down_acked_count_, hv_.clock());
-  }
-  PumpStateTransfer();
 }
 
 void ReplicaNode::EnsureRetransmitTimer() {
@@ -693,7 +659,6 @@ void ReplicaNode::OnRetransmitTimer(SimTime t) {
 
 void ReplicaNode::StartAsJoiner() {
   joining_ = true;
-  runnable_ = false;
   // The constructor booted the guest image; the transferred pages replace
   // everything, and untouched pages must read as the source's zeroes.
   PhysicalMemory& memory = hv_.machine().memory();
@@ -703,16 +668,11 @@ void ReplicaNode::StartAsJoiner() {
 void ReplicaNode::AttachJoiningDownstream(Channel* down_out, Channel* down_in, SimTime t) {
   HBFT_CHECK(down_out != nullptr && down_in != nullptr);
   HBFT_CHECK(!transfer_active_) << "a transfer is already streaming from this node";
+  // The fresh channel pair counts its own acks; a dead downstream's deferred
+  // acks were flushed when its failure was detected.
   down_out_ = down_out;
   down_in_ = down_in;
-  // Bookkeeping restarts with the fresh channel pair: counts against a dead
-  // downstream's channel are meaningless for the new one, and its deferred
-  // acks were flushed when its failure was detected.
-  down_acked_count_ = 0;
   down_lost_ = false;
-  deferred_up_acks_.clear();
-  deferred_released_ = 0;
-  down_ack_base_ = 0;
   CatchUpClock(t);
   PhysicalMemory& memory = hv_.machine().memory();
   memory.BeginTransferTracking();
@@ -722,16 +682,11 @@ void ReplicaNode::AttachJoiningDownstream(Channel* down_out, Channel* down_in, S
   PumpStateTransfer();
 }
 
-uint64_t ReplicaNode::UnackedDownstream() const {
-  uint64_t enqueued = down_out_->messages_enqueued();
-  return enqueued > down_acked_count_ ? enqueued - down_acked_count_ : 0;
-}
-
 void ReplicaNode::PumpStateTransfer() {
   if (!transfer_active_ || dead_ || halted_) {
     return;
   }
-  while (transfer_->HasPending() && UnackedDownstream() < transfer_->window()) {
+  while (transfer_->HasPending() && down_out_->unacked() < transfer_->window()) {
     SendNextStateChunk();
   }
 }
@@ -812,8 +767,6 @@ void ReplicaNode::TransferBoundaryHook() {
   // environment value is generated for) the joiner: its numbering continues
   // exactly after the values the snapshot already carries.
   down_env_seq_ = next_env_seq_ + env_values_.size();
-  deferred_released_ = 0;
-  down_ack_base_ = down_out_->messages_enqueued();
   if (on_resync_cut_) {
     on_resync_cut_(transfer_->report());
   }
@@ -931,7 +884,6 @@ void ReplicaNode::ApplyStateChunk(const Message& msg, SimTime now) {
       joining_ = false;
       joined_ = true;
       state_ = State::kRun;
-      runnable_ = true;
       // The restored clock is the source's at the cut; this node handles the
       // arrival no earlier than now.
       CatchUpClock(now);

@@ -28,7 +28,9 @@
 // mirroring the Environment Instruction Assumption. A standing replica with
 // a backup of its own relays every protocol message downstream verbatim and
 // defers its upstream acknowledgment until the relay is acknowledged below
-// (cascaded acks), so the output-commit wait covers the whole chain.
+// (cascaded acks), so the output-commit wait covers the whole chain. Each
+// deferred ack names its relay's sequence number on the downstream channel,
+// and that channel holds the one count of downstream acks.
 //
 // The primary is a replica with no upstream link: it starts active. Every
 // other replica starts standing and becomes active only by promotion, so a
@@ -77,7 +79,11 @@ class ReplicaNode : public NodeActor {
 
   void RunSlice(SimTime until) override;
   SimTime clock() const override { return hv_.clock(); }
-  bool runnable() const override { return runnable_ && !halted_ && !dead_; }
+  // Executing guest code: not blocked in a protocol wait, not joining,
+  // halted or dead. Every wait is left by the event that satisfies it.
+  bool runnable() const override {
+    return state_ == State::kRun && !joining_ && !halted_ && !dead_;
+  }
   bool halted() const override { return halted_; }
   bool dead() const override { return dead_; }
   bool joining() const override { return joining_; }
@@ -111,7 +117,6 @@ class ReplicaNode : public NodeActor {
   // break; messages already sent still arrive (paper failure model).
   void Kill(SimTime t) {
     dead_ = true;
-    runnable_ = false;
     if (up_out_ != nullptr) {
       up_out_->Break(t);
     }
@@ -132,7 +137,7 @@ class ReplicaNode : public NodeActor {
   // --- Repair: live state transfer (world wiring) ---------------------------
 
   // Source side: adopt a fresh joining downstream — point the node at the
-  // new channel pair, reset downstream ack bookkeeping, and begin the
+  // new channel pair (whose ack count starts at zero), and begin the
   // pre-copy stream. The node keeps executing; replication to the joiner
   // starts only at the cut, and until then the joiner is not a protocol
   // downstream (no relays, no deferred acks).
@@ -184,7 +189,7 @@ class ReplicaNode : public NodeActor {
 
   // Failure-injection hook, fired at each protocol phase while this node is
   // active, with the current epoch and the guest I/O sequence number (0
-  // outside I/O phases).
+  // outside I/O phases). The world installs it once, when it builds the node.
   void set_phase_hook(std::function<void(FailPhase, uint64_t, uint64_t)> hook) {
     phase_hook_ = std::move(hook);
   }
@@ -231,18 +236,11 @@ class ReplicaNode : public NodeActor {
     return down_out_ != nullptr && !down_lost_ && !transfer_active_;
   }
 
-  // Downstream ack accounting (paper P2/P4): down_out_->messages_enqueued()
-  // vs acks seen on down_in_. The comparison is against unique messages
-  // accepted by the channel, never wire sends — retransmissions must not
-  // inflate the ack requirement. Vacuously true when not replicating down.
-  bool AllDownAcked() const {
-    return !replicating_down() || down_acked_count_ >= down_out_->messages_enqueued();
-  }
-
-  // Records a downstream cumulative ack: advances the ack count, releases
-  // the channel's go-back-N window, and lets a paced state transfer send
-  // its next chunks.
-  void NoteDownAck(uint64_t ack_seq);
+  // Downstream ack accounting (paper P2/P4), read from the downstream
+  // channel: its unique messages accepted, never wire sends (retransmissions
+  // must not inflate the ack requirement), against the acks seen on
+  // down_in_. Vacuously true when not replicating down.
+  bool AllDownAcked() const { return !replicating_down() || down_out_->unacked() == 0; }
 
   // Resumes a P2 boundary wait or an output-commit gate (issuing the gated
   // operation) once the downstream acknowledgments it waits for are in, or
@@ -296,8 +294,8 @@ class ReplicaNode : public NodeActor {
   void FlushPendingInputs();
 
   // --- Live state transfer --------------------------------------------------
-  // Source side: chunks ride SendDown like protocol messages; pacing compares
-  // the downstream channel's enqueued count against the cumulative acks.
+  // Source side: chunks ride SendDown like protocol messages; pacing reads
+  // the downstream channel's unacked count.
 
   // Sends chunks while the unacked window has room.
   void PumpStateTransfer();
@@ -307,7 +305,6 @@ class ReplicaNode : public NodeActor {
   void TransferBoundaryHook();
   // The joiner died mid-transfer: stop streaming and drop the tracking.
   void AbortStateTransfer();
-  uint64_t UnackedDownstream() const;
 
   // The protocol-layer half of the cut's control snapshot (the hypervisor
   // half precedes it): epoch, environment-value numbering, boundary
@@ -327,7 +324,7 @@ class ReplicaNode : public NodeActor {
     }
   }
 
-  uint64_t TodNow() const { return static_cast<uint64_t>(costs_.TodFromTime(hv_.clock())); }
+  uint64_t TodNow() const { return static_cast<uint64_t>(hv_.costs().TodFromTime(hv_.clock())); }
 
   // The node handles an event no earlier than its wall-clock instant.
   void CatchUpClock(SimTime t) {
@@ -346,7 +343,6 @@ class ReplicaNode : public NodeActor {
 
   int id_ = 0;
   ReplicationConfig replication_;
-  CostModel costs_;
   Hypervisor hv_;
   Channel* up_in_ = nullptr;
   Channel* up_out_ = nullptr;
@@ -358,7 +354,6 @@ class ReplicaNode : public NodeActor {
   std::function<void(FailPhase, uint64_t, uint64_t)> phase_hook_;
 
   uint64_t epoch_ = 0;
-  bool runnable_ = true;
   bool halted_ = false;
   bool dead_ = false;
 
@@ -369,7 +364,6 @@ class ReplicaNode : public NodeActor {
   bool failure_detected_ = false;
   SimTime promotion_time_ = SimTime::Zero();
 
-  uint64_t down_acked_count_ = 0;  // Downstream acks seen.
   bool retx_timer_armed_ = false;
 
   // Forwarded environment values, consumed in order.
@@ -385,14 +379,14 @@ class ReplicaNode : public NodeActor {
   uint64_t boundary_tme_ = 0;
   bool boundary_tme_valid_ = false;
 
-  // Cascaded acknowledgments: upstream sequence numbers whose ack waits for
-  // the corresponding relay's downstream ack (FIFO on both channels, so the
-  // i-th outstanding relay releases the front entry). After a state
-  // transfer, `down_ack_base_` discounts the chunk messages that precede the
-  // first relay on the (fresh) downstream channel.
-  std::deque<uint64_t> deferred_up_acks_;
-  uint64_t deferred_released_ = 0;  // Relays whose upstream ack went out.
-  uint64_t down_ack_base_ = 0;      // Downstream enqueue count at the cut.
+  // Cascaded acknowledgments: an upstream message's ack waits until the
+  // downstream channel's cumulative ack covers its relay. Relays leave in
+  // receipt order, so the queue is in relay order on both channels.
+  struct DeferredAck {
+    uint64_t up_seq = 0;     // The upstream message to acknowledge.
+    uint64_t relay_seq = 0;  // Its relay's sequence number downstream.
+  };
+  std::deque<DeferredAck> deferred_up_acks_;
 
   // The cumulative high-water mark actually announced upstream (repeated on
   // transport re-ack requests).

@@ -30,6 +30,9 @@ Fleet::Fleet(const FleetConfig& config)
   HBFT_CHECK_GE(config_.backups, 1);
   HBFT_CHECK_GE(config_.repair_concurrency, 1u);
   HBFT_CHECK_GE(config_.threads, 1u);
+  // A retry at `t + 0` lands inside the round that raised it, and the
+  // barrier's drain would run it again before any world advances.
+  HBFT_CHECK(config_.repair_retry > SimTime::Zero()) << "repair_retry must be positive";
   hosts_.resize(config_.hosts);
   for (size_t h = 0; h < config_.hosts; ++h) {
     hosts_[h].report.host = h;

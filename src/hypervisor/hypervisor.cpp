@@ -15,7 +15,7 @@ constexpr uint32_t kPageTableEntries = 1024;
 
 Hypervisor::Hypervisor(const MachineConfig& machine_config, const HypervisorConfig& hv_config,
                        const CostModel& costs, std::unique_ptr<DeviceRegistry> devices)
-    : machine_config_(machine_config), hv_config_(hv_config), costs_(costs),
+    : hv_config_(hv_config), costs_(costs),
       devices_(devices != nullptr ? std::move(devices) : CreateDefaultRegistry()),
       machine_([&] {
         MachineConfig mc = machine_config;

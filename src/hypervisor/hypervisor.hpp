@@ -172,8 +172,6 @@ class Hypervisor {
   uint32_t VirtualStatusFromReal(uint32_t real) const;
   uint32_t RealStatusFromVirtual(uint32_t virt) const;
 
-  // hbft-lint: derived-state — construction-time config; identical on every replica.
-  MachineConfig machine_config_;
   HypervisorConfig hv_config_;  // hbft-lint: derived-state — construction-time config; identical on every replica.
   CostModel costs_;  // hbft-lint: derived-state — construction-time config; identical on every replica.
   std::unique_ptr<DeviceRegistry> devices_;

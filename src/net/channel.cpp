@@ -118,8 +118,7 @@ std::optional<SimTime> Channel::Send(Message msg, SimTime now) {
   if (broken_ && now >= break_time_) {
     return std::nullopt;
   }
-  msg.seq = next_seq_++;
-  ++counters_.messages_enqueued;
+  msg.seq = counters_.messages_enqueued++;
   SimTime arrival = PutOnWire(msg, now, /*retransmit=*/false);
   // Ordered channels over a faulty link keep the message until the peer's
   // cumulative ack covers it; the wire may eat the first copy. The
@@ -214,7 +213,8 @@ bool Channel::InjectWireFrame(const std::vector<uint8_t>& bytes, SimTime now) {
 }
 
 void Channel::OnCumulativeAck(uint64_t acked_count, SimTime now) {
-  retransmit_.Ack(acked_count, now);
+  acked_ = std::max(acked_, acked_count);
+  retransmit_.Ack(acked_, now);
 }
 
 Channel::RetransmitResult Channel::MaybeRetransmit(SimTime now) {

@@ -13,7 +13,9 @@
 //     messages (driven by the protocol's own cumulative P4 acks) and the
 //     receiver delivers strictly in sequence, discarding duplicates and
 //     post-gap frames. Over an ideal link this degenerates to the original
-//     reliable-FIFO queue, byte for byte.
+//     reliable-FIFO queue, byte for byte. The channel is the one home of its
+//     stream's ack count: the sender's P2 wait, output commit, cascaded
+//     acks and state-transfer pacing all read acked()/unacked().
 //   * kDatagram — the acknowledgment stream (backup -> primary). Acks are
 //     cumulative and idempotent, so the receiver takes whatever arrives in
 //     arrival order; lost acks are repaired by later acks or by the sender's
@@ -80,12 +82,12 @@ class Channel {
           uint64_t fault_seed = 0)
       : link_(link), mode_(mode), faults_(faults), fault_rng_(fault_seed) {}
 
-  // Wire + delivery counters. messages_enqueued is the sequence-number
-  // source (unique messages accepted from the sender); messages_sent counts
-  // wire transmissions and therefore runs ahead of it once the link loses
-  // frames and the sender retransmits.
+  // Wire + delivery counters. messages_enqueued numbers the stream: the
+  // next accepted message takes it as its sequence number. messages_sent
+  // counts wire transmissions and therefore runs ahead of it once the link
+  // loses frames and the sender retransmits.
   struct Counters {
-    uint64_t messages_enqueued = 0;  // Unique messages accepted (seq source).
+    uint64_t messages_enqueued = 0;  // Unique messages accepted (next seq).
     uint64_t wire_sends = 0;         // Transmissions incl. retransmits + link dups.
     uint64_t retransmits = 0;        // Go-back-N re-sends.
     uint64_t link_drops = 0;         // Frames the wire lost.
@@ -131,7 +133,8 @@ class Channel {
 
   // Cumulative acknowledgment from the peer, processed at `now`: the first
   // `acked_count` messages (seqs [0, acked_count)) are confirmed; the
-  // retransmit window drops them and the survivors' age restarts.
+  // retransmit window drops them and the survivors' age restarts. Acks
+  // arrive as datagrams, so a stale (lower) one changes nothing.
   void OnCumulativeAck(uint64_t acked_count, SimTime now);
 
   // Re-sends the whole unacked window if its head has waited a full
@@ -199,6 +202,13 @@ class Channel {
   // Unique messages accepted from the sender — the protocol's ack universe
   // (P2/P4 compare cumulative acks against this, never against wire sends).
   uint64_t messages_enqueued() const { return counters_.messages_enqueued; }
+  // The stream's one ack count: the highest cumulative ack the peer has
+  // sent, and the accepted messages it does not cover yet (0 once it covers
+  // them all, even if it claims more).
+  uint64_t acked() const { return acked_; }
+  uint64_t unacked() const {
+    return counters_.messages_enqueued > acked_ ? counters_.messages_enqueued - acked_ : 0;
+  }
   // Wire transmissions, including go-back-N re-sends and link duplicates.
   uint64_t messages_sent() const { return counters_.wire_sends; }
   uint64_t bytes_sent() const { return counters_.bytes_on_wire; }
@@ -223,7 +233,7 @@ class Channel {
   RetransmitBuffer retransmit_;
   SimTime busy_until_ = SimTime::Zero();
   SimTime last_arrival_ = SimTime::Zero();
-  uint64_t next_seq_ = 0;
+  uint64_t acked_ = 0;        // Highest cumulative ack (OnCumulativeAck).
   uint64_t rx_next_seq_ = 0;  // Ordered mode: next in-sequence delivery.
   bool reack_requested_ = false;
   bool broken_ = false;

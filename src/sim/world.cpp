@@ -34,7 +34,7 @@ World::World(const GuestProgram& guest, const WorldConfig& config, bool replicat
     AddLinkPair(i, i + 1, kMeshLinkSalt, i);
   }
   for (size_t i = 0; i < n; ++i) {
-    replicas_.push_back(MakeReplica(i, ChainLinks(i, n)));
+    AddReplica(i, ChainLinks(i, n));
   }
 
   // Poll wiring: a send wakes the receiving neighbour at the arrival time.
@@ -63,7 +63,7 @@ World::World(const GuestProgram& guest, const WorldConfig& config, WirePosition 
   if (wire.peer) {
     AddLinkPair(0, 1, kMeshLinkSalt, 0);
   }
-  replicas_.push_back(MakeReplica(wire.position, ChainLinks(wire.position, chain_length)));
+  AddReplica(wire.position, ChainLinks(wire.position, chain_length));
   chain_next_.assign(1, kNoChain);
   chain_prev_.assign(1, kNoChain);
 }
@@ -81,10 +81,17 @@ NodeLinks World::ChainLinks(size_t position, size_t n) {
   return links;
 }
 
-std::unique_ptr<ReplicaNode> World::MakeReplica(size_t position, const NodeLinks& links) {
+ReplicaNode* World::AddReplica(size_t position, const NodeLinks& links) {
   const int id = kPrimaryId + static_cast<int>(position);
-  return std::make_unique<ReplicaNode>(id, guest_, config_.machine, config_.replication,
-                                       config_.costs, devices_->BuildRegistry(), links, this);
+  const size_t index = replicas_.size();
+  replicas_.push_back(std::make_unique<ReplicaNode>(id, guest_, config_.machine,
+                                                    config_.replication, config_.costs,
+                                                    devices_->BuildRegistry(), links, this));
+  ReplicaNode* replica = replicas_.back().get();
+  replica->set_phase_hook([this, index](FailPhase phase, uint64_t epoch, uint64_t io_seq) {
+    OnPhaseHook(index, phase, epoch, io_seq);
+  });
+  return replica;
 }
 
 void World::AddLinkPair(size_t up, size_t down, uint64_t salt, size_t index) {
@@ -182,27 +189,21 @@ void World::ArmNextFailure() {
       return;
     }
     case FailurePlan::Kind::kAtPhase:
-      // Install on every replica: phases fire only on the node that drives
-      // the devices, and the hook checks it is the *current* active node, so
-      // an event armed before a failover lands on the promoted successor.
-      for (size_t i = 0; i < replicas_.size(); ++i) {
-        replicas_[i]->set_phase_hook(
-            [this, idx, i](FailPhase phase, uint64_t epoch, uint64_t io_seq) {
-              OnPhaseHook(idx, i, phase, epoch, io_seq);
-            });
-      }
+      // Armed by being next: every replica's phase hook reads it (OnPhaseHook).
       return;
   }
 }
 
-void World::OnPhaseHook(size_t schedule_index, size_t replica_index, FailPhase phase,
-                        uint64_t epoch, uint64_t io_seq) {
-  if (schedule_index != next_failure_ || replica_index != active_index_) {
-    return;  // A stale hook, or a node that is not (yet) the active replica.
+void World::OnPhaseHook(size_t replica_index, FailPhase phase, uint64_t epoch, uint64_t io_seq) {
+  // Phases fire only on the node that drives the devices, and only the
+  // *current* active node may die here, so a kill armed before a failover
+  // lands on the promoted successor.
+  if (next_failure_ >= schedule_.size() || replica_index != active_index_) {
+    return;
   }
-  const FailurePlan& plan = schedule_[schedule_index];
-  if (phase != plan.phase || epoch < plan.phase_epoch ||
-      (plan.io_seq != 0 && io_seq != plan.io_seq)) {
+  const FailurePlan& plan = schedule_[next_failure_];
+  if (plan.kind != FailurePlan::Kind::kAtPhase || phase != plan.phase ||
+      epoch < plan.phase_epoch || (plan.io_seq != 0 && io_seq != plan.io_seq)) {
     return;
   }
   ++next_failure_;
@@ -282,7 +283,7 @@ size_t World::RejoinReplica(SimTime t) {
   NodeLinks links;
   links.up_in = channel(tail, pos);
   links.up_out = channel(pos, tail);
-  std::unique_ptr<ReplicaNode> joiner = MakeReplica(pos, links);
+  ReplicaNode* joiner = AddReplica(pos, links);
   joiner->StartAsJoiner();
 
   const size_t resync_index = resyncs_.size();
@@ -299,22 +300,10 @@ size_t World::RejoinReplica(SimTime t) {
   joiner->set_on_joined(
       [this, resync_index](SimTime join_time) { OnJoined(resync_index, join_time); });
 
-  replicas_.push_back(std::move(joiner));
   chain_next_.push_back(kNoChain);
   chain_prev_.push_back(tail);
   chain_next_[tail] = pos;
   WireAdjacentPolls(tail, pos);
-
-  // An armed phase-based kill must also see the new replica (it fires only
-  // on the active node, which the joiner can eventually become).
-  if (next_failure_ < schedule_.size() &&
-      schedule_[next_failure_].kind == FailurePlan::Kind::kAtPhase) {
-    const size_t idx = next_failure_;
-    replicas_[pos]->set_phase_hook(
-        [this, idx, pos](FailPhase phase, uint64_t epoch, uint64_t io_seq) {
-          OnPhaseHook(idx, pos, phase, epoch, io_seq);
-        });
-  }
 
   source->AttachJoiningDownstream(channel(tail, pos), channel(pos, tail), t);
   return pos;

@@ -252,15 +252,22 @@ class World : public EventScheduler {
   // The links of chain position `position` in an n-replica chain built from
   // the construction-time mesh.
   NodeLinks ChainLinks(size_t position, size_t n);
-  // The replica at chain `position` (0 = the primary). It starts active iff
-  // `links` has no upstream.
-  std::unique_ptr<ReplicaNode> MakeReplica(size_t position, const NodeLinks& links);
+  // Builds the replica at chain `position` (0 = the primary), appends it to
+  // `replicas_` and installs its phase hook, keyed by its index there (the
+  // chain position everywhere but in the wire form, which has no failure
+  // schedule). It starts active iff `links` has no upstream.
+  ReplicaNode* AddReplica(size_t position, const NodeLinks& links);
 
+  // Arms schedule_[next_failure_]: a timed kill or rejoin becomes an event;
+  // a phase kill needs nothing more, since every replica's hook reads the
+  // armed plan.
   void ArmNextFailure();
   void FireTimedFailure(size_t schedule_index, SimTime when);
   void FireRejoin(size_t schedule_index, SimTime when);
-  void OnPhaseHook(size_t schedule_index, size_t replica_index, FailPhase phase, uint64_t epoch,
-                   uint64_t io_seq);
+  // Replica `replica_index` reached `phase`: kills it if the armed plan is a
+  // phase kill matching the phase, epoch and I/O sequence number, and the
+  // replica is the active one.
+  void OnPhaseHook(size_t replica_index, FailPhase phase, uint64_t epoch, uint64_t io_seq);
   void OnJoined(size_t resync_index, SimTime t);
   void WireAdjacentPolls(size_t up_index, size_t down_index);
   // The one failure-detection path: `survivor` learns of the crash at `t`

@@ -246,6 +246,27 @@ expect_usage_error("--epoch-length must be >= 1" serve --role=single --epoch-len
 expect_usage_error("--threads must be <= 256" fleet --chains=2 --hosts=2 --requests=2
                    --threads=257)
 
+# A workload of no iterations, or a block range the disk does not have,
+# would hang, panic or abort the run (cpu's loop counter wraps to 2^32, a
+# block past the disk's 128 trips its bounds CHECK): usage errors, before
+# any run starts. Both ends of the block range run.
+expect_usage_error("--iterations must be >= 1" run --workload=cpu --iterations=0 --mode=bare)
+expect_usage_error("--iterations must be >= 1" run --workload=heap --iterations=0)
+expect_usage_error("--num-blocks must be in \\[1, 128\\]" run --workload=diskread
+                   --num-blocks=0)
+expect_usage_error("--num-blocks must be in \\[1, 128\\]" run --workload=diskread
+                   --num-blocks=1000)
+run_cli(blocks_out run --workload=diskread --iterations=8 --num-blocks=128)
+expect_field("${blocks_out}" "verdict +: \"PASS\"")
+run_cli(one_block_out run --workload=diskwrite --iterations=3 --num-blocks=1)
+expect_field("${one_block_out}" "verdict +: \"PASS\"")
+
+# A repair retry 0 ms after a refusal lands in the round that raised it,
+# and the round barrier's drain would run it forever.
+expect_usage_error("--repair-retry-ms must be > 0" fleet --chains=2 --hosts=3 --requests=4
+                   --fail=host-1,time-ms=120 --repair-delay-ms=0 --repair-retry-ms=0
+                   --no-verify)
+
 # A bare run has no replica to kill: a --fail schedule would silently do
 # nothing.
 expect_usage_error("--fail needs a replicated run" run --mode=bare --fail=time-ms=5)

@@ -362,6 +362,37 @@ TEST(Channel, RetransmitCountsWireSendsNotSequenceNumbers) {
   EXPECT_EQ(channel.MaybeRetransmit(SimTime::Seconds(2)).frames, 0u);
 }
 
+// The channel is the one home of its stream's ack count: the highest
+// cumulative ack it has seen, never lowered by a stale one, and the
+// accepted messages that ack does not cover, never below zero.
+TEST(Channel, KeepsTheHighestCumulativeAck) {
+  Channel channel(LinkModel::Ethernet10());
+  for (int i = 0; i < 3; ++i) {
+    channel.Send(SampleMessage(MsgType::kEpochEnd), SimTime::Zero());
+  }
+  EXPECT_EQ(channel.acked(), 0u);
+  EXPECT_EQ(channel.unacked(), 3u);
+
+  channel.OnCumulativeAck(2, SimTime::Millis(1));
+  EXPECT_EQ(channel.acked(), 2u);
+  EXPECT_EQ(channel.unacked(), 1u);
+
+  // Acks travel as datagrams: an older, lower one can arrive late.
+  channel.OnCumulativeAck(1, SimTime::Millis(2));
+  EXPECT_EQ(channel.acked(), 2u);
+  EXPECT_EQ(channel.unacked(), 1u);
+
+  channel.OnCumulativeAck(3, SimTime::Millis(3));
+  EXPECT_EQ(channel.acked(), 3u);
+  EXPECT_EQ(channel.unacked(), 0u);
+
+  // An ack beyond what was sent covers everything; it does not wrap.
+  channel.OnCumulativeAck(5, SimTime::Millis(4));
+  EXPECT_EQ(channel.acked(), 5u);
+  EXPECT_EQ(channel.messages_enqueued(), 3u);
+  EXPECT_EQ(channel.unacked(), 0u);
+}
+
 TEST(Channel, BreakDropsFutureSendsButDeliversInFlight) {
   Channel channel(LinkModel::Ethernet10());
   auto arrival = channel.Send(SampleMessage(MsgType::kTimeSync), SimTime::Zero());

@@ -3,6 +3,9 @@
 // backup online".
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <vector>
+
 #include "common/snapshot.hpp"
 #include "guest/image.hpp"
 #include "guest/workloads.hpp"
@@ -266,6 +269,49 @@ TEST(Rejoin, SoloSourceShipsItsInFlightWriteAtTheCut) {
   EXPECT_TRUE(ft.nodes[2].promoted);
   EXPECT_EQ(ft.nodes[2].stats.io_suppressed, 0u);
   EXPECT_EQ(ft.nodes[2].stats.uncertain_synthesised, 1u);
+
+  ScenarioResult bare = scenario.AsBare().Run();
+  ASSERT_TRUE(bare.completed);
+  EXPECT_EQ(ft.guest_checksum, bare.guest_checksum);
+  ConsistencyResult env = CheckEnvConsistency(bare.env_trace, ft.env_trace, ft.issuer_chain());
+  EXPECT_TRUE(env.ok) << env.detail;
+}
+
+// A standing transfer source relays with deferred acks after the cut. In a
+// revised-protocol chain of three, the tail dies at 5 ms and a joiner comes
+// 10 ms later, so the middle replica streams the snapshot and then relays
+// every upstream message to the joiner. Its fresh downstream channel
+// carries the state-transfer chunks ahead of the first relay, so an
+// upstream ack may leave only once the joiner's cumulative ack covers that
+// relay's own sequence number. Numbering relays by the node's lifetime
+// relay count (which includes those to the dead tail) waits for acks that
+// never come and deadlocks; numbering them from the channel's start,
+// ignoring the chunks, releases acks before the joiner holds the messages,
+// which moves the output-commit waits and so the completion time.
+TEST(Rejoin, StandingSourceReleasesDeferredAcksByRelaySequence) {
+  WorkloadSpec spec;
+  spec.kind = WorkloadKind::kNetEcho;
+  spec.iterations = 20;
+  Scenario scenario = Scenario::Replicated(spec)
+                          .Variant(ProtocolVariant::kRevised)
+                          .Backups(2)
+                          .FailAtTime(SimTime::Millis(5), FailurePlan::Target::kBackup, 1)
+                          .RejoinAfterFail(SimTime::Millis(10));
+  // The packets `hbft_cli run --workload=net-echo` injects.
+  for (uint32_t i = 0; i < spec.iterations; ++i) {
+    char text[24];
+    std::snprintf(text, sizeof(text), "pkt-%04u....", i);
+    scenario.InjectPacket(std::vector<uint8_t>(text, text + 12));
+  }
+  ScenarioResult ft = scenario.Run();
+  ASSERT_TRUE(ft.completed) << "timed_out=" << ft.timed_out << " deadlocked=" << ft.deadlocked;
+  ASSERT_EQ(ft.resyncs.size(), 1u);
+  EXPECT_EQ(ft.resyncs[0].source, 1u);  // The middle replica, standing.
+  EXPECT_EQ(ft.resyncs[0].joined, 3u);
+  EXPECT_TRUE(ft.resyncs[0].completed);
+  EXPECT_FALSE(ft.promoted);
+  // `run` reports this as replicated.runtime_s 0.824223.
+  EXPECT_EQ(ft.completion_time.picos(), 824222720000) << ft.completion_time.seconds();
 
   ScenarioResult bare = scenario.AsBare().Run();
   ASSERT_TRUE(bare.completed);
