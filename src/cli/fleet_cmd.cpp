@@ -146,6 +146,7 @@ int FleetCommand(FlagSet& flags) {
   const std::pair<const char*, bool> at_least_one[] = {
       {"chains", config.chains >= 1},
       {"hosts", config.hosts >= 1},
+      {"requests", config.traffic.requests_per_chain >= 1},
       {"backups", config.backups >= 1},
       {"repair-concurrency", config.repair_concurrency >= 1},
       {"threads", config.threads >= 1},
@@ -159,6 +160,10 @@ int FleetCommand(FlagSet& flags) {
   }
   if (config.repair_retry <= SimTime::Zero()) {
     std::fprintf(stderr, "hbft_cli: --repair-retry-ms must be > 0\n");
+    return 2;
+  }
+  if (config.max_time <= SimTime::Zero()) {
+    std::fprintf(stderr, "hbft_cli: --max-time-ms must be > 0\n");
     return 2;
   }
   if (config.threads > WorkerPool::kMaxThreads) {

@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "cli/commands.hpp"
 
@@ -66,21 +67,27 @@ JsonValue ReplicationJson(const ScenarioResult& r) {
   }
   JsonValue resyncs = JsonValue::Array();
   for (const ResyncReport& resync : r.resyncs) {
-    resyncs.Push(JsonValue::Object()
-                     .Set("source", static_cast<uint64_t>(resync.source))
-                     .Set("joined", static_cast<uint64_t>(resync.joined))
-                     .Set("completed", resync.completed)
-                     .Set("start_ms", resync.start.seconds() * 1e3)
-                     .Set("cut_ms", resync.transfer.cut_time.seconds() * 1e3)
-                     .Set("join_ms", resync.join_time.seconds() * 1e3)
-                     .Set("latency_ms", (resync.join_time - resync.start).seconds() * 1e3)
-                     .Set("join_epoch", resync.transfer.cut_epoch)
-                     .Set("bytes", resync.transfer.bytes_sent)
-                     .Set("page_chunks", resync.transfer.page_chunks)
-                     .Set("zero_run_chunks", resync.transfer.zero_run_chunks)
-                     .Set("full_pages", resync.transfer.full_pages)
-                     .Set("delta_pages", resync.transfer.delta_pages)
-                     .Set("rounds", resync.transfer.rounds));
+    JsonValue row = JsonValue::Object()
+                        .Set("source", static_cast<uint64_t>(resync.source))
+                        .Set("joined", static_cast<uint64_t>(resync.joined))
+                        .Set("completed", resync.completed)
+                        .Set("start_ms", resync.start.seconds() * 1e3);
+    // Only instants that happened. A joiner restores only after the cut.
+    if (resync.transfer.cut) {
+      row.Set("cut_ms", resync.transfer.cut_time.seconds() * 1e3);
+      if (resync.completed) {
+        row.Set("join_ms", resync.join_time.seconds() * 1e3)
+            .Set("latency_ms", (resync.join_time - resync.start).seconds() * 1e3);
+      }
+      row.Set("join_epoch", resync.transfer.cut_epoch);
+    }
+    row.Set("bytes", resync.transfer.bytes_sent)
+        .Set("page_chunks", resync.transfer.page_chunks)
+        .Set("zero_run_chunks", resync.transfer.zero_run_chunks)
+        .Set("full_pages", resync.transfer.full_pages)
+        .Set("delta_pages", resync.transfer.delta_pages)
+        .Set("rounds", resync.transfer.rounds);
+    resyncs.Push(std::move(row));
   }
   return JsonValue::Object()
       .Set("replicas", static_cast<uint64_t>(r.nodes.size()))

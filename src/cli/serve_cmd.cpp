@@ -7,6 +7,7 @@
 // counters of `nodes[0]` (chain position 0, or the hosted replica in a wire
 // role), every replica as `run` reports it, and per-channel transport
 // counters.
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -23,6 +24,8 @@ namespace {
 JsonValue ServeJson(const serve::ServeConfig& config, const serve::ServeReport& report) {
   const WorldConfig world = config.scenario.world_config();
   const ScenarioResult& r = report.result;
+  // Replicas that took over: a dead backup fails nothing over.
+  const auto failovers = std::ranges::count(r.nodes, true, &ScenarioResult::NodeReport::promoted);
   JsonValue doc = JsonValue::Object()
                       .Set("command", "serve")
                       .Set("role", report.role)
@@ -41,7 +44,7 @@ JsonValue ServeJson(const serve::ServeConfig& config, const serve::ServeReport& 
                       .Set("rejected_frames", report.frontend.rejected_frames)
                       .Set("client_bytes_in", report.frontend.bytes_in)
                       .Set("client_bytes_out", report.frontend.bytes_out)
-                      .Set("failovers", static_cast<uint64_t>(r.crash_times.size()))
+                      .Set("failovers", static_cast<uint64_t>(failovers))
                       .Set("promoted", r.promoted)
                       .Set("solo", report.solo);
   if (r.promoted) {

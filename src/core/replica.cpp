@@ -423,7 +423,7 @@ void ReplicaNode::OnDownstreamFailureDetected(SimTime t) {
   if (dead_ || halted_ || down_lost_) {
     return;
   }
-  AbortStateTransfer();  // No-op unless the dead downstream was mid-join.
+  transfer_.reset();  // Stops the stream if the dead downstream was mid-join.
   down_lost_ = true;
   CatchUpClock(t);
   if (down_out_ != nullptr) {
@@ -667,23 +667,20 @@ void ReplicaNode::StartAsJoiner() {
 
 void ReplicaNode::AttachJoiningDownstream(Channel* down_out, Channel* down_in, SimTime t) {
   HBFT_CHECK(down_out != nullptr && down_in != nullptr);
-  HBFT_CHECK(!transfer_active_) << "a transfer is already streaming from this node";
+  HBFT_CHECK(transfer_ == nullptr) << "a transfer is already streaming from this node";
   // The fresh channel pair counts its own acks; a dead downstream's deferred
   // acks were flushed when its failure was detected.
   down_out_ = down_out;
   down_in_ = down_in;
   down_lost_ = false;
   CatchUpClock(t);
-  PhysicalMemory& memory = hv_.machine().memory();
-  memory.BeginTransferTracking();
-  transfer_ = std::make_unique<StateTransferSource>(memory.PageCount(), replication_.resync,
+  transfer_ = std::make_unique<StateTransferSource>(hv_.machine().memory(), replication_.resync,
                                                     hv_.clock());
-  transfer_active_ = true;
   PumpStateTransfer();
 }
 
 void ReplicaNode::PumpStateTransfer() {
-  if (!transfer_active_ || dead_ || halted_) {
+  if (transfer_ == nullptr || dead_ || halted_) {
     return;
   }
   while (transfer_->HasPending() && down_out_->unacked() < transfer_->window()) {
@@ -719,31 +716,22 @@ void ReplicaNode::SendNextStateChunk() {
   SendDown(std::move(msg));
 }
 
-void ReplicaNode::AbortStateTransfer() {
-  if (!transfer_active_) {
-    return;
-  }
-  hv_.machine().memory().EndTransferTracking();
-  transfer_active_ = false;
-}
-
 void ReplicaNode::TransferBoundaryHook() {
-  if (!transfer_active_ || dead_ || halted_) {
+  if (transfer_ == nullptr || dead_ || halted_) {
     return;
   }
-  PhysicalMemory& memory = hv_.machine().memory();
-  std::vector<uint32_t> dirty = memory.TakeTransferDirtyPages();
-  if (!transfer_->ReadyToCut(dirty.size())) {
-    transfer_->EnqueueDelta(dirty);
+  std::vector<uint32_t> written = transfer_->TakeWrittenPages(hv_.machine().memory());
+  if (!transfer_->ReadyToCut(written.size())) {
+    transfer_->EnqueueDelta(written);
     PumpStateTransfer();
     return;
   }
 
-  // Quiesce + cut: the final dirty pages and the control snapshot leave
+  // Quiesce + cut: the final written pages and the control snapshot leave
   // before the guest executes another instruction, so the stream up to here
   // is exactly the machine at the start of epoch `epoch_`. FIFO order makes
   // every post-cut protocol message land on a fully-restored joiner.
-  transfer_->EnqueueDelta(dirty);
+  transfer_->EnqueueDelta(written);
   while (transfer_->HasPending()) {
     SendNextStateChunk();
   }
@@ -760,8 +748,6 @@ void ReplicaNode::TransferBoundaryHook() {
   transfer_->NoteControl(done.WireSize());
   SendDown(std::move(done));
 
-  memory.EndTransferTracking();
-  transfer_active_ = false;
   transfer_->MarkCut(hv_.clock(), epoch_);
   // From here every upstream message is relayed to (or, when active, every
   // environment value is generated for) the joiner: its numbering continues
@@ -770,6 +756,7 @@ void ReplicaNode::TransferBoundaryHook() {
   if (on_resync_cut_) {
     on_resync_cut_(transfer_->report());
   }
+  transfer_.reset();
 }
 
 void ReplicaNode::CaptureResyncNodeState(SnapshotWriter& w) const {

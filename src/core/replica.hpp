@@ -148,7 +148,9 @@ class ReplicaNode : public NodeActor {
   // machine, at which point it becomes a normal standing backup.
   void StartAsJoiner();
 
-  bool transfer_active() const { return transfer_active_; }
+  // Streaming a state transfer: holding its source, from the attach until
+  // the cut or until the joiner's death is detected.
+  bool transfer_active() const { return transfer_ != nullptr; }
 
   // Whether this node can adopt a joiner right now: no downstream, or the
   // old one's failure already detected. A node whose downstream died but
@@ -233,7 +235,7 @@ class ReplicaNode : public NodeActor {
   // state transfer is streaming: the joiner cannot consume protocol messages
   // until it holds the complete snapshot.
   bool replicating_down() const {
-    return down_out_ != nullptr && !down_lost_ && !transfer_active_;
+    return down_out_ != nullptr && !down_lost_ && transfer_ == nullptr;
   }
 
   // Downstream ack accounting (paper P2/P4), read from the downstream
@@ -301,10 +303,8 @@ class ReplicaNode : public NodeActor {
   void PumpStateTransfer();
   void SendNextStateChunk();
   // Called at the end of every completed epoch boundary: runs the delta
-  // round, and performs the quiesce + cut once the dirty rate converges.
+  // round, and performs the quiesce + cut once the write rate converges.
   void TransferBoundaryHook();
-  // The joiner died mid-transfer: stop streaming and drop the tracking.
-  void AbortStateTransfer();
 
   // The protocol-layer half of the cut's control snapshot (the hypervisor
   // half precedes it): epoch, environment-value numbering, boundary
@@ -410,7 +410,6 @@ class ReplicaNode : public NodeActor {
 
   // Live state transfer: source-side stream, joiner-side outcome.
   bool joining_ = false;
-  bool transfer_active_ = false;
   std::unique_ptr<StateTransferSource> transfer_;
   bool joined_ = false;
   SimTime join_time_ = SimTime::Zero();

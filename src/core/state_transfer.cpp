@@ -1,18 +1,31 @@
 #include "core/state_transfer.hpp"
 
 #include "common/check.hpp"
+#include "machine/memory.hpp"
 
 namespace hbft {
 
-StateTransferSource::StateTransferSource(uint32_t page_count, const StateTransferConfig& config,
-                                         SimTime now)
-    : config_(config), queued_(page_count, 1) {
+StateTransferSource::StateTransferSource(const PhysicalMemory& memory,
+                                         const StateTransferConfig& config, SimTime now)
+    : config_(config), queued_(memory.PageCount(), 1) {
   HBFT_CHECK_GT(config.window, 0u);
   report_.start_time = now;
-  report_.full_pages = page_count;
-  for (uint32_t page = 0; page < page_count; ++page) {
+  report_.full_pages = memory.PageCount();
+  for (uint32_t page = 0; page < memory.PageCount(); ++page) {
     pending_.push_back(page);
+    versions_.push_back(memory.PageVersion(page));
   }
+}
+
+std::vector<uint32_t> StateTransferSource::TakeWrittenPages(const PhysicalMemory& memory) {
+  std::vector<uint32_t> pages;
+  for (uint32_t page = 0; page < versions_.size(); ++page) {
+    if (versions_[page] != memory.PageVersion(page)) {
+      versions_[page] = memory.PageVersion(page);
+      pages.push_back(page);
+    }
+  }
+  return pages;
 }
 
 uint32_t StateTransferSource::PopPage() {

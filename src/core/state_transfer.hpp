@@ -13,11 +13,12 @@
 //      protocol's own cumulative acknowledgments: at most `window` chunks
 //      ride unacked, so a lossy link degrades throughput, never correctness
 //      (go-back-N re-covers chunks like any other message).
-//   2. Delta rounds — at each of the source's epoch boundaries, pages
-//      dirtied since the previous round re-queue. Rounds repeat until the
-//      delta is small (or a round cap forces the issue).
+//   2. Delta rounds — at each of the source's epoch boundaries, the pages
+//      whose version (PhysicalMemory::PageVersion) moved since the previous
+//      round re-queue. Rounds repeat until the delta is small (or a round
+//      cap forces the issue).
 //   3. Quiesce + cut — at a boundary with the queue drained and the delta
-//      under threshold, the source synchronously sends the remaining dirty
+//      under threshold, the source synchronously sends the remaining written
 //      pages plus a control snapshot (CPU, TLB, hypervisor, device models,
 //      protocol counters) and switches the joiner on as its downstream
 //      backup. Channel FIFO order guarantees the joiner owns a complete,
@@ -25,7 +26,8 @@
 //      protocol message arrives, so P1-P7 simply resume over it.
 //
 // This class is the source-side bookkeeping only (queue, pacing, rounds,
-// accounting); the replica node owns the channel and the snapshot itself.
+// page versions, accounting); the replica node owns the channel and the
+// snapshot itself, and streams while it holds one of these.
 #ifndef HBFT_CORE_STATE_TRANSFER_HPP_
 #define HBFT_CORE_STATE_TRANSFER_HPP_
 
@@ -37,6 +39,8 @@
 #include "common/time.hpp"
 
 namespace hbft {
+
+class PhysicalMemory;
 
 struct StateTransferConfig {
   uint32_t window = 32;               // Max unacked chunks in flight.
@@ -54,12 +58,17 @@ class StateTransferSource {
     uint64_t page_chunks = 0;       // Full-page chunks sent.
     uint64_t zero_run_chunks = 0;   // Zero-run chunks sent.
     uint64_t full_pages = 0;        // Pages in the initial sweep.
-    uint64_t delta_pages = 0;       // Dirty pages re-queued by delta rounds.
+    uint64_t delta_pages = 0;       // Written pages re-queued by delta rounds.
     uint64_t rounds = 0;            // Delta rounds (epoch boundaries seen).
     uint64_t bytes_sent = 0;        // Wire bytes of every chunk incl. control.
   };
 
-  StateTransferSource(uint32_t page_count, const StateTransferConfig& config, SimTime now);
+  // Queues every page of `memory` and remembers each page's version.
+  StateTransferSource(const PhysicalMemory& memory, const StateTransferConfig& config, SimTime now);
+
+  // The pages of `memory` whose version moved since the previous call (or
+  // construction), ascending.
+  std::vector<uint32_t> TakeWrittenPages(const PhysicalMemory& memory);
 
   // --- Page queue (initial sweep + delta rounds), deduplicated --------------
 
@@ -99,7 +108,8 @@ class StateTransferSource {
  private:
   StateTransferConfig config_;
   std::deque<uint32_t> pending_;
-  std::vector<uint8_t> queued_;  // Membership bitmap over page indices.
+  std::vector<uint8_t> queued_;     // Membership bitmap over page indices.
+  std::vector<uint32_t> versions_;  // Each page's version at the last look.
   Report report_;
 };
 

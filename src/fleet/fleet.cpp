@@ -30,6 +30,10 @@ Fleet::Fleet(const FleetConfig& config)
   HBFT_CHECK_GE(config_.backups, 1);
   HBFT_CHECK_GE(config_.repair_concurrency, 1u);
   HBFT_CHECK_GE(config_.threads, 1u);
+  // Availability and SLO attainment are measured over a run that serves
+  // requests: with none, or no time to run, both would read a perfect 1.
+  HBFT_CHECK_GE(config_.traffic.requests_per_chain, 1u);
+  HBFT_CHECK(config_.max_time > SimTime::Zero()) << "max_time must be positive";
   // A retry at `t + 0` lands inside the round that raised it, and the
   // barrier's drain would run it again before any world advances.
   HBFT_CHECK(config_.repair_retry > SimTime::Zero()) << "repair_retry must be positive";
@@ -476,11 +480,8 @@ FleetResult Fleet::Collect() {
   }
 
   result.latency_ms = SummarizeLatencies(latencies_ms);
-  result.slo_attainment =
-      result.requests_total == 0
-          ? 1.0
-          : static_cast<double>(result.requests_within_slo) /
-                static_cast<double>(result.requests_total);
+  result.slo_attainment = static_cast<double>(result.requests_within_slo) /
+                          static_cast<double>(result.requests_total);
 
   // Fingerprint every observable field a regression could move.
   Snapshot observed;

@@ -45,10 +45,7 @@ PhysicalMemory::PhysicalMemory(uint32_t bytes) : size_(bytes) {
   // A kernel without transparent huge pages rejects the advice, and then
   // there is nothing to opt out of.
   madvise(bytes_, bytes, MADV_NOHUGEPAGE);
-  uint32_t pages = bytes / kPageBytes;
-  dirty_.assign(pages, 1);  // Every page starts "dirty" so first Fingerprint hashes all.
-  versions_.assign(pages, 0);
-  page_hashes_.assign(pages, 0);
+  versions_.assign(bytes / kPageBytes, 0);
 }
 
 PhysicalMemory::~PhysicalMemory() { munmap(bytes_, size_t{size_} + HostPageBytes()); }
@@ -67,11 +64,16 @@ void PhysicalMemory::ReadBlock(uint32_t paddr, uint8_t* out, uint32_t len) const
 }
 
 uint64_t PhysicalMemory::Fingerprint() {
-  for (uint32_t page = 0; page < dirty_.size(); ++page) {
-    if (dirty_[page] == 0) {
+  const bool first = page_hashes_.empty();
+  if (first) {
+    page_hashes_.assign(PageCount(), 0);
+    hashed_versions_.assign(PageCount(), 0);
+  }
+  for (uint32_t page = 0; page < PageCount(); ++page) {
+    if (!first && hashed_versions_[page] == versions_[page]) {
       continue;
     }
-    dirty_[page] = 0;
+    hashed_versions_[page] = versions_[page];
     Fnv1aHasher hasher;
     hasher.UpdateU32(page);
     hasher.Update(bytes_ + static_cast<size_t>(page) * kPageBytes, kPageBytes);
@@ -97,28 +99,6 @@ void PhysicalMemory::ZeroPages(uint32_t first, uint32_t count) {
   for (uint32_t page = first; page < first + count; ++page) {
     MarkPageWritten(page);
   }
-}
-
-void PhysicalMemory::BeginTransferTracking() {
-  transfer_tracking_ = true;
-  transfer_dirty_.assign(dirty_.size(), 0);
-}
-
-void PhysicalMemory::EndTransferTracking() {
-  transfer_tracking_ = false;
-  transfer_dirty_.clear();
-}
-
-std::vector<uint32_t> PhysicalMemory::TakeTransferDirtyPages() {
-  HBFT_CHECK(transfer_tracking_);
-  std::vector<uint32_t> pages;
-  for (uint32_t page = 0; page < transfer_dirty_.size(); ++page) {
-    if (transfer_dirty_[page] != 0) {
-      transfer_dirty_[page] = 0;
-      pages.push_back(page);
-    }
-  }
-  return pages;
 }
 
 void PhysicalMemory::CaptureState(SnapshotWriter& w) const {

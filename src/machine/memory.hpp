@@ -1,4 +1,4 @@
-// Physical memory with per-page dirty tracking and incremental fingerprinting.
+// Physical memory with a per-page write version and incremental fingerprinting.
 //
 // RAM is one private, anonymous, demand-zero host mapping. The host commits a
 // page only when something first writes it (a guest store, a loader, DMA, a
@@ -9,11 +9,18 @@
 // not commit 2 MB), and a PROT_NONE guard page past the last byte makes an
 // overrun fault. Guest pages must be whole host pages; the constructor checks.
 //
-// Replica-coordination tests need a state fingerprint at every epoch boundary;
-// rehashing all of RAM each epoch would dominate runtime, so memory keeps one
-// FNV hash per page, re-hashes only pages dirtied since the last fingerprint,
-// and combines page hashes with XOR (order-independent, incrementally
-// updatable).
+// Every write bumps its page's version, the only per-page record of writes.
+// Each reader keeps the versions it last saw: the translation cache (stale
+// blocks), the fingerprint below (pages to re-hash) and a state-transfer
+// source (pages to re-send). The 32-bit compare is exact while a page takes
+// fewer than 2^32 writes between two looks; the fingerprint and a transfer
+// source look at every epoch boundary, as the translation cache assumes.
+//
+// The lockstep audit fingerprints memory at every epoch boundary; rehashing
+// all of RAM each epoch would dominate runtime, so the fingerprint keeps one
+// FNV hash per page (allocated on its first call, so a memory nobody
+// fingerprints carries none), re-hashes only pages whose version moved, and
+// combines page hashes with XOR (order-independent, incrementally updatable).
 #ifndef HBFT_MACHINE_MEMORY_HPP_
 #define HBFT_MACHINE_MEMORY_HPP_
 
@@ -64,42 +71,29 @@ class PhysicalMemory : public Snapshotable {
     MarkPageWritten(paddr >> kPageShift);
   }
 
-  // Bulk copy used by loaders and (virtualised) DMA. Marks pages dirty.
+  // Bulk copy used by loaders and (virtualised) DMA. Bumps each page's version.
   void WriteBlock(uint32_t paddr, const uint8_t* data, uint32_t len);
   void ReadBlock(uint32_t paddr, uint8_t* out, uint32_t len) const;
 
-  // XOR-combined per-page FNV fingerprint of all of RAM. Amortised cost is
-  // proportional to pages dirtied since the previous call.
+  // XOR-combined per-page FNV fingerprint of all of RAM. The first call
+  // hashes every page; each later call re-hashes only the pages written
+  // since the previous one.
   uint64_t Fingerprint();
 
   // --- Page view (state transfer) -------------------------------------------
 
-  uint32_t PageCount() const { return static_cast<uint32_t>(dirty_.size()); }
+  uint32_t PageCount() const { return static_cast<uint32_t>(versions_.size()); }
   bool PageIsZero(uint32_t page) const;
 
-  // Monotonic per-page write counter, bumped by every mutation of the page
-  // (stores, WriteBlock/DMA, ZeroPages, snapshot restore). The translation
-  // cache keys predecoded superblocks on it so guest writes to code pages
-  // invalidate stale blocks. Derived bookkeeping: never serialised.
+  // Per-page write counter, bumped by every mutation of the page (stores,
+  // WriteBlock/DMA, ZeroPages, snapshot restore). Never serialised.
   uint32_t PageVersion(uint32_t page) const { return versions_[page]; }
 
-  // Zeroes pages [first, first + count) by returning them to the host, with
-  // the same dirty, version and transfer-dirty bookkeeping as a write. Every
-  // bulk zero goes through here: a joiner's wipe, an applied zero-run chunk,
-  // and the all-zero runs of a restored image.
+  // Zeroes pages [first, first + count) by returning them to the host, and
+  // bumps their versions as a write does. Every bulk zero goes through here:
+  // a joiner's wipe, an applied zero-run chunk, and the all-zero runs of a
+  // restored image.
   void ZeroPages(uint32_t first, uint32_t count);
-
-  // --- Transfer dirty tracking ----------------------------------------------
-  // A second dirty channel, independent of the fingerprint's (which clears
-  // its flags on every Fingerprint call): the state-transfer source needs
-  // "pages dirtied since my last delta round" regardless of who fingerprints
-  // in between. Only one tracker exists per memory; Begin resets it.
-
-  void BeginTransferTracking();
-  void EndTransferTracking();
-  bool transfer_tracking() const { return transfer_tracking_; }
-  // All pages dirtied since the previous call (or since Begin), ascending.
-  std::vector<uint32_t> TakeTransferDirtyPages();
 
   // --- Snapshotable ----------------------------------------------------------
   // Canonical image: u32 byte size + raw contents. Restore requires the
@@ -108,28 +102,19 @@ class PhysicalMemory : public Snapshotable {
   bool RestoreState(SnapshotReader& r) override;
 
  private:
-  void MarkPageWritten(uint32_t page) {
-    dirty_[page] = 1;
-    ++versions_[page];
-    if (transfer_tracking_) {
-      transfer_dirty_[page] = 1;
-    }
-  }
+  void MarkPageWritten(uint32_t page) { ++versions_[page]; }
 
   uint8_t* bytes_ = nullptr;  // The mapping; a guard page follows its last byte.
   uint32_t size_ = 0;
   // Per-page bookkeeping below is never serialised: a restore rewrites every
-  // page through WriteBlock or ZeroPages, and those mark it.
-  // hbft-lint: derived-state — per-page dirty flags for Fingerprint.
-  std::vector<uint8_t> dirty_;
+  // page through WriteBlock or ZeroPages, and those bump its version.
   // hbft-lint: derived-state — per-page write counters (see PageVersion).
   std::vector<uint32_t> versions_;
-  // hbft-lint: derived-state — hash cache, rebuilt lazily from bytes_/versions_.
-  std::vector<uint64_t> page_hashes_; // Cached per-page hashes.
+  // hbft-lint: derived-state — Fingerprint's page hashes, empty until its first call.
+  std::vector<uint64_t> page_hashes_;
+  // hbft-lint: derived-state — the version each of page_hashes_ was taken at.
+  std::vector<uint32_t> hashed_versions_;
   uint64_t combined_ = 0;  // hbft-lint: derived-state — see page_hashes_ above.
-  bool transfer_tracking_ = false;
-  // hbft-lint: derived-state — the transfer source's delta-round flags.
-  std::vector<uint8_t> transfer_dirty_;
 };
 
 }  // namespace hbft

@@ -159,9 +159,7 @@ void ServeLoop(const ServeConfig& config, World* world, Frontend* frontend, Fram
     if (const ReplicaNode* node = Promoted(*world)) {
       if (!promotion_noted) {
         promotion_noted = true;
-        Note("promoted at t=%.3f ms (%.3f ms after peer loss)",
-             node->promotion_time().seconds() * 1e3,
-             (node->promotion_time() - world->crash_times().front()).seconds() * 1e3);
+        Note("promoted at t=%.3f ms", node->promotion_time().seconds() * 1e3);
       }
       if (!frontend->listening()) {
         std::string error;

@@ -165,18 +165,18 @@ void World::ArmNextFailure() {
       return;
     case FailurePlan::Kind::kAtTime: {
       if (plan.after_resync) {
-        if (resync_in_flight_) {
-          // Armed by OnJoined once the pending transfer completes.
+        if (!resyncs_.empty() && !resyncs_.back().completed) {
+          // Armed by OnJoined once a transfer completes: an aborted one's
+          // record stays incomplete, so the kill waits for a later rejoin.
           pending_after_resync_ = true;
-        } else if (!resyncs_.empty() && resyncs_.back().completed) {
+        } else if (!resyncs_.empty()) {
           // The transfer already completed (intervening schedule events can
           // delay arming past the join): measure the delay from the join.
           SimTime at = std::max(resyncs_.back().join_time + plan.time, last_event_time_);
           ScheduleAt(at, [this, idx, at] { FireTimedFailure(idx, at); });
         }
-        // Otherwise the rejoin was skipped or aborted: redundancy was never
-        // restored, so the kill — and everything scheduled after it — stays
-        // dormant.
+        // Otherwise no rejoin ever started: redundancy was never restored,
+        // so the kill — and everything scheduled after it — stays dormant.
         return;
       }
       SimTime at = plan.relative ? last_event_time_ + plan.time : plan.time;
@@ -292,7 +292,6 @@ size_t World::RejoinReplica(SimTime t) {
   report.joined = pos;
   report.start = t;
   resyncs_.push_back(report);
-  resync_in_flight_ = true;
 
   source->set_on_resync_cut([this, resync_index](const StateTransferSource::Report& rep) {
     resyncs_[resync_index].transfer = rep;
@@ -313,7 +312,6 @@ void World::OnJoined(size_t resync_index, SimTime t) {
   ResyncReport& report = resyncs_[resync_index];
   report.completed = true;
   report.join_time = t;
-  resync_in_flight_ = false;
   if (on_resync_done_) {
     on_resync_done_(resync_index, t);
   }

@@ -210,7 +210,7 @@ class World : public EventScheduler {
   static constexpr size_t npos = static_cast<size_t>(-1);
   size_t RejoinReplica(SimTime t);
 
-  // Completed and in-flight state transfers, in schedule order.
+  // Every state transfer started, in schedule order (an aborted one stays incomplete).
   const std::vector<ResyncReport>& resyncs() const { return resyncs_; }
 
   // Fleet hook: fires when a live state transfer completes (the joiner is a
@@ -313,7 +313,6 @@ class World : public EventScheduler {
 
   // Schedule/repair bookkeeping.
   SimTime last_event_time_ = SimTime::Zero();
-  bool resync_in_flight_ = false;
   bool pending_after_resync_ = false;  // Next event armed at resync completion.
   std::vector<ResyncReport> resyncs_;
 };

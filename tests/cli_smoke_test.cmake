@@ -94,6 +94,27 @@ expect_field("${unfired_out}"
              "failed_checks\\.0 +: \"scheduled kill never fired: 0 of 1 fired \\(at-time 100000 ms\\)\"")
 expect_field("${unfired_out}" "verdict +: \"FAIL\"")
 
+# --- a resync row reports only the instants that happened --------------------
+# The backup streams to the joiner and dies after the cut, before the joiner
+# restores: the run correctly fails, and the row has a cut but no join.
+execute_process(COMMAND ${HBFT_CLI} run --workload=diskwrite --iterations=24
+                        --fail=rejoin-time-ms=8 --fail=time-ms=9,target=backup
+                WORKING_DIRECTORY ${WORK_DIR}
+                OUTPUT_VARIABLE unjoined_out
+                ERROR_VARIABLE unjoined_out
+                RESULT_VARIABLE unjoined_rc
+                TIMEOUT 300)
+if(NOT unjoined_rc EQUAL 1)
+  message(FATAL_ERROR "run with a joiner that dies unjoined exited ${unjoined_rc}, want 1:\n"
+                      "${unjoined_out}")
+endif()
+expect_field("${unjoined_out}" "resyncs\\.0\\.completed +: false")
+expect_field("${unjoined_out}" "resyncs\\.0\\.cut_ms +: ")
+expect_field("${unjoined_out}" "resyncs\\.0\\.join_epoch +: ")
+if(unjoined_out MATCHES "resyncs\\.0\\.(join_ms|latency_ms)")
+  message(FATAL_ERROR "an unjoined resync reports a join:\n${unjoined_out}")
+endif()
+
 # --- run --json: machine-readable report with a fail->rejoin schedule --------
 run_cli(json_out run --workload=txnlog --iterations=12 --json
         --fail=phase=after-send-tme,epoch=2 --fail=rejoin-after-ms=10)
@@ -261,6 +282,16 @@ expect_field("${blocks_out}" "verdict +: \"PASS\"")
 run_cli(one_block_out run --workload=diskwrite --iterations=3 --num-blocks=1)
 expect_field("${one_block_out}" "verdict +: \"PASS\"")
 
+# A fleet that serves no request, or runs for no time, measures nothing: its
+# availability and SLO attainment would read a perfect 1. A time that rounds
+# to 0 ps is no time.
+expect_usage_error("--requests must be >= 1" fleet --chains=2 --hosts=3 --requests=0
+                   --no-verify)
+expect_usage_error("--max-time-ms must be > 0" fleet --chains=2 --hosts=3 --requests=4
+                   --max-time-ms=0 --no-verify)
+expect_usage_error("--max-time-ms must be > 0" fleet --chains=2 --hosts=3 --requests=4
+                   --max-time-ms=1e-10 --no-verify)
+
 # A repair retry 0 ms after a refusal lands in the round that raised it,
 # and the round barrier's drain would run it forever.
 expect_usage_error("--repair-retry-ms must be > 0" fleet --chains=2 --hosts=3 --requests=4
@@ -332,6 +363,12 @@ expect_field("${serve_out}" "\"command\": \"serve\"")
 expect_field("${serve_out}" "\"stop_reason\": \"duration\"")
 expect_field("${serve_out}" "\"completed\": true")
 expect_field("${serve_out}" "\"channels\"")
+
+# A failover is a replica taking over: a killed backup fails nothing over.
+run_cli(serve_backup_kill_out serve --role=single --port=28472 --backups=2 --duration-ms=300
+        --fail=time-ms=100,target=backup --json)
+expect_field("${serve_backup_kill_out}" "\"failovers\": 0,")
+expect_field("${serve_backup_kill_out}" "\"promoted\": false,")
 
 # --- bench --only: single-artifact regeneration ------------------------------
 run_cli(only_out bench --quick --only=fig7_fleet --out-dir=${WORK_DIR}/bench-only)

@@ -1,5 +1,6 @@
 // Physical memory tests: endianness, bounds, bulk copies, the incremental
-// fingerprint, ZeroPages, and the host footprint of demand-zero RAM.
+// fingerprint, the page versions a state-transfer source reads, ZeroPages,
+// and the host footprint of demand-zero RAM.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -8,6 +9,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/state_transfer.hpp"
 #include "machine/memory.hpp"
 
 namespace hbft {
@@ -102,6 +104,48 @@ TEST(MemoryFingerprint, CheapWhenClean) {
   EXPECT_EQ(memory.Fingerprint(), memory.Fingerprint());
 }
 
+// The fingerprint re-hashes only pages whose version moved, so one taken
+// once after many writes must equal one kept up to date after every write.
+TEST(MemoryFingerprint, LazyFirstCallMatchesATwinFingerprintedAfterEveryWrite) {
+  PhysicalMemory lazy(16 * kPageBytes);
+  PhysicalMemory eager(16 * kPageBytes);
+  eager.Fingerprint();
+  const std::vector<uint8_t> block(kPageBytes + 64, 0x5A);
+  auto write_both = [&](auto&& write) {
+    write(lazy);
+    write(eager);
+    eager.Fingerprint();
+  };
+  write_both([](PhysicalMemory& m) { m.Write32(3 * kPageBytes + 8, 0xDEADBEEF); });
+  write_both([](PhysicalMemory& m) { m.Write8(3 * kPageBytes + 9, 0x11); });
+  write_both([](PhysicalMemory& m) { m.Write16(9 * kPageBytes, 0xCAFE); });
+  write_both([&](PhysicalMemory& m) {
+    m.WriteBlock(5 * kPageBytes - 32, block.data(), static_cast<uint32_t>(block.size()));
+  });
+  write_both([](PhysicalMemory& m) { m.ZeroPages(9, 2); });
+  write_both([](PhysicalMemory& m) { m.Write32(15 * kPageBytes + 4, 7); });
+  EXPECT_EQ(lazy.Fingerprint(), eager.Fingerprint());
+  EXPECT_NE(lazy.Fingerprint(), PhysicalMemory(16 * kPageBytes).Fingerprint());
+}
+
+// A state-transfer source reads "written since my last look" from the page
+// versions: each written page once, ascending, however often it was written.
+TEST(MemoryPageVersions, TransferSourceTakesEachWrittenPageOnceAscending) {
+  PhysicalMemory memory(16 * kPageBytes);
+  StateTransferSource source(memory, StateTransferConfig{}, SimTime::Zero());
+  const std::vector<uint8_t> block(kPageBytes, 0x42);
+  memory.Write32(12 * kPageBytes, 1);
+  memory.Write32(12 * kPageBytes + 4, 2);  // The same page twice.
+  memory.WriteBlock(2 * kPageBytes + 100, block.data(),
+                    static_cast<uint32_t>(block.size()));  // Spans pages 2 and 3.
+  memory.ZeroPages(7, 3);
+  memory.Fingerprint();  // Another reader looking in between changes nothing.
+  EXPECT_EQ(source.TakeWrittenPages(memory), (std::vector<uint32_t>{2, 3, 7, 8, 9, 12}));
+  EXPECT_TRUE(source.TakeWrittenPages(memory).empty());
+  memory.Write8(0, 1);
+  EXPECT_EQ(source.TakeWrittenPages(memory), (std::vector<uint32_t>{0}));
+}
+
 TEST(MemoryDeathTest, OverrunFaultsOnTheGuardPage) {
   PhysicalMemory memory(2 * kPageBytes);
   memory.Write8(memory.size() - 1, 1);
@@ -114,7 +158,7 @@ TEST(MemoryZeroPages, ZeroesTheRangeWithWriteBookkeeping) {
     memory.Write32(page * kPageBytes + 12, page + 1);
   }
   uint64_t written = memory.Fingerprint();
-  memory.BeginTransferTracking();
+  StateTransferSource source(memory, StateTransferConfig{}, SimTime::Zero());
   uint32_t version = memory.PageVersion(5);
 
   memory.ZeroPages(5, 2);
@@ -123,8 +167,8 @@ TEST(MemoryZeroPages, ZeroesTheRangeWithWriteBookkeeping) {
   EXPECT_TRUE(memory.PageIsZero(6));
   EXPECT_EQ(memory.Read32(7 * kPageBytes + 12), 8u);
   EXPECT_EQ(memory.PageVersion(5), version + 1);
-  EXPECT_EQ(memory.TakeTransferDirtyPages(), (std::vector<uint32_t>{5, 6}));
-  EXPECT_NE(memory.Fingerprint(), written);  // Marked dirty, so rehashed.
+  EXPECT_EQ(source.TakeWrittenPages(memory), (std::vector<uint32_t>{5, 6}));
+  EXPECT_NE(memory.Fingerprint(), written);  // Version moved, so rehashed.
 }
 
 TEST(MemoryFootprint, UntouchedPagesCostNoHostMemory) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/snapshot.hpp"
@@ -11,6 +13,7 @@
 #include "guest/workloads.hpp"
 #include "sim/environment_observer.hpp"
 #include "sim/scenario.hpp"
+#include "sim/world.hpp"
 
 namespace hbft {
 namespace {
@@ -344,6 +347,80 @@ TEST(Rejoin, SourceDeathMidTransferLosesServiceWithoutWedging) {
   EXPECT_FALSE(ft.resyncs[0].completed);
   ASSERT_EQ(ft.nodes.size(), 3u);
   EXPECT_FALSE(ft.nodes[2].joined);
+}
+
+// Killing the streaming tail aborts the transfer, and the aborted record
+// stays incomplete: an after-resync kill armed behind it stays dormant, and
+// the primary finishes solo. A window of one chunk keeps the 1-backup
+// chain's tail streaming when the kill lands 2 ms after the rejoin.
+TEST(Rejoin, AfterResyncKillStaysDormantBehindAnAbortedTransfer) {
+  const std::pair<ProtocolVariant, int64_t> cases[] = {
+      {ProtocolVariant::kOriginal, 1022804440000},
+      {ProtocolVariant::kRevised, 1019445360000},
+  };
+  for (const auto& [variant, completion_picos] : cases) {
+    SCOPED_TRACE(variant == ProtocolVariant::kOriginal ? "original" : "revised");
+    StateTransferConfig resync_config;
+    resync_config.window = 1;
+    FailurePlan kill_source;
+    kill_source.kind = FailurePlan::Kind::kAtTime;
+    kill_source.target = FailurePlan::Target::kBackup;  // The streaming tail.
+    kill_source.time = SimTime::Millis(2);
+    kill_source.relative = true;
+    ScenarioResult ft = Scenario::Replicated(WorkloadSpec::PaperDiskWrite(24))
+                            .Variant(variant)
+                            .Resync(resync_config)
+                            .RejoinAtTime(SimTime::Millis(8))
+                            .FailAt(kill_source)
+                            .FailAfterResync(SimTime::Millis(1))
+                            .Run();
+    ASSERT_TRUE(ft.completed) << "timed_out=" << ft.timed_out << " deadlocked=" << ft.deadlocked;
+    EXPECT_EQ(ft.crash_times.size(), 1u);
+    ASSERT_EQ(ft.resyncs.size(), 1u);
+    EXPECT_FALSE(ft.resyncs[0].completed);
+    EXPECT_FALSE(ft.promoted);
+    EXPECT_EQ(ft.guest_checksum, 246125976u);
+    EXPECT_EQ(ft.completion_time.picos(), completion_picos) << ft.completion_time.seconds();
+  }
+}
+
+// The World reads "a rejoin is in flight" from its resync records, and a
+// source streams while it holds its transfer. Killing the joiner mid-stream
+// ends the stream once the source detects it, so a later rejoin can attach;
+// the after-resync kill armed behind the aborted transfer then fires 1 ms
+// after that second join.
+TEST(Rejoin, KillArmedBehindAnAbortedTransferFiresAfterTheNextJoin) {
+  StateTransferConfig resync_config;
+  resync_config.window = 1;
+  Scenario scenario = Scenario::Replicated(WorkloadSpec::PaperDiskWrite(24))
+                          .Resync(resync_config)
+                          .RejoinAtTime(SimTime::Millis(8))
+                          .FailAfterResync(SimTime::Millis(1));
+  std::unique_ptr<World> world = scenario.BuildWorld();
+  world->RunLoop(SimTime::Millis(9));
+  ASSERT_EQ(world->replica_count(), 3u);
+  EXPECT_TRUE(world->replica(2)->joining());
+  EXPECT_TRUE(world->replica(1)->transfer_active());
+  world->KillReplica(2, SimTime::Millis(9), FailurePlan::CrashIo::kRandom);
+
+  world->RunLoop(SimTime::Millis(30));
+  EXPECT_FALSE(world->replica(1)->transfer_active());
+  EXPECT_EQ(world->RejoinReplica(SimTime::Millis(30)), 3u);
+
+  world->RunLoop(SimTime::Max());
+  ScenarioResult ft;
+  world->Finish(&ft);
+  scenario.CollectResult(*world, &ft);
+  ASSERT_TRUE(ft.completed) << "timed_out=" << ft.timed_out << " deadlocked=" << ft.deadlocked;
+  ASSERT_EQ(ft.resyncs.size(), 2u);
+  EXPECT_FALSE(ft.resyncs[0].completed);
+  ASSERT_TRUE(ft.resyncs[1].completed);
+  ASSERT_EQ(ft.crash_times.size(), 2u);
+  EXPECT_EQ(ft.crash_times[0], SimTime::Millis(9));
+  EXPECT_EQ(ft.crash_times[1].picos(), 72801240000);
+  EXPECT_EQ(ft.crash_times[1], ft.resyncs[1].join_time + SimTime::Millis(1));
+  EXPECT_TRUE(ft.promoted);
+  EXPECT_EQ(ft.completion_time.picos(), 1098883020000) << ft.completion_time.seconds();
 }
 
 }  // namespace

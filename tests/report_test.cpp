@@ -1,15 +1,19 @@
 // perf/report helper tests: exact nearest-rank percentiles on small samples
 // and time-based availability from outage windows — the fleet's measurement
 // arithmetic, checked against hand-computed values — plus the JSON printer
-// every report goes through, as JSON and as flattened text.
+// every report goes through, as JSON and as flattened text, and the resync
+// rows of the replication report.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli/commands.hpp"
 #include "cli/json.hpp"
 #include "perf/report.hpp"
+#include "sim/scenario.hpp"
 
 namespace hbft {
 namespace {
@@ -187,6 +191,66 @@ TEST(JsonValueText, AlignsEveryLineToTheLongestPath) {
     start = end + 1;
   }
   EXPECT_EQ(lines, 1u + 12u * 2u);
+}
+
+// The `path : value` lines of `text` under `prefix`, as `field : value`.
+std::vector<std::string> LinesUnder(const std::string& text, const std::string& prefix) {
+  std::vector<std::string> out;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind(prefix, 0) != 0) {
+      continue;
+    }
+    const size_t path_end = line.find(' ');
+    const size_t value = line.find(" : ");
+    out.push_back(line.substr(prefix.size(), path_end - prefix.size()) + " : " +
+                  line.substr(value + 3));
+  }
+  return out;
+}
+
+// A resync row carries only the instants that happened: a transfer that
+// never cut has no cut time or join epoch, and one whose joiner never
+// restored has no join time or latency.
+TEST(ReplicationJson, ResyncRowsCarryOnlyTheInstantsThatHappened) {
+  ResyncReport joined;
+  joined.source = 1;
+  joined.joined = 2;
+  joined.start = SimTime::Millis(8);
+  joined.transfer.cut = true;
+  joined.transfer.cut_time = SimTime::Millis(9);
+  joined.transfer.cut_epoch = 15;
+  joined.transfer.bytes_sent = 4096;
+  joined.completed = true;
+  joined.join_time = SimTime::Millis(11);
+  ResyncReport cut_unjoined = joined;
+  cut_unjoined.joined = 3;
+  cut_unjoined.completed = false;
+  cut_unjoined.join_time = SimTime::Zero();
+  ResyncReport uncut;
+  uncut.source = 1;
+  uncut.joined = 4;
+  uncut.start = SimTime::Millis(20);
+  ScenarioResult r;
+  r.resyncs = {joined, cut_unjoined, uncut};
+
+  const std::string text = cli::ReplicationJson(r).DumpText();
+  // Every row ends with the transfer's counters.
+  auto row = [](std::vector<std::string> fields, const std::string& bytes) {
+    fields.insert(fields.end(), {"bytes : " + bytes, "page_chunks : 0", "zero_run_chunks : 0",
+                                 "full_pages : 0", "delta_pages : 0", "rounds : 0"});
+    return fields;
+  };
+  EXPECT_EQ(LinesUnder(text, "resyncs.0."),
+            row({"source : 1", "joined : 2", "completed : true", "start_ms : 8", "cut_ms : 9",
+                 "join_ms : 11", "latency_ms : 3", "join_epoch : 15"},
+                "4096"));
+  EXPECT_EQ(LinesUnder(text, "resyncs.1."),
+            row({"source : 1", "joined : 3", "completed : false", "start_ms : 8", "cut_ms : 9",
+                 "join_epoch : 15"},
+                "4096"));
+  EXPECT_EQ(LinesUnder(text, "resyncs.2."),
+            row({"source : 1", "joined : 4", "completed : false", "start_ms : 20"}, "0"));
 }
 
 }  // namespace
