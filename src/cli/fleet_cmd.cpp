@@ -170,6 +170,11 @@ int FleetCommand(FlagSet& flags) {
     std::fprintf(stderr, "hbft_cli: --threads must be <= %zu\n", WorkerPool::kMaxThreads);
     return 2;
   }
+  if (config.traffic.payload_bytes < kRequestHeaderBytes) {
+    std::fprintf(stderr, "hbft_cli: --payload-bytes must be >= %u (the request header)\n",
+                 kRequestHeaderBytes);
+    return 2;
+  }
   if (config.traffic.payload_bytes > kNicMaxPacketBytes) {
     std::fprintf(stderr, "hbft_cli: --payload-bytes must be <= %u\n", kNicMaxPacketBytes);
     return 2;

@@ -674,8 +674,7 @@ void ReplicaNode::AttachJoiningDownstream(Channel* down_out, Channel* down_in, S
   down_in_ = down_in;
   down_lost_ = false;
   CatchUpClock(t);
-  transfer_ = std::make_unique<StateTransferSource>(hv_.machine().memory(), replication_.resync,
-                                                    hv_.clock());
+  transfer_ = std::make_unique<StateTransferSource>(hv_.machine().memory(), replication_.resync);
   PumpStateTransfer();
 }
 
@@ -874,10 +873,9 @@ void ReplicaNode::ApplyStateChunk(const Message& msg, SimTime now) {
       // The restored clock is the source's at the cut; this node handles the
       // arrival no earlier than now.
       CatchUpClock(now);
-      join_time_ = hv_.clock();
       join_epoch_ = epoch_;
       if (on_joined_) {
-        on_joined_(join_time_);
+        on_joined_(hv_.clock());
       }
       break;
     }

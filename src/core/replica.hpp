@@ -160,7 +160,6 @@ class ReplicaNode : public NodeActor {
 
   // Joiner-side outcome, for scenario reports.
   bool joined() const { return joined_; }
-  SimTime join_time() const { return join_time_; }
   uint64_t join_epoch() const { return join_epoch_; }
 
   // World callbacks: the source's cut (with its final report, whose cut
@@ -412,7 +411,6 @@ class ReplicaNode : public NodeActor {
   bool joining_ = false;
   std::unique_ptr<StateTransferSource> transfer_;
   bool joined_ = false;
-  SimTime join_time_ = SimTime::Zero();
   uint64_t join_epoch_ = 0;
   std::function<void(const StateTransferSource::Report&)> on_resync_cut_;
   std::function<void(SimTime)> on_joined_;

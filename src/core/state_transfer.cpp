@@ -6,10 +6,9 @@
 namespace hbft {
 
 StateTransferSource::StateTransferSource(const PhysicalMemory& memory,
-                                         const StateTransferConfig& config, SimTime now)
+                                         const StateTransferConfig& config)
     : config_(config), queued_(memory.PageCount(), 1) {
   HBFT_CHECK_GT(config.window, 0u);
-  report_.start_time = now;
   report_.full_pages = memory.PageCount();
   for (uint32_t page = 0; page < memory.PageCount(); ++page) {
     pending_.push_back(page);

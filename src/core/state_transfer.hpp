@@ -51,7 +51,6 @@ struct StateTransferConfig {
 class StateTransferSource {
  public:
   struct Report {
-    SimTime start_time = SimTime::Zero();
     SimTime cut_time = SimTime::Zero();
     bool cut = false;
     uint64_t cut_epoch = 0;         // The joiner resumes at the start of this epoch.
@@ -64,7 +63,7 @@ class StateTransferSource {
   };
 
   // Queues every page of `memory` and remembers each page's version.
-  StateTransferSource(const PhysicalMemory& memory, const StateTransferConfig& config, SimTime now);
+  StateTransferSource(const PhysicalMemory& memory, const StateTransferConfig& config);
 
   // The pages of `memory` whose version moved since the previous call (or
   // construction), ascending.

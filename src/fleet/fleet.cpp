@@ -7,6 +7,7 @@
 #include "common/hash.hpp"
 #include "common/logging.hpp"
 #include "common/snapshot.hpp"
+#include "isa/isa.hpp"
 #include "sim/environment_observer.hpp"
 
 namespace hbft {
@@ -33,6 +34,8 @@ Fleet::Fleet(const FleetConfig& config)
   // Availability and SLO attainment are measured over a run that serves
   // requests: with none, or no time to run, both would read a perfect 1.
   HBFT_CHECK_GE(config_.traffic.requests_per_chain, 1u);
+  HBFT_CHECK_GE(config_.traffic.payload_bytes, kRequestHeaderBytes);
+  HBFT_CHECK_LE(config_.traffic.payload_bytes, kNicMaxPacketBytes);
   HBFT_CHECK(config_.max_time > SimTime::Zero()) << "max_time must be positive";
   // A retry at `t + 0` lands inside the round that raised it, and the
   // barrier's drain would run it again before any world advances.
@@ -47,6 +50,7 @@ Fleet::~Fleet() = default;
 
 void Fleet::BuildChains() {
   chains_.reserve(config_.chains);
+  std::vector<size_t> load(config_.hosts, 0);
   for (size_t c = 0; c < config_.chains; ++c) {
     Scenario scenario = Scenario::Replicated(
         WorkloadSpec::NetEcho(static_cast<uint32_t>(config_.traffic.requests_per_chain)));
@@ -65,25 +69,16 @@ void Fleet::BuildChains() {
                             RequestArrival(config_.traffic, i));
     }
     chains_.emplace_back(scenario);
-    ChainState& chain = chains_.back();
-    std::vector<size_t> assigned =
-        placement_.AssignChain(static_cast<size_t>(config_.backups) + 1);
-    for (size_t r = 0; r < assigned.size(); ++r) {
-      chain.live.push_back(LiveReplica{r, assigned[r], false});
-    }
+    chains_.back().hosts =
+        placement_.AssignChain(static_cast<size_t>(config_.backups) + 1, &load);
   }
   // World construction is pure per-chain (the scenario carries everything a
-  // world needs), so it shards across the pool. All stateful sequencing —
-  // placement assignment above, the resync callback's fleet-state effects —
-  // stays out of worker context: the callback only appends to the chain's
-  // own buffer, drained at the round barrier in chain-id order.
+  // world needs), so it shards across the pool; placement above stays out
+  // of worker context.
   pool_.Run(chains_.size(), [this](size_t c) {
     ChainState& chain = chains_[c];
     ScopedLogCapture capture(&chain.log_lines);
     chain.world = chain.scenario.BuildWorld();
-    chain.world->set_on_resync_done([this, c](size_t resync_index, SimTime t) {
-      chains_[c].pending_resyncs.push_back(PendingResync{resync_index, t});
-    });
   });
   DrainChainBuffers();
 }
@@ -99,9 +94,9 @@ void Fleet::ScheduleHostFailures() {
 
 void Fleet::PushHostEvent(size_t host, SimTime t, std::function<void()> fn) {
   if (t < horizon_) {
-    // A callback fired inside a world's slice wants an event before the
-    // current round horizon: clamp forward. The horizon is a function of the
-    // configuration alone, so the clamp is deterministic.
+    // A resync that completed inside a world's slice wants an event before
+    // the current round horizon: clamp forward. The horizon is a function of
+    // the configuration alone, so the clamp is deterministic.
     t = horizon_;
   }
   fleet_queue_.Push(static_cast<uint32_t>(host), t, std::move(fn));
@@ -130,8 +125,7 @@ void Fleet::RunLockstep() {
     }
     horizon_ = limit;
     // Fan the round's slices out to the pool. Worker context: each shard
-    // touches only its own chain's World and buffers — resync completions
-    // and log lines land in per-chain vectors, never in fleet state.
+    // touches only its own chain's World and log buffer, never fleet state.
     pool_.Run(chains_.size(), [this, limit](size_t c) {
       ChainState& chain = chains_[c];
       ScopedLogCapture capture(&chain.log_lines);
@@ -139,7 +133,7 @@ void Fleet::RunLockstep() {
         chain.world->RunLoop(limit);
       }
     });
-    // Barrier: buffered effects re-enter in chain-id order (the order the
+    // Barrier: the slices' effects re-enter in chain-id order (the order the
     // serial loop produced them in), then the fleet events at the horizon
     // fire single-threaded in the documented partition pop order.
     DrainChainBuffers();
@@ -154,28 +148,69 @@ void Fleet::DrainChainBuffers() {
   for (size_t c = 0; c < chains_.size(); ++c) {
     ChainState& chain = chains_[c];
     EmitCapturedLogLines(&chain.log_lines);
-    for (const PendingResync& pending : chain.pending_resyncs) {
-      OnResyncDone(c, pending.resync_index, pending.time);
+    // A chain streams one transfer at a time (RejoinReplica refuses a
+    // joining tail), so every record before the last has joined or been
+    // aborted; an incomplete last one may still be streaming.
+    const std::vector<ResyncReport>& resyncs = chain.world->resyncs();
+    for (; chain.resyncs_seen < resyncs.size(); ++chain.resyncs_seen) {
+      const ResyncReport& resync = resyncs[chain.resyncs_seen];
+      if (resync.completed) {
+        OnResyncDone(c, resync.joined, resync.join_time);
+      } else if (chain.resyncs_seen + 1 == resyncs.size()) {
+        break;
+      } else {
+        HBFT_CHECK(chain.world->replica(resync.joined)->dead()) << "an aborted joiner is alive";
+      }
     }
-    chain.pending_resyncs.clear();
   }
+}
+
+bool Fleet::Live(const ChainState& chain, size_t world_pos) const {
+  return !chain.world->replica(world_pos)->dead() && !hosts_[chain.hosts[world_pos]].report.failed;
+}
+
+std::vector<size_t> Fleet::HostLoads() const {
+  std::vector<size_t> load(hosts_.size());
+  for (size_t h = 0; h < hosts_.size(); ++h) {
+    load[h] = hosts_[h].reserved;
+  }
+  for (const ChainState& chain : chains_) {
+    for (size_t pos = 0; pos < chain.hosts.size(); ++pos) {
+      if (Live(chain, pos)) {
+        ++load[chain.hosts[pos]];
+      }
+    }
+  }
+  return load;
+}
+
+size_t Fleet::BusySlots(size_t host) const {
+  size_t busy = 0;
+  for (const ChainState& chain : chains_) {
+    for (size_t pos = 0; pos < chain.hosts.size(); ++pos) {
+      if (chain.hosts[pos] == host && Live(chain, pos) && chain.world->replica(pos)->joining()) {
+        ++busy;
+      }
+    }
+  }
+  return busy;
 }
 
 void Fleet::OnHostFailure(size_t host, SimTime t) {
   HostState& h = hosts_[host];
-  if (!h.up) {
+  if (h.report.failed) {
     return;
   }
-  h.up = false;
   h.report.failed = true;
   // Kill every resident replica, chain-major — the per-chain order is
   // irrelevant to results (chains are independent worlds) but fixed anyway.
   for (size_t c = 0; c < chains_.size(); ++c) {
-    // Collect first: KillChainReplica mutates chains_[c].live.
+    // Collect first: a kill can take other residents of this chain with it.
+    ChainState& chain = chains_[c];
     std::vector<size_t> victims;
-    for (const LiveReplica& r : chains_[c].live) {
-      if (r.host == host) {
-        victims.push_back(r.world_pos);
+    for (size_t pos = 0; pos < chain.hosts.size(); ++pos) {
+      if (chain.hosts[pos] == host && !chain.world->replica(pos)->dead()) {
+        victims.push_back(pos);
       }
     }
     for (size_t pos : victims) {
@@ -183,42 +218,35 @@ void Fleet::OnHostFailure(size_t host, SimTime t) {
       KillChainReplica(c, pos, t);
     }
   }
-  // Repairs queued against this host will never admit here; drop their
-  // reservations and requeue them through fresh placement picks.
+  // Repairs queued against this host will never admit here: requeue them
+  // through fresh placement picks (a failed host is never picked again, so
+  // its reservations need no release).
   std::deque<size_t> orphaned = std::move(h.repair_queue);
   h.repair_queue.clear();
   for (size_t chain : orphaned) {
-    placement_.ReleaseReplica(host);
     RequestRepair(chain, t + config_.repair_retry);
   }
 }
 
 void Fleet::KillChainReplica(size_t chain_id, size_t world_pos, SimTime t) {
   ChainState& chain = chains_[chain_id];
-  auto it = std::find_if(chain.live.begin(), chain.live.end(),
-                         [&](const LiveReplica& r) { return r.world_pos == world_pos; });
-  if (it == chain.live.end()) {
-    return;  // Already swept (e.g. died with its source earlier this storm).
-  }
-  const LiveReplica replica = *it;
-  chain.live.erase(it);
-  placement_.ReleaseReplica(replica.host);
   World* world = chain.world.get();
   if (world->finished()) {
     return;  // The guest already ran to completion; nothing left to kill.
   }
   ReplicaNode* node = world->replica(world_pos);
   if (node->dead() || node->halted()) {
-    return;
+    return;  // Dead already (e.g. with its source earlier this storm).
   }
-  if (replica.joining) {
-    // A joiner died with its host: the inbound transfer slot frees here (the
-    // host is going down anyway, but the accounting stays consistent).
-    HostState& rh = hosts_[replica.host];
-    HBFT_CHECK_GT(rh.active_repairs, 0u);
-    --rh.active_repairs;
+  // A kill can take the chain's joiner with it (its source, or service,
+  // died): note the other living joiners to re-request the dead ones.
+  std::vector<size_t> joiners;
+  for (size_t pos = chain.hosts.size(); pos-- > 0;) {
+    ReplicaNode* other = world->replica(pos);
+    if (pos != world_pos && !other->dead() && other->joining()) {
+      joiners.push_back(pos);
+    }
   }
-  ++chain.replicas_lost;
   const bool was_active = world_pos == world->active_index();
   const SimTime kill_time = node->clock() > t ? node->clock() : t;
   world->KillReplica(world_pos, kill_time, FailurePlan::CrashIo::kRandom);
@@ -228,35 +256,15 @@ void Fleet::KillChainReplica(size_t chain_id, size_t world_pos, SimTime t) {
       ++chain.failovers;
     }
   }
-  SweepDead(chain_id, t);
-  if (!world->service_lost()) {
-    RequestRepair(chain_id, t + config_.repair_delay);
+  if (world->service_lost()) {
+    return;
   }
-}
-
-void Fleet::SweepDead(size_t chain_id, SimTime t) {
-  ChainState& chain = chains_[chain_id];
-  World* world = chain.world.get();
-  for (size_t i = chain.live.size(); i-- > 0;) {
-    const LiveReplica replica = chain.live[i];
-    if (!world->replica(replica.world_pos)->dead()) {
-      continue;
-    }
-    // Died as a side effect: chain truncation below a dead backup, a joiner
-    // losing its source, or service loss killing everything downstream.
-    chain.live.erase(chain.live.begin() + static_cast<long>(i));
-    placement_.ReleaseReplica(replica.host);
-    ++chain.replicas_lost;
-    if (replica.joining) {
-      // The in-flight transfer is gone; free the slot and try again.
-      HostState& h = hosts_[replica.host];
-      HBFT_CHECK_GT(h.active_repairs, 0u);
-      --h.active_repairs;
-      if (!world->service_lost()) {
-        RequestRepair(chain_id, t + config_.repair_retry);
-      }
+  for (size_t pos : joiners) {
+    if (world->replica(pos)->dead()) {
+      RequestRepair(chain_id, t + config_.repair_retry);  // The transfer is gone.
     }
   }
+  RequestRepair(chain_id, t + config_.repair_delay);
 }
 
 void Fleet::RequestRepair(size_t chain_id, SimTime t) {
@@ -264,33 +272,34 @@ void Fleet::RequestRepair(size_t chain_id, SimTime t) {
   if (chain.world->finished() || chain.world->service_lost()) {
     return;
   }
-  // Pick the target host now — load accounting reserves the slot — and
-  // route the event through that host's partition.
-  std::vector<size_t> avoid;
-  for (const LiveReplica& r : chain.live) {
-    avoid.push_back(r.host);
+  // Pick the target host now — the reservation counts against its load —
+  // and route the event through that host's partition.
+  std::vector<size_t> occupied;
+  for (size_t pos = 0; pos < chain.hosts.size(); ++pos) {
+    if (Live(chain, pos)) {
+      occupied.push_back(chain.hosts[pos]);
+    }
   }
   std::vector<bool> host_up(hosts_.size());
   bool any_up = false;
   for (size_t h = 0; h < hosts_.size(); ++h) {
-    host_up[h] = hosts_[h].up;
+    host_up[h] = !hosts_[h].report.failed;
     any_up = any_up || host_up[h];
   }
   if (!any_up) {
     return;  // Nowhere to repair to; the chain stays degraded.
   }
-  const size_t host = placement_.PickRepairHost(avoid, host_up);
+  const size_t host = placement_.PickRepairHost(occupied, host_up, HostLoads());
+  ++hosts_[host].reserved;
   PushHostEvent(host, t, [this, chain_id, host] {
     // Fleet events always fire at the round horizon (the drain pops only
     // events at exactly the current limit), so horizon_ is "now".
     HostState& h = hosts_[host];
-    if (!h.up) {
-      // Failed between pick and admission: re-pick.
-      placement_.ReleaseReplica(host);
-      RequestRepair(chain_id, horizon_ + config_.repair_retry);
+    if (h.report.failed) {
+      RequestRepair(chain_id, horizon_ + config_.repair_retry);  // Failed since the pick.
       return;
     }
-    if (h.active_repairs >= config_.repair_concurrency) {
+    if (BusySlots(host) >= config_.repair_concurrency) {
       h.repair_queue.push_back(chain_id);
       h.report.repair_queue_peak = std::max(h.report.repair_queue_peak, h.repair_queue.size());
       return;
@@ -300,48 +309,37 @@ void Fleet::RequestRepair(size_t chain_id, SimTime t) {
 }
 
 void Fleet::AdmitRepair(size_t host, size_t chain_id, SimTime t) {
+  HostState& h = hosts_[host];
+  HBFT_CHECK_GT(h.reserved, 0u);
+  --h.reserved;  // Admitted (a live joiner now) or abandoned.
   ChainState& chain = chains_[chain_id];
   World* world = chain.world.get();
   if (world->finished() || world->service_lost()) {
-    placement_.ReleaseReplica(host);
     return;
   }
   const size_t pos = world->RejoinReplica(t);
   if (pos == World::npos) {
     // The transfer source is not ready yet (a downstream failure detection
-    // is still pending, or a transfer is mid-abort): release and retry.
-    placement_.ReleaseReplica(host);
+    // is still pending, or a transfer is mid-abort): retry.
     RequestRepair(chain_id, t + config_.repair_retry);
     return;
   }
-  HostState& h = hosts_[host];
-  ++h.active_repairs;
+  HBFT_CHECK_EQ(pos, chain.hosts.size());
+  chain.hosts.push_back(host);
   ++h.report.repairs_hosted;
-  chain.live.push_back(LiveReplica{pos, host, true});
 }
 
-void Fleet::OnResyncDone(size_t chain_id, size_t resync_index, SimTime t) {
-  ChainState& chain = chains_[chain_id];
-  const size_t pos = chain.world->resyncs()[resync_index].joined;
-  auto it = std::find_if(chain.live.begin(), chain.live.end(),
-                         [&](const LiveReplica& r) { return r.world_pos == pos; });
-  HBFT_CHECK(it != chain.live.end());
-  it->joining = false;
-  ++chain.repairs;
-  const size_t host = it->host;
+void Fleet::OnResyncDone(size_t chain_id, size_t world_pos, SimTime t) {
+  const size_t host = chains_[chain_id].hosts[world_pos];
   HostState& h = hosts_[host];
-  HBFT_CHECK_GT(h.active_repairs, 0u);
-  --h.active_repairs;
   if (!h.repair_queue.empty()) {
     const size_t next_chain = h.repair_queue.front();
     h.repair_queue.pop_front();
     // Admission happens through the host's partition at the clamped instant:
-    // the completion was observed mid-slice (and buffered), so t may precede
-    // the horizon the barrier drain is running at.
+    // the completion happened mid-slice, so t may precede the horizon the
+    // barrier drain is running at.
     PushHostEvent(host, t, [this, host, next_chain] {
-      HostState& hh = hosts_[host];
-      if (!hh.up) {
-        placement_.ReleaseReplica(host);
+      if (hosts_[host].report.failed) {
         RequestRepair(next_chain, horizon_ + config_.repair_retry);
         return;
       }
@@ -372,8 +370,7 @@ FleetResult Fleet::Collect() {
   // Phase 1, on the pool: everything per-chain — finishing the world,
   // collecting its result, matching its request trace, and (under --verify)
   // running the bare reference twin, the dominant cost. Worker context: a
-  // shard writes only its own chain's slots; resync completions triggered by
-  // Finish buffer per-chain exactly as in the lockstep rounds.
+  // shard writes only its own chain's slots.
   pool_.Run(chains_.size(), [&](size_t c) {
     ChainState& chain = chains_[c];
     ScopedLogCapture capture(&chain.log_lines);
@@ -392,8 +389,7 @@ FleetResult Fleet::Collect() {
       }
     }
   });
-  // Barrier: flush worker logs and apply Finish-triggered resync completions
-  // (chain.repairs must be final before the reports below read it).
+  // Barrier: flush worker logs.
   DrainChainBuffers();
 
   // Phase 2, single-threaded in chain-id order: every cross-chain fold.
@@ -405,7 +401,7 @@ FleetResult Fleet::Collect() {
   result.makespan = makespan;
 
   for (size_t c = 0; c < chains_.size(); ++c) {
-    ChainState& chain = chains_[c];
+    const ChainState& chain = chains_[c];
     const ScenarioResult& r = chain_results[c];
     FleetChainReport report;
     report.chain = c;
@@ -413,8 +409,12 @@ FleetResult Fleet::Collect() {
     report.service_lost = r.service_lost;
     report.guest_checksum = r.guest_checksum;
     report.failovers = chain.failovers;
-    report.repairs = chain.repairs;
-    report.replicas_lost = chain.replicas_lost;
+    for (const ResyncReport& resync : r.resyncs) {
+      report.repairs += resync.completed ? 1 : 0;
+    }
+    for (size_t pos = 0; pos < chain.world->replica_count(); ++pos) {
+      report.replicas_lost += chain.world->replica(pos)->dead() ? 1 : 0;
+    }
     report.completion_time = r.completion_time;
 
     // Outage windows: each active-replica kill opens one; the matching

@@ -25,22 +25,27 @@
 // chains sharded statically by id, never work-stealing — and everything
 // cross-chain happens single-threaded at the barrier. The worker-context
 // rule is absolute: during a slice a worker touches only its own chain's
-// World and per-chain buffers. The one world→fleet callback that fires
-// mid-slice (resync completion freeing a repair slot) appends to a per-chain
-// buffer; the barrier drains the buffers in chain-id order and only then
-// mutates hosts_/placement_ and schedules follow-up events clamped to the
-// horizon — which is itself a deterministic function of the configuration.
-// The serial fleet advances chains in id order, so the chain-id-ordered
-// drain reproduces the serial event sequence exactly: fingerprints are
+// World and per-chain log buffer. No world calls back into the fleet: the
+// barrier reads each chain's resync records (World::resyncs()) in chain-id
+// order, hands the newly completed ones to the fleet, and only then fires
+// fleet events, scheduling follow-up admissions clamped to the horizon —
+// which is itself a deterministic function of the configuration. The
+// serial fleet advances chains in id order, so the chain-id-ordered drain
+// reproduces the serial event sequence exactly: fingerprints are
 // bit-identical at any thread count, and threads=1 spawns no threads at all.
 //
-// Repairs: a replica death schedules a replacement request repair_delay
-// later. The placement policy picks the target host (anti-affinity avoids
-// hosts the chain still occupies; both policies avoid failed hosts), and the
-// host admits at most repair_concurrency inbound state transfers at a time —
-// excess requests queue FIFO per host and admit as transfers complete. A
-// joiner that dies mid-transfer (its host failed, or its source died) simply
-// re-requests: the repair queue is re-entrant.
+// Repairs: each chain's World is the only record of its replicas' lives
+// (which are alive, which are still joining, which transfers completed).
+// The fleet keeps two facts of its own: the host of each world position,
+// and the repairs reserved on each host between pick and admission. A
+// replica death schedules a replacement request repair_delay later. The
+// placement policy picks the target host from loads derived from the worlds
+// (anti-affinity avoids hosts the chain's live replicas occupy; both
+// policies avoid failed hosts), and the host admits at most
+// repair_concurrency inbound state transfers — its live joiners — at a
+// time; excess requests queue FIFO per host and admit as transfers
+// complete. A joiner that dies mid-transfer (its host failed, or its source
+// died) simply re-requests: the repair queue is re-entrant.
 //
 // Measurement: open-loop request traffic per chain (see fleet/traffic.hpp)
 // yields per-request latencies; availability is time-based — outage windows
@@ -156,38 +161,22 @@ class Fleet {
   FleetResult Run();
 
  private:
-  struct LiveReplica {
-    size_t world_pos = 0;
-    size_t host = 0;
-    bool joining = false;  // Mid state-transfer; not a standing backup yet.
-  };
-
-  // A resync completion observed inside a world's slice, buffered until the
-  // round barrier (worker context must not touch fleet state).
-  struct PendingResync {
-    size_t resync_index = 0;
-    SimTime time = SimTime::Zero();
-  };
-
   struct ChainState {
     Scenario scenario;  // Kept for the bare verification twin.
-    std::unique_ptr<World> world;
-    std::vector<LiveReplica> live;
+    std::unique_ptr<World> world;  // The one record of the chain's replicas' lives.
+    std::vector<size_t> hosts;  // World position -> host.
     std::vector<SimTime> active_kills;  // Outage window starts.
     size_t failovers = 0;
-    size_t repairs = 0;
-    size_t replicas_lost = 0;
-    // Worker-writable buffers, drained at the barrier in chain-id order.
-    std::vector<PendingResync> pending_resyncs;
+    size_t resyncs_seen = 0;  // World::resyncs() records the barrier has handled.
+    // Worker-writable buffer, drained at the barrier in chain-id order.
     std::vector<std::string> log_lines;
     explicit ChainState(Scenario s) : scenario(std::move(s)) {}
   };
 
   struct HostState {
-    bool up = true;
-    size_t active_repairs = 0;
+    size_t reserved = 0;  // Repairs picked for this host, not yet admitted.
     std::deque<size_t> repair_queue;  // Chain ids, FIFO.
-    FleetHostReport report;
+    FleetHostReport report;  // `report.failed`: the host is gone.
   };
 
   void BuildChains();
@@ -195,23 +184,29 @@ class Fleet {
   void RunLockstep();
   FleetResult Collect();
 
-  // The barrier drain: flushes every chain's captured log lines and applies
-  // its buffered resync completions, in chain-id order — the single place
-  // worker-buffered effects re-enter single-threaded fleet state.
+  // The barrier drain: flushes every chain's captured log lines and hands
+  // its newly completed resync records to OnResyncDone, in chain-id order —
+  // the single place a slice's effects re-enter single-threaded fleet state.
   void DrainChainBuffers();
 
   // Pushes a fleet event into the host's partition, clamped to the current
-  // round horizon so callbacks firing mid-slice stay deterministic.
+  // round horizon: a resync that completed mid-slice is handled at the
+  // barrier, after its join time.
   void PushHostEvent(size_t host, SimTime t, std::function<void()> fn);
+
+  // What the fleet derives from the worlds. A replica is live when it is
+  // not dead and its host has not failed; a host's load is its live
+  // replicas plus its reserved repairs; its busy transfer slots are its live
+  // joiners. Barrier context only: these read every chain's world.
+  bool Live(const ChainState& chain, size_t world_pos) const;
+  std::vector<size_t> HostLoads() const;
+  size_t BusySlots(size_t host) const;
 
   void OnHostFailure(size_t host, SimTime t);
   void KillChainReplica(size_t chain, size_t world_pos, SimTime t);
-  // Drops chain.live entries whose replica died as a side effect (chain
-  // truncation, service loss), re-requesting repairs for lost joiners.
-  void SweepDead(size_t chain, SimTime t);
   void RequestRepair(size_t chain, SimTime t);
   void AdmitRepair(size_t host, size_t chain, SimTime t);
-  void OnResyncDone(size_t chain, size_t resync_index, SimTime t);
+  void OnResyncDone(size_t chain, size_t world_pos, SimTime t);
 
   FleetConfig config_;
   Placement placement_;

@@ -28,13 +28,13 @@ bool ParsePlacementPolicy(const std::string& text, PlacementPolicy* out) {
   return false;
 }
 
-Placement::Placement(PlacementPolicy policy, size_t hosts)
-    : policy_(policy), hosts_(hosts), load_(hosts, 0) {
+Placement::Placement(PlacementPolicy policy, size_t hosts) : policy_(policy), hosts_(hosts) {
   HBFT_CHECK_GT(hosts, 0u);
 }
 
 size_t Placement::PickLeastLoaded(const std::vector<size_t>& avoid,
-                                  const std::vector<bool>* host_up) {
+                                  const std::vector<bool>* host_up,
+                                  const std::vector<size_t>& load) const {
   size_t best = hosts_;
   for (size_t h = 0; h < hosts_; ++h) {
     if (host_up != nullptr && !(*host_up)[h]) {
@@ -43,7 +43,7 @@ size_t Placement::PickLeastLoaded(const std::vector<size_t>& avoid,
     if (std::find(avoid.begin(), avoid.end(), h) != avoid.end()) {
       continue;
     }
-    if (best == hosts_ || load_[h] < load_[best]) {
+    if (best == hosts_ || load[h] < load[best]) {
       best = h;  // Ties keep the earlier (lowest-id) host.
     }
   }
@@ -51,12 +51,13 @@ size_t Placement::PickLeastLoaded(const std::vector<size_t>& avoid,
     // Every live host already holds a replica of this chain: anti-affinity
     // is unsatisfiable, fall back to plain least-loaded (still up-only).
     HBFT_CHECK(!avoid.empty()) << "no live host to place on";
-    return PickLeastLoaded({}, host_up);
+    return PickLeastLoaded({}, host_up, load);
   }
   return best;
 }
 
-std::vector<size_t> Placement::AssignChain(size_t replicas) {
+std::vector<size_t> Placement::AssignChain(size_t replicas, std::vector<size_t>* load) {
+  HBFT_CHECK_EQ(load->size(), hosts_);
   std::vector<size_t> out;
   out.reserve(replicas);
   for (size_t r = 0; r < replicas; ++r) {
@@ -64,35 +65,29 @@ std::vector<size_t> Placement::AssignChain(size_t replicas) {
     if (policy_ == PlacementPolicy::kRoundRobin) {
       host = cursor_++ % hosts_;
     } else {
-      host = PickLeastLoaded(out, nullptr);
+      host = PickLeastLoaded(out, nullptr, *load);
     }
-    ++load_[host];
+    ++(*load)[host];
     out.push_back(host);
   }
   return out;
 }
 
 size_t Placement::PickRepairHost(const std::vector<size_t>& occupied,
-                                 const std::vector<bool>& host_up) {
+                                 const std::vector<bool>& host_up,
+                                 const std::vector<size_t>& load) {
   HBFT_CHECK_EQ(host_up.size(), hosts_);
-  size_t host;
+  HBFT_CHECK_EQ(load.size(), hosts_);
   if (policy_ == PlacementPolicy::kRoundRobin) {
     // Blind to chain membership (that is the policy's defect), but a failed
     // host is physically gone: skip it.
+    size_t host;
     do {
       host = cursor_++ % hosts_;
     } while (!host_up[host]);
-  } else {
-    host = PickLeastLoaded(occupied, &host_up);
+    return host;
   }
-  ++load_[host];
-  return host;
-}
-
-void Placement::ReleaseReplica(size_t host) {
-  HBFT_CHECK_LT(host, hosts_);
-  HBFT_CHECK_GT(load_[host], 0u);
-  --load_[host];
+  return PickLeastLoaded(occupied, &host_up, load);
 }
 
 std::vector<size_t> StormHosts(size_t hosts, size_t count) {

@@ -20,8 +20,12 @@
 //    When every host already holds a chain replica (hosts < chain width) it
 //    falls back to least-loaded rather than failing.
 //
-// All choices are pure functions of the call sequence — no RNG — so fleet
-// runs with equal seeds place identically.
+// Placement keeps no record of where replicas live: the caller passes each
+// host's load, which the fleet derives from its chains' worlds (live
+// replicas plus the repairs reserved on the host). Its only state is the
+// round-robin cursor, so every choice is a pure function of the call
+// sequence and the loads passed — no RNG — and fleet runs with equal seeds
+// place identically.
 #ifndef HBFT_FLEET_PLACEMENT_HPP_
 #define HBFT_FLEET_PLACEMENT_HPP_
 
@@ -42,30 +46,25 @@ class Placement {
  public:
   Placement(PlacementPolicy policy, size_t hosts);
 
-  // Hosts for a new chain's replicas, position 0 = primary. Call once per
-  // chain, in chain order.
-  std::vector<size_t> AssignChain(size_t replicas);
+  // Hosts for a new chain's replicas, position 0 = primary, each counted
+  // into `load` (replicas per host). Call once per chain, in chain order.
+  std::vector<size_t> AssignChain(size_t replicas, std::vector<size_t>* load);
 
   // Host for a replacement replica of a chain whose live replicas occupy
-  // `occupied` (host ids, duplicates allowed). Failed hosts (`host_up[h]` ==
-  // false) are never picked by either policy; at least one host must be up.
-  // Updates load accounting (the caller releases on abandonment).
-  size_t PickRepairHost(const std::vector<size_t>& occupied, const std::vector<bool>& host_up);
-
-  // A replica on `host` died; its slot no longer counts against the host.
-  void ReleaseReplica(size_t host);
-
-  size_t hosts() const { return hosts_; }
-  PlacementPolicy policy() const { return policy_; }
-  const std::vector<size_t>& load() const { return load_; }
+  // `occupied` (host ids, duplicates allowed), given each host's `load` (its
+  // live replicas plus the repairs reserved on it). Failed hosts
+  // (`host_up[h]` == false) are never picked by either policy; at least one
+  // host must be up.
+  size_t PickRepairHost(const std::vector<size_t>& occupied, const std::vector<bool>& host_up,
+                        const std::vector<size_t>& load);
 
  private:
-  size_t PickLeastLoaded(const std::vector<size_t>& avoid, const std::vector<bool>* host_up);
+  size_t PickLeastLoaded(const std::vector<size_t>& avoid, const std::vector<bool>* host_up,
+                         const std::vector<size_t>& load) const;
 
   PlacementPolicy policy_ = PlacementPolicy::kAntiAffinity;
   size_t hosts_ = 0;
-  std::vector<size_t> load_;  // Live replicas per host.
-  size_t cursor_ = 0;         // Round-robin only.
+  size_t cursor_ = 0;  // Round-robin only.
 };
 
 // The deterministic spread used by `--fail=host-storm,hosts=N`: N distinct

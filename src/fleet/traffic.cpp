@@ -6,14 +6,8 @@
 
 namespace hbft {
 
-namespace {
-constexpr uint32_t kHeaderBytes = 10;  // 'F' 'Q' chain[4] seq[4].
-}  // namespace
-
 std::vector<uint8_t> EncodeRequest(uint32_t chain, uint32_t seq, uint32_t payload_bytes) {
-  if (payload_bytes < kHeaderBytes) {
-    payload_bytes = kHeaderBytes;
-  }
+  HBFT_CHECK_GE(payload_bytes, kRequestHeaderBytes);
   HBFT_CHECK_LE(payload_bytes, kNicMaxPacketBytes);
   Snapshot packet;
   SnapshotWriter w(&packet);
@@ -23,7 +17,7 @@ std::vector<uint8_t> EncodeRequest(uint32_t chain, uint32_t seq, uint32_t payloa
   w.U32(seq);
   // Deterministic filler keyed off the header, so equal-length requests
   // never collide byte-wise.
-  for (uint32_t i = kHeaderBytes; i < payload_bytes; ++i) {
+  for (uint32_t i = kRequestHeaderBytes; i < payload_bytes; ++i) {
     w.U8(static_cast<uint8_t>((chain * 131u + seq * 31u + i) & 0xFF));
   }
   return std::move(packet.bytes);

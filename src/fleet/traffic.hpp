@@ -20,11 +20,15 @@
 
 namespace hbft {
 
+// A request's header: 'F' 'Q', then chain[4] and seq[4].
+constexpr uint32_t kRequestHeaderBytes = 10;
+
 struct TrafficConfig {
   uint64_t requests_per_chain = 8;
   SimTime start = SimTime::Millis(100);     // First arrival.
   SimTime interval = SimTime::Millis(20);   // Open-loop inter-arrival gap.
-  uint32_t payload_bytes = 32;              // Total packet size (>= header).
+  // Total packet size, in [kRequestHeaderBytes, kNicMaxPacketBytes].
+  uint32_t payload_bytes = 32;
 };
 
 // Unique request payload: "FQ" magic, chain and sequence little-endian,

@@ -371,7 +371,6 @@ void Scenario::CollectResult(World& world, ScenarioResult* out) const {
     report.promoted = replica->promoted();
     report.promotion_time = replica->promotion_time();
     report.joined = replica->joined();
-    report.join_time = replica->join_time();
     report.join_epoch = replica->join_epoch();
     report.hv_stats = replica->hypervisor().stats();
     report.stats = replica->stats();

@@ -97,7 +97,6 @@ struct ScenarioResult {
     SimTime promotion_time = SimTime::Zero();
     bool rejoined = false;   // Spawned by a rejoin event (live state transfer).
     bool joined = false;     // Transfer completed; entered the chain.
-    SimTime join_time = SimTime::Zero();
     uint64_t join_epoch = 0;
     Hypervisor::Stats hv_stats;
     ReplicaNode::Stats stats;

@@ -312,9 +312,6 @@ void World::OnJoined(size_t resync_index, SimTime t) {
   ResyncReport& report = resyncs_[resync_index];
   report.completed = true;
   report.join_time = t;
-  if (on_resync_done_) {
-    on_resync_done_(resync_index, t);
-  }
   if (pending_after_resync_) {
     pending_after_resync_ = false;
     HBFT_CHECK(next_failure_ < schedule_.size());

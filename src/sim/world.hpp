@@ -213,16 +213,6 @@ class World : public EventScheduler {
   // Every state transfer started, in schedule order (an aborted one stays incomplete).
   const std::vector<ResyncReport>& resyncs() const { return resyncs_; }
 
-  // Fleet hook: fires when a live state transfer completes (the joiner is a
-  // standing backup), with the join time — the instant a per-host repair
-  // slot frees. The callback runs inside RunLoop/Finish, which the parallel
-  // fleet executes on a worker thread: it must only touch per-chain state
-  // (the fleet buffers the completion and applies its cross-chain effects at
-  // the round barrier).
-  void set_on_resync_done(std::function<void(size_t resync_index, SimTime t)> fn) {
-    on_resync_done_ = std::move(fn);
-  }
-
   // The machine whose state carries the workload's results: the bare node,
   // or the replica currently responsible for the environment.
   Machine& active_machine();
@@ -302,8 +292,6 @@ class World : public EventScheduler {
   bool run_completed_ = false;
   bool run_timed_out_ = false;
   bool run_deadlocked_ = false;
-
-  std::function<void(size_t, SimTime)> on_resync_done_;
 
   // The chain as linked positions (kNoChain = end). Rejoined replicas append
   // to replicas_ but link below the tail, so neighbours are no longer always

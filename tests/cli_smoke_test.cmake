@@ -222,6 +222,10 @@ expect_usage_error("--backups must be >= 1" fleet --requests=2 --backups=0)
 expect_usage_error("--repair-concurrency must be >= 1" fleet --requests=2
                    --repair-concurrency=0)
 expect_usage_error("--payload-bytes must be <= 256" fleet --requests=2 --payload-bytes=5000)
+# Below the 10-byte request header a request cannot carry its chain and
+# sequence number.
+expect_usage_error("--payload-bytes must be >= 10 \\(the request header\\)" fleet --chains=2
+                   --hosts=2 --requests=2 --payload-bytes=3 --no-verify --json)
 expect_usage_error("bad host in --fail" fleet --chains=2 --hosts=2 --requests=2
                    --fail=host-,time-ms=50)
 expect_usage_error("time-ms expects" fleet --chains=2 --hosts=2 --requests=2

@@ -20,26 +20,29 @@ namespace {
 
 TEST(Placement, RoundRobinDealsReplicasChainMajor) {
   Placement rr(PlacementPolicy::kRoundRobin, 3);
-  EXPECT_EQ(rr.AssignChain(2), (std::vector<size_t>{0, 1}));
-  EXPECT_EQ(rr.AssignChain(2), (std::vector<size_t>{2, 0}));
-  EXPECT_EQ(rr.load(), (std::vector<size_t>{2, 1, 1}));
+  std::vector<size_t> load(3, 0);
+  EXPECT_EQ(rr.AssignChain(2, &load), (std::vector<size_t>{0, 1}));
+  EXPECT_EQ(rr.AssignChain(2, &load), (std::vector<size_t>{2, 0}));
+  EXPECT_EQ(load, (std::vector<size_t>{2, 1, 1}));
 }
 
 TEST(Placement, AntiAffinityNeverColocatesAChainInitially) {
   Placement aa(PlacementPolicy::kAntiAffinity, 3);
-  EXPECT_EQ(aa.AssignChain(2), (std::vector<size_t>{0, 1}));
-  EXPECT_EQ(aa.AssignChain(2), (std::vector<size_t>{2, 0}));
-  EXPECT_EQ(aa.AssignChain(2), (std::vector<size_t>{1, 2}));
+  std::vector<size_t> load(3, 0);
+  EXPECT_EQ(aa.AssignChain(2, &load), (std::vector<size_t>{0, 1}));
+  EXPECT_EQ(aa.AssignChain(2, &load), (std::vector<size_t>{2, 0}));
+  EXPECT_EQ(aa.AssignChain(2, &load), (std::vector<size_t>{1, 2}));
   // Three chains, two replicas each, three hosts: perfectly balanced and no
   // chain twice on one host.
-  EXPECT_EQ(aa.load(), (std::vector<size_t>{2, 2, 2}));
+  EXPECT_EQ(load, (std::vector<size_t>{2, 2, 2}));
 }
 
 TEST(Placement, AntiAffinityFallsBackWhenHostsAreScarcerThanReplicas) {
   // A 3-replica chain on 2 hosts cannot satisfy anti-affinity; the third
   // replica goes least-loaded instead of failing.
   Placement aa(PlacementPolicy::kAntiAffinity, 2);
-  EXPECT_EQ(aa.AssignChain(3), (std::vector<size_t>{0, 1, 0}));
+  std::vector<size_t> load(2, 0);
+  EXPECT_EQ(aa.AssignChain(3, &load), (std::vector<size_t>{0, 1, 0}));
 }
 
 // The hazard the anti-affinity policy exists to close: at repair time the
@@ -50,15 +53,15 @@ TEST(Placement, AntiAffinityFallsBackWhenHostsAreScarcerThanReplicas) {
 TEST(Placement, RoundRobinCanColocateAtRepairTimeAntiAffinityCannot) {
   for (PlacementPolicy policy : {PlacementPolicy::kRoundRobin, PlacementPolicy::kAntiAffinity}) {
     Placement p(policy, 3);
+    std::vector<size_t> load(3, 0);
     // Chain 0 -> {0,1}, chain 1 -> {2,0} under both policies (see above).
-    p.AssignChain(2);
-    p.AssignChain(2);
+    p.AssignChain(2, &load);
+    p.AssignChain(2, &load);
     // Host 0 fails: chain 0 loses its replica there (so does chain 1).
-    p.ReleaseReplica(0);
-    p.ReleaseReplica(0);
+    load[0] = 0;
     const std::vector<bool> host_up = {false, true, true};
     // Chain 0's surviving replica is on host 1.
-    size_t repair = p.PickRepairHost({1}, host_up);
+    size_t repair = p.PickRepairHost({1}, host_up, load);
     if (policy == PlacementPolicy::kRoundRobin) {
       EXPECT_EQ(repair, 1u);  // Cursor at 4 -> host 1: co-located.
     } else {
@@ -69,15 +72,17 @@ TEST(Placement, RoundRobinCanColocateAtRepairTimeAntiAffinityCannot) {
 
 TEST(Placement, RepairNeverPicksADownHost) {
   Placement rr(PlacementPolicy::kRoundRobin, 4);
-  rr.AssignChain(2);  // Cursor at 2.
+  std::vector<size_t> rr_load(4, 0);
+  rr.AssignChain(2, &rr_load);  // Cursor at 2.
   const std::vector<bool> host_up = {true, false, false, true};
   // Cursor would deal hosts 2 then 3; both downs are skipped.
-  EXPECT_EQ(rr.PickRepairHost({0}, host_up), 3u);
-  EXPECT_EQ(rr.PickRepairHost({0}, host_up), 0u);
+  EXPECT_EQ(rr.PickRepairHost({0}, host_up, rr_load), 3u);
+  EXPECT_EQ(rr.PickRepairHost({0}, host_up, rr_load), 0u);
 
   Placement aa(PlacementPolicy::kAntiAffinity, 4);
-  aa.AssignChain(2);
-  EXPECT_EQ(aa.PickRepairHost({0}, host_up), 3u);
+  std::vector<size_t> aa_load(4, 0);
+  aa.AssignChain(2, &aa_load);
+  EXPECT_EQ(aa.PickRepairHost({0}, host_up, aa_load), 3u);
 }
 
 TEST(Placement, StormHostsSpreadEvenly) {
@@ -213,6 +218,32 @@ TEST(Fleet, SameSeedSameFingerprint) {
   EXPECT_EQ(a.makespan, b.makespan);
 }
 
+// One kill takes a standing backup, the standing backup below it and the
+// chain's joiner. The joiner's repair is re-requested at once, and its pick
+// must not see the other replica that just died: that replica's host is
+// free again and carries one replica less. At 150 ms host 1's backup dies
+// with backup 2 (on host 2) and the joiner (on host 4), so the retry goes to
+// host 2, not host 4.
+TEST(Fleet, RepairRetryAfterAKillSeesEveryReplicaTheKillTook) {
+  FleetConfig config;
+  config.chains = 1;
+  config.hosts = 5;
+  config.backups = 3;
+  config.traffic.requests_per_chain = 40;
+  config.verify = true;
+  config.host_failures = {HostFailure{3, SimTime::Millis(120)},
+                          HostFailure{1, SimTime::Millis(150)},
+                          HostFailure{4, SimTime::Millis(400)}};
+  FleetResult result = Fleet(config).Run();
+  EXPECT_EQ(result.chains_completed, 1u);
+  EXPECT_EQ(result.chains_lost, 0u);
+  EXPECT_TRUE(result.all_env_consistent);
+  ASSERT_EQ(result.hosts.size(), 5u);
+  EXPECT_EQ(result.hosts[0].repairs_hosted, 1u);
+  EXPECT_EQ(result.hosts[2].repairs_hosted, 1u);
+  EXPECT_EQ(result.hosts[4].repairs_hosted, 2u);
+}
+
 // The acceptance storm: 256 chains, 2 replicas each, across 32 hosts; a
 // 4-host storm kills 64 replicas at one instant. Anti-affinity guarantees
 // each affected chain loses exactly one replica, so every one of them fails
@@ -298,61 +329,81 @@ FleetConfig ParallelStormFleet() {
   return config;
 }
 
+// Three hosts fail one after another while repairs stream and queue (5-8
+// deep per host), and a joiner dies mid-transfer and re-requests its repair:
+// between rounds the barrier reads every chain's world for host loads, busy
+// transfer slots and completed transfers.
+FleetConfig StaggeredFailureFleet() {
+  FleetConfig config;
+  config.chains = 16;
+  config.hosts = 4;
+  config.backups = 2;
+  config.traffic.requests_per_chain = 10;
+  config.verify = true;
+  config.host_failures = {HostFailure{0, SimTime::Millis(120)},
+                          HostFailure{1, SimTime::Millis(400)},
+                          HostFailure{2, SimTime::Millis(700)}};
+  return config;
+}
+
 TEST(Fleet, ParallelThreadsProduceIdenticalResults) {
-  FleetConfig config = ParallelStormFleet();
-  config.threads = 1;
-  const FleetResult serial = Fleet(config).Run();
-  // The schedule actually exercises the hard paths at the baseline.
-  ASSERT_GT(serial.failovers, 0u);
-  ASSERT_GT(serial.repairs, 0u);
-  ASSERT_EQ(serial.hosts_failed, 3u);
+  for (const FleetConfig& schedule : {ParallelStormFleet(), StaggeredFailureFleet()}) {
+    SCOPED_TRACE("schedule on " + std::to_string(schedule.hosts) + " hosts");
+    FleetConfig config = schedule;
+    config.threads = 1;
+    const FleetResult serial = Fleet(config).Run();
+    // The schedule actually exercises the hard paths at the baseline.
+    ASSERT_GT(serial.failovers, 0u);
+    ASSERT_GT(serial.repairs, 0u);
+    ASSERT_EQ(serial.hosts_failed, 3u);
 
-  for (size_t threads : {size_t{2}, size_t{4}, size_t{8}}) {
-    FleetConfig parallel_config = ParallelStormFleet();
-    parallel_config.threads = threads;
-    const FleetResult parallel = Fleet(parallel_config).Run();
-    SCOPED_TRACE("threads=" + std::to_string(threads));
+    for (size_t threads : {size_t{2}, size_t{4}, size_t{8}}) {
+      FleetConfig parallel_config = schedule;
+      parallel_config.threads = threads;
+      const FleetResult parallel = Fleet(parallel_config).Run();
+      SCOPED_TRACE("threads=" + std::to_string(threads));
 
-    EXPECT_EQ(parallel.fingerprint, serial.fingerprint);
-    EXPECT_EQ(parallel.requests_total, serial.requests_total);
-    EXPECT_EQ(parallel.requests_served, serial.requests_served);
-    EXPECT_EQ(parallel.requests_within_slo, serial.requests_within_slo);
-    EXPECT_DOUBLE_EQ(parallel.availability, serial.availability);
-    EXPECT_DOUBLE_EQ(parallel.latency_ms.p50, serial.latency_ms.p50);
-    EXPECT_DOUBLE_EQ(parallel.latency_ms.p99, serial.latency_ms.p99);
-    EXPECT_DOUBLE_EQ(parallel.latency_ms.p999, serial.latency_ms.p999);
-    EXPECT_DOUBLE_EQ(parallel.latency_ms.max, serial.latency_ms.max);
-    EXPECT_EQ(parallel.makespan, serial.makespan);
-    EXPECT_EQ(parallel.failovers, serial.failovers);
-    EXPECT_EQ(parallel.repairs, serial.repairs);
-    EXPECT_EQ(parallel.chains_completed, serial.chains_completed);
-    EXPECT_EQ(parallel.chains_lost, serial.chains_lost);
-    EXPECT_EQ(parallel.all_env_consistent, serial.all_env_consistent);
+      EXPECT_EQ(parallel.fingerprint, serial.fingerprint);
+      EXPECT_EQ(parallel.requests_total, serial.requests_total);
+      EXPECT_EQ(parallel.requests_served, serial.requests_served);
+      EXPECT_EQ(parallel.requests_within_slo, serial.requests_within_slo);
+      EXPECT_DOUBLE_EQ(parallel.availability, serial.availability);
+      EXPECT_DOUBLE_EQ(parallel.latency_ms.p50, serial.latency_ms.p50);
+      EXPECT_DOUBLE_EQ(parallel.latency_ms.p99, serial.latency_ms.p99);
+      EXPECT_DOUBLE_EQ(parallel.latency_ms.p999, serial.latency_ms.p999);
+      EXPECT_DOUBLE_EQ(parallel.latency_ms.max, serial.latency_ms.max);
+      EXPECT_EQ(parallel.makespan, serial.makespan);
+      EXPECT_EQ(parallel.failovers, serial.failovers);
+      EXPECT_EQ(parallel.repairs, serial.repairs);
+      EXPECT_EQ(parallel.chains_completed, serial.chains_completed);
+      EXPECT_EQ(parallel.chains_lost, serial.chains_lost);
+      EXPECT_EQ(parallel.all_env_consistent, serial.all_env_consistent);
 
-    ASSERT_EQ(parallel.chains.size(), serial.chains.size());
-    for (size_t c = 0; c < serial.chains.size(); ++c) {
-      const FleetChainReport& s = serial.chains[c];
-      const FleetChainReport& p = parallel.chains[c];
-      EXPECT_EQ(p.completed, s.completed) << "chain " << c;
-      EXPECT_EQ(p.service_lost, s.service_lost) << "chain " << c;
-      EXPECT_EQ(p.guest_checksum, s.guest_checksum) << "chain " << c;
-      EXPECT_EQ(p.failovers, s.failovers) << "chain " << c;
-      EXPECT_EQ(p.repairs, s.repairs) << "chain " << c;
-      EXPECT_EQ(p.replicas_lost, s.replicas_lost) << "chain " << c;
-      EXPECT_EQ(p.requests_served, s.requests_served) << "chain " << c;
-      EXPECT_DOUBLE_EQ(p.availability, s.availability) << "chain " << c;
-      EXPECT_EQ(p.env_consistent, s.env_consistent) << "chain " << c;
-      EXPECT_EQ(p.completion_time, s.completion_time) << "chain " << c;
-    }
-    ASSERT_EQ(parallel.hosts.size(), serial.hosts.size());
-    for (size_t h = 0; h < serial.hosts.size(); ++h) {
-      EXPECT_EQ(parallel.hosts[h].failed, serial.hosts[h].failed) << "host " << h;
-      EXPECT_EQ(parallel.hosts[h].replicas_killed, serial.hosts[h].replicas_killed)
-          << "host " << h;
-      EXPECT_EQ(parallel.hosts[h].repairs_hosted, serial.hosts[h].repairs_hosted)
-          << "host " << h;
-      EXPECT_EQ(parallel.hosts[h].repair_queue_peak, serial.hosts[h].repair_queue_peak)
-          << "host " << h;
+      ASSERT_EQ(parallel.chains.size(), serial.chains.size());
+      for (size_t c = 0; c < serial.chains.size(); ++c) {
+        const FleetChainReport& s = serial.chains[c];
+        const FleetChainReport& p = parallel.chains[c];
+        EXPECT_EQ(p.completed, s.completed) << "chain " << c;
+        EXPECT_EQ(p.service_lost, s.service_lost) << "chain " << c;
+        EXPECT_EQ(p.guest_checksum, s.guest_checksum) << "chain " << c;
+        EXPECT_EQ(p.failovers, s.failovers) << "chain " << c;
+        EXPECT_EQ(p.repairs, s.repairs) << "chain " << c;
+        EXPECT_EQ(p.replicas_lost, s.replicas_lost) << "chain " << c;
+        EXPECT_EQ(p.requests_served, s.requests_served) << "chain " << c;
+        EXPECT_DOUBLE_EQ(p.availability, s.availability) << "chain " << c;
+        EXPECT_EQ(p.env_consistent, s.env_consistent) << "chain " << c;
+        EXPECT_EQ(p.completion_time, s.completion_time) << "chain " << c;
+      }
+      ASSERT_EQ(parallel.hosts.size(), serial.hosts.size());
+      for (size_t h = 0; h < serial.hosts.size(); ++h) {
+        EXPECT_EQ(parallel.hosts[h].failed, serial.hosts[h].failed) << "host " << h;
+        EXPECT_EQ(parallel.hosts[h].replicas_killed, serial.hosts[h].replicas_killed)
+            << "host " << h;
+        EXPECT_EQ(parallel.hosts[h].repairs_hosted, serial.hosts[h].repairs_hosted)
+            << "host " << h;
+        EXPECT_EQ(parallel.hosts[h].repair_queue_peak, serial.hosts[h].repair_queue_peak)
+            << "host " << h;
+      }
     }
   }
 }

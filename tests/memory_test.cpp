@@ -132,7 +132,7 @@ TEST(MemoryFingerprint, LazyFirstCallMatchesATwinFingerprintedAfterEveryWrite) {
 // versions: each written page once, ascending, however often it was written.
 TEST(MemoryPageVersions, TransferSourceTakesEachWrittenPageOnceAscending) {
   PhysicalMemory memory(16 * kPageBytes);
-  StateTransferSource source(memory, StateTransferConfig{}, SimTime::Zero());
+  StateTransferSource source(memory, StateTransferConfig{});
   const std::vector<uint8_t> block(kPageBytes, 0x42);
   memory.Write32(12 * kPageBytes, 1);
   memory.Write32(12 * kPageBytes + 4, 2);  // The same page twice.
@@ -158,7 +158,7 @@ TEST(MemoryZeroPages, ZeroesTheRangeWithWriteBookkeeping) {
     memory.Write32(page * kPageBytes + 12, page + 1);
   }
   uint64_t written = memory.Fingerprint();
-  StateTransferSource source(memory, StateTransferConfig{}, SimTime::Zero());
+  StateTransferSource source(memory, StateTransferConfig{});
   uint32_t version = memory.PageVersion(5);
 
   memory.ZeroPages(5, 2);
