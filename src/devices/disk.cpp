@@ -1,5 +1,6 @@
 #include "devices/disk.hpp"
 
+#include <cstring>
 #include <utility>
 
 #include "common/check.hpp"
@@ -8,6 +9,28 @@
 #include "machine/machine.hpp"
 
 namespace hbft {
+namespace {
+
+// Content hash of a write payload (a whole block, checked at Start), one
+// 64-bit word per multiply. Folding the product's high half down keeps a
+// difference in a word's top bit from cancelling against the same difference
+// in the next word, as it would in a word-wise FNV-1a; every step is a
+// bijection of the running hash, so payloads differing in one word always
+// hash apart.
+uint64_t PayloadHash(const std::vector<uint8_t>& payload) {
+  static_assert(kDiskBlockBytes % sizeof(uint64_t) == 0);
+  constexpr uint64_t kMultiplier = 0x9E3779B97F4A7C15ULL;  // Odd: multiplying is a bijection.
+  uint64_t h = Fnv1aHasher::kOffsetBasis;
+  for (size_t i = 0; i + sizeof(uint64_t) <= payload.size(); i += sizeof(uint64_t)) {
+    uint64_t w = 0;
+    std::memcpy(&w, payload.data() + i, sizeof(w));
+    h = (h ^ w) * kMultiplier;
+    h ^= h >> 32;
+  }
+  return h;
+}
+
+}  // namespace
 
 Disk::Disk(uint32_t num_blocks, uint64_t seed) : num_blocks_(num_blocks), rng_(seed) {
   HBFT_CHECK_GT(num_blocks, 0u);
@@ -68,7 +91,7 @@ void Disk::Settle(const Op& op, bool performed) {
   hasher.UpdateU32(is_write ? 1u : 0u);
   hasher.UpdateU32(op.io.arg0);
   if (is_write) {
-    hasher.UpdateU64(Fnv1a(op.io.payload.data(), op.io.payload.size()));
+    hasher.UpdateU64(PayloadHash(op.io.payload));
     if (performed) {
       blocks_[op.io.arg0] = op.io.payload;
     }

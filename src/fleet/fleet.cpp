@@ -206,10 +206,15 @@ void Fleet::OnHostFailure(size_t host, SimTime t) {
   // irrelevant to results (chains are independent worlds) but fixed anyway.
   for (size_t c = 0; c < chains_.size(); ++c) {
     // Collect first: a kill can take other residents of this chain with it.
+    // A finished chain and a halted replica have nothing left to kill.
     ChainState& chain = chains_[c];
+    if (chain.world->finished()) {
+      continue;
+    }
     std::vector<size_t> victims;
     for (size_t pos = 0; pos < chain.hosts.size(); ++pos) {
-      if (chain.hosts[pos] == host && !chain.world->replica(pos)->dead()) {
+      const ReplicaNode* node = chain.world->replica(pos);
+      if (chain.hosts[pos] == host && !node->dead() && !node->halted()) {
         victims.push_back(pos);
       }
     }

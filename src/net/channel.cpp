@@ -63,18 +63,22 @@ SimTime Channel::PutOnWire(const Message& msg, SimTime now, bool retransmit) {
 
   // The queue high-water mark counts frames still on the wire at `now`
   // (arrival in the future); frames that already landed but have not been
-  // polled belong to the receiver.
+  // polled belong to the receiver. It cannot rise while no more frames are
+  // queued than the mark.
   auto note_high_water = [this, now] {
-    auto first = std::upper_bound(queue_.begin(), queue_.end(), now,
-                                  [](SimTime v, const InFlight& f) { return v < f.arrival; });
+    if (frames_.size() - head_ <= counters_.queue_high_water) {
+      return;
+    }
+    auto first = std::upper_bound(frames_.begin() + static_cast<ptrdiff_t>(head_), frames_.end(),
+                                  now, [](SimTime v, const InFlight& f) { return v < f.arrival; });
     counters_.queue_high_water =
-        std::max(counters_.queue_high_water, static_cast<uint64_t>(queue_.end() - first));
+        std::max(counters_.queue_high_water, static_cast<uint64_t>(frames_.end() - first));
   };
 
   if (!faults_.Enabled()) {
     // Ideal wire: arrivals are monotone because busy_until_ is.
     HBFT_CHECK(arrival >= last_arrival_);
-    queue_.push_back(InFlight{arrival, send_end, msg});
+    frames_.push_back(InFlight{arrival, send_end, msg});
     last_arrival_ = arrival;
     note_high_water();
     return arrival;
@@ -82,8 +86,11 @@ SimTime Channel::PutOnWire(const Message& msg, SimTime now, bool retransmit) {
 
   // Loss applies per frame: a k-frame message survives with (1-p)^k.
   uint32_t frames = link_.FrameCount(wire_bytes);
-  double survive = std::pow(1.0 - faults_.drop_probability, static_cast<double>(frames));
-  if (fault_rng_.NextBool(1.0 - survive)) {
+  while (survival_.size() <= frames) {
+    survival_.push_back(
+        std::pow(1.0 - faults_.drop_probability, static_cast<double>(survival_.size())));
+  }
+  if (fault_rng_.NextBool(1.0 - survival_[frames])) {
     ++counters_.link_drops;
     return arrival;  // The sender saw a normal send; the wire ate it.
   }
@@ -96,10 +103,10 @@ SimTime Channel::PutOnWire(const Message& msg, SimTime now, bool retransmit) {
 
   auto insert_sorted = [this](InFlight frame) {
     auto it = std::upper_bound(
-        queue_.begin(), queue_.end(), frame.arrival,
+        frames_.begin() + static_cast<ptrdiff_t>(head_), frames_.end(), frame.arrival,
         [](SimTime t, const InFlight& f) { return t < f.arrival; });
     last_arrival_ = std::max(last_arrival_, frame.arrival);
-    queue_.insert(it, std::move(frame));
+    frames_.insert(it, std::move(frame));
   };
   insert_sorted(InFlight{arrival, send_end, msg});
 
@@ -133,9 +140,13 @@ std::optional<SimTime> Channel::Send(Message msg, SimTime now) {
 }
 
 std::optional<Message> Channel::Receive(SimTime now) {
-  while (!queue_.empty() && queue_.front().arrival <= now) {
-    InFlight frame = std::move(queue_.front());
-    queue_.pop_front();
+  while (!QueueEmpty() && frames_[head_].arrival <= now) {
+    InFlight frame = std::move(frames_[head_++]);
+    if (2 * head_ >= frames_.size()) {
+      // The delivered prefix is half the array: drop it (amortised O(1)).
+      frames_.erase(frames_.begin(), frames_.begin() + static_cast<ptrdiff_t>(head_));
+      head_ = 0;
+    }
     if (mode_ == ChannelMode::kDatagram) {
       ++counters_.messages_delivered;
       counters_.bytes_delivered += frame.msg.WireSize();
@@ -159,10 +170,10 @@ std::optional<Message> Channel::Receive(SimTime now) {
 }
 
 std::optional<SimTime> Channel::NextArrival() const {
-  if (queue_.empty()) {
+  if (QueueEmpty()) {
     return std::nullopt;
   }
-  return queue_.front().arrival;
+  return frames_[head_].arrival;
 }
 
 void Channel::Break(SimTime t) {
@@ -172,19 +183,19 @@ void Channel::Break(SimTime t) {
   // finished by `t` are truncated on the wire and never arrive. Prune them
   // so the survivor's drain/occupancy view reflects only what was genuinely
   // sent — a promoted backup must not inherit phantom in-flight frames.
-  queue_.erase(std::remove_if(queue_.begin(), queue_.end(),
-                              [t](const InFlight& f) { return f.send_end > t; }),
-               queue_.end());
+  frames_.erase(std::remove_if(frames_.begin() + static_cast<ptrdiff_t>(head_), frames_.end(),
+                               [t](const InFlight& f) { return f.send_end > t; }),
+                frames_.end());
   if (busy_until_ > t) {
     busy_until_ = t;
   }
 }
 
 std::optional<SimTime> Channel::LastPendingArrival() const {
-  if (queue_.empty()) {
+  if (QueueEmpty()) {
     return std::nullopt;
   }
-  return queue_.back().arrival;  // queue_ is arrival-sorted on every insertion path.
+  return frames_.back().arrival;  // frames_ is arrival-sorted on every insertion path.
 }
 
 void Channel::BindWireSink(WireSink sink) {
@@ -207,7 +218,7 @@ bool Channel::InjectWireFrame(const std::vector<uint8_t>& bytes, SimTime now) {
   // TCP stream are monotone; clamp anyway so a coarse wall clock can never
   // violate the queue's sorted invariant.
   SimTime arrival = now > last_arrival_ ? now : last_arrival_;
-  queue_.push_back(InFlight{arrival, arrival, std::move(*msg)});
+  frames_.push_back(InFlight{arrival, arrival, std::move(*msg)});
   last_arrival_ = arrival;
   return true;
 }

@@ -31,10 +31,19 @@
 // (the paper assumes the backup detects the failure only after receiving the
 // last message sent); a frame still mid-serialisation at the crash is
 // truncated on the wire and vanishes, and nothing sent after `t` exists.
+//
+// Frames in flight live in one contiguous array sorted by arrival time, with
+// the index of the first undelivered frame. A send over the ideal wire
+// appends; over a faulty wire, which can delay or copy a frame, it
+// binary-searches its slot (near the end, since the wire is serialised). A
+// delivery advances the index. The delivered prefix is erased, or the array
+// cleared, once it is at least half the array, so a delivery costs amortised
+// O(1). A lossy channel's drop probability is fixed, so it keeps a table of
+// the k-frame survival probability (1-p)^k, filled up to k by the first send
+// of a k-frame message.
 #ifndef HBFT_NET_CHANNEL_HPP_
 #define HBFT_NET_CHANNEL_HPP_
 
-#include <deque>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -223,13 +232,16 @@ class Channel {
   // Pushes one frame onto the wire (occupancy, faults, sorted enqueue).
   // Returns the arrival time the sender observes.
   SimTime PutOnWire(const Message& msg, SimTime now, bool retransmit);
+  bool QueueEmpty() const { return head_ == frames_.size(); }
 
   LinkModel link_;
   ChannelMode mode_;
   LinkFaults faults_;
   WireSink wire_sink_;
   DeterministicRng fault_rng_;
-  std::deque<InFlight> queue_;
+  std::vector<InFlight> frames_;  // Arrival-sorted; [head_, end) is undelivered.
+  size_t head_ = 0;
+  std::vector<double> survival_;  // survival_[k] = (1 - drop_probability)^k.
   RetransmitBuffer retransmit_;
   SimTime busy_until_ = SimTime::Zero();
   SimTime last_arrival_ = SimTime::Zero();

@@ -4,8 +4,10 @@
 // (Issue, Complete, ResolveCrash, InFlight).
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <deque>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -209,6 +211,38 @@ TEST(Disk, TraceRecordsIssuerAndContentHash) {
   EXPECT_EQ(trace[0].op_hash, trace[2].op_hash);
   EXPECT_NE(trace[0].op_hash, trace[3].op_hash);
   EXPECT_NE(trace[0].op_hash, trace[4].op_hash);
+}
+
+// A write's identity covers every byte of its block: a one-byte change at the
+// start, middle or end moves it, and so does flipping the top bit of two
+// consecutive words, which a word-wise FNV-1a would cancel.
+TEST(Disk, WriteHashSeesEveryByteAndPairedTopBits) {
+  const std::vector<uint8_t> base = Pattern(3);
+  std::vector<std::vector<uint8_t>> payloads = {base};
+  for (size_t at : {size_t{0}, size_t{kDiskBlockBytes / 2}, size_t{kDiskBlockBytes - 1}}) {
+    payloads.push_back(base);
+    payloads.back()[at] ^= 1;
+  }
+  auto flip_top_bits = [&base](size_t word) {
+    std::vector<uint8_t> data = base;
+    for (size_t i = word; i < word + 2; ++i) {
+      uint64_t w = 0;
+      std::memcpy(&w, data.data() + i * sizeof(w), sizeof(w));
+      w ^= uint64_t{1} << 63;
+      std::memcpy(data.data() + i * sizeof(w), &w, sizeof(w));
+    }
+    return data;
+  };
+  payloads.push_back(flip_top_bits(0));
+  payloads.push_back(flip_top_bits(kDiskBlockBytes / sizeof(uint64_t) - 2));
+
+  Disk disk(32, 1);
+  std::set<uint64_t> hashes;
+  for (const std::vector<uint8_t>& data : payloads) {
+    Drive(disk, DiskIo(kDiskOpWrite, 1, data), /*issuer=*/1);
+    hashes.insert(disk.trace().back().op_hash);
+  }
+  EXPECT_EQ(hashes.size(), payloads.size());
 }
 
 TEST(Console, OutputAndTrace) {

@@ -182,6 +182,28 @@ TEST(Fleet, HostFailureFailsOverEveryResidentChainAndRepairs) {
   EXPECT_EQ(result.hosts[1].repairs_hosted, 2u);
 }
 
+// A host that fails after every chain ran to completion has nothing left to
+// kill, so its report agrees with the chains'. The configuration is
+// `fleet --chains=2 --hosts=2 --requests=2 --no-verify
+// --fail=host-0,time-ms=5000`, whose chains are done by 160 ms.
+TEST(Fleet, HostFailureAfterEveryChainFinishedKillsNobody) {
+  FleetConfig config;
+  config.chains = 2;
+  config.hosts = 2;
+  config.traffic.requests_per_chain = 2;
+  config.host_failures.push_back(HostFailure{0, SimTime::Millis(5000)});
+  FleetResult result = Fleet(config).Run();
+  EXPECT_EQ(result.chains_completed, 2u);
+  EXPECT_LT(result.makespan, SimTime::Millis(5000));
+  EXPECT_EQ(result.hosts_failed, 1u);
+  EXPECT_TRUE(result.hosts[0].failed);
+  EXPECT_EQ(result.hosts[0].replicas_killed, 0u);
+  for (const FleetChainReport& chain : result.chains) {
+    EXPECT_EQ(chain.replicas_lost, 0u);
+    EXPECT_EQ(chain.failovers, 0u);
+  }
+}
+
 TEST(Fleet, RepairAdmissionIsBoundedPerHost) {
   FleetConfig config;
   config.chains = 4;

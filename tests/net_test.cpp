@@ -503,5 +503,152 @@ TEST(Channel, NextArrivalExposesEarliestInFlight) {
   EXPECT_EQ(*channel.NextArrival(), *a1);
 }
 
+// Deliveries consume the front of the arrival queue; whatever number of
+// frames they took, the frames still pending keep their arrival views, a
+// break keeps exactly those serialised by its instant, and a send after it
+// vanishes.
+TEST(Channel, DeliveredPrefixLeavesPendingFramesIntact) {
+  const SimTime prop = LinkModel::Ethernet10().propagation;
+  constexpr uint64_t kFrames = 8;
+  for (uint64_t consumed = 0; consumed + 2 <= kFrames; ++consumed) {
+    SCOPED_TRACE(consumed);
+    Channel channel(LinkModel::Ethernet10());
+    std::vector<SimTime> arrivals;
+    for (uint64_t i = 0; i < kFrames; ++i) {
+      arrivals.push_back(*channel.Send(SampleMessage(MsgType::kEpochEnd), SimTime::Zero()));
+    }
+    for (uint64_t i = 0; i < consumed; ++i) {
+      auto msg = channel.Receive(arrivals[i]);
+      ASSERT_TRUE(msg.has_value());
+      EXPECT_EQ(msg->seq, i);
+    }
+    EXPECT_EQ(channel.NextArrival(), arrivals[consumed]);
+    EXPECT_EQ(channel.LastPendingArrival(), arrivals[kFrames - 1]);
+
+    // Crash once the next two pending frames have serialised.
+    const SimTime crash = arrivals[consumed + 1] - prop;
+    channel.Break(crash);
+    EXPECT_EQ(channel.NextArrival(), arrivals[consumed]);
+    EXPECT_EQ(channel.LastPendingArrival(), arrivals[consumed + 1]);
+    EXPECT_FALSE(channel.Send(SampleMessage(MsgType::kEpochEnd), crash).has_value());
+    SimTime late = arrivals[kFrames - 1] + SimTime::Seconds(1);
+    for (uint64_t seq : {consumed, consumed + 1}) {
+      auto msg = channel.Receive(late);
+      ASSERT_TRUE(msg.has_value());
+      EXPECT_EQ(msg->seq, seq);
+    }
+    EXPECT_FALSE(channel.Receive(late).has_value());
+    EXPECT_FALSE(channel.NextArrival().has_value());
+    EXPECT_FALSE(channel.LastPendingArrival().has_value());
+  }
+}
+
+// Frames the wire delays or copies are sorted into the queue behind more
+// than half of it already delivered. A datagram channel hands over every
+// frame in arrival order, so its delivery order is the queue's order; seed
+// 7 delivers 8 of the first burst's 10 frames by 1 ms, keeps two delayed
+// ones, and the second burst adds a delayed frame and two copies.
+TEST(Channel, DelayedAndCopiedFramesSortAfterADeliveredPrefix) {
+  LinkFaults faults;
+  faults.reorder_probability = 0.3;
+  faults.duplicate_probability = 0.3;
+  Channel channel(LinkModel::Ethernet10(), ChannelMode::kDatagram, faults, /*fault_seed=*/7);
+  std::vector<uint64_t> order;
+  for (int i = 0; i < 8; ++i) {
+    channel.Send(SampleMessage(MsgType::kEpochEnd), SimTime::Zero());
+  }
+  const SimTime t1 = SimTime::Micros(1000);
+  while (auto msg = channel.Receive(t1)) {
+    order.push_back(msg->seq);
+  }
+  ASSERT_EQ(order.size(), 8u);
+  ASSERT_TRUE(channel.NextArrival().has_value());
+  const Channel::Counters first = channel.counters();
+  EXPECT_EQ(first.wire_sends, 10u);
+
+  for (int i = 0; i < 8; ++i) {
+    channel.Send(SampleMessage(MsgType::kEpochEnd), t1);
+  }
+  EXPECT_EQ(channel.counters().link_reorders - first.link_reorders, 1u);
+  EXPECT_EQ(channel.counters().link_duplicates - first.link_duplicates, 2u);
+  while (auto msg = channel.Receive(SimTime::Seconds(1))) {
+    order.push_back(msg->seq);
+  }
+  EXPECT_EQ(order, (std::vector<uint64_t>{0, 0, 1, 2, 2, 3, 6, 7, 8, 9, 10, 10, 11, 4, 12, 5, 14,
+                                          15, 15, 13}));
+  EXPECT_EQ(channel.counters().queue_high_water, 12u);
+}
+
+// The high-water mark counts frames still on the wire. A send that leaves
+// fewer of them than the mark, whether or not landed frames wait unpolled,
+// leaves it where it was, on the ideal and on the faulty wire.
+TEST(Channel, SendBelowTheHighWaterMarkLeavesItUnchanged) {
+  LinkFaults faulty;
+  faulty.drop_probability = 1e-9;  // Fault machinery on, nothing lost.
+  for (const LinkFaults& faults : {LinkFaults{}, faulty}) {
+    Channel channel(LinkModel::Ethernet10(), ChannelMode::kOrdered, faults, /*fault_seed=*/5);
+    SimTime last = SimTime::Zero();
+    for (int i = 0; i < 3; ++i) {
+      last = *channel.Send(SampleMessage(MsgType::kEpochEnd), SimTime::Zero());
+    }
+    EXPECT_EQ(channel.counters().queue_high_water, 3u);
+    // Three frames landed unpolled and one on the wire: four queued.
+    channel.Send(SampleMessage(MsgType::kEpochEnd), last);
+    EXPECT_EQ(channel.counters().queue_high_water, 3u);
+    while (channel.Receive(SimTime::Seconds(1))) {
+    }
+    EXPECT_FALSE(channel.NextArrival().has_value());
+    channel.Send(SampleMessage(MsgType::kEpochEnd), SimTime::Seconds(1));
+    EXPECT_EQ(channel.counters().queue_high_water, 3u);
+  }
+}
+
+// The socket transport's receiving end: frames read off a stream enter the
+// queue as they come and deliver in sequence, across a delivered prefix; a
+// stale copy is discarded with a re-ack, and a coarse clock that steps back
+// never sorts a frame ahead of one already queued.
+TEST(Channel, InjectedWireFramesDeliverInSequence) {
+  std::vector<std::vector<uint8_t>> wire;
+  Channel sender(LinkModel::Ethernet10());
+  sender.BindWireSink([&wire](const std::vector<uint8_t>& bytes) {
+    wire.push_back(bytes);
+    return true;
+  });
+  for (int i = 0; i < 6; ++i) {
+    sender.Send(SampleMessage(MsgType::kEpochEnd), SimTime::Zero());
+  }
+  ASSERT_EQ(wire.size(), 6u);
+  EXPECT_FALSE(sender.NextArrival().has_value());  // Nothing queued locally.
+
+  Channel receiver(LinkModel::Ethernet10());
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(receiver.InjectWireFrame(wire[i], SimTime::Micros(10 * (i + 1))));
+  }
+  for (uint64_t seq = 0; seq < 3; ++seq) {
+    auto msg = receiver.Receive(SimTime::Micros(40));
+    ASSERT_TRUE(msg.has_value());
+    EXPECT_EQ(msg->seq, seq);
+  }
+  EXPECT_EQ(receiver.NextArrival(), SimTime::Micros(40));
+
+  // A repeated frame, then the rest with the clock stepped back.
+  ASSERT_TRUE(receiver.InjectWireFrame(wire[1], SimTime::Micros(50)));
+  ASSERT_TRUE(receiver.InjectWireFrame(wire[4], SimTime::Micros(45)));
+  ASSERT_TRUE(receiver.InjectWireFrame(wire[5], SimTime::Micros(60)));
+  EXPECT_EQ(receiver.NextArrival(), SimTime::Micros(40));
+  EXPECT_EQ(receiver.LastPendingArrival(), SimTime::Micros(60));
+  EXPECT_FALSE(receiver.InjectWireFrame({0xFF}, SimTime::Micros(60)));
+  std::vector<uint64_t> seqs;
+  while (auto msg = receiver.Receive(SimTime::Micros(60))) {
+    seqs.push_back(msg->seq);
+  }
+  EXPECT_EQ(seqs, (std::vector<uint64_t>{3, 4, 5}));
+  EXPECT_EQ(receiver.counters().messages_delivered, 6u);
+  EXPECT_EQ(receiver.counters().rx_duplicates, 1u);
+  EXPECT_EQ(receiver.counters().wire_decode_errors, 1u);
+  EXPECT_TRUE(receiver.TakeReackRequested());
+  EXPECT_FALSE(receiver.NextArrival().has_value());
+}
+
 }  // namespace
 }  // namespace hbft

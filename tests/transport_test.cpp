@@ -273,6 +273,56 @@ TEST(Transport, RejoinReportsFrozenBrokenChannelsAndFreshPair) {
   EXPECT_GT(rejoin_pair->counters.messages_delivered, 0u);
 }
 
+// The lossy wire's frame order, pinned: a revised-protocol disk read over a
+// link that drops, reorders and duplicates frames, as `hbft_cli run
+// --workload=diskread --iterations=64 --variant=new --loss=0.05
+// --reorder=0.05 --dup=0.05` runs it. A change to where the wire queues a
+// frame, or to its fault draws, moves the completion time and the counters.
+TEST(Transport, LossyDiskReadPinsCompletionAndCounters) {
+  WorkloadSpec spec;
+  spec.kind = WorkloadKind::kDiskRead;
+  spec.iterations = 64;
+  LinkFaults faults;
+  faults.drop_probability = 0.05;
+  faults.reorder_probability = 0.05;
+  faults.duplicate_probability = 0.05;
+  ScenarioResult ft =
+      Scenario::Replicated(spec).Variant(ProtocolVariant::kRevised).LinkFaults(faults).Run();
+  ASSERT_TRUE(ft.completed);
+  EXPECT_EQ(ft.guest_checksum, 2845377478u);
+  EXPECT_EQ(ft.completion_time.picos(), 15391103140000);
+
+  struct Expected {
+    uint64_t messages_enqueued, wire_sends, retransmits, link_drops, link_duplicates,
+        link_reorders, queue_high_water, rx_duplicates, rx_gaps, messages_delivered,
+        bytes_on_wire, bytes_delivered;
+  };
+  const Expected expected[] = {
+      // r0 -> r1, the protocol stream.
+      {9367, 65541, 53234, 3498, 2940, 2915, 240, 487, 52189, 9367, 8482987, 722671},
+      // r1 -> r0, the ack datagrams.
+      {18344, 19227, 0, 916, 883, 880, 34, 0, 0, 18310, 480675, 457750},
+  };
+  ASSERT_EQ(ft.channels.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    const Channel::Counters& c = ft.channels[i].counters;
+    const Expected& e = expected[i];
+    SCOPED_TRACE(i == 0 ? "r0->r1" : "r1->r0");
+    EXPECT_EQ(c.messages_enqueued, e.messages_enqueued);
+    EXPECT_EQ(c.wire_sends, e.wire_sends);
+    EXPECT_EQ(c.retransmits, e.retransmits);
+    EXPECT_EQ(c.link_drops, e.link_drops);
+    EXPECT_EQ(c.link_duplicates, e.link_duplicates);
+    EXPECT_EQ(c.link_reorders, e.link_reorders);
+    EXPECT_EQ(c.queue_high_water, e.queue_high_water);
+    EXPECT_EQ(c.rx_duplicates, e.rx_duplicates);
+    EXPECT_EQ(c.rx_gaps, e.rx_gaps);
+    EXPECT_EQ(c.messages_delivered, e.messages_delivered);
+    EXPECT_EQ(c.bytes_on_wire, e.bytes_on_wire);
+    EXPECT_EQ(c.bytes_delivered, e.bytes_delivered);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // The seed matrix: net-echo and txnlog cascades of two backups,
 // {ideal, lossy} x seeds. Transport regressions under any wire or seed fail
